@@ -33,12 +33,9 @@
     record against the final entry tables, and [scc_results] is [None]
     (the raw kernel arrays still hold copy words, which do not box). *)
 
-open Fsicp_lang
 open Fsicp_prog
-open Fsicp_cfg
 open Fsicp_ssa
 open Fsicp_callgraph
-open Fsicp_ipa
 open Fsicp_scc
 
 let method_name = "copy-constant"
@@ -57,8 +54,7 @@ let max_passes = 100
    bindings into the caller's entry slots, or ⊥. *)
 type record = {
   rec_exec : bool;
-  rec_args : int array;
-  rec_globals : (Prog.Var.id * int) array;
+  rec_words : int array * (Prog.Var.id * int) list;
 }
 
 (** [solve ?jobs ctx] — the copy-constant solution.  [jobs] is accepted
@@ -72,70 +68,24 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   let db = pcg.Callgraph.db in
   let nodes = pcg.Callgraph.nodes in
   let n = Array.length nodes in
-  let main = ctx.Context.prog.Ast.main in
+  let roots = Entry_vec.roots ctx in
 
-  (* Per-procedure entry shape: formal count, sorted REF-closure global
-     ids.  Entry slot [j < nf] is formal [j]; slot [nf + k] is global
-     [gids.(k)] — the numbering both the kernel's copy words and the
-     record evaluation below share. *)
-  let nf = Array.make n 0 in
-  let gids : Prog.Var.id array array = Array.make n [||] in
-  Array.iteri
-    (fun i pid ->
-      let proc = Prog.proc_name db pid in
-      nf.(i) <-
-        List.length
-          (Summary.find ctx.Context.summaries proc).Summary.ps_formals;
-      let gs =
-        Modref.call_global_refs ctx.Context.modref ~callee:proc
-        |> List.map (fun (g : Ir.var) -> g.Ir.vid)
-        |> Array.of_list
-      in
-      Array.sort Prog.Var.compare gs;
-      gids.(i) <- gs)
-    nodes;
-  let gfind i (g : int) =
-    let gs = gids.(i) in
-    let lo = ref 0 and hi = ref (Array.length gs - 1) in
-    let found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      let gm = Prog.Var.to_int gs.(mid) in
-      if gm = g then begin
-        found := mid;
-        lo := !hi + 1
-      end
-      else if gm < g then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
+  (* Per-procedure entry shape: both the kernel's copy words and the
+     record evaluation below number slots the {!Entry_vec} way. *)
+  let shapes =
+    Array.map (fun pid -> Entry_vec.shape ctx (Prog.proc_name db pid)) nodes
   in
 
-  (* Current finalized entry tables (constants or ⊥ only, never ⊤ and
+  (* Current finalized entry vectors (constants or ⊥ only, never ⊤ and
      never a copy): what copy records evaluate against, and what the
      kernel's constant entry bindings come from. *)
-  let formals = Array.init n (fun i -> Array.make nf.(i) P.bot) in
-  let gvals = Array.init n (fun i -> Array.make (Array.length gids.(i)) P.bot) in
+  let vecs = Array.map (fun sh -> Array.make (Entry_vec.size sh) P.bot) shapes in
   let visited = Array.make n false in
 
   (* Evaluate a recorded word of caller [i] against the caller's current
-     entry table.  Entries are censored at their own boundaries, so the
+     entry vector.  Entries are censored at their own boundaries, so the
      evaluation needs no further censoring. *)
-  let eval_word i w =
-    if not (P.is_copy w) then w
-    else
-      let k = P.copy_slot w in
-      if k < nf.(i) then formals.(i).(k) else gvals.(i).(k - nf.(i))
-  in
-
-  let blockdata = Context.blockdata_env ctx in
-  let blockdata_tbl : (int, int) Hashtbl.t =
-    Hashtbl.create (List.length blockdata)
-  in
-  List.iter
-    (fun (g, v) ->
-      Hashtbl.replace blockdata_tbl (Prog.Var.to_int g) (P.of_t v))
-    blockdata;
+  let eval_word i w = if P.is_copy w then vecs.(i).(P.copy_slot w) else w in
 
   (* Records by (caller index, cs_index), dense rows; [None] = the site's
      procedure has not been analysed yet (optimistic: no contribution). *)
@@ -152,11 +102,8 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
     Array.iter
       (fun (pid : Prog.Proc.id) ->
         let i = (pid :> int) in
-        let proc = Prog.proc_name db pid in
-        let nf = nf.(i) in
-        let gs = gids.(i) in
-        let facc = Array.make nf P.top in
-        let gacc = Array.make (Array.length gs) P.top in
+        let sh = shapes.(i) in
+        let acc = Entry_vec.top sh in
         (* Meet every recorded executable call into [proc], copy bindings
            evaluated against the calling procedure's current entries —
            same-pass for forward edges, previous-pass for back edges. *)
@@ -166,96 +113,44 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
             match records.(ci).(e.Callgraph.cs_index) with
             | None -> ()
             | Some r when not r.rec_exec -> ()
-            | Some r ->
-                Array.iteri
-                  (fun j w ->
-                    if j < nf then
-                      facc.(j) <- P.meet facc.(j) (eval_word ci w))
-                  r.rec_args;
-                Array.iter
-                  (fun (g, w) ->
-                    let k = gfind i (Prog.Var.to_int g) in
-                    if k >= 0 then gacc.(k) <- P.meet gacc.(k) (eval_word ci w))
-                  r.rec_globals)
+            | Some { rec_words = args, globals; _ } ->
+                Entry_vec.meet_site sh acc ~word:(eval_word ci) args globals)
           in_edges.(i);
         (* [main]'s globals come from block data alone — calls into main
            are necessarily back edges and are deliberately overridden,
            exactly as {!Fs_icp} does. *)
-        let is_main = String.equal proc main in
-        if is_main then
-          for k = 0 to Array.length gs - 1 do
-            gacc.(k) <-
-              (match
-                 Hashtbl.find_opt blockdata_tbl (Prog.Var.to_int gs.(k))
-               with
-              | Some w -> w
-              | None -> P.bot)
-          done;
+        if Entry_vec.is_main roots pid then
+          Entry_vec.set_main_globals roots sh acc;
         (* ⊤ after all contributions = no executable call reaches the
            slot: unknown, not a dead-code constant. *)
-        for j = 0 to nf - 1 do
-          if facc.(j) = P.top then facc.(j) <- P.bot
-        done;
-        for k = 0 to Array.length gacc - 1 do
-          if gacc.(k) = P.top then gacc.(k) <- P.bot
-        done;
-        if
-          (not visited.(i))
-          || facc <> formals.(i)
-          || gacc <> gvals.(i)
-        then begin
+        Entry_vec.finalize acc;
+        if (not visited.(i)) || acc <> vecs.(i) then begin
           any_change := true;
-          formals.(i) <- facc;
-          gvals.(i) <- gacc;
+          vecs.(i) <- acc;
           visited.(i) <- true
         end;
         (* One kernel run: constant entry slots bind to their constant,
            every other formal/closure-global to its own copy word.  The
            entry vector repeats between converging passes, so reruns are
            memo hits. *)
-        let entry_env (v : Ir.var) : int =
-          match v.Ir.vkind with
-          | Ir.Formal j ->
-              if j >= nf then P.bot
-              else
-                let w = formals.(i).(j) in
-                if P.is_const w then w else P.copy j
-          | Ir.Global -> (
-              let k = gfind i (Prog.Var.to_int v.Ir.vid) in
-              if k >= 0 then begin
-                let w = gvals.(i).(k) in
-                if P.is_const w then w else P.copy (nf + k)
-              end
-              else if is_main then
-                match
-                  Hashtbl.find_opt blockdata_tbl (Prog.Var.to_int v.Ir.vid)
-                with
-                | Some w -> w
-                | None -> P.bot
-              else P.bot)
-          | Ir.Local | Ir.Temp -> P.bot
+        let entry_env =
+          Entry_vec.env roots sh pid (fun s ->
+              let w = acc.(s) in
+              if P.is_const w then w else P.copy s)
         in
         let ssa = Context.ssa_at ctx pid in
         let config = { Scc.default_config with Scc.entry_env } in
         let res = Scc.run ~config ssa in
         incr scc_runs;
+        let keep w = if P.is_copy w then w else Context.censor_w ctx w in
         List.iter
           (fun (b, _, (c : Ssa.call)) ->
-            let rec_exec = res.Scc.block_executable.(b) in
-            let keep w =
-              if P.is_copy w then w else Context.censor_w ctx w
-            in
-            let rec_args =
-              Array.mapi (fun j _ -> keep (Scc.arg_value_w res c j)) c.Ssa.c_args
-            in
-            let rec_globals =
-              Array.map
-                (fun ((g : Ir.var), (nm : Ssa.name)) ->
-                  (g.Ir.vid, keep res.Scc.values.(nm.Ssa.id)))
-                c.Ssa.c_global_uses
-            in
             records.(i).(c.Ssa.c_cs_id) <-
-              Some { rec_exec; rec_args; rec_globals })
+              Some
+                {
+                  rec_exec = res.Scc.block_executable.(b);
+                  rec_words = Entry_vec.read_site ~word:keep res c;
+                })
           (Ssa.call_sites ssa))
       forward;
     !any_change
@@ -266,20 +161,12 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   done;
   Trace.add c_passes !passes;
 
-  (* Assemble the solution against the {e final} entry tables; no copy
+  (* Assemble the solution against the {e final} entry vectors; no copy
      word survives past this point. *)
   let entries =
     Prog.tbl_init db (fun pid ->
         let i = (pid :> int) in
-        let pe_formals = Array.map P.to_t formals.(i) in
-        let pe_globals =
-          let acc = ref [] in
-          for k = Array.length gids.(i) - 1 downto 0 do
-            acc := (gids.(i).(k), P.to_t gvals.(i).(k)) :: !acc
-          done;
-          !acc
-        in
-        { Solution.pe_formals; pe_globals })
+        Entry_vec.box_entry shapes.(i) vecs.(i))
   in
   let call_records =
     Array.to_list nodes
@@ -291,22 +178,11 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
              (fun cs_index slot ->
                match slot with
                | None -> ()
-               | Some r ->
-                   let boxed w =
-                     if r.rec_exec then P.to_t (eval_word i w)
-                     else Lattice.Top
-                   in
+               | Some { rec_exec; rec_words = args, globals } ->
                    let cr =
-                     {
-                       Solution.cr_caller = pid;
-                       cr_cs_index = cs_index;
-                       cr_callee = out.(cs_index).Callgraph.callee;
-                       cr_executable = r.rec_exec;
-                       cr_args = Array.map boxed r.rec_args;
-                       cr_globals =
-                         Array.to_list r.rec_globals
-                         |> List.map (fun (g, w) -> (g, boxed w));
-                     }
+                     Entry_vec.box_site ~caller:pid ~cs_index
+                       ~callee:out.(cs_index).Callgraph.callee ~exec:rec_exec
+                       ~word:(eval_word i) (args, globals)
                    in
                    acc := cr :: !acc)
              records.(i);

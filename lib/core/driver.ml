@@ -46,17 +46,23 @@ type t = {
 }
 
 (* Wall-clock plus the executing domain's allocation counters: in OCaml 5
-   [Gc.quick_stat] words are per-domain, so a phase running inside a
-   [Par.both] task reports the allocation of that task's domain. *)
+   the counters are per-domain, so a phase running inside a [Par.both] task
+   reports the allocation of that task's domain.  [Gc.quick_stat] only
+   moves at minor-GC boundaries, so it reads 0 for a phase that fits in
+   the minor heap.  [Gc.minor_words] is exact, and so is the major figure
+   of [Gc.counters]; its minor figure is not (OCaml 5.1 undercounts the
+   unfinished minor heap). *)
+let alloc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
 let time_it f =
-  let s0 = Gc.quick_stat () in
+  let minor0, major0 = alloc_words () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  let s1 = Gc.quick_stat () in
-  ( r,
-    (dt, s1.Gc.minor_words -. s0.Gc.minor_words,
-     s1.Gc.major_words -. s0.Gc.major_words) )
+  let minor1, major1 = alloc_words () in
+  (r, (dt, minor1 -. minor0, major1 -. major0))
 
 (** Run the complete pipeline on [jobs] domains (default
     {!Fsicp_par.Par.default_jobs}).  The program must be

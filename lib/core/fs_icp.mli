@@ -20,8 +20,9 @@ val method_name : string
     [[bounds.(r), bounds.(r+1))]).  No boundary ever falls strictly inside
     a back-edge id interval, so every SCC of the PCG condensation lies
     whole within one region; on heavily cyclic graphs fewer (larger)
-    regions come back.  The from-scratch wavefront assigns each region's
-    nodes to domain [r mod jobs] ({!Fsicp_par.Par.wavefront_sharded});
+    regions come back.  The wavefront, from scratch and incremental alike,
+    assigns each region's nodes to domain [r mod jobs]
+    ({!Fsicp_par.Par.wavefront});
     exposed for the region-invariant tests. *)
 val shard_regions : Fsicp_callgraph.Callgraph.t -> parts:int -> int array
 

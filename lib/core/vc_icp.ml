@@ -36,10 +36,8 @@
 
 open Fsicp_lang
 open Fsicp_prog
-open Fsicp_cfg
 open Fsicp_ssa
 open Fsicp_callgraph
-open Fsicp_ipa
 open Fsicp_scc
 
 let method_name = "value-context"
@@ -56,18 +54,10 @@ let c_merged = Trace.counter "vc.merged_procs"
     merged (flow-sensitive) treatment. *)
 let context_budget = 24
 
-(* One entry context: packed formal and REF-closure-global vectors
-   (constants or ⊥ only).  Plain int arrays — structural equality is
-   context identity, since packed words are canonical. *)
-type ctx_vec = { vf : int array; vg : int array }
-
-let vec_equal a b = a.vf = b.vf && a.vg = b.vg
-
-let vec_meet a b =
-  {
-    vf = Array.map2 P.meet a.vf b.vf;
-    vg = Array.map2 P.meet a.vg b.vg;
-  }
+(* One entry context is an {!Entry_vec} vector (constants or ⊥ only).
+   Plain int arrays — structural equality is context identity, since
+   packed words are canonical. *)
+let vec_meet = Array.map2 P.meet
 
 (** [solve ?jobs ctx] — the value-context solution.  [jobs] is accepted
     for interface symmetry and ignored: the worklist is drained
@@ -80,76 +70,30 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   let db = pcg.Callgraph.db in
   let nodes = pcg.Callgraph.nodes in
   let n = Array.length nodes in
-  let main = ctx.Context.prog.Ast.main in
-  let main_id = Callgraph.proc_id_exn pcg main in
+  let main_id = Callgraph.proc_id_exn pcg ctx.Context.prog.Ast.main in
+  let roots = Entry_vec.roots ctx in
 
   (* Per-procedure entry shape, shared slot numbering with the arrival
-     vectors: formal [j], then sorted REF-closure global [k]. *)
-  let nf = Array.make n 0 in
-  let gids : Prog.Var.id array array = Array.make n [||] in
-  Array.iteri
-    (fun i pid ->
-      let proc = Prog.proc_name db pid in
-      nf.(i) <-
-        List.length
-          (Summary.find ctx.Context.summaries proc).Summary.ps_formals;
-      let gs =
-        Modref.call_global_refs ctx.Context.modref ~callee:proc
-        |> List.map (fun (g : Ir.var) -> g.Ir.vid)
-        |> Array.of_list
-      in
-      Array.sort Prog.Var.compare gs;
-      gids.(i) <- gs)
-    nodes;
-  let gfind i (g : int) =
-    let gs = gids.(i) in
-    let lo = ref 0 and hi = ref (Array.length gs - 1) in
-    let found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      let gm = Prog.Var.to_int gs.(mid) in
-      if gm = g then begin
-        found := mid;
-        lo := !hi + 1
-      end
-      else if gm < g then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
+     vectors. *)
+  let shapes =
+    Array.map (fun pid -> Entry_vec.shape ctx (Prog.proc_name db pid)) nodes
   in
-
-  let blockdata = Context.blockdata_env ctx in
-  let blockdata_tbl : (int, int) Hashtbl.t =
-    Hashtbl.create (List.length blockdata)
-  in
-  List.iter
-    (fun (g, v) ->
-      Hashtbl.replace blockdata_tbl (Prog.Var.to_int g) (P.of_t v))
-    blockdata;
 
   (* Context tables: the distinct vectors seen (until the budget trips),
      merged-mode state, and the running entry meet over every arrival. *)
-  let seen : ctx_vec list array = Array.make n [] in
-  let merged : ctx_vec option array = Array.make n None in
-  let entry_meet : ctx_vec option array = Array.make n None in
+  let seen : int array list array = Array.make n [] in
+  let merged : int array option array = Array.make n None in
+  let entry_meet : int array option array = Array.make n None in
 
-  (* Per-call-site accumulators, dense by (caller index, cs_index):
-     executable-in-any-context plus the meet of each argument/global over
-     the executable occurrences. *)
-  let site_exec : bool array array =
-    Array.init n (fun i ->
-        Array.make (Callgraph.n_call_sites pcg nodes.(i)) false)
-  in
-  let site_args : int array option array array =
-    Array.init n (fun i ->
-        Array.make (Callgraph.n_call_sites pcg nodes.(i)) None)
-  in
-  let site_globals : (Prog.Var.id * int) array option array array =
+  (* Per-call-site accumulators, dense by (caller index, cs_index): [Some]
+     once executable in any context, holding the meet of each
+     argument/global word over the executable occurrences. *)
+  let sites : (int array * (Prog.Var.id * int) list) option array array =
     Array.init n (fun i ->
         Array.make (Callgraph.n_call_sites pcg nodes.(i)) None)
   in
 
-  let queue : (int * ctx_vec) Queue.t = Queue.create () in
+  let queue : (int * int array) Queue.t = Queue.create () in
   let scc_runs = ref 0 in
   let contexts = ref 0 in
   let merged_procs = ref 0 in
@@ -159,7 +103,7 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
      context.  Arrivals into [main] are dropped — any call edge into main
      is a back edge, and main's entry is the block-data root environment,
      exactly as in {!Fs_icp}. *)
-  let arrive i (v : ctx_vec) =
+  let arrive i (v : int array) =
     if i <> (main_id :> int) then begin
       (match entry_meet.(i) with
       | None -> entry_meet.(i) <- Some v
@@ -167,12 +111,12 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
       match merged.(i) with
       | Some m ->
           let m' = vec_meet m v in
-          if not (vec_equal m m') then begin
+          if m <> m' then begin
             merged.(i) <- Some m';
             Queue.add (i, m') queue
           end
       | None ->
-          if not (List.exists (vec_equal v) seen.(i)) then
+          if not (List.mem v seen.(i)) then
             if List.length seen.(i) >= context_budget then begin
               (* Blowup: fall back to the flow-sensitive treatment — one
                  context, the meet of everything that ever arrived. *)
@@ -191,94 +135,51 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   in
 
   (* Analyse procedure [i] under one entry context. *)
-  let process i (v : ctx_vec) =
+  let process i (v : int array) =
     let pid = nodes.(i) in
-    let proc = Prog.proc_name db pid in
-    let is_main = String.equal proc main in
     incr contexts;
-    let entry_env (var : Ir.var) : int =
-      match var.Ir.vkind with
-      | Ir.Formal j -> if j < Array.length v.vf then v.vf.(j) else P.bot
-      | Ir.Global -> (
-          let k = gfind i (Prog.Var.to_int var.Ir.vid) in
-          if k >= 0 then v.vg.(k)
-          else if is_main then
-            match
-              Hashtbl.find_opt blockdata_tbl (Prog.Var.to_int var.Ir.vid)
-            with
-            | Some w -> w
-            | None -> P.bot
-          else P.bot)
-      | Ir.Local | Ir.Temp -> P.bot
-    in
+    let entry_env = Entry_vec.env roots shapes.(i) pid (Array.get v) in
     let ssa = Context.ssa_at ctx pid in
     let config = { Scc.default_config with Scc.entry_env } in
     let res = Scc.run ~config ssa in
     incr scc_runs;
+    (* The kernel never leaves an executable value at ⊤ once its block
+       runs, but finalize defensively: an arrival vector must hold
+       constants or ⊥ only. *)
+    let fin w = if w = P.top then P.bot else Context.censor_w ctx w in
     List.iter
       (fun (b, _, (c : Ssa.call)) ->
         if res.Scc.block_executable.(b) then begin
           let cs = c.Ssa.c_cs_id in
           let callee_i = (Callgraph.proc_id_exn pcg c.Ssa.c_callee :> int) in
-          (* The kernel never leaves an executable value at ⊤ once its
-             block runs, but finalize defensively: an arrival vector must
-             hold constants or ⊥ only. *)
-          let fin w = if w = P.top then P.bot else Context.censor_w ctx w in
-          let args =
-            Array.mapi (fun j _ -> fin (Scc.arg_value_w res c j)) c.Ssa.c_args
-          in
-          let globals =
-            Array.map
-              (fun ((g : Ir.var), (nm : Ssa.name)) ->
-                (g.Ir.vid, fin res.Scc.values.(nm.Ssa.id)))
-              c.Ssa.c_global_uses
-          in
+          let args, globals = Entry_vec.read_site ~word:fin res c in
           (* Accumulate the published record. *)
-          (match site_args.(i).(cs) with
-          | None ->
-              site_args.(i).(cs) <- Some (Array.copy args);
-              site_globals.(i).(cs) <- Some (Array.copy globals)
-          | Some acc ->
-              Array.iteri (fun j w -> acc.(j) <- P.meet acc.(j) w) args;
-              (match site_globals.(i).(cs) with
-              | Some gacc ->
-                  Array.iteri
-                    (fun k (g, w) ->
-                      let g', w' = gacc.(k) in
-                      assert (Prog.Var.equal g g');
-                      gacc.(k) <- (g, P.meet w' w))
-                    globals
-              | None -> ()));
-          site_exec.(i).(cs) <- true;
-          (* The callee's arrival vector under this context. *)
-          let cnf = nf.(callee_i) in
-          let vf = Array.make cnf P.bot in
-          Array.iteri (fun j w -> if j < cnf then vf.(j) <- w) args;
-          let vg = Array.make (Array.length gids.(callee_i)) P.bot in
-          Array.iter
-            (fun (g, w) ->
-              let k = gfind callee_i (Prog.Var.to_int g) in
-              if k >= 0 then vg.(k) <- w)
-            globals;
-          arrive callee_i { vf; vg }
+          sites.(i).(cs) <-
+            Some
+              (match sites.(i).(cs) with
+              | None -> (args, globals)
+              | Some (aacc, gacc) ->
+                  Array.iteri (fun j w -> aacc.(j) <- P.meet aacc.(j) w) args;
+                  ( aacc,
+                    List.map2
+                      (fun (g, w') (g', w) ->
+                        assert (Prog.Var.equal g g');
+                        (g, P.meet w' w))
+                      gacc globals ));
+          (* The callee's arrival vector under this context: every word is
+             already final, so meeting into ⊤ and finalizing sets the
+             site's slots and leaves the rest ⊥. *)
+          let sh = shapes.(callee_i) in
+          let arrival = Entry_vec.top sh in
+          Entry_vec.meet_site sh arrival ~word:Fun.id args globals;
+          Entry_vec.finalize arrival;
+          arrive callee_i arrival
         end)
       (Ssa.call_sites ssa)
   in
 
   (* Root: [main] under the block-data environment. *)
-  let root =
-    let i = (main_id :> int) in
-    let vf = Array.make nf.(i) P.bot in
-    let vg =
-      Array.map
-        (fun g ->
-          match Hashtbl.find_opt blockdata_tbl (Prog.Var.to_int g) with
-          | Some w -> w
-          | None -> P.bot)
-        gids.(i)
-    in
-    { vf; vg }
-  in
+  let root = Entry_vec.main_vector roots shapes.((main_id :> int)) in
   entry_meet.((main_id :> int)) <- Some root;
   seen.((main_id :> int)) <- [ root ];
   Queue.add ((main_id :> int), root) queue;
@@ -289,7 +190,7 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
        the merged context subsumes it (it is one of the meet's operands),
        so skip the kernel run. *)
     let stale =
-      match merged.(i) with Some m -> not (vec_equal m v) | None -> false
+      match merged.(i) with Some m -> m <> v | None -> false
     in
     if not stale then process i v
   done;
@@ -299,62 +200,32 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   (* Publish: entry = meet of every arrival (⊥ rows for procedures no
      executable call reached), records from the per-site accumulators
      (non-executable sites in the FS [Top] convention — including every
-     site of a never-analysed procedure, reconstructed from the summary
-     shapes without touching its SSA). *)
+     site of a never-analysed procedure, reconstructed from the callee's
+     shape without touching its SSA). *)
   let entries =
     Prog.tbl_init db (fun pid ->
-        let i = (pid :> int) in
-        match entry_meet.(i) with
-        | Some v ->
-            {
-              Solution.pe_formals = Array.map P.to_t v.vf;
-              pe_globals =
-                Array.to_list (Array.mapi (fun k g -> (g, P.to_t v.vg.(k))) gids.(i));
-            }
-        | None ->
-            {
-              Solution.pe_formals = Array.make nf.(i) Lattice.Bot;
-              pe_globals =
-                Array.to_list (Array.map (fun g -> (g, Lattice.Bot)) gids.(i));
-            })
+        let sh = shapes.((pid :> int)) in
+        match entry_meet.((pid :> int)) with
+        | Some v -> Entry_vec.box_entry sh v
+        | None -> Entry_vec.box_entry sh (Array.make (Entry_vec.size sh) P.bot))
   in
   let call_records =
     Array.to_list nodes
     |> List.concat_map (fun (pid : Prog.Proc.id) ->
            let i = (pid :> int) in
-           let out = Callgraph.out_edges pcg pid in
-           Array.to_list out
+           Array.to_list (Callgraph.out_edges pcg pid)
            |> List.map (fun (e : Callgraph.edge) ->
                   let cs = e.Callgraph.cs_index in
-                  let callee_i = (e.Callgraph.callee :> int) in
-                  if site_exec.(i).(cs) then
-                    {
-                      Solution.cr_caller = pid;
-                      cr_cs_index = cs;
-                      cr_callee = e.Callgraph.callee;
-                      cr_executable = true;
-                      cr_args =
-                        (match site_args.(i).(cs) with
-                        | Some a -> Array.map P.to_t a
-                        | None -> [||]);
-                      cr_globals =
-                        (match site_globals.(i).(cs) with
-                        | Some g ->
-                            Array.to_list g
-                            |> List.map (fun (gid, w) -> (gid, P.to_t w))
-                        | None -> []);
-                    }
-                  else
-                    {
-                      Solution.cr_caller = pid;
-                      cr_cs_index = cs;
-                      cr_callee = e.Callgraph.callee;
-                      cr_executable = false;
-                      cr_args = Array.make nf.(callee_i) Lattice.Top;
-                      cr_globals =
-                        Array.to_list gids.(callee_i)
-                        |> List.map (fun g -> (g, Lattice.Top));
-                    }))
+                  let callee = e.Callgraph.callee in
+                  let exec, words =
+                    match sites.(i).(cs) with
+                    | Some words -> (true, words)
+                    | None ->
+                        let sh = shapes.((callee :> int)) in
+                        (false, Entry_vec.split sh (Entry_vec.top sh))
+                  in
+                  Entry_vec.box_site ~caller:pid ~cs_index:cs ~callee ~exec
+                    ~word:Fun.id words))
   in
   Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:!scc_runs
     ~scc_results:(Prog.tbl db None)

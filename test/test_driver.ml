@@ -33,6 +33,31 @@ let test_driver_times_nonnegative () =
   Alcotest.(check bool) "fi timing accessible" true (Driver.fi_seconds d >= 0.0);
   Alcotest.(check bool) "fs timing accessible" true (Driver.fs_seconds d >= 0.0)
 
+(* Every phase allocates, so every phase must report allocation: a 0 means
+   the counter only moves at minor-GC boundaries.  The largest suite
+   program is the one whose phases are most likely to fit between two
+   minor collections and so expose a boundary-sampled counter. *)
+let test_driver_phase_allocation () =
+  let largest =
+    List.fold_left
+      (fun (acc : Spec.benchmark) (b : Spec.benchmark) ->
+        if
+          b.Spec.b_profile.Generator.g_procs
+          > acc.Spec.b_profile.Generator.g_procs
+        then b
+        else acc)
+      (List.hd Spec.suite) (List.tl Spec.suite)
+  in
+  let d = Driver.run (Spec.program largest) in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s minor words > 0 (got %.0f)"
+           largest.Spec.b_name t.Driver.t_phase t.Driver.t_minor_words)
+        true
+        (t.Driver.t_minor_words > 0.0))
+    d.Driver.timings
+
 (* timing_of / fi_seconds / fs_seconds on both populated and synthetic
    timing lists: lookups must hit the exact phase name, and the accessors
    must default to 0.0 rather than raise when a phase is absent. *)
@@ -138,6 +163,8 @@ let suite =
   [
     Alcotest.test_case "driver phases" `Quick test_driver_phases;
     Alcotest.test_case "driver timings" `Quick test_driver_times_nonnegative;
+    Alcotest.test_case "driver phase allocation counted" `Quick
+      test_driver_phase_allocation;
     Alcotest.test_case "timing accessors" `Quick test_timing_accessors;
     Alcotest.test_case "driver floats toggle" `Quick test_driver_floats_toggle;
     Alcotest.test_case "harness: candidates table" `Slow
