@@ -434,8 +434,8 @@ let resolve ?jobs ~(fi : Solution.t) ~(prev : Solution.t)
   Trace.add c_resolve_dirty (Array.length dirty);
   Trace.add c_resolve_reused (n - Array.length dirty);
   (* Small dirty regions run sequentially regardless of the requested
-     [jobs]: spawning a worker pool costs on the order of a millisecond,
-     more than re-solving a handful of procedures outright.  Results are
+     [jobs]: waking the pool and handing nodes between domains costs more
+     than re-solving a handful of procedures outright.  Results are
      identical at every jobs count by construction, so the clamp is purely
      a latency decision. *)
   let jobs = if Array.length dirty < 24 then Some 1 else jobs in

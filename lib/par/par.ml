@@ -1,22 +1,29 @@
 (** Domain-based parallel execution primitives (see the interface for the
     determinism and safety contracts).
 
-    The pool is deliberately minimal: [k-1] spawned domains plus the calling
-    domain all pull indices from one atomic counter, so there is no work
-    queue to balance and no per-task allocation.  The wavefront scheduler
-    keeps atomic pending counts and per-domain ready stacks, taking a lock
-    only to hand a node to another domain's inbox — never inside [process]
-    — so the hot path (the per-node analysis itself) runs lock-free. *)
+    Every combinator runs on one process-wide pool of worker domains,
+    spawned on first use and grown to the largest [jobs] requested, up to
+    one worker per spare core.  Between runs the workers sleep on their own
+    condition variable, so an idle pool costs no CPU and a run pays a
+    wake-up, not a [Domain.spawn].
+    [parallel_init] hands out indices from one atomic counter, so there is
+    no work queue to balance and no per-task allocation.  The wavefront
+    scheduler keeps atomic pending counts and per-domain ready stacks,
+    taking a lock only to hand a node to another domain's inbox — never
+    inside [process] — so the hot path (the per-node analysis itself) runs
+    lock-free. *)
 
 module Trace = Fsicp_trace.Trace
 
 (* [par.tasks] counts every work item handed to a combinator, sequential
-   fast paths included, so its total is invariant in [jobs].  Pool spawns
-   and idle waits are scheduling artefacts: pools are deterministic at a
-   fixed [jobs] but vary across counts, and idle waits are inherently
-   racy, hence [~stable:false]. *)
+   fast paths included, so its total is invariant in [jobs].  Pool runs,
+   domain spawns and idle waits are scheduling artefacts: runs are
+   deterministic at a fixed [jobs] but vary across counts, spawns depend on
+   what ran earlier in the process, and idle waits are inherently racy,
+   hence [~stable:false]. *)
 let c_tasks = Trace.counter "par.tasks"
 let c_pools = Trace.counter ~stable:false "par.pools"
+let c_spawned = Trace.counter ~stable:false "par.domains_spawned"
 let c_idle = Trace.counter ~stable:false "par.idle_waits"
 
 (* Wavefront progress and traffic.  All three are scheduling
@@ -47,17 +54,134 @@ let default_jobs () =
       | Error msg -> invalid_arg (Printf.sprintf "FSICP_JOBS: %s" msg))
   | None -> Domain.recommended_domain_count ()
 
-(* Run [worker] on [k-1] fresh domains and the current one, join, and
-   re-raise the first exception any worker recorded. *)
-let run_pool k (err : exn option Atomic.t) worker =
-  Trace.incr c_pools;
-  Trace.span ~timing:true "par:pool" (fun () ->
-      let doms = Array.init (k - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join doms);
-  match Atomic.get err with Some e -> raise e | None -> ()
-
 let record_error err e = ignore (Atomic.compare_and_set err None (Some e))
+
+(* -- Worker pool ------------------------------------------------------- *)
+
+(* One pool per process.  Worker [d] (1-based; the calling domain is
+   domain 0 of every run) sleeps on [wakes.(d - 1)] until a run numbered
+   past the last one it served includes it ([d < width]), runs [body d],
+   and reports back through [active]/[finished].  The run fields are
+   guarded by [mu]; [wakes] changes only under [busy], the run token.  A
+   domain that cannot take the token — a call nested inside a task, or a
+   second domain calling while a run is in flight — gets [false] from
+   [acquire] and runs sequentially, so a run never waits on another run
+   and the pool never spawns past the largest [jobs] requested. *)
+type pool = {
+  mu : Mutex.t;
+  finished : Condition.t;
+  mutable wakes : Condition.t array;
+  mutable run : int;
+  mutable width : int;
+  mutable body : int -> unit;
+  mutable active : int;
+}
+
+let pool =
+  {
+    mu = Mutex.create ();
+    finished = Condition.create ();
+    wakes = [||];
+    run = 0;
+    width = 0;
+    body = ignore;
+    active = 0;
+  }
+
+let busy = Atomic.make false
+let acquire () = Atomic.compare_and_set busy false true
+
+(* A parked worker serves runs until the process ends: parked, it costs
+   no CPU, and the process exits without joining it.  A [~once] worker
+   serves one run and returns. *)
+let worker ?(once = false) d wake ~served =
+  let served = ref served and live = ref true in
+  Mutex.lock pool.mu;
+  while !live do
+    if pool.run <> !served && d < pool.width then begin
+      served := pool.run;
+      let body = pool.body in
+      Mutex.unlock pool.mu;
+      (* [body] never raises: [run_pool] wraps it. *)
+      body d;
+      Mutex.lock pool.mu;
+      pool.active <- pool.active - 1;
+      if pool.active = 0 then Condition.signal pool.finished;
+      live := not once
+    end
+    else Condition.wait wake pool.mu
+  done;
+  Mutex.unlock pool.mu
+
+let spawn_worker ?once d =
+  let wake = Condition.create () and served = pool.run in
+  let dom = Domain.spawn (fun () -> worker ?once d wake ~served) in
+  Trace.incr c_spawned;
+  (dom, wake)
+
+(* Parked workers are not free: every minor collection stops every
+   domain, a parked one included.  On a 2-core Xeon one parked worker adds
+   about 0.05 ms to each collection and thirty add about 4.5 ms.  So the
+   pool parks at most [nproc - 1] workers (and at least one); a run wider
+   than that, with more domains than cores, adds transient workers for its
+   extra indices and joins them before it returns. *)
+let max_parked = max 1 (Domain.recommended_domain_count () - 1)
+
+(* Spawn parked workers until there are [n]; the caller holds the token. *)
+let grow n =
+  while Array.length pool.wakes < n do
+    let _, wake = spawn_worker (Array.length pool.wakes + 1) in
+    pool.wakes <- Array.append pool.wakes [| wake |]
+  done
+
+(* Run [body d] for every [d] in [0, k) — domain 0 is the caller — on a
+   token the caller already holds, and give the token back.  The first
+   exception any [body d] raised is recorded in [err] (the bodies poll it
+   to stop early) and re-raised once every participant has finished; the
+   workers themselves survive it. *)
+let run_pool k (err : exn option Atomic.t) body =
+  Trace.incr c_pools;
+  let guarded d = try body d with e -> record_error err e in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set busy false)
+    (fun () ->
+      let parked = min (k - 1) max_parked in
+      grow parked;
+      Trace.span ~timing:true "par:pool" (fun () ->
+          (* Transient workers wait for the run like parked ones.  One
+             that fails to spawn narrows the run and sets [err] before it
+             starts, so every body stops at once instead of waiting on the
+             missing domain's share. *)
+          let rec spawn_transient d acc =
+            if d >= k then List.rev acc
+            else
+              match spawn_worker ~once:true d with
+              | w -> spawn_transient (d + 1) (w :: acc)
+              | exception e ->
+                  record_error err e;
+                  List.rev acc
+          in
+          let transient = spawn_transient (parked + 1) [] in
+          Mutex.lock pool.mu;
+          pool.body <- guarded;
+          pool.width <- parked + 1 + List.length transient;
+          pool.active <- pool.width - 1;
+          pool.run <- pool.run + 1;
+          for d = 1 to parked do
+            Condition.signal pool.wakes.(d - 1)
+          done;
+          List.iter (fun (_, wake) -> Condition.signal wake) transient;
+          Mutex.unlock pool.mu;
+          guarded 0;
+          Mutex.lock pool.mu;
+          while pool.active > 0 do
+            Condition.wait pool.finished pool.mu
+          done;
+          (* Drop the run's closure: it may reach large per-run state. *)
+          pool.body <- ignore;
+          Mutex.unlock pool.mu;
+          List.iter (fun (dom, _) -> Domain.join dom) transient));
+  match Atomic.get err with Some e -> raise e | None -> ()
 
 let parallel_init ?label ~jobs n f =
   let f =
@@ -72,12 +196,12 @@ let parallel_init ?label ~jobs n f =
   in
   Trace.add c_tasks n;
   if n = 0 then [||]
-  else if jobs <= 1 || n = 1 then Array.init n f
+  else if jobs <= 1 || n = 1 || not (acquire ()) then Array.init n f
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let err = Atomic.make None in
-    let worker () =
+    let worker _ =
       let continue = ref true in
       while !continue do
         let i = Atomic.fetch_and_add next 1 in
@@ -104,19 +228,15 @@ let map_list ~jobs f l =
 
 let both ~jobs f g =
   Trace.add c_tasks 2;
-  if jobs <= 1 then
+  if jobs <= 1 || not (acquire ()) then
     let a = f () in
     let b = g () in
     (a, b)
   else begin
-    let d = Domain.spawn g in
-    let a = match f () with v -> Ok v | exception e -> Error e in
-    (* Join unconditionally so the domain never leaks; [Domain.join]
-       re-raises [g]'s own exception if it failed. *)
-    let b = match Domain.join d with v -> Ok v | exception e -> Error e in
-    match (a, b) with
-    | Ok a, Ok b -> (a, b)
-    | Error e, _ | _, Error e -> raise e
+    let a = ref None and b = ref None in
+    run_pool 2 (Atomic.make None) (fun d ->
+        if d = 0 then a := Some (f ()) else b := Some (g ()));
+    match (!a, !b) with Some a, Some b -> (a, b) | _ -> assert false
   end
 
 module Arena = struct
@@ -203,24 +323,29 @@ type inbox = {
 
 let inbox_capacity = 1024
 
+(* Exactly [jobs] domains, never fewer: [owners] names domains in
+   [0, jobs), and a node owned by a domain outside the run would never be
+   seeded — the run would wait forever.  A caller with fewer nodes than
+   domains lowers [jobs] (and its owners) itself. *)
+let check_owners ~jobs (owners : int array) order =
+  Array.iter
+    (fun i ->
+      let o = owners.(i) in
+      if o < 0 || o >= jobs then
+        invalid_arg
+          (Printf.sprintf "Par.wavefront: node %d owned by domain %d of %d" i
+             o jobs))
+    order
+
 let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
   let n = Array.length order in
   Trace.add c_tasks n;
+  (* Checked before the pool is tried, so a bad assignment fails the same
+     way whether or not another run holds the pool. *)
+  if jobs > 1 && n > 1 then check_owners ~jobs owners order;
   if n = 0 then ()
-  else if jobs <= 1 || n = 1 then Array.iter process order
+  else if jobs <= 1 || n = 1 || not (acquire ()) then Array.iter process order
   else begin
-    (* Exactly [jobs] domains, never fewer: [owners] names domains in
-       [0, jobs), and a node owned by a domain that was not spawned would
-       never be seeded — the run would wait forever.  A caller with fewer
-       nodes than domains lowers [jobs] (and its owners) itself. *)
-    Array.iter
-      (fun i ->
-        let o = owners.(i) in
-        if o < 0 || o >= jobs then
-          invalid_arg
-            (Printf.sprintf "Par.wavefront: node %d owned by domain %d of %d"
-               i o jobs))
-      order;
     let pending =
       Array.map (fun ds -> Atomic.make (List.length ds)) deps
     in
@@ -382,17 +507,11 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
       done;
       if !solved_batch > 0 then Trace.add c_shard_solved !solved_batch
     in
-    (* Explicit per-index domains: each worker needs its identity [d] for
-       stack and inbox affinity, which the anonymous [run_pool] counter
-       cannot provide. *)
-    Trace.incr c_pools;
-    Trace.span ~timing:true "par:pool" (fun () ->
-        let doms =
-          Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> domain_main (k + 1)))
-        in
-        domain_main 0;
-        Array.iter Domain.join doms);
-    Trace.add c_shard_handoffs (Atomic.get handoffs);
-    Trace.add c_shard_frontier (Atomic.get frontier_peak);
-    match Atomic.get err with Some e -> raise e | None -> ()
+    (* Domain [d] of the run is pool worker [d]: each needs its identity
+       for stack and inbox affinity. *)
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.add c_shard_handoffs (Atomic.get handoffs);
+        Trace.add c_shard_frontier (Atomic.get frontier_peak))
+      (fun () -> run_pool jobs err domain_main)
   end

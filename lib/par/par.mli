@@ -6,7 +6,19 @@
     work sequentially in the calling domain, in the canonical order — the
     deterministic reference path the parallel paths must reproduce.  All
     result-producing combinators are deterministic by construction: results
-    land in slots keyed by input index, never by completion order. *)
+    land in slots keyed by input index, never by completion order.
+
+    The parallel paths share one process-wide pool of worker domains.  The
+    first call with [jobs = k] spawns the missing workers; between runs
+    they sleep on a condition variable, so later calls reuse them and a
+    domain's local state (its {!Arena}, its trace buffer) stays warm.  The
+    pool parks at most [Domain.recommended_domain_count () - 1] workers
+    (at least one), because every minor collection stops every domain; a
+    wider run spawns transient workers for the extra indices and joins them
+    before it returns.  Spawns are counted by the [par.domains_spawned]
+    trace counter.  One run holds the pool at a time: a call made while a
+    run is in flight — nested inside a task, or from another domain — takes
+    the sequential [jobs <= 1] path instead of waiting or spawning. *)
 
 (** Strict job-count parsing (shared by [FSICP_JOBS] and the CLI's
     [--jobs]): the trimmed string must be an integer ≥ 1.  Anything else —
@@ -23,9 +35,9 @@ val default_jobs : unit -> int
 (** [parallel_init ~jobs n f] is [Array.init n f] computed by up to [jobs]
     domains.  [f] must be safe to call concurrently on distinct indices.
     The first exception raised by any [f i] is re-raised after all workers
-    stop.  [label] wraps each [f i] in a detached {!Fsicp_trace.Trace}
-    span named [label] carrying the index, on the sequential fast path
-    too. *)
+    stop; the workers survive it.  [label] wraps each [f i] in a detached
+    {!Fsicp_trace.Trace} span named [label] carrying the index, on the
+    sequential fast path too. *)
 val parallel_init : ?label:string -> jobs:int -> int -> (int -> 'a) -> 'a array
 
 (** [map_list ~jobs f l] is [List.map f l]; list order is preserved. *)
@@ -39,7 +51,9 @@ val both : jobs:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
     One arena lives in each domain's local storage ({!Domain.DLS}), so a
     kernel running under {!wavefront} gets private scratch with no locking
     and near-zero allocation once the arena has grown to the largest
-    procedure it has seen.  The arena hands out two kinds of scratch:
+    procedure it has seen.  Pool workers persist across runs, so their
+    arenas stay grown from one run to the next.  The arena hands out two
+    kinds of scratch:
 
     - {b mark regions} — ranges of an int-stamp array used as bitsets.  A
       slot is "set" iff its stamp equals the arena's current epoch, so
@@ -101,7 +115,7 @@ end
     shared ready queue would serialise dispatch:
 
     - [owners.(i)] assigns node [i] to one of [jobs] domains (values in
-      [0, jobs)).  The run spawns all [jobs] domains however short [order]
+      [0, jobs)).  The run uses all [jobs] domains however short [order]
       is, so a caller with few nodes lowers [jobs] and its owners
       together; an owner outside [0, jobs) for a node of [order] raises
       [Invalid_argument] before any node runs.  Each domain keeps the
@@ -126,7 +140,9 @@ end
     same happens-before edges, so a caller that assembles results
     canonically (by node index) is bit-identical across [jobs] and
     [owners].  The first exception raised by any [process i] aborts the
-    wavefront and is re-raised after all workers stop. *)
+    wavefront and is re-raised after all workers stop.  A wavefront that
+    finds the pool busy runs sequentially, after the same [owners]
+    check. *)
 val wavefront :
   jobs:int ->
   owners:int array ->

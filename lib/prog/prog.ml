@@ -4,14 +4,10 @@
     [Proc] is trivially safe: a database is built once (single-domain) by
     [Callgraph.build] and read-only afterwards.
 
-    [Var] is a process-global interner shared by all worker domains: the
-    parallel lowering/SSA phases intern temporaries concurrently.  The
-    name->id table is guarded by a mutex; the reverse id->name array is
-    published through an [Atomic.t] so that [name] — called from
-    pretty-printers and sort keys on other domains — needs no lock.  A
-    reader can only hold an id that some [intern] call returned, and the
-    array snapshot it reads was published at or after that point, so the
-    slot is always initialised. *)
+    [Var] and [Valpool] are process-global interners shared by all worker
+    domains: the parallel lowering interns every variable occurrence and
+    the SCC kernels intern folded constants.  Both sit on {!Intern}, whose
+    hits take no lock (see there). *)
 
 module Proc = struct
   type id = int
@@ -40,42 +36,105 @@ module Proc = struct
   end
 end
 
+(* An insert-only intern table with lock-free hits.
+
+   [slots] is an open-addressing (linear probing) table of immutable
+   entries, [by_id] the same entries indexed by id; both are published
+   through an [Atomic.t].  A slot goes from [empty] to its entry once and
+   never changes again, and OCaml 5 guarantees that a domain which reads
+   a pointer to a block also reads the block's initialising writes, so a
+   reader that finds an entry in any snapshot — current or outgrown —
+   reads a correct id without a lock.  A reader that finds nothing,
+   including one racing an insert it cannot see yet, takes [lock] and
+   looks again: ids are minted only under the lock, so each key gets
+   exactly one.  [value] reads [by_id] the same way: a slot that still
+   reads [empty] there, or a snapshot too short for the id, sends it to
+   the lock. *)
+module Intern (K : sig
+  type t
+  type v
+
+  val equal : t -> t -> bool
+  val hash : t -> int
+  val dummy : t * v
+end) =
+struct
+  type entry = { key : K.t; value : K.v; id : int }
+
+  let empty = { key = fst K.dummy; value = snd K.dummy; id = -1 }
+  let lock = Mutex.create ()
+  let slots : entry array Atomic.t = Atomic.make (Array.make 1024 empty)
+  let by_id : entry array Atomic.t = Atomic.make (Array.make 512 empty)
+  let count = ref 0
+
+  let rec probe slots mask k i =
+    let e = slots.(i) in
+    if e.id < 0 || K.equal e.key k then e
+    else probe slots mask k ((i + 1) land mask)
+
+  let find slots k =
+    let mask = Array.length slots - 1 in
+    probe slots mask k (K.hash k land mask)
+
+  (* Under [lock]: place [e] in a table with room for it. *)
+  let place slots e =
+    let mask = Array.length slots - 1 in
+    let rec go i =
+      if slots.(i).id < 0 then slots.(i) <- e else go ((i + 1) land mask)
+    in
+    go (K.hash e.key land mask)
+
+  let mint k v =
+    let e = { key = k; value = v; id = !count } in
+    incr count;
+    let ids = Atomic.get by_id in
+    if e.id < Array.length ids then ids.(e.id) <- e
+    else begin
+      let bigger = Array.make (2 * Array.length ids) empty in
+      Array.blit ids 0 bigger 0 (Array.length ids);
+      bigger.(e.id) <- e;
+      Atomic.set by_id bigger
+    end;
+    (* Load factor at most 1/2 keeps probe chains short. *)
+    let tbl = Atomic.get slots in
+    if 2 * !count <= Array.length tbl then place tbl e
+    else begin
+      let tbl' = Array.make (2 * Array.length tbl) empty in
+      Array.iter (fun e -> if e.id >= 0 then place tbl' e) tbl;
+      place tbl' e;
+      Atomic.set slots tbl'
+    end;
+    e
+
+  let intern k v =
+    let e = find (Atomic.get slots) k in
+    if e.id >= 0 then e.id
+    else
+      Mutex.protect lock (fun () ->
+          let e = find (Atomic.get slots) k in
+          if e.id >= 0 then e.id else (mint k v).id)
+
+  let value id =
+    let ids = Atomic.get by_id in
+    let e = if id < Array.length ids then ids.(id) else empty in
+    if e.id = id then e.value
+    else Mutex.protect lock (fun () -> (Atomic.get by_id).(id).value)
+end
+
 module Var = struct
   type id = int
 
-  let lock = Mutex.create ()
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 1024
-  let names : string array Atomic.t = Atomic.make (Array.make 1024 "")
-  let next = ref 0
+  module T = Intern (struct
+    type t = string
+    type v = string
 
-  let intern s =
-    Mutex.lock lock;
-    let id =
-      match Hashtbl.find_opt ids s with
-      | Some i -> i
-      | None ->
-          let i = !next in
-          incr next;
-          let arr = Atomic.get names in
-          let arr =
-            if i < Array.length arr then arr
-            else begin
-              let bigger = Array.make (2 * Array.length arr) "" in
-              Array.blit arr 0 bigger 0 (Array.length arr);
-              bigger
-            end
-          in
-          arr.(i) <- s;
-          (* Publish after the slot is written: readers that obtained [i]
-             observe a snapshot no older than this one. *)
-          Atomic.set names arr;
-          Hashtbl.add ids s i;
-          i
-    in
-    Mutex.unlock lock;
-    id
+    let equal = String.equal
+    let hash (s : string) = Hashtbl.hash s
+    let dummy = ("", "")
+  end)
 
-  let name (i : id) = (Atomic.get names).(i)
+  let intern s = T.intern s s
+  let name (i : id) = T.value i
   let to_int i = i
   let equal : id -> id -> bool = Int.equal
   let compare : id -> id -> int = Int.compare
@@ -84,10 +143,7 @@ module Var = struct
 end
 
 module Valpool = struct
-  (* Same publication discipline as [Var]: mutex-guarded key table, reverse
-     array published through an [Atomic.t] so [get] is lock-free.
-
-     Keys canonicalise the [Value.equal] equivalence classes that have more
+  (* Keys canonicalise the [Value.equal] equivalence classes that have more
      than one machine representation: every nan collapses to one slot, and
      [-0.0]/[0.0] collapse to one slot ([Float.equal] identifies both
      pairs).  The first value interned for a class is the one stored, so a
@@ -103,43 +159,22 @@ module Valpool = struct
         else if r = 0.0 then KReal 0L
         else KReal (Int64.bits_of_float r)
 
-  let lock = Mutex.create ()
-  let ids : (key, int) Hashtbl.t = Hashtbl.create 256
+  module T = Intern (struct
+    type t = key
+    type v = Fsicp_lang.Value.t
 
-  let values : Fsicp_lang.Value.t array Atomic.t =
-    Atomic.make (Array.make 256 (Fsicp_lang.Value.Int 0))
+    let equal (a : key) b =
+      match (a, b) with
+      | KInt x, KInt y -> Int.equal x y
+      | KReal x, KReal y -> Int64.equal x y
+      | _ -> false
 
-  let next = ref 0
+    let hash (k : key) = Hashtbl.hash k
+    let dummy = (KInt 0, Fsicp_lang.Value.Int 0)
+  end)
 
-  let intern (v : Fsicp_lang.Value.t) =
-    let k = key_of v in
-    Mutex.lock lock;
-    let id =
-      match Hashtbl.find_opt ids k with
-      | Some i -> i
-      | None ->
-          let i = !next in
-          incr next;
-          let arr = Atomic.get values in
-          let arr =
-            if i < Array.length arr then arr
-            else begin
-              let bigger =
-                Array.make (2 * Array.length arr) (Fsicp_lang.Value.Int 0)
-              in
-              Array.blit arr 0 bigger 0 (Array.length arr);
-              bigger
-            end
-          in
-          arr.(i) <- v;
-          Atomic.set values arr;
-          Hashtbl.add ids k i;
-          i
-    in
-    Mutex.unlock lock;
-    id
-
-  let get (i : int) = (Atomic.get values).(i)
+  let intern (v : Fsicp_lang.Value.t) = T.intern (key_of v) v
+  let get (i : int) = T.value i
 end
 
 module Bits = struct

@@ -56,10 +56,13 @@ module Var : sig
       identity and ordering, never to size per-program arrays. *)
 
   val intern : string -> id
-  (** Thread-safe; idempotent per name. *)
+  (** Thread-safe; idempotent per name.  A name interned before takes no
+      lock; only minting a new id does. *)
 
   val name : id -> string
-  (** Total on every id returned by {!intern}; lock-free. *)
+  (** Total on every id returned by {!intern}, from any domain.  Takes no
+      lock unless the id was minted so recently that this domain has not
+      seen it published. *)
 
   val to_int : id -> int
   val equal : id -> id -> bool
@@ -77,11 +80,13 @@ end
     lattice-element equality. *)
 module Valpool : sig
   val intern : Fsicp_lang.Value.t -> int
-  (** Thread-safe; idempotent per [Value.equal]-class. *)
+  (** Thread-safe; idempotent per [Value.equal]-class.  Locks only to mint
+      a new index, as {!Var.intern}. *)
 
   val get : int -> Fsicp_lang.Value.t
-  (** Total on every index returned by {!intern}; lock-free.  Returns the
-      first value interned for the index's equivalence class. *)
+  (** Total on every index returned by {!intern}; locks only as
+      {!Var.name} does.  Returns the first value interned for the index's
+      equivalence class. *)
 end
 
 (** Flat bitsets over a dense [0 .. n-1] universe (e.g. the call sites of a

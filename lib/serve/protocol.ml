@@ -157,13 +157,14 @@ let outcome_json = function
       [ ("outcome", Json.Str "rebuilt"); ("reason", Json.Str reason) ]
 
 (* The trace counters a serve client cares about: incremental re-solve
-   volume, SCC memo behaviour, and sharded-wavefront progress (procedures
-   solved, cross-shard handoffs, frontier high-water mark). *)
+   volume, SCC memo behaviour, sharded-wavefront progress (procedures
+   solved, cross-shard handoffs, frontier high-water mark), and worker
+   domains spawned, which stays at [jobs - 1] once the pool is warm. *)
 let traced_counters =
   [
     "fs.resolve.dirty"; "fs.resolve.reused"; "scc.runs"; "scc.memo_hits";
     "scc.memo_evictions"; "scc.block_visits"; "par.shard.solved";
-    "par.shard.handoffs"; "par.shard.frontier_peak";
+    "par.shard.handoffs"; "par.shard.frontier_peak"; "par.domains_spawned";
   ]
 
 let handle_one (st : state) (req : Json.t) : Json.t =

@@ -72,10 +72,12 @@ let all_bufs : buf list Atomic.t = Atomic.make []
 
 (* Reset is lazy: bumping [generation] logically clears every buffer at
    once, and each buffer physically clears itself on its next record.
-   This keeps [reset] O(1) — the registry accumulates one dead buffer per
-   spawned domain over a process lifetime, and walking those (or letting
+   This keeps [reset] O(1) — the registry holds one buffer per domain that
+   ever recorded (the caller, the parked pool workers, and any transient
+   worker of a run wider than the machine), and walking those (or letting
    events pile up) is exactly the overhead the bench's traced row would
-   otherwise measure. *)
+   otherwise measure.  Parked workers are reused from run to run, so at
+   [jobs <= nproc] the registry stops growing once the pool is warm. *)
 let generation = Atomic.make 0
 let live b = b.gen = Atomic.get generation
 
@@ -87,9 +89,9 @@ let register_buf b =
   go ()
 
 (* The event array starts empty: a buffer owned by a worker domain that
-   only ever flushes counters (the common case — spans are off by default,
-   and pools spawn fresh domains per run) costs a couple hundred bytes,
-   which keeps long fuzzing campaigns' buffer retention negligible. *)
+   only ever records counters (the common case — spans are off by default)
+   costs a couple hundred bytes, which keeps the buffers of transient
+   workers negligible. *)
 let buf_key =
   Domain.DLS.new_key (fun () ->
       let b =

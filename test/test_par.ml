@@ -350,6 +350,184 @@ let test_wavefront_owner_out_of_range () =
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* -- worker pool ---------------------------------------------------------- *)
+
+(* One wavefront node per domain, no edges: node [d] is owned by, and so
+   runs on, domain [d].  Returns how many distinct domains ran a node. *)
+let domains_used ~jobs =
+  let seen = Array.make jobs (-1) in
+  Par.wavefront ~jobs ~owners:(Array.init jobs Fun.id)
+    ~order:(Array.init jobs Fun.id) ~deps:(Array.make jobs [])
+    ~dependents:(Array.make jobs []) (fun d ->
+      seen.(d) <- (Domain.self () :> int));
+  List.length (List.sort_uniq compare (Array.to_list seen))
+
+(* A [Par] call inside a task finds the pool busy and runs sequentially;
+   its result is still [Array.init]'s. *)
+let test_pool_nested () =
+  List.iter
+    (fun jobs ->
+      let f i j = (i * 31) + j in
+      Alcotest.(check (array (array int)))
+        (Printf.sprintf "nested parallel_init (jobs=%d)" jobs)
+        (Array.init 12 (fun i -> Array.init 7 (f i)))
+        (Par.parallel_init ~jobs 12 (fun i ->
+             Par.parallel_init ~jobs 7 (f i)));
+      let a, b =
+        Par.both ~jobs
+          (fun () -> Par.map_list ~jobs succ [ 1; 2; 3 ])
+          (fun () -> Par.parallel_init ~jobs 4 (fun i -> i * i))
+      in
+      Alcotest.(check (list int)) "nested map_list in both" [ 2; 3; 4 ] a;
+      Alcotest.(check (array int)) "nested parallel_init in both"
+        [| 0; 1; 4; 9 |] b)
+    [ 2; 4 ]
+
+(* A raising run re-raises its exception; the workers survive it, so the
+   next run still spreads over every domain it asks for. *)
+let test_pool_survives_exception () =
+  List.iter
+    (fun jobs ->
+      (match
+         Par.parallel_init ~jobs 64 (fun i ->
+             if i mod 3 = 1 then failwith "boom" else i)
+       with
+      | _ -> Alcotest.fail "expected Failure"
+      | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
+      (match Par.both ~jobs (fun () -> 1) (fun () -> failwith "second") with
+      | _ -> Alcotest.fail "expected Failure"
+      | exception Failure m ->
+          Alcotest.(check string) "both re-raises" "second" m);
+      Alcotest.(check int)
+        (Printf.sprintf "next run uses every domain (jobs=%d)" jobs)
+        jobs (domains_used ~jobs);
+      Alcotest.(check (array int)) "next run is correct"
+        (Array.init 100 succ)
+        (Par.parallel_init ~jobs 100 succ))
+    [ 2; 4 ]
+
+(* Two domains calling [Par] at once: whichever finds the pool busy runs
+   sequentially, and both get the right answers. *)
+let test_pool_concurrent_callers () =
+  List.iter
+    (fun jobs ->
+      let work k () =
+        List.for_all
+          (fun r ->
+            Par.parallel_init ~jobs 50 (fun i -> (i * r) + k)
+            = Array.init 50 (fun i -> (i * r) + k)
+            && Par.map_list ~jobs (fun x -> x + k) [ r; r + 1 ]
+               = [ r + k; r + 1 + k ])
+          (List.init 100 Fun.id)
+      in
+      let other = Domain.spawn (work 7) in
+      let here = work 3 () in
+      Alcotest.(check bool)
+        (Printf.sprintf "calling domain correct (jobs=%d)" jobs)
+        true here;
+      Alcotest.(check bool)
+        (Printf.sprintf "second domain correct (jobs=%d)" jobs)
+        true (Domain.join other))
+    [ 2; 4 ]
+
+let test_pool_grows () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "parallel_init at jobs=%d" jobs)
+        (Array.init 300 (fun i -> i lxor 5))
+        (Par.parallel_init ~jobs 300 (fun i -> i lxor 5));
+      Alcotest.(check int)
+        (Printf.sprintf "wavefront at jobs=%d uses every domain" jobs)
+        jobs (domains_used ~jobs))
+    [ 2; 4; 2; 4 ]
+
+(* Once the pool is warm, runs reuse its workers: four hundred more runs
+   at two domains spawn none, so the trace-buffer registry stays put. *)
+let test_pool_spawns_once () =
+  let spawned () = Fsicp_trace.Trace.counter_total "par.domains_spawned" in
+  let _, n, deps, dependents = random_dag () in
+  let order = Array.init n Fun.id and owners = round_robin ~jobs:2 n in
+  let wave () =
+    Par.wavefront ~jobs:2 ~owners ~order ~deps ~dependents ignore
+  in
+  ignore (Par.parallel_init ~jobs:2 8 Fun.id);
+  wave ();
+  let before = spawned () in
+  for i = 1 to 200 do
+    ignore (Par.parallel_init ~jobs:2 16 (fun j -> i + j));
+    wave ()
+  done;
+  Alcotest.(check int) "no domain spawned after warm-up" before (spawned ())
+
+(* -- interning from several domains -------------------------------------- *)
+
+module Prog = Fsicp_prog.Prog
+
+(* Four domains intern overlapping name sets at once, enough names to make
+   the table grow under them.  Each name must get one id everywhere. *)
+let test_var_intern_concurrent () =
+  let names =
+    Array.init 4 (fun k ->
+        Array.init 3000 (fun i -> Printf.sprintf "pc_%d" (i + (k * 1000))))
+  in
+  let intern_all k () = Array.map Prog.Var.intern names.(k) in
+  let others = List.init 3 (fun k -> Domain.spawn (intern_all (k + 1))) in
+  let mine = intern_all 0 () in
+  let ids = mine :: List.map Domain.join others in
+  let tbl = Hashtbl.create 8192 in
+  List.iteri
+    (fun k got ->
+      Array.iteri
+        (fun i id ->
+          let s = names.(k).(i) in
+          Alcotest.(check string) "name (intern s) = s" s (Prog.Var.name id);
+          match Hashtbl.find_opt tbl s with
+          | Some id' ->
+              Alcotest.(check int) (s ^ ": one id everywhere")
+                (Prog.Var.to_int id') (Prog.Var.to_int id)
+          | None -> Hashtbl.add tbl s id)
+        got)
+    ids;
+  let distinct =
+    Hashtbl.fold (fun _ id acc -> Prog.Var.to_int id :: acc) tbl []
+    |> List.sort_uniq compare |> List.length
+  in
+  Alcotest.(check int) "distinct names get distinct ids" (Hashtbl.length tbl)
+    distinct;
+  Alcotest.(check int) "the main domain sees the same ids again"
+    (Prog.Var.to_int mine.(42))
+    (Prog.Var.to_int (Prog.Var.intern names.(0).(42)))
+
+(* The nan and signed-zero classes still collapse to one slot when another
+   domain interns them first; fresh reals minted on a worker read back
+   from the main domain. *)
+let test_valpool_intern_concurrent () =
+  let module V = Fsicp_lang.Value in
+  let nan2 = Int64.float_of_bits 0x7ff0000000000abcL in
+  let fresh = Array.init 500 (fun i -> V.Real (1e200 +. (float i *. 1e185))) in
+  let worker () =
+    ( Prog.Valpool.intern (V.Real nan2),
+      Prog.Valpool.intern (V.Real (-0.0)),
+      Array.map Prog.Valpool.intern fresh )
+  in
+  let nan_w, zero_w, fresh_w = Domain.join (Domain.spawn worker) in
+  Alcotest.(check int) "nan payloads share a slot" nan_w
+    (Prog.Valpool.intern (V.Real Float.nan));
+  Alcotest.(check int) "-0.0 and 0.0 share a slot" zero_w
+    (Prog.Valpool.intern (V.Real 0.0));
+  Alcotest.(check bool) "the slot holds a nan" true
+    (match Prog.Valpool.get nan_w with V.Real r -> Float.is_nan r | _ -> false);
+  Alcotest.(check bool) "the slot holds a zero" true
+    (V.equal (Prog.Valpool.get zero_w) (V.Real 0.0));
+  Array.iteri
+    (fun i id ->
+      Alcotest.(check int) "worker-minted real: same id on main"
+        id (Prog.Valpool.intern fresh.(i));
+      Alcotest.(check bool) "worker-minted real reads back" true
+        (V.equal fresh.(i) (Prog.Valpool.get id)))
+    fresh_w
+
 let suite =
   [
     Alcotest.test_case "parse_jobs accepts positive ints" `Quick
@@ -387,4 +565,18 @@ let suite =
     prop_cyclic_jobs_equivalent;
     Alcotest.test_case "wavefront rejects an owner past jobs" `Quick
       test_wavefront_owner_out_of_range;
+    Alcotest.test_case "pool: nested call runs sequentially" `Quick
+      test_pool_nested;
+    Alcotest.test_case "pool: workers survive an exception" `Quick
+      test_pool_survives_exception;
+    Alcotest.test_case "pool: two domains call at once" `Quick
+      test_pool_concurrent_callers;
+    Alcotest.test_case "pool: grows from jobs 2 to jobs 4" `Quick
+      test_pool_grows;
+    Alcotest.test_case "pool: warm runs spawn no domain" `Quick
+      test_pool_spawns_once;
+    Alcotest.test_case "Var.intern from four domains" `Quick
+      test_var_intern_concurrent;
+    Alcotest.test_case "Valpool.intern from a worker domain" `Quick
+      test_valpool_intern_concurrent;
   ]
