@@ -779,8 +779,8 @@ let trace_overhead_ratio () =
     (invalidate, FI re-solve, cone re-drive).  The from-scratch side is
     what a non-incremental daemon would do instead: {!Engine.create} on
     the current program — semantic check, context build (lowering, alias,
-    MOD/REF), SSA, and both solves — exactly the engine's own rebuild
-    route.  Also returns the SCC memo hits of one traced edit: the speedup
+    MOD/REF), SSA, and both solves — the engine's rebuild route without
+    the per-procedure carry-over of [Context.create ~prev].  Also returns the SCC memo hits of one traced edit: the speedup
     must come from reuse, not from skipping work. *)
 let incremental_ratio () =
   let prog = Spec.program (largest_bench ()) in

@@ -26,10 +26,13 @@ open Fsicp_workloads
 open Fsicp_report
 
 let read_program path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
+  let src =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | src -> src
+    | exception Sys_error msg ->
+        Fmt.epr "%s: cannot read: %s@." path msg;
+        exit 2
+  in
   match Parser.program_of_string src with
   | prog -> (
       match Sema.check prog with
@@ -79,7 +82,7 @@ let solve_with ?jobs meth ctx =
   | JF v -> Jump_functions.solve ctx v
 
 let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"MiniFort source file")
+  Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE" ~doc:"MiniFort source file")
 
 let meth_arg =
   Arg.(value & opt meth_conv FS & info [ "method"; "m" ] ~docv:"METHOD"
@@ -750,7 +753,7 @@ let serve_cmd =
           edit-proc / solve / stats / digest / shutdown)")
     Term.(
       const serve $ socket_arg $ jobs_arg
-      $ Arg.(value & opt (some file) None
+      $ Arg.(value & opt (some non_dir_file) None
              & info [ "program"; "p" ] ~docv:"FILE"
                  ~doc:"MiniFort source to load and analyse before \
                        accepting connections"))

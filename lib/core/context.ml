@@ -33,6 +33,10 @@ let c_lower_procs = Trace.counter "lower.procs"
 let c_ssa_built = Trace.counter "ssa.built"
 let c_ssa_hits = Trace.counter "ssa.cache_hits"
 
+(* Artifacts a [create ~prev] carried over instead of rebuilding. *)
+let c_lower_reused = Trace.counter "lower.reused"
+let c_ssa_reused = Trace.counter "ssa.reused"
+
 (** Raw reference-parameter alias lists of every formal or global a
     procedure directly assigns, as parallel arrays sorted by
     [Ir.Var.slot_key].  The lists depend only on the IPA results, so they
@@ -75,18 +79,33 @@ type t = {
   stream : stream option;  (** [Some _] iff built by {!create_streaming} *)
 }
 
-(** Lower every reachable procedure on [jobs] domains.  Each lowering is
-    independent (all mutable state is builder-local), so the work is
-    embarrassingly parallel; the dense id-indexed table is exactly the
-    result array. *)
-let lower_all ~jobs prog (pcg : Callgraph.t) : Ir.proc Prog.Proc.Tbl.t =
-  let n = Callgraph.n_procs pcg in
+(** Lower every reachable procedure on [jobs] domains, keeping the IR
+    [reuse] supplies for a procedure instead of lowering it again.  Each
+    lowering is independent (all mutable state is builder-local), so the
+    work is embarrassingly parallel. *)
+let lower_reusing ~jobs ~reuse prog (pcg : Callgraph.t) :
+    Ir.proc Prog.Proc.Tbl.t =
+  let kept = Prog.tbl_init pcg.Callgraph.db reuse in
+  let missing =
+    Array.of_list
+      (List.filter
+         (fun pid -> Prog.Proc.Tbl.get kept pid = None)
+         (Array.to_list pcg.Callgraph.nodes))
+  in
+  let n = Array.length missing in
   Trace.add c_lower_procs n;
+  Trace.add c_lower_reused (Callgraph.n_procs pcg - n);
   let procs =
     Par.parallel_init ~label:"lower:proc" ~jobs n (fun i ->
-        Lower.lower_proc prog (Callgraph.proc_ast pcg pcg.Callgraph.nodes.(i)))
+        Lower.lower_proc prog (Callgraph.proc_ast pcg missing.(i)))
   in
-  Prog.tbl_init pcg.Callgraph.db (fun pid -> procs.((pid :> int)))
+  Array.iteri
+    (fun i pid -> Prog.Proc.Tbl.set kept pid (Some procs.(i)))
+    missing;
+  Prog.Proc.Tbl.map Option.get kept
+
+let lower_all ~jobs prog pcg =
+  lower_reusing ~jobs ~reuse:(fun _ -> None) prog pcg
 
 (** The alias list a store to [v] in [proc_name] must kill (raw: unsorted,
     may include [v] itself; SSA construction normalizes). *)
@@ -155,22 +174,92 @@ let compute_alias_kills aliases summaries (pcg : Callgraph.t)
   Prog.tbl_init pcg.Callgraph.db (fun pid ->
       alias_kills_of_proc aliases summaries (Prog.Proc.Tbl.get lowered pid))
 
+(* Equal alias-kill tables: same keys, same kill lists. *)
+let alias_kills_equal (a : alias_kills) (b : alias_kills) : bool =
+  a.ak_keys = b.ak_keys
+  && Array.for_all2 (List.equal Ir.Var.equal) a.ak_lists b.ak_lists
+
 (** Build the context for a {!Sema.check}-clean program.  [jobs] bounds the
     domains used for per-procedure lowering (default
     {!Fsicp_par.Par.default_jobs}); the result is identical for every
-    value. *)
-let create ?(floats = true) ?jobs (prog : Ast.program) : t =
+    value.
+
+    [prev] is the context of an earlier version of the same program.  The
+    whole-program phases (PCG, aliasing, MOD/REF) run as without it, but
+    per-procedure artifacts whose inputs provably did not change are taken
+    over from [prev] by procedure name:
+    - the summary and the lowered IR, when the procedure's AST node and
+      the globals list are physically [prev]'s (both read nothing else);
+    - the SSA form, with the SCC entry-vector memo inside it, when in
+      addition the procedure's own MOD and REF closures, those of each of
+      its callees, and its alias-kill table equal [prev]'s — exactly what
+      the SSA side-effect oracle ({!effects_for}) reads.
+    Proc ids are never carried over: IR and SSA hold none. *)
+let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
   let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
-  let pcg = Callgraph.build prog in
-  let summaries = Summary.collect prog in
-  let aliases = Alias.compute summaries pcg in
-  let modref = Modref.compute summaries aliases pcg in
-  let lowered = lower_all ~jobs prog pcg in
-  let alias_kills = compute_alias_kills aliases summaries pcg lowered in
+  let prev =
+    match prev with
+    | Some c when c.stream = None && c.prog.Ast.globals == prog.Ast.globals ->
+        Some c
+    | Some _ | None -> None
+  in
+  let pcg, summaries, aliases, modref =
+    Trace.span "context:ipa" @@ fun () ->
+    let pcg = Callgraph.build prog in
+    let summaries =
+      Summary.collect ?prev:(Option.map (fun c -> c.summaries) prev) prog
+    in
+    let aliases = Alias.compute summaries pcg in
+    (pcg, summaries, aliases, Modref.compute summaries aliases pcg)
+  in
+  (* [prev]'s id for a procedure whose AST node it shares. *)
+  let same_in_prev pid =
+    Option.bind prev (fun c ->
+        match Callgraph.proc_id c.pcg (Callgraph.proc_name pcg pid) with
+        | Some old
+          when Callgraph.proc_ast c.pcg old == Callgraph.proc_ast pcg pid ->
+            Some (c, old)
+        | Some _ | None -> None)
+  in
+  let lowered, alias_kills =
+    Trace.span "context:lower" @@ fun () ->
+    let lowered =
+      lower_reusing ~jobs prog pcg ~reuse:(fun pid ->
+          Option.bind (same_in_prev pid) (fun (c, old) ->
+              Prog.Proc.Tbl.get c.lowered old))
+    in
+    (lowered, compute_alias_kills aliases summaries pcg lowered)
+  in
+  let closures_equal (c : t) pid =
+    let name = Callgraph.proc_name pcg pid in
+    Summary.VrefSet.equal (Modref.gmod_of modref name)
+      (Modref.gmod_of c.modref name)
+    && Summary.VrefSet.equal (Modref.gref_of modref name)
+         (Modref.gref_of c.modref name)
+  in
+  let carried_ssa pid =
+    Option.bind (same_in_prev pid) (fun (c, old) ->
+        match
+          ( Prog.Proc.Tbl.get c.ssa_cache old,
+            Prog.Proc.Tbl.get c.lowered old,
+            Prog.Proc.Tbl.get c.alias_kills old )
+        with
+        | Some ssa, Some ir, Some kills
+          when ir == Prog.Proc.Tbl.get lowered pid
+               && alias_kills_equal kills (Prog.Proc.Tbl.get alias_kills pid)
+               && closures_equal c pid
+               && Array.for_all
+                    (fun (e : Callgraph.edge) ->
+                      closures_equal c e.Callgraph.callee)
+                    (Callgraph.out_edges pcg pid) ->
+            Trace.incr c_ssa_reused;
+            Some ssa
+        | _ -> None)
+  in
   { prog; pcg; summaries; aliases; modref; floats;
     lowered = Prog.Proc.Tbl.map (fun p -> Some p) lowered;
     alias_kills = Prog.Proc.Tbl.map (fun k -> Some k) alias_kills;
-    ssa_cache = Prog.tbl pcg.Callgraph.db None;
+    ssa_cache = Prog.tbl_init pcg.Callgraph.db carried_ssa;
     epochs = Prog.tbl pcg.Callgraph.db 0; edit_epoch = 0; stream = None }
 
 (** Streaming variant of {!create} for huge corpora: the whole-program

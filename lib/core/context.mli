@@ -56,8 +56,19 @@ type t = {
 (** Build the context for a {!Sema.check}-clean program.  [jobs] bounds the
     domains used for per-procedure lowering (default
     {!Fsicp_par.Par.default_jobs}); the result is identical for every
-    value. *)
-val create : ?floats:bool -> ?jobs:int -> Ast.program -> t
+    value.
+
+    [prev], the context of an earlier version of the program, lets
+    per-procedure artifacts with provably unchanged inputs carry over by
+    procedure name; the whole-program phases run as without it, and every
+    analysis result is identical either way.  Summaries and lowered IR
+    carry over when the procedure's AST node and the program's globals
+    list are physically [prev]'s.  An SSA form (with its SCC entry-vector
+    memo) carries over when, in addition, the procedure's own MOD/REF
+    closures, its callees' closures and its alias-kill table all equal
+    [prev]'s.  Trace counters ["lower.reused"] and ["ssa.reused"] count
+    the carried artifacts.  A streaming [prev] is ignored. *)
+val create : ?floats:bool -> ?jobs:int -> ?prev:t -> Ast.program -> t
 
 (** Streaming variant of {!create} for 10⁴–10⁶-procedure corpora: the
     whole-program analyses run up front (they are compact), but lowering,
@@ -80,8 +91,9 @@ val is_streaming : t -> bool
     rebuilt, identically. *)
 val retire : t -> Prog.Proc.id -> unit
 
-(** Lower every reachable procedure on [jobs] domains; the building block
-    {!create} and {!Driver.run} share. *)
+(** Lower every reachable procedure on [jobs] domains; {!Driver.run} uses
+    it, and {!create} lowers through the same code, skipping procedures
+    whose IR it carries over from [prev]. *)
 val lower_all : jobs:int -> Ast.program -> Callgraph.t -> Ir.proc Prog.Proc.Tbl.t
 
 (** Alias-kill tables for every reachable procedure (the [alias_kills]

@@ -17,10 +17,19 @@
       cone members whose entry vectors are unchanged hit the SCC
       entry-vector memo.
 
-    - {b full rebuild} — when the shape changes (procedure added, call
-      site added/removed/retargeted, formals or immediate MOD/REF
-      changed): a fresh context is built and both solutions are solved
-      from scratch, exactly as a cold start.
+    - {b rebuild} — when the shape changes (procedure added, call site
+      added/removed/retargeted, formals or immediate MOD/REF changed): a
+      fresh context is built and both solutions are solved over it.  The
+      whole-program phases (PCG, aliasing, MOD/REF, FI, the FS wavefront)
+      run as on a cold start, but the new context is built with the old
+      one as [~prev] ({!Context.create}), so per-procedure artifacts whose
+      inputs are unchanged carry over by name instead of being rebuilt:
+      the summary and lowered IR of every procedure whose AST node and the
+      globals list are physically the old ones, and the SSA form (with its
+      SCC entry-vector memo) of every such procedure whose own MOD/REF
+      closures, callees' closures and alias-kill table are also unchanged.
+      A store added at one procedure's head typically leaves all but its
+      ancestors' SSA in place.
 
     Either way the resulting {!solution} is identical to a from-scratch
     solve of the edited program at any [jobs] — the differential oracle
@@ -48,10 +57,16 @@ type t = {
 type outcome =
   | Incremental of { dirty : int; total : int }
       (** [dirty] procedures re-driven out of [total] reachable *)
-  | Rebuilt of string  (** full rebuild, with the reason *)
+  | Rebuilt of string  (** rebuilt context, with the reason *)
 
-let solve_fresh ?jobs ~floats prog =
-  let ctx = Context.create ~floats ?jobs prog in
+(* Context, FI and FS solutions of [prog]; [prev] is handed to
+   {!Context.create} so that unchanged procedures keep their summaries,
+   lowering and SSA.  One span per step, so a traced session splits a
+   rebuild into IPA and lowering (inside {!Context.create}), SSA, FI and
+   FS. *)
+let solve_fresh ?jobs ?prev ~floats prog =
+  let ctx = Context.create ~floats ?jobs ?prev prog in
+  Trace.span "engine:ssa" (fun () -> Context.build_ssa ?jobs ctx);
   let fi = Fi_icp.solve ctx in
   let fs = Fs_icp.solve ?jobs ~fi ctx in
   (ctx, fi, fs)
@@ -127,7 +142,7 @@ let record_equal (a : Solution.callsite_record option)
   | Some _, None | None, Some _ -> false
 
 let rebuild ?jobs t prog reason : outcome =
-  let ctx, fi, fs = solve_fresh ?jobs ~floats:t.floats prog in
+  let ctx, fi, fs = solve_fresh ?jobs ~prev:t.ctx ~floats:t.floats prog in
   t.ctx <- ctx;
   t.fi <- fi;
   t.fs <- fs;

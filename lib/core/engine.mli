@@ -7,7 +7,9 @@
     IPA summary shape) invalidates only the edited procedure's artifacts
     and re-drives the flow-sensitive wavefront over the downstream cone of
     the edit (plus back-edge-reached procedures whose flow-insensitive
-    records changed); a shape-changing edit falls back to a full rebuild.
+    records changed); a shape-changing edit rebuilds the context, carrying
+    over every procedure's summary, lowering and SSA whose inputs did not
+    change ({!Context.create}'s [prev]).
     In both cases {!solution} is identical to a from-scratch solve of the
     edited program, at any [jobs] — the differential oracle checks this
     byte-for-byte over random edit sequences. *)
@@ -19,7 +21,7 @@ type t
 type outcome =
   | Incremental of { dirty : int; total : int }
       (** [dirty] procedures re-driven out of [total] reachable *)
-  | Rebuilt of string  (** full rebuild, with the reason *)
+  | Rebuilt of string  (** rebuilt context, with the reason *)
 
 (** Build the context and solve both methods from scratch.
     @raise Sema.Illformed on an ill-formed program. *)

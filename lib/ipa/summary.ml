@@ -110,11 +110,29 @@ let summarize_proc (prog : Ast.program) (p : Ast.proc) : proc_summary =
   { ps_name = p.Ast.pname; ps_formals = formals; ps_imod = imod;
     ps_iref = iref; ps_calls = calls }
 
-(** Collect summaries for every procedure of the program. *)
-let collect (prog : Ast.program) : t =
+(** Collect summaries for every procedure of the program.  With [prev],
+    a procedure whose AST node is physically the one [prev] summarized
+    keeps that summary, provided the globals list is physically [prev]'s
+    too: a summary reads nothing else. *)
+let collect ?prev (prog : Ast.program) : t =
   let table = Hashtbl.create 16 in
+  let reused =
+    match prev with
+    | Some prev when prev.prog.Ast.globals == prog.Ast.globals ->
+        let old = Hashtbl.create 64 in
+        List.iter
+          (fun q -> Hashtbl.replace old q.Ast.pname q)
+          prev.prog.Ast.procs;
+        fun (p : Ast.proc) ->
+          (match Hashtbl.find_opt old p.Ast.pname with
+          | Some q when q == p -> Hashtbl.find_opt prev.table p.Ast.pname
+          | Some _ | None -> None)
+    | Some _ | None -> fun _ -> None
+  in
   List.iter
-    (fun p -> Hashtbl.replace table p.Ast.pname (summarize_proc prog p))
+    (fun p ->
+      Hashtbl.replace table p.Ast.pname
+        (match reused p with Some s -> s | None -> summarize_proc prog p))
     prog.Ast.procs;
   { prog; table }
 

@@ -48,5 +48,10 @@ val classify_arg :
   globals:string list -> formals:string list -> Ast.expr -> arg_summary
 
 val summarize_proc : Ast.program -> Ast.proc -> proc_summary
-val collect : Ast.program -> t
+
+(** Summaries of every procedure.  With [prev], a procedure whose AST node
+    and the program's globals list are physically [prev]'s keeps [prev]'s
+    summary instead of being summarized again. *)
+val collect : ?prev:t -> Ast.program -> t
+
 val find : t -> string -> proc_summary

@@ -496,17 +496,29 @@ let count_literals body =
 (** One random procedure edit.  The distribution leans on shape-preserving
     mutations — literal tweaks (including call-argument literals, whose
     summaries change only in their [Alit] payload), appended local
-    assignments and prints, and the occasional no-op — but also appends a
-    brand-new call site ~1 time in 8, which changes the program shape and
-    forces the engine's full-rebuild route.  Every produced program is
-    [Sema]-clean by construction. *)
+    assignments and prints, and the occasional no-op — but 2 times in 9
+    it changes the program shape and forces the engine's rebuild route:
+    either it appends a brand-new call site (the PCG changes), or it
+    toggles a [v = v;] store at the head of the body, where [v] is a
+    global or formal outside the procedure's immediate MOD (the PCG stays,
+    MOD/REF widen or narrow back).  The store toggle is what exercises the
+    rebuild's SSA carry-over key: a caller passing a local by reference to
+    a newly stored formal keeps its own MOD/REF closures, yet its SSA must
+    change.  Every produced program is [Sema]-clean by construction. *)
 let random_edit (rng : Random.State.t) (prog : Ast.program) : Ast.proc =
   let procs = Array.of_list prog.Ast.procs in
   let p = procs.(Random.State.int rng (Array.length procs)) in
   let lit () = Value.Int (Random.State.int rng 199 - 99) in
   let append s = { p with Ast.body = p.Ast.body @ [ s ] } in
   let stmt sdesc = { Ast.sdesc; spos = Ast.no_pos } in
-  let roll = Random.State.int rng 16 in
+  let append_call () =
+    (* Literal arguments: by-value temporaries, so Sema stays clean. *)
+    let q = procs.(Random.State.int rng (Array.length procs)) in
+    let args = List.map (fun _ -> Ast.Const (lit ())) q.Ast.formals in
+    append (stmt (Ast.Call (q.Ast.pname, args)))
+  in
+  let nonlocal x = List.mem x p.Ast.formals || List.mem x prog.Ast.globals in
+  let roll = Random.State.int rng 18 in
   if roll < 8 then begin
     (* Tweak one literal in place (falling back to an appended print when
        the body has none). *)
@@ -520,13 +532,23 @@ let random_edit (rng : Random.State.t) (prog : Ast.program) : Ast.proc =
   else if roll < 12 then
     append (stmt (Ast.Assign ("zz_edit_tmp", Ast.Const (lit ()))))
   else if roll < 14 then p (* no-op: re-submit the current body verbatim *)
-  else begin
-    (* Shape-changing: append a call to a random procedure, literal
-       arguments (by-value temporaries, so Sema stays clean). *)
-    let q = procs.(Random.State.int rng (Array.length procs)) in
-    let args = List.map (fun _ -> Ast.Const (lit ())) q.Ast.formals in
-    append (stmt (Ast.Call (q.Ast.pname, args)))
-  end
+  else if roll < 16 then
+    match p.Ast.body with
+    | { Ast.sdesc = Ast.Assign (x, Ast.Var y); _ } :: rest
+      when String.equal x y && nonlocal x ->
+        { p with Ast.body = rest }
+    | body -> (
+        let assigned = Ast.assigned_vars p in
+        match
+          List.filter
+            (fun v -> not (List.mem v assigned))
+            (p.Ast.formals @ prog.Ast.globals)
+        with
+        | [] -> append_call ()
+        | free ->
+            let v = List.nth free (Random.State.int rng (List.length free)) in
+            { p with Ast.body = stmt (Ast.Assign (v, Ast.Var v)) :: body })
+  else append_call ()
 
 let describe_outcome = function
   | Engine.Incremental { dirty; total } ->

@@ -109,9 +109,11 @@ val check_transform_vc : ?fuel:int -> Ast.program -> (unit, failure) result
 val solution_digest : Solution.t -> string
 
 (** One random procedure edit of [prog]: mostly shape-preserving literal
-    tweaks / appended statements / no-ops, with an occasional appended
-    call site that changes the program shape.  The result always yields a
-    [Sema]-clean program when substituted into [prog]. *)
+    tweaks / appended statements / no-ops, with an occasional
+    shape-changing edit — an appended call site, or a [v = v;] store
+    toggled at the head of the body for a global or formal outside the
+    procedure's immediate MOD.  The result always yields a [Sema]-clean
+    program when substituted into [prog]. *)
 val random_edit : Random.State.t -> Ast.program -> Ast.proc
 
 (** [check_edit_sequence ?jobs ?edits seed] drives the same random edit

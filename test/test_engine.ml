@@ -173,6 +173,144 @@ let test_edit_sequence_smoke () =
       Alcotest.failf "%d seed(s) failed; first: seed %d — %a"
         (List.length !failures) seed Oracle.pp_failure f
 
+(* -- rebuild carry-over ---------------------------------------------------- *)
+
+let spice () =
+  Fsicp_workloads.Spec.(
+    program (List.find (fun b -> b.b_name = "013.SPICE2G6") suite))
+
+(* The shape-changing edit the serve benchmark sends: a [g = g;] store at
+   the head of the first non-main procedure, for the first global outside
+   its immediate MOD that no formal shadows. *)
+let toggle_edit (prog : Ast.program) : Ast.proc =
+  let store g = { Ast.sdesc = Ast.Assign (g, Ast.Var g); spos = Ast.no_pos } in
+  let widen (p : Ast.proc) =
+    let assigned = Ast.assigned_vars p in
+    List.find_opt
+      (fun g -> not (List.mem g assigned || List.mem g p.Ast.formals))
+      prog.Ast.globals
+  in
+  List.find_map
+    (fun (p : Ast.proc) ->
+      match widen p with
+      | Some g when p.Ast.pname <> "main" ->
+          Some { p with Ast.body = store g :: p.Ast.body }
+      | Some _ | None -> None)
+    prog.Ast.procs
+  |> Option.get
+
+let expect_rebuilt ?(jobs = 1) e p =
+  match Engine.edit_proc ~jobs e p with
+  | Engine.Rebuilt _ -> ()
+  | Engine.Incremental _ ->
+      Alcotest.failf "edit of %s took the incremental route" p.Ast.pname
+
+(* Is the SSA of procedure [name] physically shared between the contexts
+   before and after an edit? *)
+let ssa_shared (before : Context.t) (after : Context.t) name =
+  Context.ssa before name == Context.ssa after name
+
+let test_toggle_edit_carries_ssa jobs () =
+  let prog = spice () in
+  let e = Engine.create ~jobs prog in
+  let reused0 = Trace.counter_total "ssa.reused" in
+  let lowered0 = Trace.counter_total "lower.reused" in
+  expect_rebuilt ~jobs e (toggle_edit prog);
+  let ctx = Engine.context e in
+  let total = Fsicp_callgraph.Callgraph.n_procs ctx.Context.pcg in
+  let reused = Trace.counter_total "ssa.reused" - reused0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d SSA forms carried over" reused total)
+    true (reused >= 100);
+  Alcotest.(check int)
+    "every other procedure keeps its lowering" (total - 1)
+    (Trace.counter_total "lower.reused" - lowered0);
+  Alcotest.(check string)
+    "rebuild = cold Engine.create"
+    (Solution.digest
+       (Engine.solution (Engine.create ~jobs ctx.Context.prog)))
+    (Solution.digest (Engine.solution e))
+
+(* A leaf starts storing [k], which no ancestor modifies: each ancestor's
+   callee closures change, so each must get fresh SSA (its call to the
+   leaf now defines [k]); the sibling [c] keeps its SSA. *)
+let carry_src =
+  {|
+global g, k;
+blockdata { k = 5; }
+proc main() { g = 1; call a(2); call c(); print g; }
+proc a(x) { call b(x); print k; }
+proc b(y) { g = g + y; }
+proc c() { print k; }
+|}
+
+let leaf_store = "proc b(y) { k = k; g = g + y; }"
+
+let test_leaf_global_store_refreshes_ancestors () =
+  let e = Engine.create ~jobs:1 (parse carry_src) in
+  let before = Engine.context e in
+  expect_rebuilt e (proc_of leaf_store);
+  let after = Engine.context e in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " gets fresh SSA") false
+        (ssa_shared before after name))
+    [ "main"; "a"; "b" ];
+  Alcotest.(check bool)
+    "sibling c keeps its SSA" true
+    (ssa_shared before after "c");
+  check_matches_scratch "leaf global store = from-scratch" e
+
+(* A callee starts storing its formal while the caller passes a local by
+   reference: the caller's own MOD/REF closures do not change (locals are
+   invisible to them), only its callee's do — and its SSA must gain a call
+   definition of the local. *)
+let test_formal_store_refreshes_caller () =
+  let src =
+    {|
+proc main() { t = 3; call f(t); print t; call h(); }
+proc f(x) { print x; }
+proc h() { print 1; }
+|}
+  in
+  let e = Engine.create ~jobs:1 (parse src) in
+  let before = Engine.context e in
+  expect_rebuilt e (proc_of "proc f(x) { x = x; print x; }");
+  let after = Engine.context e in
+  Alcotest.(check bool)
+    "caller gets fresh SSA" false
+    (ssa_shared before after "main");
+  Alcotest.(check bool)
+    "unrelated h keeps its SSA" true
+    (ssa_shared before after "h");
+  check_matches_scratch "formal store = from-scratch" e
+
+(* A traced rebuild records one span per step. *)
+let test_rebuild_spans () =
+  with_trace (fun () ->
+      let e = Engine.create ~jobs:1 (parse carry_src) in
+      Trace.reset ();
+      expect_rebuilt e (proc_of leaf_store);
+      let json = Trace.to_chrome_json ~mode:Trace.Logical () in
+      let mentions needle =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length json
+          && (String.equal (String.sub json i n) needle || go (i + 1))
+        in
+        go 0
+      in
+      List.iter
+        (fun span ->
+          Alcotest.(check bool)
+            (span ^ " span recorded") true
+            (mentions (Printf.sprintf "\"name\":\"%s\"" span)))
+        [
+          "engine:edit"; "context:ipa"; "context:lower"; "engine:ssa";
+          "fi:solve"; "fs:solve";
+        ])
+
 let suite =
   [
     Alcotest.test_case "shape-preserving edit is incremental" `Quick
@@ -189,4 +327,14 @@ let suite =
       test_reset_scc_memos;
     Alcotest.test_case "edit-sequence oracle: 200 seeds, jobs {1,4}" `Slow
       test_edit_sequence_smoke;
+    Alcotest.test_case "SPICE toggle edit carries SSA over (jobs 1)" `Quick
+      (test_toggle_edit_carries_ssa 1);
+    Alcotest.test_case "SPICE toggle edit carries SSA over (jobs 2)" `Quick
+      (test_toggle_edit_carries_ssa 2);
+    Alcotest.test_case "leaf global store refreshes every ancestor's SSA"
+      `Quick test_leaf_global_store_refreshes_ancestors;
+    Alcotest.test_case "callee formal store refreshes the caller's SSA" `Quick
+      test_formal_store_refreshes_caller;
+    Alcotest.test_case "rebuild records a span per step" `Quick
+      test_rebuild_spans;
   ]
