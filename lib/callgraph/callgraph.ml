@@ -38,9 +38,9 @@ type edge = {
 }
 
 type t = {
-  mutable prog : Ast.program;  (** see {!set_prog} *)
-  mutable asts : (string, Ast.proc) Hashtbl.t;
-      (** name → AST index over [prog.procs]; rebuilt by {!set_prog}.  The
+  mutable prog : Ast.program;  (** see {!replace_proc} *)
+  asts : (string, Ast.proc) Hashtbl.t;
+      (** name → AST index over [prog.procs]; kept by {!replace_proc}.  The
           list scan it replaces made every per-procedure [proc_ast] O(n) —
           quadratic across lowering on the 10⁴–10⁶-procedure corpora. *)
   db : Prog.t;
@@ -50,6 +50,8 @@ type t = {
   in_adj : edge array array;
   cs_base : int array;
   back_bits : Prog.Bits.t;
+  mutable wave : (int list array * int list array) option;
+      (** {!forward_deps}, computed on first use *)
 }
 
 let index_asts (prog : Ast.program) : (string, Ast.proc) Hashtbl.t =
@@ -75,6 +77,7 @@ let proc_ast t id =
   | None -> invalid_arg (Printf.sprintf "Ast.find_proc_exn: %s" name)
 
 let is_reachable t name = Prog.mem t.db name
+let find_ast t name = Hashtbl.find_opt t.asts name
 
 (** Build the PCG of [prog], restricted to procedures reachable from the
     entry.  Back edges are classified by the DFS that discovers the graph:
@@ -178,7 +181,8 @@ let build (prog : Ast.program) : t =
       if e.back then
         Prog.Bits.set back_bits (cs_base.((e.caller :> int)) + e.cs_index))
     edges;
-  { prog; asts; db; nodes; edges; out_adj; in_adj; cs_base; back_bits }
+  { prog; asts; db; nodes; edges; out_adj; in_adj; cs_base; back_bits;
+    wave = None }
 
 let is_back_edge _t (e : edge) = e.back
 
@@ -215,57 +219,69 @@ let has_cycles t = Prog.Bits.count t.back_bits > 0
     along them (the incremental re-solve accounts for them separately, by
     diffing the flow-insensitive call records).
 
-    Runs on the dense out-adjacency with a flat mark array; the result is
-    in ascending id order, which is the reverse-postorder forward
-    traversal order — exactly the sub-wavefront the incremental re-solve
-    drives. *)
+    Runs on the dense out-adjacency with a flat byte mark per procedure
+    and touches only the cone's edges; the result is in ascending id
+    order, which is the reverse-postorder forward traversal order —
+    exactly the sub-wavefront the incremental re-solve drives. *)
 let cone t ~(seeds : Prog.Proc.id list) : Prog.Proc.id array =
-  let n = n_procs t in
-  let marked = Array.make n false in
-  let stack = ref [] in
-  List.iter
-    (fun (pid : Prog.Proc.id) ->
-      let i = (pid :> int) in
-      if not marked.(i) then begin
-        marked.(i) <- true;
-        stack := i :: !stack
-      end)
-    seeds;
+  let marked = Bytes.make (n_procs t) '\000' in
+  let members = ref [] and stack = ref [] in
+  let visit i =
+    if Bytes.get marked i = '\000' then begin
+      Bytes.set marked i '\001';
+      members := i :: !members;
+      stack := i :: !stack
+    end
+  in
+  List.iter (fun (pid : Prog.Proc.id) -> visit (pid :> int)) seeds;
   while !stack <> [] do
     match !stack with
     | [] -> ()
     | i :: tl ->
         stack := tl;
         Array.iter
-          (fun e ->
-            if not e.back then begin
-              let k = (e.callee :> int) in
-              if not marked.(k) then begin
-                marked.(k) <- true;
-                stack := k :: !stack
-              end
-            end)
+          (fun e -> if not e.back then visit (e.callee :> int))
           t.out_adj.(i)
   done;
-  let count = ref 0 in
-  Array.iter (fun m -> if m then incr count) marked;
-  let out = Array.make !count t.nodes.(0) in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    if marked.(i) then begin
-      out.(!j) <- t.nodes.(i);
-      incr j
-    end
-  done;
-  out
+  let out = Array.of_list !members in
+  Array.sort Int.compare out;
+  Array.map (fun i -> t.nodes.(i)) out
 
-(** Swap in a new AST after a procedure-body edit, for {!proc_ast} and
-    lowering.  In contract only when the PCG shape is unchanged: same
-    reachable procedures, same callee sequence per procedure (the
-    incremental engine checks this before calling). *)
-let set_prog t (prog : Ast.program) =
+(** Swap in the program after procedure [p]'s body was edited: [p]
+    replaces the AST of its name in the index, in place.  In contract only
+    when the PCG shape is unchanged: same reachable procedures, same callee
+    sequence per procedure (the incremental engine checks this before
+    calling). *)
+let replace_proc t (prog : Ast.program) (p : Ast.proc) =
   t.prog <- prog;
-  t.asts <- index_asts prog
+  Hashtbl.replace t.asts p.Ast.pname p
+
+(** The wavefront's dependency lists: per procedure id, the distinct
+    callers over forward (non-back) edges in ascending order, and per id
+    the procedures it is such a caller of, ascending.  They depend on the
+    PCG alone, so they are computed once and shared by every solve over
+    it.  Two domains racing on the first use both store equal lists. *)
+let forward_deps t : int list array * int list array =
+  match t.wave with
+  | Some w -> w
+  | None ->
+      let n = Array.length t.nodes in
+      let deps = Array.make n [] and dependents = Array.make n [] in
+      Array.iteri
+        (fun i es ->
+          let callers =
+            Array.to_list es
+            |> List.filter_map (fun e ->
+                   if e.back then None else Some (e.caller :> int))
+            |> List.sort_uniq compare
+          in
+          deps.(i) <- callers;
+          List.iter (fun c -> dependents.(c) <- i :: dependents.(c)) callers)
+        t.in_adj;
+      Array.iteri (fun i l -> dependents.(i) <- List.rev l) dependents;
+      let w = (deps, dependents) in
+      t.wave <- Some w;
+      w
 
 (** Back-edge ratio |back| / |edges| — the paper's measure of how much
     flow-insensitive information the combined FS solution uses (§3.2).

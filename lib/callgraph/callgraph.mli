@@ -20,10 +20,10 @@ type edge = {
 
 type t = {
   mutable prog : Ast.program;
-      (** the analysed AST; replaced only by {!set_prog} after a
+      (** the analysed AST; replaced only by {!replace_proc} after a
           shape-preserving procedure edit *)
-  mutable asts : (string, Ast.proc) Hashtbl.t;
-      (** name → AST index over [prog.procs], kept in sync by {!set_prog};
+  asts : (string, Ast.proc) Hashtbl.t;
+      (** name → AST index over [prog.procs], kept in sync by {!replace_proc};
           makes {!proc_ast} O(1) instead of a program-wide list scan *)
   db : Prog.t;  (** name <-> id bijection for the reachable procedures *)
   nodes : Prog.Proc.id array;
@@ -39,6 +39,8 @@ type t = {
       (** caller-major call-site numbering: call site [(p, i)] is global
           site [cs_base.(p) + i]; length [n_procs + 1] *)
   back_bits : Prog.Bits.t;  (** back-edge flags over the global numbering *)
+  mutable wave : (int list array * int list array) option;
+      (** {!forward_deps}, computed on first use *)
 }
 
 (** Build the PCG, restricted to procedures reachable from the entry.  An
@@ -55,6 +57,10 @@ val proc_ast : t -> Prog.Proc.id -> Ast.proc
 (** The AST of a reachable procedure. *)
 
 val is_reachable : t -> string -> bool
+
+(** The AST of any procedure of the program by name, reachable or not
+    (the first definition when a name is duplicated); O(1). *)
+val find_ast : t -> string -> Ast.proc option
 val is_back_edge : t -> edge -> bool
 
 (** O(1) back-edge query by [(caller, cs_index)] against the back-edge
@@ -85,10 +91,18 @@ val has_cycles : t -> bool
     separately.  Runs on the dense adjacency. *)
 val cone : t -> seeds:Prog.Proc.id list -> Prog.Proc.id array
 
-(** Swap in an edited AST.  In contract only when the PCG shape is
-    unchanged (same reachable procedures, same callee sequence per
-    procedure); the incremental engine verifies this before calling. *)
-val set_prog : t -> Ast.program -> unit
+(** [replace_proc t prog p] swaps in [prog], whose only change is
+    procedure [p]'s definition, updating the name index in place.  In
+    contract only when the PCG shape is unchanged (same reachable
+    procedures, same callee sequence per procedure); the incremental engine
+    verifies this before calling. *)
+val replace_proc : t -> Ast.program -> Ast.proc -> unit
+
+(** The wavefront's dependency lists: per procedure id, its distinct
+    forward-edge callers, ascending; and per id, the procedures it is such
+    a caller of, ascending.  Computed on first use and then shared by every
+    solve over this PCG. *)
+val forward_deps : t -> int list array * int list array
 
 (** |back edges| / |edges| — the paper's measure of how flow-insensitive
     the combined FS solution is (§3.2): 0 means pure flow-sensitive. *)

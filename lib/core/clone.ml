@@ -52,7 +52,7 @@ let clone_by_constants (ctx : Context.t) ~(fs : Solution.t)
         in
         Hashtbl.replace groups callee (insert existing)
       end)
-    fs.Solution.call_records;
+    (Solution.call_records fs);
   (* Decide clones: callees with >= 2 signature groups, of which at least
      one group has constants; the first group keeps the original. *)
   let renames : (string * int, string) Hashtbl.t = Hashtbl.create 16 in

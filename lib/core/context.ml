@@ -446,15 +446,18 @@ let reset_scc_memos t : unit =
       | None -> ())
     t.pcg.Callgraph.nodes
 
-(** Swap in an edited program.  In contract only for shape-preserving
-    edits (same reachable procedures, same callee sequences, same summary
-    shapes) — the incremental engine checks this and rebuilds the whole
-    context otherwise. *)
-let set_program t (prog : Ast.program) : unit =
+(** Swap in an edited program whose only change is [p]'s definition, with
+    [s] its fresh summary, updating the name index and summary table in
+    place.  In contract only for shape-preserving edits (same reachable
+    procedures, same callee sequences, same summary shapes) — the
+    incremental engine checks this and rebuilds the whole context
+    otherwise. *)
+let replace_proc t (prog : Ast.program) (p : Ast.proc)
+    (s : Summary.proc_summary) : unit =
   t.prog <- prog;
-  Callgraph.set_prog t.pcg prog
-
-let set_summaries t (s : Summary.t) : unit = t.summaries <- s
+  Callgraph.replace_proc t.pcg prog p;
+  Hashtbl.replace t.summaries.Summary.table p.Ast.pname s;
+  t.summaries <- { t.summaries with Summary.prog }
 
 (** Invalidate one procedure's derived artifacts after a body edit: bump
     the global edit epoch, re-lower the procedure from [t.prog], recompute

@@ -34,9 +34,9 @@ type alias_kills = { ak_keys : int array; ak_lists : Ir.var list array }
 type stream
 
 type t = {
-  mutable prog : Ast.program;  (** replaced only via {!set_program} *)
+  mutable prog : Ast.program;  (** replaced only via {!replace_proc} *)
   pcg : Callgraph.t;
-  mutable summaries : Summary.t;  (** replaced only via {!set_summaries} *)
+  mutable summaries : Summary.t;  (** updated only via {!replace_proc} *)
   aliases : Alias.t;
   modref : Modref.t;
   floats : bool;
@@ -132,16 +132,15 @@ val reset_ssa_cache : t -> unit
     this to measure the solver core on warm SSA). *)
 val reset_scc_memos : t -> unit
 
-(** Swap in an edited program (and update the PCG's AST pointer).  In
-    contract only for shape-preserving edits: same reachable procedures,
-    same callee sequence per procedure, same summary shapes.  The
-    incremental engine ({!Engine}) verifies this before calling and
-    rebuilds the whole context otherwise. *)
-val set_program : t -> Ast.program -> unit
-
-(** Swap in refreshed IPA summaries (literal payloads may differ; shapes
-    must match — see {!set_program}). *)
-val set_summaries : t -> Summary.t -> unit
+(** [replace_proc t prog p s] swaps in [prog], whose only change is
+    procedure [p]'s definition, with [s] its fresh IPA summary: the PCG's
+    name index and the summary table are updated in place, so the cost is
+    independent of the program size.  In contract only for
+    shape-preserving edits: same reachable procedures, same callee
+    sequence per procedure, same summary shapes.  The incremental engine
+    ({!Engine}) verifies this before calling and rebuilds the whole
+    context otherwise. *)
+val replace_proc : t -> Ast.program -> Ast.proc -> Summary.proc_summary -> unit
 
 (** Invalidate one procedure's derived artifacts after a body edit: bump
     the context's edit epoch, re-lower the procedure from the current

@@ -7,15 +7,21 @@
 
     - {b incremental} — when the edit preserves the program's {e shape}
       (same procedures, same callee sequence per procedure, same IPA
-      summary shape for the edited procedure): only the edited procedure's
-      artifacts are invalidated ({!Context.invalidate_proc}), the
-      flow-insensitive solution is re-run in full (it is a tiny fraction
-      of the flow-sensitive cost), and the flow-sensitive wavefront is
+      summary shape for the edited procedure): the edit is Sema-checked
+      against the current procedure table alone ({!Sema.check_proc}),
+      only the edited procedure's summary and artifacts are replaced
+      ({!Context.replace_proc}, {!Context.invalidate_proc}), the
+      flow-insensitive pass re-runs over the table compiled for this
+      context with the edited procedure's literal words patched
+      ({!Fi_icp.update}: still a whole-program pass, but one flat loop
+      over the call-site arguments), and the flow-sensitive wavefront is
       re-driven over the downstream cone of the edit plus every callee of
       a back edge whose flow-insensitive record changed
       ({!Fs_icp.resolve}).  Everything outside the cone is reused, and
       cone members whose entry vectors are unchanged hit the SCC
-      entry-vector memo.
+      entry-vector memo.  A traced edit
+      records one span per step: [engine:sema], [engine:summary],
+      [engine:invalidate], [fi:update], [engine:seeds], [fs:resolve].
 
     - {b rebuild} — when the shape changes (procedure added, call site
       added/removed/retargeted, formals or immediate MOD/REF changed): a
@@ -37,16 +43,16 @@
     sequences. *)
 
 open Fsicp_lang
-open Fsicp_prog
 open Fsicp_ipa
 open Fsicp_callgraph
-open Fsicp_scc
 
 module Trace = Fsicp_trace.Trace
 
 type t = {
   floats : bool;
   mutable ctx : Context.t;
+  mutable fi_table : Fi_icp.table;
+      (** the FI pass compiled for [ctx]; every rebuild recompiles it *)
   mutable fi : Solution.t;
   mutable fs : Solution.t;
   mutable edits : int;
@@ -67,14 +73,15 @@ type outcome =
 let solve_fresh ?jobs ?prev ~floats prog =
   let ctx = Context.create ~floats ?jobs ?prev prog in
   Trace.span "engine:ssa" (fun () -> Context.build_ssa ?jobs ctx);
-  let fi = Fi_icp.solve ctx in
+  let fi_table, fi = Fi_icp.solve_table ctx in
   let fs = Fs_icp.solve ?jobs ~fi ctx in
-  (ctx, fi, fs)
+  (ctx, fi_table, fi, fs)
 
 let create ?(floats = true) ?jobs (prog : Ast.program) : t =
   Sema.check_exn prog;
-  let ctx, fi, fs = solve_fresh ?jobs ~floats prog in
-  { floats; ctx; fi; fs; edits = 0; incremental_edits = 0; rebuilds = 0 }
+  let ctx, fi_table, fi, fs = solve_fresh ?jobs ~floats prog in
+  { floats; ctx; fi_table; fi; fs; edits = 0; incremental_edits = 0;
+    rebuilds = 0 }
 
 let context t = t.ctx
 let solution t = t.fs
@@ -124,30 +131,48 @@ let summary_shape_equal (a : Summary.proc_summary)
          && args_shape_equal x.Summary.cs_args y.Summary.cs_args)
        a.Summary.ps_calls b.Summary.ps_calls
 
-(* Value-level equality of two flow-insensitive call records.  Lattice
-   values are compared with [Lattice.equal] (NaN-safe, unlike structural
-   [=] on the floats inside [Value.Real]). *)
-let record_equal (a : Solution.callsite_record option)
-    (b : Solution.callsite_record option) : bool =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-      Bool.equal a.Solution.cr_executable b.Solution.cr_executable
-      && Array.length a.Solution.cr_args = Array.length b.Solution.cr_args
-      && Array.for_all2 Lattice.equal a.Solution.cr_args b.Solution.cr_args
-      && List.equal
-           (fun (g1, v1) (g2, v2) ->
-             Prog.Var.compare g1 g2 = 0 && Lattice.equal v1 v2)
-           a.Solution.cr_globals b.Solution.cr_globals
-  | Some _, None | None, Some _ -> false
-
 let rebuild ?jobs t prog reason : outcome =
-  let ctx, fi, fs = solve_fresh ?jobs ~prev:t.ctx ~floats:t.floats prog in
+  let ctx, fi_table, fi, fs =
+    solve_fresh ?jobs ~prev:t.ctx ~floats:t.floats prog
+  in
   t.ctx <- ctx;
+  t.fi_table <- fi_table;
   t.fi <- fi;
   t.fs <- fs;
   t.rebuilds <- t.rebuilds + 1;
   Rebuilt reason
+
+(* [prog] with [p] in place of the procedure of its name, or appended when
+   there is none.  Only the procedures before it are copied: every other
+   procedure, and the list after it, stays physically shared, which is
+   what the rebuild route's carry-over keys on. *)
+let substitute (prog : Ast.program) (p : Ast.proc) : Ast.program =
+  let rec go before = function
+    | [] -> List.rev (p :: before)
+    | q :: after when String.equal q.Ast.pname p.Ast.pname ->
+        List.rev_append before (p :: after)
+    | q :: after -> go (q :: before) after
+  in
+  { prog with Ast.procs = go [] prog.Ast.procs }
+
+(* Semantic check of [prog], which is the current program with [p] in place
+   of [old].  The current program is clean, so when [p] keeps [old]'s
+   formal count the only errors the whole-program check can report are
+   [p]'s own, in the same order: check just [p] against the current
+   procedure table.  A new procedure or a changed formal count (which
+   callers' arity checks read) takes the whole-program check. *)
+let check_edit t (old : Ast.proc option) prog (p : Ast.proc) =
+  Trace.span "engine:sema" @@ fun () ->
+  match old with
+  | Some q when List.compare_lengths q.Ast.formals p.Ast.formals = 0 -> (
+      let find_proc name =
+        if String.equal name p.Ast.pname then Some p
+        else Callgraph.find_ast t.ctx.Context.pcg name
+      in
+      match Sema.check_proc ~find_proc p with
+      | [] -> ()
+      | es -> raise (Sema.Illformed es))
+  | Some _ | None -> Sema.check_exn prog
 
 (** Replace procedure [p.pname]'s definition with [p] (or add it when no
     procedure of that name exists) and re-establish both solutions.
@@ -156,85 +181,59 @@ let rebuild ?jobs t prog reason : outcome =
 let edit_proc ?jobs t (p : Ast.proc) : outcome =
   Trace.span ~args:(fun () -> [ ("proc", p.Ast.pname) ]) "engine:edit"
   @@ fun () ->
-  let old_prog = t.ctx.Context.prog in
-  match Ast.find_proc old_prog p.Ast.pname with
+  let ctx = t.ctx in
+  let pcg = ctx.Context.pcg in
+  let old = Callgraph.find_ast pcg p.Ast.pname in
+  let prog = substitute ctx.Context.prog p in
+  check_edit t old prog p;
+  t.edits <- t.edits + 1;
+  match old with
   | None ->
       (* A new procedure changes the program shape outright. *)
-      let prog = { old_prog with Ast.procs = old_prog.Ast.procs @ [ p ] } in
-      Sema.check_exn prog;
-      t.edits <- t.edits + 1;
       rebuild ?jobs t prog "new procedure"
   | Some _ -> (
-      let prog =
-        {
-          old_prog with
-          Ast.procs =
-            List.map
-              (fun q ->
-                if String.equal q.Ast.pname p.Ast.pname then p else q)
-              old_prog.Ast.procs;
-        }
+      (* Only the edited procedure's summary can change — summaries are
+         per-body and the globals list is untouched by a procedure edit —
+         so summarize just that procedure. *)
+      let new_s =
+        Trace.span "engine:summary" (fun () -> Summary.summarize_proc prog p)
       in
-      Sema.check_exn prog;
-      t.edits <- t.edits + 1;
-      match Callgraph.proc_id t.ctx.Context.pcg p.Ast.pname with
+      match Callgraph.proc_id pcg p.Ast.pname with
       | None ->
           (* Unreachable procedure: no analysis artifact depends on its
              body.  Record the new text and summary; both solutions
              stand. *)
-          Context.set_program t.ctx prog;
-          let table = Hashtbl.copy t.ctx.Context.summaries.Summary.table in
-          Hashtbl.replace table p.Ast.pname (Summary.summarize_proc prog p);
-          Context.set_summaries t.ctx { Summary.prog; table };
+          Context.replace_proc ctx prog p new_s;
           t.incremental_edits <- t.incremental_edits + 1;
-          Incremental
-            { dirty = 0; total = Callgraph.n_procs t.ctx.Context.pcg }
+          Incremental { dirty = 0; total = Callgraph.n_procs pcg }
       | Some pid ->
-          (* Only the edited procedure's summary can change — summaries
-             are per-body and the globals list is untouched by a
-             procedure edit — so summarize just that procedure instead of
-             re-collecting the whole program (which would dwarf the
-             incremental re-solve itself on large programs). *)
-          let old_s = Summary.find t.ctx.Context.summaries p.Ast.pname in
-          let new_s = Summary.summarize_proc prog p in
+          let old_s = Summary.find ctx.Context.summaries p.Ast.pname in
           if not (summary_shape_equal old_s new_s) then
             rebuild ?jobs t prog "summary shape changed"
           else begin
-            let summaries =
-              let table =
-                Hashtbl.copy t.ctx.Context.summaries.Summary.table
-              in
-              Hashtbl.replace table p.Ast.pname new_s;
-              { Summary.prog; table }
-            in
-            let ctx = t.ctx in
-            let pcg = ctx.Context.pcg in
-            (* Shape preserved: swap program and summaries in place,
-               invalidate only the edited procedure's artifacts. *)
-            Context.set_program ctx prog;
-            Context.set_summaries ctx summaries;
-            Context.invalidate_proc ctx pid;
-            (* The flow-insensitive solve is a fixed, tiny cost (no SSA,
-               no SCC); re-running it in full keeps the back-edge seed
-               exact and gives us the record diff below for free. *)
-            let fi' = Fi_icp.solve ctx in
+            (* Shape preserved: swap the procedure and its summary in
+               place, invalidate only the edited procedure's artifacts. *)
+            Trace.span "engine:invalidate" (fun () ->
+                Context.replace_proc ctx prog p new_s;
+                Context.invalidate_proc ctx pid);
+            (* The FI pass re-runs in full over its compiled table, with
+               the edited procedure's literal words patched; it reports
+               the call records whose values changed. *)
+            let fi', changed = Fi_icp.update t.fi_table pid in
             (* Seeds: the edited procedure, plus the callee of every back
                edge whose flow-insensitive record changed — the only
                channel through which an edit reaches a procedure that is
                not downstream of it over forward edges. *)
-            let seeds = ref [ pid ] in
-            List.iter
-              (fun (e : Callgraph.edge) ->
-                if e.Callgraph.back then begin
-                  let at s =
-                    Solution.find_call_record s ~caller:e.Callgraph.caller
-                      ~cs_index:e.Callgraph.cs_index
-                  in
-                  if not (record_equal (at t.fi) (at fi')) then
-                    seeds := e.Callgraph.callee :: !seeds
-                end)
-              pcg.Callgraph.edges;
-            let dirty = Callgraph.cone pcg ~seeds:!seeds in
+            let dirty =
+              Trace.span "engine:seeds" @@ fun () ->
+              Callgraph.cone pcg
+                ~seeds:
+                  (List.fold_left
+                     (fun seeds (e : Callgraph.edge) ->
+                       if e.Callgraph.back then e.Callgraph.callee :: seeds
+                       else seeds)
+                     [ pid ] changed)
+            in
             let fs' = Fs_icp.resolve ?jobs ~fi:fi' ~prev:t.fs ~dirty ctx in
             t.fi <- fi';
             t.fs <- fs';
@@ -242,3 +241,31 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
             Incremental
               { dirty = Array.length dirty; total = Callgraph.n_procs pcg }
           end)
+
+(** Apply several procedure edits as one: the program with every edit
+    substituted is checked first, so an ill-formed batch raises
+    {!Sema.Illformed} with the engine untouched.  The edits are then
+    applied in order, each by {!edit_proc}; when a prefix of the batch is
+    ill-formed on its own (a formal added to a procedure and to its
+    callers' calls), the rest of the batch is analysed in one rebuild. *)
+let edit_procs ?jobs t (ps : Ast.proc list) : outcome list =
+  match ps with
+  | [] | [ _ ] -> List.map (edit_proc ?jobs t) ps
+  | _ ->
+      Trace.span "engine:sema" (fun () ->
+          Sema.check_exn (List.fold_left substitute t.ctx.Context.prog ps));
+      let rec go = function
+        | [] -> []
+        | p :: rest as todo -> (
+            match edit_proc ?jobs t p with
+            | o -> o :: go rest
+            | exception Sema.Illformed _ ->
+                t.edits <- t.edits + List.length todo;
+                let o =
+                  rebuild ?jobs t
+                    (List.fold_left substitute t.ctx.Context.prog todo)
+                    "batch"
+                in
+                List.map (fun _ -> o) todo)
+      in
+      go ps

@@ -32,8 +32,8 @@ val context : t -> Context.t
 (** The current flow-sensitive solution. *)
 val solution : t -> Solution.t
 
-(** The current flow-insensitive solution (the back-edge seed, kept for
-    record diffing on the next edit). *)
+(** The current flow-insensitive solution (the back-edge seed of the
+    flow-sensitive one). *)
 val fi_solution : t -> Solution.t
 
 (** Session counters: [procs], [edits], [incremental_edits], [rebuilds],
@@ -46,6 +46,13 @@ val stats : t -> (string * int) list
     @raise Sema.Illformed when the edited program fails {!Sema.check};
     engine state is untouched in that case. *)
 val edit_proc : ?jobs:int -> t -> Ast.proc -> outcome
+
+(** Apply several procedure edits atomically: the program with every edit
+    substituted is checked before any edit is applied, and the outcomes
+    come back in edit order.
+    @raise Sema.Illformed when that program fails {!Sema.check}; engine
+    state is untouched in that case. *)
+val edit_procs : ?jobs:int -> t -> Ast.proc list -> outcome list
 
 (**/**)
 

@@ -161,28 +161,6 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     | None -> if Callgraph.has_cycles pcg then Some (Fi_icp.solve ctx) else None
   in
 
-  (* Wavefront shape: procedure [i] depends on the distinct procedures that
-     call it over forward (non-back) edges; back edges contribute the FI
-     seed instead and impose no ordering.  The forward-edge graph is acyclic
-     and consistent with reverse postorder by construction.  A procedure's
-     id is its reverse-postorder index, so ids double as wavefront slots. *)
-  let in_edges = Array.map (fun pid -> Callgraph.in_edges pcg pid) nodes in
-  let deps = Array.make n [] in
-  let dependents = Array.make n [] in
-  Array.iteri
-    (fun i es ->
-      let callers =
-        Array.to_list es
-        |> List.filter_map (fun (e : Callgraph.edge) ->
-               if e.Callgraph.back then None
-               else Some (e.Callgraph.caller :> int))
-        |> List.sort_uniq compare
-      in
-      deps.(i) <- callers;
-      List.iter (fun c -> dependents.(c) <- i :: dependents.(c)) callers)
-    in_edges;
-  Array.iteri (fun i l -> dependents.(i) <- List.rev l) dependents;
-
   (* Pre-build SSA for every procedure (embarrassingly parallel, and the
      bulk of the flow-sensitive setup time); afterwards [Context.ssa] is a
      read-only cache hit from any domain.  Streaming contexts skip this on
@@ -196,55 +174,40 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
 
   (* Per-procedure outputs, written only by the domain that processes the
      procedure and read by its dependents after the scheduler's
-     happens-before edge. *)
-  let entries_arr = Array.make n Solution.empty_entry in
-  let results_arr : Scc.result option array = Array.make n None in
-  let records_arr : Solution.callsite_record list array = Array.make n [] in
-  (* Call records by (caller id, cs_index): dense rows, one slot per call
-     site, since a caller records each of its sites at most once. *)
-  let record_idx : Solution.callsite_record option array array =
-    Array.init n (fun i -> Array.make (Callgraph.n_call_sites pcg nodes.(i)) None)
-  in
+     happens-before edge.  Call records are indexed by (caller id,
+     cs_index): dense rows, one slot per call site, since a caller records
+     each of its sites at most once; the rows and the per-caller record
+     lists become the solution's as they stand.
 
-  (* Incremental path: flag the dirty cone and seed every clean
-     procedure's outputs from the previous solution.  A clean procedure's
-     forward callers are all clean (the cone is forward-closed) and its
-     back-edge contributions are unchanged (procedures downstream of a
-     changed flow-insensitive record are seeded into the cone), so its
-     previous entry, records and SCC result are exactly what a from-scratch
-     solve would recompute. *)
-  let dirty_mask =
-    match dirty with
-    | None -> None
-    | Some d ->
-        let m = Array.make n false in
-        Array.iter (fun (pid : Prog.Proc.id) -> m.((pid :> int)) <- true) d;
-        Some m
+     Incremental path: start from copies of the previous solution's four
+     per-procedure tables, so every clean procedure keeps its entry, SCC
+     result, record list and call-index row (shared, never written).  A clean procedure's forward callers are all
+     clean (the cone is forward-closed) and its back-edge contributions
+     are unchanged (procedures downstream of a changed flow-insensitive
+     record are seeded into the cone), so its previous outputs are exactly
+     what a from-scratch solve would recompute.  Each dirty procedure gets
+     a fresh row.  The per-caller record lists are kept in the forward
+     traversal order of each caller's call sites, so the solution is
+     identical for every [jobs]. *)
+  let db = pcg.Callgraph.db in
+  let fresh_row pid = Array.make (Callgraph.n_call_sites pcg pid) None in
+  let entries, results, records, record_idx =
+    match (prev, dirty) with
+    | Some (prev : Solution.t), Some d ->
+        let record_idx = Prog.Proc.Tbl.copy prev.Solution.call_index in
+        Array.iter
+          (fun pid -> Prog.Proc.Tbl.set record_idx pid (fresh_row pid))
+          d;
+        ( Prog.Proc.Tbl.copy prev.Solution.entries,
+          Prog.Proc.Tbl.copy prev.Solution.scc_results,
+          Prog.Proc.Tbl.copy prev.Solution.records,
+          record_idx )
+    | _ ->
+        ( Prog.tbl db Solution.empty_entry,
+          Prog.tbl db None,
+          Prog.tbl db [],
+          Prog.tbl_init db fresh_row )
   in
-  (match (prev, dirty_mask) with
-  | Some (prev : Solution.t), Some m ->
-      (* Bucket the previous records by caller, preserving the per-caller
-         (call-site) order the from-scratch assembly produced. *)
-      let acc = Array.make n [] in
-      List.iter
-        (fun (cr : Solution.callsite_record) ->
-          let c = (cr.Solution.cr_caller :> int) in
-          acc.(c) <- cr :: acc.(c))
-        prev.Solution.call_records;
-      for i = 0 to n - 1 do
-        if not m.(i) then begin
-          let pid = nodes.(i) in
-          entries_arr.(i) <- Solution.entry_at prev pid;
-          results_arr.(i) <- Prog.Proc.Tbl.get prev.Solution.scc_results pid;
-          let recs = List.rev acc.(i) in
-          records_arr.(i) <- recs;
-          List.iter
-            (fun (cr : Solution.callsite_record) ->
-              record_idx.(i).(cr.Solution.cr_cs_index) <- Some cr)
-            recs
-        end
-      done
-  | _ -> ());
 
   let process i =
     let pid = nodes.(i) in
@@ -276,7 +239,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
               with
               | None -> ()
               | Some cr -> contribute cr)
-          in_edges.(i));
+          (Callgraph.in_edges pcg pid));
     (* Entry environment of [main]: block data constants; everything else
        unknown.  (Any call edge into [main] is necessarily a back edge, so
        this replacement is main's whole global story bar the FI seed, which
@@ -289,17 +252,18 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
       (fun (e : Callgraph.edge) ->
         if not e.Callgraph.back then
           match
-            record_idx.((e.Callgraph.caller :> int)).(e.Callgraph.cs_index)
+            (Prog.Proc.Tbl.get record_idx e.Callgraph.caller).(e.Callgraph
+                                                                  .cs_index)
           with
           | Some cr when cr.Solution.cr_executable -> contribute cr
           | Some _ | None -> ())
-      in_edges.(i);
+      (Callgraph.in_edges pcg pid);
     (* Top after all contributions = no executable call reaches the
        procedure; treat as unknown rather than claiming dead-code
        constants.  Finalize in place: [v] doubles as the entry lookup the
        SCC entry environment reads below. *)
     Entry_vec.finalize v;
-    entries_arr.(i) <- Entry_vec.box_entry sh v;
+    Prog.Proc.Tbl.set entries pid (Entry_vec.box_entry sh v);
     (* One flow-sensitive intraprocedural analysis of [proc]. *)
     let entry_env = Entry_vec.env roots sh pid (Array.get v) in
     let ssa = Context.ssa_at ctx pid in
@@ -332,7 +296,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     in
     let config = { Scc.entry_env; call_def_value = cdv } in
     let res = Scc.run ~config ssa in
-    results_arr.(i) <- Some res;
+    Prog.Proc.Tbl.set results pid (Some res);
     (* Record call-site values for the callees' later meets.  Reading the
        words and boxing them are two passes; a fused reader saved 4% of
        this layer's minor words on the 20 000-procedure corpus (7 675 vs
@@ -348,18 +312,18 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
               ~word:(Context.censor_w ctx)
               (Entry_vec.read_site ~word:Fun.id res c)
           in
-          record_idx.(i).(c.Ssa.c_cs_id) <- Some cr;
+          (Prog.Proc.Tbl.get record_idx pid).(c.Ssa.c_cs_id) <- Some cr;
           cr)
         call_sites
     in
-    records_arr.(i) <- recs;
+    Prog.Proc.Tbl.set records pid recs;
     (* Streaming solves must not retain each procedure's SSA through the
        retained [Scc.result]: once the records are extracted the result
        keeps every per-name array (the canonical digest reads those) but
        its SSA field is retired to [None] — any later accessor that needs
        the structure raises instead of reading stale state. *)
     if streaming then begin
-      results_arr.(i) <- Some { res with Scc.proc = None };
+      Prog.Proc.Tbl.set results pid (Some { res with Scc.proc = None });
       Context.retire ctx pid
     end
   in
@@ -371,41 +335,51 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
      never enqueue a clean node.  Ascending ids are the forward topological
      order, so the sequential path is just an in-order sweep.  The frontier
      is sharded into contiguous SCC-whole id regions, ~4 per domain, each
-     domain owning its regions' nodes on a private stack; the canonical
-     assembly below makes the solution independent of the sharding, so
-     this is purely a scheduling choice (verified by the digest-equality
-     tests). *)
-  let order, deps, dependents =
-    match (dirty, dirty_mask) with
-    | Some d, Some m ->
-        let order = Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d in
-        let rdeps = Array.make n [] and rdependents = Array.make n [] in
-        Array.iter
-          (fun i ->
-            rdeps.(i) <- List.filter (fun c -> m.(c)) deps.(i);
-            rdependents.(i) <- List.filter (fun d -> m.(d)) dependents.(i))
-          order;
-        (order, rdeps, rdependents)
-    | _ -> (Array.init n Fun.id, deps, dependents)
+     domain owning its regions' nodes on a private stack; every output is
+     stored by procedure id, which makes the solution independent of the
+     sharding, so this is purely a scheduling choice (verified by the
+     digest-equality tests). *)
+  let order =
+    match dirty with
+    | Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d
+    | None -> Array.init n Fun.id
   in
   (* A cone can be smaller than the pool: the scheduler runs one domain
      per owner, so both shrink to the order's length together.  At one
-     domain the scheduler ignores [owners] and sharding is skipped. *)
+     domain the scheduler ignores [owners], [deps] and [dependents], so
+     neither sharding nor the cone's dependency filtering happens. *)
   let jobs = min jobs (Array.length order) in
-  let owners =
-    if jobs <= 1 then [||]
-    else owners_of_regions (shard_regions pcg ~parts:(4 * jobs)) ~jobs ~n
+  let owners, deps, dependents =
+    if jobs <= 1 then ([||], [||], [||])
+    else
+      let owners =
+        owners_of_regions (shard_regions pcg ~parts:(4 * jobs)) ~jobs ~n
+      in
+      (* Wavefront shape: procedure [i] depends on the distinct procedures
+         that call it over forward (non-back) edges; back edges contribute
+         the FI seed instead and impose no ordering.  The forward-edge
+         graph is acyclic and consistent with reverse postorder by
+         construction.  A procedure's id is its reverse-postorder index,
+         so ids double as wavefront slots.  The lists depend on the PCG
+         alone and are shared by every solve. *)
+      let deps, dependents = Callgraph.forward_deps pcg in
+      match dirty with
+      | None -> (owners, deps, dependents)
+      | Some d ->
+          let m = Array.make n false in
+          Array.iter (fun (p : Prog.Proc.id) -> m.((p :> int)) <- true) d;
+          let rdeps = Array.make n [] and rdependents = Array.make n [] in
+          Array.iter
+            (fun i ->
+              rdeps.(i) <- List.filter (fun c -> m.(c)) deps.(i);
+              rdependents.(i) <- List.filter (fun d -> m.(d)) dependents.(i))
+            order;
+          (owners, rdeps, rdependents)
   in
   Par.wavefront ~jobs ~owners ~order ~deps ~dependents process;
 
-  (* Canonical normalisation point: assemble per-procedure outputs in
-     forward (reverse postorder) node order, so the recorded call-record
-     order — and hence the whole solution — is identical for every [jobs]. *)
-  let db = pcg.Callgraph.db in
-  let entries = Prog.tbl_init db (fun pid -> entries_arr.((pid :> int))) in
-  let scc_results = Prog.tbl_init db (fun pid -> results_arr.((pid :> int))) in
-  let call_records = List.concat (Array.to_list records_arr) in
-  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:n ~scc_results
+  Solution.of_index ~method_name ~db ~entries ~records
+    ~call_index:record_idx ~scc_runs:n ~scc_results:results
 
 let solve ?jobs ?fi
     ?(call_def_value :

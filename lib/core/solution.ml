@@ -47,11 +47,13 @@ type t = {
   method_name : string;
   db : Prog.t;
   entries : proc_entry Prog.Proc.Tbl.t;  (** per reachable procedure *)
-  call_records : callsite_record list;
+  records : callsite_record list Prog.Proc.Tbl.t;
+      (** the call records of each caller, in the order the method
+          recorded them; {!call_records} is their concatenation in caller
+          id order *)
   call_index : callsite_record option array Prog.Proc.Tbl.t;
-      (** the same records, by caller id and [cs_index]; built by {!make}
-          in the same pass as the list, so {!find_call_record} is an array
-          load *)
+      (** the same records, by caller id and [cs_index], so
+          {!find_call_record} is an array load *)
   scc_runs : int;
       (** number of flow-sensitive intraprocedural analyses performed — the
           paper's headline is that the FS method needs exactly one per
@@ -61,9 +63,10 @@ type t = {
           everywhere for flow-insensitive methods) *)
 }
 
-(** Assemble a solution, indexing the call records by (caller, cs_index) in
-    the same pass.  When duplicates exist the first record wins, matching
-    the former linear scan. *)
+(** Assemble a solution from a caller-major record list (ascending caller
+    id, as every method records them), splitting it by caller and indexing
+    it by (caller, cs_index) in the same pass.  When duplicates exist the
+    first record wins the index, matching the former linear scan. *)
 let make ~method_name ~db ~entries ~call_records ~scc_runs ~scc_results : t =
   (* Row sizes: the maximum cs_index per caller among the records. *)
   let n = Prog.n_procs db in
@@ -74,12 +77,31 @@ let make ~method_name ~db ~entries ~call_records ~scc_runs ~scc_results : t =
       width.(c) <- max width.(c) (cr.cr_cs_index + 1))
     call_records;
   let call_index = Prog.tbl_init db (fun pid -> Array.make width.((pid :> int)) None) in
+  let records = Prog.tbl db [] in
   List.iter
     (fun cr ->
       let row = Prog.Proc.Tbl.get call_index cr.cr_caller in
-      if row.(cr.cr_cs_index) = None then row.(cr.cr_cs_index) <- Some cr)
+      if row.(cr.cr_cs_index) = None then row.(cr.cr_cs_index) <- Some cr;
+      Prog.Proc.Tbl.set records cr.cr_caller
+        (cr :: Prog.Proc.Tbl.get records cr.cr_caller))
     call_records;
-  { method_name; db; entries; call_records; call_index; scc_runs; scc_results }
+  { method_name; db; entries; records = Prog.Proc.Tbl.map List.rev records;
+    call_index; scc_runs; scc_results }
+
+(** Assemble a solution whose per-caller records and call index the solver
+    already built: row [p] of [call_index] must hold exactly [records]'
+    records of caller [p] at their [cs_index] (rows may be wider than the
+    largest index).  The FI and FS solvers fill the rows while they run,
+    and their incremental updates share every unchanged row with the
+    previous solution instead of re-indexing every record. *)
+let of_index ~method_name ~db ~entries ~records ~call_index ~scc_runs
+    ~scc_results : t =
+  { method_name; db; entries; records; call_index; scc_runs; scc_results }
+
+(** Every call record, callers in ascending id order. *)
+let call_records t : callsite_record list =
+  Prog.Proc.Tbl.fold (fun _ rs acc -> List.rev_append rs acc) t.records []
+  |> List.rev
 
 let empty_entry = { pe_formals = [||]; pe_globals = [] }
 let proc_name t pid = Prog.proc_name t.db pid
@@ -182,7 +204,7 @@ let digest (s : t) : string =
             (Printf.sprintf " %s=%s" (Prog.Var.name g) (Lattice.to_string v)))
         cr.cr_globals;
       Buffer.add_char b '\n')
-    s.call_records;
+    (call_records s);
   Array.iter
     (fun pid ->
       match Prog.Proc.Tbl.get s.scc_results pid with

@@ -34,10 +34,12 @@ type t = {
   method_name : string;
   db : Prog.t;  (** the program database the ids below belong to *)
   entries : proc_entry Prog.Proc.Tbl.t;
-  call_records : callsite_record list;
+  records : callsite_record list Prog.Proc.Tbl.t;
+      (** each caller's call records, in the order the method recorded
+          them; {!call_records} concatenates them *)
   call_index : callsite_record option array Prog.Proc.Tbl.t;
       (** records by caller id and [cs_index]; kept consistent with
-          [call_records] by {!make} *)
+          [records] by {!make} *)
   scc_runs : int;
       (** flow-sensitive intraprocedural analyses performed — the paper's
           headline is exactly one per procedure for the FS method *)
@@ -46,8 +48,9 @@ type t = {
           everywhere for flow-insensitive methods) *)
 }
 
-(** Assemble a solution, building the dense [(caller, cs_index)]
-    call-record index in the same pass as the list. *)
+(** Assemble a solution from a caller-major record list (callers in
+    ascending id order), splitting it by caller and building the dense
+    [(caller, cs_index)] call-record index in the same pass. *)
 val make :
   method_name:string ->
   db:Prog.t ->
@@ -56,6 +59,25 @@ val make :
   scc_runs:int ->
   scc_results:Scc.result option Prog.Proc.Tbl.t ->
   t
+
+(** Assemble a solution over per-caller records and a call index the
+    solver already built: row [p] of [call_index] must hold exactly
+    caller [p]'s [records] at their [cs_index] (a row may be wider than
+    its largest index).  Lets the FI and FS solvers' incremental updates
+    share every unchanged row with the previous solution. *)
+val of_index :
+  method_name:string ->
+  db:Prog.t ->
+  entries:proc_entry Prog.Proc.Tbl.t ->
+  records:callsite_record list Prog.Proc.Tbl.t ->
+  call_index:callsite_record option array Prog.Proc.Tbl.t ->
+  scc_runs:int ->
+  scc_results:Scc.result option Prog.Proc.Tbl.t ->
+  t
+
+(** Every call record: callers in ascending id order, each caller's
+    records in recorded order.  Built on each call. *)
+val call_records : t -> callsite_record list
 
 val empty_entry : proc_entry
 

@@ -46,11 +46,59 @@ let classifier ~globals ~formals : string -> var_class =
   fun x ->
     match Hashtbl.find_opt tbl x with Some c -> c | None -> Local
 
+(* [err] prepends one error to [errs]: both checks below accumulate in
+   reverse and return in report order. *)
+let err errs ?(pos = Ast.no_pos) where fmt =
+  Fmt.kstr (fun msg -> errs := { msg; where; pos } :: !errs) fmt
+
+(* Prepend procedure [p]'s errors to [errs], against the program's
+   procedure table [find_proc] (name → first definition of that name).
+   Only [p]'s own body and formals are read, plus the formal counts of the
+   procedures it calls and the set of procedure names. *)
+let proc_errors errs ~(find_proc : string -> Ast.proc option) (p : Ast.proc) =
+  let rec dup_formals seen = function
+    | [] -> ()
+    | f :: tl ->
+        if List.mem f seen then
+          err errs ~pos:p.ppos p.pname "duplicate formal '%s'" f;
+        dup_formals (f :: seen) tl
+  in
+  dup_formals [] p.formals;
+  List.iter
+    (fun f ->
+      if Option.is_some (find_proc f) then
+        err errs ~pos:p.ppos p.pname
+          "formal '%s' has the same name as a procedure" f)
+    p.formals;
+  Ast.iter_stmts
+    (fun s ->
+      match s.sdesc with
+      | Ast.Call (q, args) -> (
+          match find_proc q with
+          | None ->
+              err errs ~pos:s.spos p.pname "call to undefined procedure '%s'" q
+          | Some callee ->
+              let want = List.length callee.formals in
+              let got = List.length args in
+              if want <> got then
+                err errs ~pos:s.spos p.pname
+                  "call to '%s' passes %d argument(s), expected %d" q got want)
+      | Ast.Assign (x, _) ->
+          if Option.is_some (find_proc x) then
+            err errs ~pos:s.spos p.pname
+              "assignment to '%s' which is a procedure name" x
+      | Ast.If _ | Ast.While _ | Ast.Return | Ast.Print _ -> ())
+    p.body
+
+(** Errors of one procedure, in report order (see the interface). *)
+let check_proc ~find_proc p : error list =
+  let errs = ref [] in
+  proc_errors errs ~find_proc p;
+  List.rev !errs
+
 let check (prog : Ast.program) : (unit, error list) result =
   let errs = ref [] in
-  let err ?(pos = Ast.no_pos) where fmt =
-    Fmt.kstr (fun msg -> errs := { msg; where; pos } :: !errs) fmt
-  in
+  let err ?pos where fmt = err errs ?pos where fmt in
   let where_prog = "<program>" in
   (* Duplicate globals *)
   let rec dup_check seen = function
@@ -87,43 +135,7 @@ let check (prog : Ast.program) : (unit, error list) result =
         err ~pos:m.ppos where_prog "entry procedure '%s' must take no formals"
           prog.main);
   (* Per-procedure checks *)
-  List.iter
-    (fun (p : Ast.proc) ->
-      let rec dup_formals seen = function
-        | [] -> ()
-        | f :: tl ->
-            if List.mem f seen then
-              err ~pos:p.ppos p.pname "duplicate formal '%s'" f;
-            dup_formals (f :: seen) tl
-      in
-      dup_formals [] p.formals;
-      List.iter
-        (fun f ->
-          if Hashtbl.mem ptable f then
-            err ~pos:p.ppos p.pname
-              "formal '%s' has the same name as a procedure" f)
-        p.formals;
-      Ast.iter_stmts
-        (fun s ->
-          match s.sdesc with
-          | Ast.Call (q, args) -> (
-              match Hashtbl.find_opt ptable q with
-              | None ->
-                  err ~pos:s.spos p.pname "call to undefined procedure '%s'" q
-              | Some callee ->
-                  let want = List.length callee.formals in
-                  let got = List.length args in
-                  if want <> got then
-                    err ~pos:s.spos p.pname
-                      "call to '%s' passes %d argument(s), expected %d" q got
-                      want)
-          | Ast.Assign (x, _) ->
-              if Hashtbl.mem ptable x then
-                err ~pos:s.spos p.pname
-                  "assignment to '%s' which is a procedure name" x
-          | Ast.If _ | Ast.While _ | Ast.Return | Ast.Print _ -> ())
-        p.body)
-    prog.procs;
+  List.iter (proc_errors errs ~find_proc:(Hashtbl.find_opt ptable)) prog.procs;
   match List.rev !errs with [] -> Ok () | es -> Error es
 
 (** [check_exn prog] raises {!Illformed} when [check] reports errors. *)

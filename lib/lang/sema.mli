@@ -27,6 +27,16 @@ val classifier :
 
 val check : Ast.program -> (unit, error list) result
 
+(** [check_proc ~find_proc p] — the errors {!check} reports for procedure
+    [p]'s own formals and body, in the same order, given the program's
+    procedure table ([find_proc name] is the first definition of [name]).
+    {!check} is the program-level checks followed by [check_proc] of
+    every procedure.  When [p] replaces a procedure of a [check]-clean
+    program with the same formal count, [check_proc] of [p] is exactly
+    [check]'s error list for the edited program. *)
+val check_proc :
+  find_proc:(string -> Ast.proc option) -> Ast.proc -> error list
+
 (** @raise Illformed when [check] reports errors. *)
 val check_exn : Ast.program -> unit
 

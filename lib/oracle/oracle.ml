@@ -557,9 +557,10 @@ let describe_outcome = function
 
 (** Drive the same random edit sequence through two live engines
     ([jobs = 1] and [jobs = N]) and, after {e every} edit, demand both
-    engines' solutions be byte-identical — via {!solution_digest} — to a
-    from-scratch solve of the current program.  This is the incremental
-    engine's whole correctness contract in one check. *)
+    engines' flow-sensitive and flow-insensitive solutions be
+    byte-identical — via {!solution_digest} — to a from-scratch solve of
+    the current program.  This is the incremental engine's whole
+    correctness contract in one check. *)
 let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
   let jobs =
     match jobs with
@@ -583,6 +584,14 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
       let d_ref = solution_digest fs in
       let d1 = solution_digest (Engine.solution e1) in
       let dn = solution_digest (Engine.solution en) in
+      (* The engines patch their FI solution rather than re-solving it. *)
+      let fi_ref = solution_digest fi in
+      let fi_diverged =
+        List.find_opt
+          (fun (_, e) ->
+            not (String.equal fi_ref (solution_digest (Engine.fi_solution e))))
+          [ (1, e1); (jobs, en) ]
+      in
       if
         not
           (String.equal (describe_outcome o1) (describe_outcome on))
@@ -592,6 +601,13 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
              "edit %d of %d (proc %s): jobs=1 chose %s, jobs=%d chose %s" i
              edits p.Ast.pname (describe_outcome o1) jobs
              (describe_outcome on))
+      else if Option.is_some fi_diverged then
+        Error
+          (fail_check "incremental:fi"
+             "edit %d of %d (proc %s, %s): jobs=%d FI solution diverged from \
+              from-scratch"
+             i edits p.Ast.pname (describe_outcome o1)
+             (fst (Option.get fi_diverged)))
       else if not (String.equal d1 d_ref) then
         Error
           (fail_check "incremental:jobs1"

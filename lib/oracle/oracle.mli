@@ -119,8 +119,9 @@ val random_edit : Random.State.t -> Ast.program -> Ast.proc
 (** [check_edit_sequence ?jobs ?edits seed] drives the same random edit
     sequence (default 5 edits) through two live incremental engines
     ([jobs = 1] and [jobs = N, N ≥ 2]) and, after every edit, checks both
-    engines' solutions are byte-identical ({!solution_digest}) to a
-    from-scratch solve of the current program, and that both engines chose
+    engines' flow-sensitive and flow-insensitive solutions are
+    byte-identical ({!solution_digest}) to a from-scratch solve of the
+    current program, and that both engines chose
     the same incremental-vs-rebuild route.  After the last edit the
     beyond-the-paper methods are checked on the final program too: cc and
     vc must be interpreter-sound and satisfy [fs ⊑ cc] / [fs ⊑ vc]. *)

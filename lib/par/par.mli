@@ -102,7 +102,7 @@ end
 
     - [order] lists the nodes to run in a topological order of [deps];
       with [jobs <= 1] they are processed sequentially in exactly this
-      order and [owners] is ignored.
+      order and [owners], [deps] and [dependents] are not read.
     - [deps.(i)] are the nodes that must complete before [i] starts;
       [dependents.(i)] is the inverse relation.  Both must mention each
       edge exactly once (no duplicates), and only nodes of [order].

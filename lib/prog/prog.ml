@@ -33,6 +33,7 @@ module Proc = struct
       !acc
 
     let map = Array.map
+    let copy = Array.copy
   end
 end
 

@@ -45,6 +45,9 @@ module Proc : sig
     val iteri : (id -> 'a -> unit) -> 'a t -> unit
     val fold : (id -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
     val map : ('a -> 'b) -> 'a t -> 'b t
+
+    val copy : 'a t -> 'a t
+    (** A fresh table with the same bindings (one array blit). *)
   end
 end
 

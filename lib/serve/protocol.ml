@@ -28,7 +28,9 @@
     - [{"cmd":"edit-proc","source":<text>}] — [<text>] parses as one or
       more procedure definitions; each replaces (or adds) the procedure of
       its name and re-analyses incrementally when the edit preserves the
-      program shape (see {!Fsicp_core.Engine});
+      program shape (see {!Fsicp_core.Engine}).  The definitions apply
+      all or nothing: if the program with all of them substituted is
+      ill-formed, none is applied;
     - [{"cmd":"solve"}] — force a full from-scratch re-analysis of the
       current program;
     - [{"cmd":"stats"}] — engine counters (edits, incremental edits,
@@ -284,15 +286,21 @@ let handle_one (st : state) (req : Json.t) : Json.t =
               | Ok edit when edit.Ast.procs = [] ->
                   error "edit-proc: no procedure definition in source"
               | Ok edit -> (
-                  match
-                    List.map
-                      (fun p ->
-                        let o = Engine.edit_proc ?jobs:st.jobs e p in
-                        Json.Obj
-                          (("proc", Json.Str p.Ast.pname) :: outcome_json o))
-                      edit.Ast.procs
-                  with
-                  | outcomes -> ok [ ("edits", Json.Arr outcomes) ]
+                  (* All or nothing: the engine checks the whole batch
+                     before it applies any edit. *)
+                  match Engine.edit_procs ?jobs:st.jobs e edit.Ast.procs with
+                  | outcomes ->
+                      ok
+                        [
+                          ( "edits",
+                            Json.Arr
+                              (List.map2
+                                 (fun (p : Ast.proc) o ->
+                                   Json.Obj
+                                     (("proc", Json.Str p.Ast.pname)
+                                     :: outcome_json o))
+                                 edit.Ast.procs outcomes) );
+                        ]
                   | exception Sema.Illformed errs ->
                       error "edit-proc: %s" (Sema.errors_to_string errs))))
   | Some "solve" ->

@@ -290,6 +290,23 @@ let root_compare a b =
     let c = String.compare a.n_name b.n_name in
     if c <> 0 then c else String.compare (args_key a.n_args) (args_key b.n_args)
 
+(* Inclusive wall time and call count per span name, over every live
+   buffer, sorted by name. *)
+let span_totals () : (string * int * float) list =
+  let tbl = Hashtbl.create 32 in
+  let rec add n =
+    let calls, secs =
+      Option.value (Hashtbl.find_opt tbl n.n_name) ~default:(0, 0.0)
+    in
+    Hashtbl.replace tbl n.n_name (calls + 1, secs +. (n.n_t1 -. n.n_t0));
+    List.iter add n.n_children
+  in
+  List.iter
+    (fun b -> if live b then List.iter add (parse_buf b))
+    (Atomic.get all_bufs);
+  Hashtbl.fold (fun name (calls, secs) acc -> (name, calls, secs) :: acc) tbl []
+  |> List.sort compare
+
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in
   String.iter

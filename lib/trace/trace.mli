@@ -113,6 +113,12 @@ val to_chrome_json : ?mode:mode -> unit -> string
 
 val write_chrome_json : ?mode:mode -> string -> unit
 
+(** Every span name recorded so far with its call count and inclusive
+    wall-clock seconds, summed over all domains and sorted by name — the
+    per-step split of a profiled run.  Must be called at a quiescent
+    point. *)
+val span_totals : unit -> (string * int * float) list
+
 (** Clear all recorded events and zero every counter (epoch included).
     O(1): it bumps a logical generation and each buffer discards its stale
     contents on its next record.  Must be called at a quiescent point. *)

@@ -311,6 +311,143 @@ let test_rebuild_spans () =
           "fi:solve"; "fs:solve";
         ])
 
+(* -- incremental FI, procedure-local Sema, step spans ----------------------- *)
+
+(* [f]'s first formal reaches [g] by pass-through, and [g] calls [f] back
+   over a PCG back edge: literal edits in [main] and [g] move FI entries
+   and records on both a forward and a back edge. *)
+let pass_src =
+  {|
+proc main() { call f(1, 5); }
+proc f(a, b) { call g(a, b); print b; }
+proc g(c, d) { if (c > 100) { call f(c, 9); } print c; }
+|}
+
+let fi_digest_of_fresh prog = Solution.digest (Fi_icp.solve (Context.create ~jobs:1 prog))
+
+let test_fi_update_matches_scratch () =
+  let e = Engine.create ~jobs:1 (parse pass_src) in
+  List.iter
+    (fun src ->
+      (match Engine.edit_proc ~jobs:1 e (proc_of src) with
+      | Engine.Incremental _ -> ()
+      | Engine.Rebuilt r -> Alcotest.failf "literal edit rebuilt: %s" r);
+      let prog = (Engine.context e).Context.prog in
+      Alcotest.(check string)
+        ("FI after " ^ src) (fi_digest_of_fresh prog)
+        (Solution.digest (Engine.fi_solution e));
+      check_matches_scratch ("FS after " ^ src) e)
+    [
+      "proc main() { call f(2, 5); }";
+      "proc main() { call f(2, 9); }";
+      "proc main() { call f(2, 9); }";
+      "proc g(c, d) { if (c > 100) { call f(c, 8); } print c; }";
+      "proc main() { call f(1, 8); }";
+    ]
+
+(* A literal argument respelled under an equal packed word (0.0 and -0.0
+   share one) must still show in the FI call record. *)
+let test_fi_update_respelled_literal () =
+  let e = Engine.create ~jobs:1 (parse "proc main() { call f(0.0); }\nproc f(x) { print x; }") in
+  let main = proc_of "proc main() { call f(0.0); }" in
+  let with_arg v =
+    {
+      main with
+      Ast.body =
+        List.map
+          (fun (st : Ast.stmt) ->
+            match st.Ast.sdesc with
+            | Ast.Call (q, [ _ ]) ->
+                { st with Ast.sdesc = Ast.Call (q, [ Ast.Const (Value.Real v) ]) }
+            | _ -> st)
+          main.Ast.body;
+    }
+  in
+  List.iter
+    (fun v ->
+      ignore (Engine.edit_proc ~jobs:1 e (with_arg v));
+      Alcotest.(check string)
+        (Printf.sprintf "FI after f(%h)" v)
+        (fi_digest_of_fresh (Engine.context e).Context.prog)
+        (Solution.digest (Engine.fi_solution e)))
+    [ -0.0; 0.0; -0.0 ]
+
+(* The error list an ill-formed edit raises. *)
+let edit_errors e p =
+  match Engine.edit_proc ~jobs:1 e p with
+  | _ -> Alcotest.fail "ill-formed edit accepted"
+  | exception Sema.Illformed es -> Sema.errors_to_string es
+
+let test_edit_sema_matches_whole_program () =
+  let e = Engine.create ~jobs:1 (parse base_src) in
+  let digest = Solution.digest (Engine.solution e) in
+  List.iter
+    (fun (what, src) ->
+      let p = proc_of src in
+      let whole =
+        let prog = (Engine.context e).Context.prog in
+        match
+          Sema.check
+            {
+              prog with
+              Ast.procs =
+                List.map
+                  (fun q -> if q.Ast.pname = p.Ast.pname then p else q)
+                  prog.Ast.procs;
+            }
+        with
+        | Ok () -> Alcotest.failf "%s: whole-program check passed" what
+        | Error es -> Sema.errors_to_string es
+      in
+      Alcotest.(check string) what whole (edit_errors e p);
+      Alcotest.(check string)
+        (what ^ ": solution untouched") digest
+        (Solution.digest (Engine.solution e)))
+    [
+      ("called procedure's formal count", "proc h(y, z) { g = g + y; }");
+      ("call to an undefined procedure", "proc f(n) { call nosuch(n); }");
+      ( "arity and names in one body",
+        "proc f(n, n) { h = 1; call h(n, n); call f(1); }" );
+    ];
+  Alcotest.(check (list (pair string int)))
+    "no edit counted"
+    [ ("edits", 0); ("incremental_edits", 0); ("rebuilds", 0) ]
+    (List.filter
+       (fun (k, _) -> k <> "procs" && k <> "edit_epoch")
+       (Engine.stats e))
+
+(* A traced incremental edit records one span per step. *)
+let test_incremental_spans () =
+  with_trace (fun () ->
+      let e = Engine.create ~jobs:1 (parse base_src) in
+      Trace.reset ();
+      ignore (Engine.edit_proc ~jobs:1 e (f_with 7));
+      let names = List.map (fun (n, _, _) -> n) (Trace.span_totals ()) in
+      List.iter
+        (fun span ->
+          Alcotest.(check bool) (span ^ " span recorded") true
+            (List.mem span names))
+        [
+          "engine:edit"; "engine:sema"; "engine:summary"; "engine:invalidate";
+          "fi:update"; "engine:seeds"; "fs:resolve";
+        ])
+
+(* A batch whose prefix is ill-formed on its own (a formal added to [h]
+   before [f]'s call to it is fixed) still applies as a whole. *)
+let test_batch_with_illformed_prefix () =
+  let e = Engine.create ~jobs:1 (parse base_src) in
+  let outcomes =
+    Engine.edit_procs ~jobs:1 e
+      [
+        proc_of "proc h(y, z) { g = g + y + z; }";
+        proc_of "proc f(n) { x = n + 2; g = g + x; call h(x, 4); }";
+      ]
+  in
+  Alcotest.(check int) "one outcome per edit" 2 (List.length outcomes);
+  check_matches_scratch "batch = from-scratch" e;
+  Alcotest.(check (option int)) "both edits counted" (Some 2)
+    (List.assoc_opt "edits" (Engine.stats e))
+
 let suite =
   [
     Alcotest.test_case "shape-preserving edit is incremental" `Quick
@@ -337,4 +474,14 @@ let suite =
       test_formal_store_refreshes_caller;
     Alcotest.test_case "rebuild records a span per step" `Quick
       test_rebuild_spans;
+    Alcotest.test_case "incremental FI matches a fresh solve" `Quick
+      test_fi_update_matches_scratch;
+    Alcotest.test_case "edit errors equal whole-program Sema" `Quick
+      test_edit_sema_matches_whole_program;
+    Alcotest.test_case "incremental edit records a span per step" `Quick
+      test_incremental_spans;
+    Alcotest.test_case "batch with an ill-formed prefix applies whole" `Quick
+      test_batch_with_illformed_prefix;
+    Alcotest.test_case "incremental FI keeps a respelled literal" `Quick
+      test_fi_update_respelled_literal;
   ]

@@ -18,7 +18,7 @@ let parse = Test_util.parse
 let map_entries f (sol : Solution.t) =
   Solution.make ~method_name:sol.Solution.method_name ~db:sol.Solution.db
     ~entries:(Prog.Proc.Tbl.map f sol.Solution.entries)
-    ~call_records:sol.Solution.call_records ~scc_runs:sol.Solution.scc_runs
+    ~call_records:(Solution.call_records sol) ~scc_runs:sol.Solution.scc_runs
     ~scc_results:sol.Solution.scc_results
 
 (* ------------------------------------------------------------------ *)

@@ -282,6 +282,35 @@ let test_dispatch_batch () =
       Alcotest.(check bool) "bad element fails alone" false (ok_of bad)
   | resp -> Alcotest.failf "batch answered %s" (Json.to_string resp)
 
+(* A multi-procedure edit applies all or nothing: a batch whose second
+   procedure calls an undefined one leaves the program, the solution and
+   the edit counters exactly as they were. *)
+let test_failing_batch_is_atomic () =
+  let st = Protocol.make_state ~jobs:1 ~version:"test" () in
+  Alcotest.(check bool) "load ok" true
+    (ok_of
+       (req st
+          (Json.to_string
+             (Json.Obj
+                [ ("cmd", Json.Str "load"); ("source", Json.Str prog_src) ]))));
+  let snapshot () =
+    ( Json.str_member "program" (req st {|{"cmd":"dump-program"}|}),
+      Json.str_member "digest" (req st {|{"cmd":"digest"}|}),
+      Json.to_string
+        (Option.get (Json.member "engine" (req st {|{"cmd":"stats"}|}))) )
+  in
+  let before = snapshot () in
+  let resp =
+    req st
+      {|{"cmd":"edit-proc","source":"proc f(n) { x = n + 7; g = g + x; call h(x); } proc h(y) { call nosuch(1); }"}|}
+  in
+  Alcotest.(check bool) "batch fails" false (ok_of resp);
+  let program, digest, stats = snapshot () in
+  let program0, digest0, stats0 = before in
+  Alcotest.(check (option string)) "program unchanged" program0 program;
+  Alcotest.(check (option string)) "digest unchanged" digest0 digest;
+  Alcotest.(check string) "no edit counted" stats0 stats
+
 (* -- live daemon ----------------------------------------------------------- *)
 
 (* A short socket path under /tmp: sun_path is ~104 bytes, so the build
@@ -352,4 +381,6 @@ let suite =
     Alcotest.test_case "dispatch: batch frame" `Quick test_dispatch_batch;
     Alcotest.test_case "live daemon over a Unix socket" `Quick
       test_live_daemon;
+    Alcotest.test_case "dispatch: failing edit batch is atomic" `Quick
+      test_failing_batch_is_atomic;
   ]
