@@ -256,6 +256,14 @@ let replace_proc t (prog : Ast.program) (p : Ast.proc) =
   t.prog <- prog;
   Hashtbl.replace t.asts p.Ast.pname p
 
+(** The PCG of [prog], which calls exactly what [t]'s program calls: a new
+    record sharing [t]'s nodes, edges, adjacency, call-site numbering,
+    back-edge bits and wavefront lists, with its own program and its own
+    name index.  [t]'s index is never touched, so [t] keeps answering
+    {!proc_ast} with its own program's procedures. *)
+let with_program t (prog : Ast.program) : t =
+  { t with prog; asts = index_asts prog }
+
 (** The wavefront's dependency lists: per procedure id, the distinct
     callers over forward (non-back) edges in ascending order, and per id
     the procedures it is such a caller of, ascending.  They depend on the
@@ -292,48 +300,67 @@ let back_edge_ratio t =
   if total = 0 then 0.0
   else float_of_int (Prog.Bits.count t.back_bits) /. float_of_int total
 
-(** Strongly-connected components (Tarjan), in reverse topological order of
-    the condensation.  Runs on the dense int graph; names are restored only
-    in the returned components. *)
-let sccs (t : t) : string list list =
+(** Strongly connected components (Tarjan) over the call edges: [f]
+    receives each component's node ids, callees' components first (reverse
+    topological order of the condensation).  An explicit frame stack, since
+    generated call chains run 10⁵ deep. *)
+let iter_sccs (t : t) (f : int list -> unit) =
   let n = n_procs t in
-  let indices = Array.make n (-1) in
-  let lowlink = Array.make n (-1) in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comps = ref [] in
-  let rec strongconnect v =
-    indices.(v) <- !counter;
-    lowlink.(v) <- !counter;
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Bytes.make n '\000' in
+  let frame_v = Array.make n 0 and frame_k = Array.make n 0 in
+  let depth = ref 0 and counter = ref 0 and stack = ref [] in
+  let push v =
+    index.(v) <- !counter;
+    low.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    on_stack.(v) <- true;
-    Array.iter
-      (fun e ->
-        let w = (e.callee :> int) in
-        if indices.(w) < 0 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) indices.(w))
-      t.out_adj.(v);
-    if lowlink.(v) = indices.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: tl ->
-            stack := tl;
-            on_stack.(w) <- false;
-            let name = Prog.proc_name t.db t.nodes.(w) in
-            if w = v then name :: acc else pop (name :: acc)
-      in
-      comps := pop [] :: !comps
-    end
+    Bytes.set on_stack v '\001';
+    frame_v.(!depth) <- v;
+    frame_k.(!depth) <- 0;
+    incr depth
   in
-  for v = 0 to n - 1 do
-    if indices.(v) < 0 then strongconnect v
-  done;
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      push root;
+      while !depth > 0 do
+        let d = !depth - 1 in
+        let v = frame_v.(d) and k = frame_k.(d) in
+        let out = t.out_adj.(v) in
+        if k < Array.length out then begin
+          frame_k.(d) <- k + 1;
+          let w = (out.(k).callee :> int) in
+          if index.(w) < 0 then push w
+          else if Bytes.get on_stack w = '\001' then
+            low.(v) <- min low.(v) index.(w)
+        end
+        else begin
+          depth := d;
+          if d > 0 then begin
+            let u = frame_v.(d - 1) in
+            low.(u) <- min low.(u) low.(v)
+          end;
+          if low.(v) = index.(v) then begin
+            let rec pop acc =
+              match !stack with
+              | [] -> acc
+              | w :: tl ->
+                  stack := tl;
+                  Bytes.set on_stack w '\000';
+                  if w = v then w :: acc else pop (w :: acc)
+            in
+            f (pop [])
+          end
+        end
+      done
+    end
+  done
+
+(** {!iter_sccs} as lists of names. *)
+let sccs (t : t) : string list list =
+  let comps = ref [] in
+  iter_sccs t (fun c ->
+      comps := List.map (fun v -> Prog.proc_name t.db t.nodes.(v)) c :: !comps);
   List.rev !comps
 
 let pp ppf t =

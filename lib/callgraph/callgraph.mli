@@ -98,6 +98,14 @@ val cone : t -> seeds:Prog.Proc.id list -> Prog.Proc.id array
     verifies this before calling. *)
 val replace_proc : t -> Ast.program -> Ast.proc -> unit
 
+(** [with_program t prog] is the PCG of [prog], in contract only when
+    [prog] has [t]'s entry and procedure names and every procedure makes
+    the calls it makes in [t]'s program: a new record that shares [t]'s
+    nodes, edges, adjacency, call-site numbering, back-edge bits and
+    wavefront lists, with its own program and name index.  [t] is left
+    untouched. *)
+val with_program : t -> Ast.program -> t
+
 (** The wavefront's dependency lists: per procedure id, its distinct
     forward-edge callers, ascending; and per id, the procedures it is such
     a caller of, ascending.  Computed on first use and then shared by every
@@ -108,8 +116,13 @@ val forward_deps : t -> int list array * int list array
     the combined FS solution is (§3.2): 0 means pure flow-sensitive. *)
 val back_edge_ratio : t -> float
 
-(** Strongly connected components (Tarjan), reverse topological order of
-    the condensation. *)
+(** Strongly connected components (Tarjan): the function receives each
+    component's node ids, callees' components first (reverse topological
+    order of the condensation).  Iterative, so call-chain depth is not
+    bounded by the native stack. *)
+val iter_sccs : t -> (int list -> unit) -> unit
+
+(** {!iter_sccs} as lists of names, in the same order. *)
 val sccs : t -> string list list
 
 val pp : t Fmt.t

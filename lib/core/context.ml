@@ -36,6 +36,7 @@ let c_ssa_hits = Trace.counter "ssa.cache_hits"
 (* Artifacts a [create ~prev] carried over instead of rebuilding. *)
 let c_lower_reused = Trace.counter "lower.reused"
 let c_ssa_reused = Trace.counter "ssa.reused"
+let c_pcg_reused = Trace.counter "callgraph.reused"
 
 (** Raw reference-parameter alias lists of every formal or global a
     procedure directly assigns, as parallel arrays sorted by
@@ -179,22 +180,50 @@ let alias_kills_equal (a : alias_kills) (b : alias_kills) : bool =
   a.ak_keys = b.ak_keys
   && Array.for_all2 (List.equal Ir.Var.equal) a.ak_lists b.ak_lists
 
+(* Does [prog] make exactly the calls [c]'s program makes?  Same entry,
+   same procedure names in the same order, and every procedure whose
+   summary was not carried over from [c] keeps its formals and its call
+   shapes.  The PCG and the alias pairs read nothing else, so they then
+   come out as [c]'s. *)
+let same_calls (c : t) (summaries : Summary.t) (prog : Ast.program) : bool =
+  String.equal prog.Ast.main c.prog.Ast.main
+  && List.equal
+       (fun (p : Ast.proc) (q : Ast.proc) ->
+         String.equal p.Ast.pname q.Ast.pname)
+       prog.Ast.procs c.prog.Ast.procs
+  && List.for_all
+       (fun (p : Ast.proc) ->
+         let s = Summary.find summaries p.Ast.pname in
+         match Hashtbl.find_opt c.summaries.Summary.table p.Ast.pname with
+         | Some old ->
+             s == old
+             || List.equal String.equal s.Summary.ps_formals
+                  old.Summary.ps_formals
+                && Summary.calls_shape_equal s.Summary.ps_calls
+                     old.Summary.ps_calls
+         | None -> false)
+       prog.Ast.procs
+
 (** Build the context for a {!Sema.check}-clean program.  [jobs] bounds the
     domains used for per-procedure lowering (default
     {!Fsicp_par.Par.default_jobs}); the result is identical for every
     value.
 
-    [prev] is the context of an earlier version of the same program.  The
-    whole-program phases (PCG, aliasing, MOD/REF) run as without it, but
-    per-procedure artifacts whose inputs provably did not change are taken
-    over from [prev] by procedure name:
-    - the summary and the lowered IR, when the procedure's AST node and
-      the globals list are physically [prev]'s (both read nothing else);
+    [prev] is the context of an earlier version of the same program.
+    MOD/REF runs as without it; everything else whose inputs provably did
+    not change is taken over from [prev]:
+    - the PCG and the alias pairs, when the program makes the same calls
+      ({!same_calls}); the PCG gets its own program and name index
+      ({!Callgraph.with_program});
+    - by procedure name, the summary and the lowered IR, when the
+      procedure's AST node and the globals list are physically [prev]'s
+      (both read nothing else);
     - the SSA form, with the SCC entry-vector memo inside it, when in
       addition the procedure's own MOD and REF closures, those of each of
       its callees, and its alias-kill table equal [prev]'s — exactly what
       the SSA side-effect oracle ({!effects_for}) reads.
-    Proc ids are never carried over: IR and SSA hold none. *)
+    Proc ids are never carried over into per-procedure artifacts: IR and
+    SSA hold none. *)
 let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
   let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
   let prev =
@@ -205,12 +234,28 @@ let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
   in
   let pcg, summaries, aliases, modref =
     Trace.span "context:ipa" @@ fun () ->
-    let pcg = Callgraph.build prog in
     let summaries =
+      Trace.span "ipa:summary" @@ fun () ->
       Summary.collect ?prev:(Option.map (fun c -> c.summaries) prev) prog
     in
-    let aliases = Alias.compute summaries pcg in
-    (pcg, summaries, aliases, Modref.compute summaries aliases pcg)
+    let carried, pcg =
+      Trace.span "ipa:callgraph" @@ fun () ->
+      match prev with
+      | Some c when same_calls c summaries prog ->
+          Trace.incr c_pcg_reused;
+          (Some c, Callgraph.with_program c.pcg prog)
+      | Some _ | None -> (None, Callgraph.build prog)
+    in
+    let aliases =
+      Trace.span "ipa:alias" @@ fun () ->
+      match carried with
+      | Some c -> c.aliases
+      | None -> Alias.compute summaries pcg
+    in
+    let modref =
+      Trace.span "ipa:modref" (fun () -> Modref.compute summaries aliases pcg)
+    in
+    (pcg, summaries, aliases, modref)
   in
   (* [prev]'s id for a procedure whose AST node it shares. *)
   let same_in_prev pid =
@@ -230,12 +275,13 @@ let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
     in
     (lowered, compute_alias_kills aliases summaries pcg lowered)
   in
-  let closures_equal (c : t) pid =
-    let name = Callgraph.proc_name pcg pid in
-    Summary.VrefSet.equal (Modref.gmod_of modref name)
-      (Modref.gmod_of c.modref name)
-    && Summary.VrefSet.equal (Modref.gref_of modref name)
-         (Modref.gref_of c.modref name)
+  (* Bit comparisons, once the numbering is known to be shared. *)
+  let closures_equal =
+    match prev with
+    | Some c when Modref.same_numbering modref c.modref ->
+        fun pid ->
+          Modref.closures_equal modref c.modref (Callgraph.proc_name pcg pid)
+    | Some _ | None -> fun _ -> false
   in
   let carried_ssa pid =
     Option.bind (same_in_prev pid) (fun (c, old) ->
@@ -247,10 +293,10 @@ let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
         | Some ssa, Some ir, Some kills
           when ir == Prog.Proc.Tbl.get lowered pid
                && alias_kills_equal kills (Prog.Proc.Tbl.get alias_kills pid)
-               && closures_equal c pid
+               && closures_equal pid
                && Array.for_all
                     (fun (e : Callgraph.edge) ->
-                      closures_equal c e.Callgraph.callee)
+                      closures_equal e.Callgraph.callee)
                     (Callgraph.out_edges pcg pid) ->
             Trace.incr c_ssa_reused;
             Some ssa

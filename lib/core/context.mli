@@ -59,15 +59,19 @@ type t = {
     value.
 
     [prev], the context of an earlier version of the program, lets
-    per-procedure artifacts with provably unchanged inputs carry over by
-    procedure name; the whole-program phases run as without it, and every
-    analysis result is identical either way.  Summaries and lowered IR
-    carry over when the procedure's AST node and the program's globals
-    list are physically [prev]'s.  An SSA form (with its SCC entry-vector
-    memo) carries over when, in addition, the procedure's own MOD/REF
-    closures, its callees' closures and its alias-kill table all equal
-    [prev]'s.  Trace counters ["lower.reused"] and ["ssa.reused"] count
-    the carried artifacts.  A streaming [prev] is ignored. *)
+    artifacts with provably unchanged inputs carry over; MOD/REF runs as
+    without it, and every analysis result is identical either way.  The
+    PCG and the alias pairs carry over when the program has [prev]'s entry
+    and procedure names and every procedure whose summary did not carry
+    over keeps its formals and call shapes; the PCG then gets its own
+    program and name index ({!Callgraph.with_program}).  Summaries and
+    lowered IR carry over by procedure name when the procedure's AST node
+    and the program's globals list are physically [prev]'s.  An SSA form
+    (with its SCC entry-vector memo) carries over when, in addition, the
+    procedure's own MOD/REF closures, its callees' closures and its
+    alias-kill table all equal [prev]'s.  Trace counters
+    ["callgraph.reused"], ["lower.reused"] and ["ssa.reused"] count the
+    carried artifacts.  A streaming [prev] is ignored. *)
 val create : ?floats:bool -> ?jobs:int -> ?prev:t -> Ast.program -> t
 
 (** Streaming variant of {!create} for 10⁴–10⁶-procedure corpora: the

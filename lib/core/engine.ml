@@ -25,16 +25,18 @@
 
     - {b rebuild} — when the shape changes (procedure added, call site
       added/removed/retargeted, formals or immediate MOD/REF changed): a
-      fresh context is built and both solutions are solved over it.  The
-      whole-program phases (PCG, aliasing, MOD/REF, FI, the FS wavefront)
-      run as on a cold start, but the new context is built with the old
-      one as [~prev] ({!Context.create}), so per-procedure artifacts whose
-      inputs are unchanged carry over by name instead of being rebuilt:
-      the summary and lowered IR of every procedure whose AST node and the
-      globals list are physically the old ones, and the SSA form (with its
-      SCC entry-vector memo) of every such procedure whose own MOD/REF
-      closures, callees' closures and alias-kill table are also unchanged.
-      A store added at one procedure's head typically leaves all but its
+      fresh context is built and both solutions are solved over it.
+      MOD/REF, FI and the FS wavefront run as on a cold start, but the new
+      context is built with the old one as [~prev] ({!Context.create}),
+      so whatever provably did not change carries over instead of being
+      rebuilt: the PCG and the alias pairs when no call changed (same
+      procedures, and every re-summarized procedure keeps its formals,
+      callees and argument shapes); by name, the summary and lowered IR of
+      every procedure whose AST node and the globals list are physically
+      the old ones, and the SSA form (with its SCC entry-vector memo) of
+      every such procedure whose own MOD/REF closures, callees' closures
+      and alias-kill table are also unchanged.  A store added at one
+      procedure's head keeps the PCG and aliases and leaves all but its
       ancestors' SSA in place.
 
     Either way the resulting {!solution} is identical to a from-scratch
@@ -96,24 +98,6 @@ let stats t : (string * int) list =
     ("edit_epoch", Context.current_epoch t.ctx);
   ]
 
-(* Argument shapes must match constructor-for-constructor, but two
-   literals may carry different payloads: literal argument values feed
-   only the flow-insensitive solve (re-run in full on every edit) and the
-   flow-sensitive records of the dirty cone — never the alias or MOD/REF
-   phases, which see only which positions are by-reference. *)
-let args_shape_equal (a : Summary.arg_summary array)
-    (b : Summary.arg_summary array) : bool =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i x ->
-      match (x, b.(i)) with
-      | Summary.Alit _, Summary.Alit _ -> ()
-      | x, y -> if x <> y then ok := false)
-    a;
-  !ok
-
 (** Is the edited procedure's IPA summary shape-equal to its previous one?
     Shape equality is exactly the condition under which the PCG, the alias
     pairs and the MOD/REF closures of the {e whole program} are unchanged:
@@ -124,12 +108,7 @@ let summary_shape_equal (a : Summary.proc_summary)
   List.equal String.equal a.Summary.ps_formals b.Summary.ps_formals
   && Summary.VrefSet.equal a.Summary.ps_imod b.Summary.ps_imod
   && Summary.VrefSet.equal a.Summary.ps_iref b.Summary.ps_iref
-  && List.equal
-       (fun (x : Summary.call_summary) (y : Summary.call_summary) ->
-         String.equal x.Summary.cs_callee y.Summary.cs_callee
-         && x.Summary.cs_index = y.Summary.cs_index
-         && args_shape_equal x.Summary.cs_args y.Summary.cs_args)
-       a.Summary.ps_calls b.Summary.ps_calls
+  && Summary.calls_shape_equal a.Summary.ps_calls b.Summary.ps_calls
 
 let rebuild ?jobs t prog reason : outcome =
   let ctx, fi_table, fi, fs =

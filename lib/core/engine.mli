@@ -8,8 +8,9 @@
     and re-drives the flow-sensitive wavefront over the downstream cone of
     the edit (plus back-edge-reached procedures whose flow-insensitive
     records changed); a shape-changing edit rebuilds the context, carrying
-    over every procedure's summary, lowering and SSA whose inputs did not
-    change ({!Context.create}'s [prev]).
+    over the PCG and alias pairs when no call changed, and every
+    procedure's summary, lowering and SSA whose inputs did not change
+    ({!Context.create}'s [prev]).
     In both cases {!solution} is identical to a from-scratch solve of the
     edited program, at any [jobs] — the differential oracle checks this
     byte-for-byte over random edit sequences. *)
@@ -53,10 +54,3 @@ val edit_proc : ?jobs:int -> t -> Ast.proc -> outcome
     @raise Sema.Illformed when that program fails {!Sema.check}; engine
     state is untouched in that case. *)
 val edit_procs : ?jobs:int -> t -> Ast.proc list -> outcome list
-
-(**/**)
-
-(** Exposed for tests: shape equality of two procedure summaries — the
-    exact condition for the incremental route. *)
-val summary_shape_equal :
-  Fsicp_ipa.Summary.proc_summary -> Fsicp_ipa.Summary.proc_summary -> bool

@@ -158,7 +158,8 @@ let constant_globals t : (string * string * Fsicp_lang.Value.t) list =
 
 let find_call_record t ~caller ~cs_index =
   let row = Prog.Proc.Tbl.get t.call_index caller in
-  if cs_index < Array.length row then row.(cs_index) else None
+  if cs_index >= 0 && cs_index < Array.length row then row.(cs_index)
+  else None
 
 (** Canonical full print — every field down to the per-procedure SCC
     results — keyed by {e names}, never by the ids a particular context

@@ -99,6 +99,8 @@ val global_value : t -> string -> string -> Lattice.t
 val constant_formals : t -> (string * int * Fsicp_lang.Value.t) list
 val constant_globals : t -> (string * string * Fsicp_lang.Value.t) list
 
+(** The record of the caller's call site [cs_index]; [None] when the
+    caller has no such site (a negative index included). *)
 val find_call_record :
   t -> caller:Prog.Proc.id -> cs_index:int -> callsite_record option
 

@@ -59,6 +59,13 @@ let formals_aliasing_formal t proc i =
       if j = i then k :: acc else if k = i then j :: acc else acc)
     a.ff []
 
+(** Every alias pair of [proc]: [ff i j] for formals [i < j], [fg i g] for
+    formal [i] and global [g]. *)
+let iter_pairs t proc ~ff ~fg =
+  let a = find t proc in
+  IntPairSet.iter (fun (i, j) -> ff i j) a.ff;
+  IntStrSet.iter (fun (i, g) -> fg i g) a.fg
+
 let compute (summaries : Summary.t) (pcg : Fsicp_callgraph.Callgraph.t) : t =
   let table = Hashtbl.create 16 in
   let get name = Option.value (Hashtbl.find_opt table name) ~default:empty_aliases in

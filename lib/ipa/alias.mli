@@ -13,5 +13,12 @@ val formals_may_alias : t -> string -> int -> int -> bool
 val formal_global_may_alias : t -> string -> int -> string -> bool
 val globals_aliasing_formal : t -> string -> int -> string list
 val formals_aliasing_formal : t -> string -> int -> int list
+
+(** Every alias pair of the procedure: [ff i j] for formals [i < j],
+    [fg i g] for formal [i] and global [g]. *)
+val iter_pairs :
+  t -> string -> ff:(int -> int -> unit) -> fg:(int -> string -> unit) ->
+  unit
+
 val compute : Summary.t -> Fsicp_callgraph.Callgraph.t -> t
 val pp : t Fmt.t

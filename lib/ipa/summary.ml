@@ -136,6 +136,33 @@ let collect ?prev (prog : Ast.program) : t =
     prog.Ast.procs;
   { prog; table }
 
+(** Argument shapes match constructor-for-constructor, but two literals
+    may carry different payloads: literal argument values feed only the
+    constant propagation methods, never the PCG, alias or MOD/REF phases,
+    which see only which positions are by-reference and to what. *)
+let args_shape_equal (a : arg_summary array) (b : arg_summary array) : bool =
+  Array.length a = Array.length b
+  &&
+  let ok = ref true in
+  Array.iteri
+    (fun i x ->
+      match (x, b.(i)) with
+      | Alit _, Alit _ -> ()
+      | x, y -> if x <> y then ok := false)
+    a;
+  !ok
+
+(** Call for call: the same callee at the same index with equal argument
+    shapes. *)
+let calls_shape_equal (a : call_summary list) (b : call_summary list) : bool
+    =
+  List.equal
+    (fun x y ->
+      String.equal x.cs_callee y.cs_callee
+      && x.cs_index = y.cs_index
+      && args_shape_equal x.cs_args y.cs_args)
+    a b
+
 let find t name : proc_summary =
   match Hashtbl.find_opt t.table name with
   | Some s -> s

@@ -54,4 +54,9 @@ val summarize_proc : Ast.program -> Ast.proc -> proc_summary
     summary instead of being summarized again. *)
 val collect : ?prev:t -> Ast.program -> t
 
+(** Call for call: the same callee at the same index with equal argument
+    shapes, where any two literals match — the PCG, alias and MOD/REF
+    phases never read literal values. *)
+val calls_shape_equal : call_summary list -> call_summary list -> bool
+
 val find : t -> string -> proc_summary

@@ -81,13 +81,6 @@ val invalidate_memo : Ssa.proc -> unit
     {!invalidate_memo}; at most the internal capacity, currently 8). *)
 val memo_size : Ssa.proc -> int
 
-(** The original list/Hashtbl/Queue formulation over the boxed lattice,
-    kept as the executable specification: no arena, no dedup, no memo, no
-    packed arithmetic (packed only at the hooks and the final encode).
-    The unique SCC fixpoint makes it interchangeable with {!run}; the
-    test-suite asserts this value-for-value and edge-for-edge. *)
-val run_reference : ?config:config -> Ssa.proc -> result
-
 (** Is dense edge [e] of the result's procedure executable? *)
 val edge_bit : result -> int -> bool
 

@@ -162,13 +162,13 @@ let outcome_json = function
    volume, SCC memo behaviour, sharded-wavefront progress (procedures
    solved, cross-shard handoffs, frontier high-water mark), worker
    domains spawned, which stays at [jobs - 1] once the pool is warm, and
-   the lowerings and SSA forms a rebuild carried over unchanged. *)
+   the PCGs, lowerings and SSA forms a rebuild carried over unchanged. *)
 let traced_counters =
   [
     "fs.resolve.dirty"; "fs.resolve.reused"; "scc.runs"; "scc.memo_hits";
     "scc.memo_evictions"; "scc.block_visits"; "par.shard.solved";
     "par.shard.handoffs"; "par.shard.frontier_peak"; "par.domains_spawned";
-    "lower.reused"; "ssa.reused";
+    "callgraph.reused"; "lower.reused"; "ssa.reused";
   ]
 
 let handle_one (st : state) (req : Json.t) : Json.t =

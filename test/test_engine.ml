@@ -6,6 +6,7 @@
 
 open Fsicp_lang
 open Fsicp_core
+module Callgraph = Fsicp_callgraph.Callgraph
 module Trace = Fsicp_trace.Trace
 module Scc = Fsicp_scc.Scc
 module Oracle = Fsicp_oracle.Oracle
@@ -286,6 +287,90 @@ proc h() { print 1; }
     (ssa_shared before after "h");
   check_matches_scratch "formal store = from-scratch" e
 
+(* The PCG as names: nodes in order, edges in order with their back
+   flags, and the back-edge bit of every call site. *)
+let pcg_view (pcg : Callgraph.t) =
+  let name = Callgraph.proc_name pcg in
+  ( Array.to_list (Array.map name pcg.Callgraph.nodes),
+    List.map
+      (fun (e : Callgraph.edge) ->
+        (name e.Callgraph.caller, name e.Callgraph.callee, e.Callgraph.cs_index,
+         e.Callgraph.back))
+      pcg.Callgraph.edges,
+    Array.to_list pcg.Callgraph.nodes
+    |> List.concat_map (fun caller ->
+           List.init (Callgraph.n_call_sites pcg caller) (fun cs_index ->
+               Callgraph.is_back_edge_at pcg ~caller ~cs_index)) )
+
+(* Alias pairs and MOD/REF of every procedure, as sorted lists. *)
+let ipa_view (ctx : Context.t) =
+  List.map
+    (fun (p : Ast.proc) ->
+      let name = p.Ast.pname in
+      let ff = ref [] and fg = ref [] in
+      Fsicp_ipa.Alias.iter_pairs ctx.Context.aliases name
+        ~ff:(fun i j -> ff := (i, j) :: !ff)
+        ~fg:(fun i g -> fg := (i, g) :: !fg);
+      let elements s =
+        List.map
+          (Fmt.str "%a" Fsicp_ipa.Summary.Vref.pp)
+          (Fsicp_ipa.Summary.VrefSet.elements s)
+      in
+      let modref = ctx.Context.modref in
+      ( name,
+        List.sort compare !ff,
+        List.sort compare !fg,
+        elements (Fsicp_ipa.Modref.gmod_of modref name),
+        elements (Fsicp_ipa.Modref.gref_of modref name),
+        List.map Fsicp_cfg.Ir.Var.name
+          (Fsicp_ipa.Modref.call_global_refs modref ~callee:name) ))
+    ctx.Context.prog.Ast.procs
+
+let check_ipa_cold msg (ctx : Context.t) =
+  let cold = Context.create ~jobs:1 ctx.Context.prog in
+  Alcotest.(check bool)
+    (msg ^ ": PCG = cold build") true
+    (pcg_view ctx.Context.pcg = pcg_view cold.Context.pcg);
+  Alcotest.(check bool)
+    (msg ^ ": aliases and MOD/REF = cold build") true
+    (ipa_view ctx = ipa_view cold)
+
+(* The toggle edit changes no call: the rebuild carries the PCG and the
+   alias pairs over, and they, with MOD/REF, equal a cold build's.  The
+   old PCG keeps answering with the old program.  An edit that adds a
+   call builds both afresh. *)
+let test_toggle_edit_carries_pcg () =
+  let prog = spice () in
+  let e = Engine.create ~jobs:1 prog in
+  let before = Engine.context e in
+  let reused0 = Trace.counter_total "callgraph.reused" in
+  let edit = toggle_edit prog in
+  expect_rebuilt e edit;
+  let after = Engine.context e in
+  Alcotest.(check int) "PCG carried" 1
+    (Trace.counter_total "callgraph.reused" - reused0);
+  Alcotest.(check bool) "aliases carried" true
+    (after.Context.aliases == before.Context.aliases);
+  let old_ast =
+    Callgraph.find_ast before.Context.pcg edit.Ast.pname |> Option.get
+  in
+  Alcotest.(check bool) "old PCG keeps the old AST" true
+    (old_ast != edit
+    && Option.get (Callgraph.find_ast after.Context.pcg edit.Ast.pname)
+       == edit);
+  check_ipa_cold "toggle" after;
+  let e = Engine.create ~jobs:1 (parse carry_src) in
+  let before = Engine.context e in
+  let reused0 = Trace.counter_total "callgraph.reused" in
+  expect_rebuilt e (proc_of "proc b(y) { g = g + y; call c(); }");
+  let after = Engine.context e in
+  Alcotest.(check int) "new call: PCG rebuilt" 0
+    (Trace.counter_total "callgraph.reused" - reused0);
+  Alcotest.(check bool) "new call: aliases recomputed" true
+    (after.Context.aliases != before.Context.aliases);
+  check_ipa_cold "new call" after;
+  check_matches_scratch "new call = from-scratch" e
+
 (* A traced rebuild records one span per step. *)
 let test_rebuild_spans () =
   with_trace (fun () ->
@@ -307,7 +392,8 @@ let test_rebuild_spans () =
             (span ^ " span recorded") true
             (mentions (Printf.sprintf "\"name\":\"%s\"" span)))
         [
-          "engine:edit"; "context:ipa"; "context:lower"; "engine:ssa";
+          "engine:edit"; "context:ipa"; "ipa:summary"; "ipa:callgraph";
+          "ipa:alias"; "ipa:modref"; "context:lower"; "engine:ssa";
           "fi:solve"; "fs:solve";
         ])
 
@@ -484,4 +570,6 @@ let suite =
       test_batch_with_illformed_prefix;
     Alcotest.test_case "incremental FI keeps a respelled literal" `Quick
       test_fi_update_respelled_literal;
+    Alcotest.test_case "SPICE toggle edit carries the PCG and aliases"
+      `Quick test_toggle_edit_carries_pcg;
   ]

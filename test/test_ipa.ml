@@ -230,6 +230,123 @@ let test_use_vs_ref () =
   Alcotest.(check bool) "REF keeps g for main" true
     (Modref.global_referenced_in modref "main" "g")
 
+(* Alias pairs need not be transitive: f's formals 0~1 come from one call
+   and 1~2 from the other, and 0~2 from neither.  MOD is closed under the
+   pairs as a chain all the same, as it always has been: a store to [a]
+   reaches [c] through [b]. *)
+let test_mod_alias_chain () =
+  let _, _, _, aliases, modref =
+    setup
+      {|global u;
+        proc main() { x = 1; y = 2; z = 3; call f(x, x, y); call f(y, z, z); }
+        proc f(a, b, c) { a = 1; }|}
+  in
+  Alcotest.(check bool) "0 and 2 do not alias" false
+    (Alias.formals_may_alias aliases "f" 0 2);
+  Alcotest.(check (list int)) "MOD(f) formals" [ 0; 1; 2 ]
+    (List.filter (Modref.formal_modified modref "f") [ 0; 1; 2 ])
+
+(* -- MOD/REF against the round-robin reference ------------------------- *)
+
+(* A random program for the MOD/REF property, as source text: up to 130
+   globals (so sets span several words), procedures calling one another at
+   random (recursive components of several procedures), and actuals that
+   are formals, globals, literals, locals, expressions or the previous
+   actual repeated. *)
+let modref_source seed =
+  let r = Random.State.make [| seed |] in
+  let pick n = Random.State.int r n in
+  let ng = [| 3; 8; 70; 130 |].(pick 4) in
+  let np = 2 + pick 7 in
+  let arity = Array.init np (fun _ -> pick 4) in
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  add "global %s;\n"
+    (String.concat ", " (List.init ng (Printf.sprintf "g%d")));
+  let global () = Printf.sprintf "g%d" (pick ng) in
+  let call nf q =
+    let args = ref [] in
+    for _ = 1 to arity.(q) do
+      let a =
+        match (pick 7, !args) with
+        | 0, prev :: _ -> prev
+        | (0 | 1), _ when nf > 0 -> Printf.sprintf "f%d" (pick nf)
+        | 2, _ -> global ()
+        | 3, _ -> string_of_int (pick 9)
+        | 4, _ -> "l"
+        | 5, _ -> "l + 1"
+        | _, _ -> global ()
+      in
+      args := a :: !args
+    done;
+    add "call p%d(%s); " q (String.concat ", " (List.rev !args))
+  in
+  add "proc main() { l = 1; ";
+  call 0 0;
+  call 0 (pick np);
+  add "}\n";
+  for k = 0 to np - 1 do
+    let nf = arity.(k) in
+    add "proc p%d(%s) { l = 1; " k
+      (String.concat ", " (List.init nf (Printf.sprintf "f%d")));
+    let operand () =
+      match pick 4 with
+      | 0 when nf > 0 -> Printf.sprintf "f%d" (pick nf)
+      | 1 -> "l"
+      | 2 -> string_of_int (pick 9)
+      | _ -> global ()
+    in
+    for _ = 1 to pick 3 do
+      let target =
+        if nf > 0 && pick 2 = 0 then Printf.sprintf "f%d" (pick nf)
+        else global ()
+      in
+      add "%s = %s; " target (operand ())
+    done;
+    for _ = 1 to pick 3 do
+      (* Calls lean forward, so chains form, with every third one to
+         any procedure, so cycles form too. *)
+      call nf (if pick 3 = 0 then pick np else min (np - 1) (k + 1 + pick 2))
+    done;
+    add "print %s; }\n" (operand ())
+  done;
+  Buffer.contents b
+
+(* Every query of the bitset solver equals the reference's, for every
+   procedure of a random program. *)
+let modref_matches_reference seed =
+  let p, pcg, summaries, aliases, modref = setup (modref_source seed) in
+  let reference = Modref_reference.compute summaries aliases pcg in
+  let byref_args =
+    Array.init 4 (fun j ->
+        match j mod 3 with
+        | 0 -> Some (Fsicp_cfg.Ir.local (Printf.sprintf "v%d" j))
+        | 1 -> Some (Fsicp_cfg.Ir.global "g0")
+        | _ -> None)
+  in
+  let vars_equal = List.equal Fsicp_cfg.Ir.Var.equal in
+  List.for_all
+    (fun (q : Ast.proc) ->
+      let name = q.Ast.pname in
+      Summary.VrefSet.equal (Modref.gmod_of modref name)
+        (Modref_reference.gmod_of reference name)
+      && Summary.VrefSet.equal (Modref.gref_of modref name)
+           (Modref_reference.gref_of reference name)
+      && vars_equal
+           (Modref.call_defs modref ~callee:name ~byref_args)
+           (Modref_reference.call_defs reference ~callee:name ~byref_args)
+      && vars_equal
+           (Modref.call_global_refs modref ~callee:name)
+           (Modref_reference.call_global_refs reference ~callee:name))
+    p.Ast.procs
+  && Modref.globals_modified_anywhere modref ~main:"main"
+     = Modref_reference.globals_modified_anywhere reference ~main:"main"
+
+let prop_modref_matches_reference =
+  Test_util.qcheck ~count:300
+    ~name:"bitset MOD/REF = round-robin reference (sets, call defs, refs)"
+    Test_util.seed_gen modref_matches_reference
+
 let suite =
   [
     Alcotest.test_case "summary IMOD/IREF" `Quick test_summary_imod_iref;
@@ -251,4 +368,6 @@ let suite =
     Alcotest.test_case "MOD: recursion converges" `Quick test_recursive_mod;
     Alcotest.test_case "USE: flow-sensitive" `Quick test_use_flow_sensitive;
     Alcotest.test_case "USE vs REF" `Quick test_use_vs_ref;
+    Alcotest.test_case "MOD: alias chain" `Quick test_mod_alias_chain;
+    prop_modref_matches_reference;
   ]

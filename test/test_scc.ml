@@ -432,7 +432,7 @@ let kernel_matches_reference ~jobs seed =
       in
       let config = { Scc.default_config with Scc.entry_env } in
       let a = Scc.run ~config ssa in
-      let b = Scc.run_reference ~config ssa in
+      let b = Scc_reference.run ~config ssa in
       (* Packed words are canonical: int equality is lattice equality. *)
       a.Scc.values = b.Scc.values
       && a.Scc.block_executable = b.Scc.block_executable

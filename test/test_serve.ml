@@ -311,6 +311,24 @@ let test_failing_batch_is_atomic () =
   Alcotest.(check (option string)) "digest unchanged" digest0 digest;
   Alcotest.(check string) "no edit counted" stats0 stats
 
+(* A negative call-site index is answered like any missing one, and the
+   daemon keeps answering. *)
+let test_negative_call_site () =
+  let st = Protocol.make_state ~jobs:1 ~version:"test" () in
+  Alcotest.(check bool) "load ok" true
+    (ok_of
+       (req st
+          (Json.to_string
+             (Json.Obj
+                [ ("cmd", Json.Str "load"); ("source", Json.Str prog_src) ]))));
+  let resp = req st {|{"cmd":"query-call-site","caller":"main","cs":-1}|} in
+  Alcotest.(check bool) "cs -1 fails" false (ok_of resp);
+  Alcotest.(check (option string))
+    "cs -1 error" (Some "query-call-site: main has no call site #-1")
+    (Json.str_member "error" resp);
+  Alcotest.(check bool) "next request answered" true
+    (ok_of (req st {|{"cmd":"version"}|}))
+
 (* -- live daemon ----------------------------------------------------------- *)
 
 (* A short socket path under /tmp: sun_path is ~104 bytes, so the build
@@ -383,4 +401,6 @@ let suite =
       test_live_daemon;
     Alcotest.test_case "dispatch: failing edit batch is atomic" `Quick
       test_failing_batch_is_atomic;
+    Alcotest.test_case "dispatch: negative call site answered" `Quick
+      test_negative_call_site;
   ]
