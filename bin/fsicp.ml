@@ -123,12 +123,18 @@ let analyze file meth no_floats jobs =
   let jobs = resolve_jobs jobs in
   let prog = read_program file in
   let ctx = Context.create ~floats:(not no_floats) ~jobs prog in
-  let sol = solve_with ~jobs meth ctx in
-  Fmt.pr "%a" Solution.pp sol;
-  let cands =
-    Metrics.candidates ctx ~fi:(Fi_icp.solve ctx)
-      ~fs:(Fs_icp.solve ~jobs ctx) ~name:file
+  (* The candidates line needs FI and FS anyway: solve each once, and
+     report whichever the method asked for from them. *)
+  let fi = Fi_icp.solve ctx in
+  let fs = Fs_icp.solve ~jobs ~fi ctx in
+  let sol =
+    match meth with
+    | FI -> fi
+    | FS -> fs
+    | Ref | CC | VC | JF _ -> solve_with ~jobs meth ctx
   in
+  Fmt.pr "%a" Solution.pp sol;
+  let cands = Metrics.candidates ctx ~fi ~fs ~name:file in
   Fmt.pr "call sites: %d args, %d literal, %d FI-constant, %d FS-constant@."
     cands.Metrics.cd_args cands.Metrics.cd_imm cands.Metrics.cd_fi
     cands.Metrics.cd_fs

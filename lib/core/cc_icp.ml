@@ -47,7 +47,8 @@ module P = Lattice.P
    pass either changes an entry or is the last. *)
 let c_passes = Trace.counter "cc.passes"
 
-let max_passes = 100
+(* Solves whose pass budget ran out and that answered with FS instead. *)
+let c_fallback = Trace.counter "cc.fs_fallback"
 
 (* One call-site record: executability plus the {e unevaluated} packed
    words of every argument and REF-closure global — constants, copy
@@ -57,13 +58,16 @@ type record = {
   rec_words : int array * (Prog.Var.id * int) list;
 }
 
-(** [solve ?jobs ctx] — the copy-constant solution.  [jobs] is accepted
-    for interface symmetry with the other methods and ignored: the
-    Gauss–Seidel schedule is inherently sequential (each pass reads the
-    entries the same pass just wrote), and a pass is one kernel run per
-    procedure, memo-hit whenever its entry vector repeats. *)
+(** [solve ?jobs ctx] — the copy-constant solution.  The passes ignore
+    [jobs]: the Gauss–Seidel schedule is inherently sequential (each pass
+    reads the entries the same pass just wrote), and a pass is one kernel
+    run per procedure, memo-hit whenever its entry vector repeats.
+
+    The passes are budgeted at twice the program's entry slots plus two.
+    A run that exhausts the budget has not converged, and its last pass
+    may claim constants a later pass would lower, so it answers with the
+    flow-sensitive solution instead, which is sound. *)
 let solve_body ?jobs (ctx : Context.t) : Solution.t =
-  ignore jobs;
   let pcg = ctx.Context.pcg in
   let db = pcg.Callgraph.db in
   let nodes = pcg.Callgraph.nodes in
@@ -93,7 +97,6 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
     Array.init n (fun i -> Array.make (Callgraph.n_call_sites pcg nodes.(i)) None)
   in
 
-  let in_edges = Array.map (fun pid -> Callgraph.in_edges pcg pid) nodes in
   let forward = Callgraph.forward_order pcg in
   let scc_runs = ref 0 in
 
@@ -103,27 +106,17 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
       (fun (pid : Prog.Proc.id) ->
         let i = (pid :> int) in
         let sh = shapes.(i) in
-        let acc = Entry_vec.top sh in
         (* Meet every recorded executable call into [proc], copy bindings
            evaluated against the calling procedure's current entries —
            same-pass for forward edges, previous-pass for back edges. *)
-        Array.iter
-          (fun (e : Callgraph.edge) ->
-            let ci = (e.Callgraph.caller :> int) in
-            match records.(ci).(e.Callgraph.cs_index) with
-            | None -> ()
-            | Some r when not r.rec_exec -> ()
-            | Some { rec_words = args, globals; _ } ->
-                Entry_vec.meet_site sh acc ~word:(eval_word ci) args globals)
-          in_edges.(i);
-        (* [main]'s globals come from block data alone — calls into main
-           are necessarily back edges and are deliberately overridden,
-           exactly as {!Fs_icp} does. *)
-        if Entry_vec.is_main roots pid then
-          Entry_vec.set_main_globals roots sh acc;
-        (* ⊤ after all contributions = no executable call reaches the
-           slot: unknown, not a dead-code constant. *)
-        Entry_vec.finalize acc;
+        let acc =
+          Entry_vec.entry roots sh pid (fun (e : Callgraph.edge) acc ->
+              let ci = (e.Callgraph.caller :> int) in
+              match records.(ci).(e.Callgraph.cs_index) with
+              | Some { rec_exec = true; rec_words = args, globals } ->
+                  Entry_vec.meet_site sh acc ~word:(eval_word ci) args globals
+              | Some _ | None -> ())
+        in
         if (not visited.(i)) || acc <> vecs.(i) then begin
           any_change := true;
           vecs.(i) <- acc;
@@ -155,41 +148,29 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
       forward;
     !any_change
   in
-  let passes = ref 1 in
-  while pass () && !passes < max_passes do
-    incr passes
-  done;
-  Trace.add c_passes !passes;
-
-  (* Assemble the solution against the {e final} entry vectors; no copy
-     word survives past this point. *)
-  let entries =
-    Prog.tbl_init db (fun pid ->
-        let i = (pid :> int) in
-        Entry_vec.box_entry shapes.(i) vecs.(i))
+  let slots = Array.fold_left (fun k sh -> k + Entry_vec.size sh) 0 shapes in
+  let budget = (2 * slots) + 2 in
+  (* [converged] once a pass changes no entry. *)
+  let rec iterate passes =
+    if not (pass ()) then (passes, true)
+    else if passes >= budget then (passes, false)
+    else iterate (passes + 1)
   in
-  let call_records =
-    Array.to_list nodes
-    |> List.concat_map (fun (pid : Prog.Proc.id) ->
-           let i = (pid :> int) in
-           let out = Callgraph.out_edges pcg pid in
-           let acc = ref [] in
-           Array.iteri
-             (fun cs_index slot ->
-               match slot with
-               | None -> ()
-               | Some { rec_exec; rec_words = args, globals } ->
-                   let cr =
-                     Entry_vec.box_site ~caller:pid ~cs_index
-                       ~callee:out.(cs_index).Callgraph.callee ~exec:rec_exec
-                       ~word:(eval_word i) (args, globals)
-                   in
-                   acc := cr :: !acc)
-             records.(i);
-           List.rev !acc)
-  in
-  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:!scc_runs
-    ~scc_results:(Prog.tbl db None)
+  let passes, converged = iterate 1 in
+  Trace.add c_passes passes;
+  if not converged then begin
+    Trace.incr c_fallback;
+    { (Fs_icp.solve ?jobs ctx) with Solution.method_name }
+  end
+  else
+    (* Publish against the {e final} entry vectors; no copy word survives
+       past this point. *)
+    Entry_vec.publish pcg ~method_name ~scc_runs:!scc_runs shapes vecs
+      (fun (e : Callgraph.edge) ->
+        let i = (e.Callgraph.caller :> int) in
+        Option.map
+          (fun r -> (r.rec_exec, eval_word i, r.rec_words))
+          records.(i).(e.Callgraph.cs_index))
 
 let solve ?jobs (ctx : Context.t) : Solution.t =
   Trace.next_epoch ();

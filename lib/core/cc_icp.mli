@@ -8,7 +8,8 @@
 
 val method_name : string
 
-(** The copy-constant solution.  [jobs] is accepted for symmetry with the
-    other methods and ignored — the pass schedule is sequential, so the
-    result is trivially identical for every value. *)
+(** The copy-constant solution.  The pass schedule is sequential and
+    ignores [jobs], so the result is identical for every value.  A run
+    whose pass budget (twice the program's entry slots plus two) runs out
+    answers with the {!Fs_icp} solution and counts ["cc.fs_fallback"]. *)
 val solve : ?jobs:int -> Context.t -> Solution.t

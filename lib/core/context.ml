@@ -46,19 +46,8 @@ let c_pcg_reused = Trace.counter "callgraph.reused"
     several domains race-free. *)
 type alias_kills = { ak_keys : int array; ak_lists : Ir.var list array }
 
-(** Streaming-mode state: a mutex-protected ring of recently retired
-    procedure ids.  {!retire} pushes; once the ring holds [window] ids the
-    oldest one's lowered IR, alias-kill table and SSA are dropped, so the
-    resident derived artifacts are bounded by [window] plus the procedures
-    currently in flight — they scale with the wavefront frontier, not the
-    program. *)
-type stream = {
-  window : int;
-  smutex : Mutex.t;
-  ring : int array;  (** retired pids awaiting eviction, capacity [window] *)
-  mutable rhead : int;
-  mutable rlen : int;
-}
+(** Streaming mode holds no state: [stream = Some ()] marks it. *)
+type stream = unit
 
 type t = {
   mutable prog : Ast.program;
@@ -313,13 +302,12 @@ let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
     compact — but nothing is lowered or SSA-built up front.  Derived
     per-procedure artifacts materialise on demand ({!lowered_at} /
     {!ssa_at}) and are released again by {!retire} once the procedure has
-    been fully consumed, keeping at most [window] retired procedures plus
-    the in-flight ones resident.  Strictly a solve-time mode: artifacts of
-    a retired procedure are rebuilt (identically) if re-requested, and
-    consumers that walk SSA after the solve — transformation, metrics, the
-    returns extension — should use {!create} instead. *)
-let create_streaming ?(floats = true) ?(window = 64) (prog : Ast.program) : t =
-  let window = max 1 window in
+    been fully consumed, so only the in-flight ones stay resident.
+    Strictly a solve-time mode: artifacts of a retired procedure are
+    rebuilt (identically) if re-requested, and consumers that walk SSA
+    after the solve — transformation, metrics, the returns extension —
+    should use {!create} instead. *)
+let create_streaming ?(floats = true) (prog : Ast.program) : t =
   let pcg = Callgraph.build prog in
   let summaries = Summary.collect prog in
   let aliases = Alias.compute summaries pcg in
@@ -328,16 +316,7 @@ let create_streaming ?(floats = true) ?(window = 64) (prog : Ast.program) : t =
     lowered = Prog.tbl pcg.Callgraph.db None;
     alias_kills = Prog.tbl pcg.Callgraph.db None;
     ssa_cache = Prog.tbl pcg.Callgraph.db None;
-    epochs = Prog.tbl pcg.Callgraph.db 0; edit_epoch = 0;
-    stream =
-      Some
-        {
-          window;
-          smutex = Mutex.create ();
-          ring = Array.make window 0;
-          rhead = 0;
-          rlen = 0;
-        } }
+    epochs = Prog.tbl pcg.Callgraph.db 0; edit_epoch = 0; stream = Some () }
 
 let is_streaming t = t.stream <> None
 
@@ -363,31 +342,15 @@ let alias_kills_at t (pid : Prog.Proc.id) : alias_kills =
       k
 
 (** Release [pid]'s derived artifacts once the solver is done with it
-    (no-op on non-streaming contexts).  The id enters the retirement ring;
-    the eviction itself happens [window] retirements later, so very recent
-    procedures stay warm for any straggling reads. *)
+    (no-op on non-streaming contexts).  Nothing reads a procedure's IR,
+    alias kills or SSA after its own analysis, and each call writes only
+    [pid]'s slots, so concurrent retirements need no lock. *)
 let retire t (pid : Prog.Proc.id) : unit =
-  match t.stream with
-  | None -> ()
-  | Some s ->
-      Mutex.lock s.smutex;
-      if s.rlen = s.window then begin
-        let old = s.ring.(s.rhead) in
-        s.rhead <- (s.rhead + 1) mod s.window;
-        s.rlen <- s.rlen - 1;
-        let opid = t.pcg.Callgraph.nodes.(old) in
-        Prog.Proc.Tbl.set t.lowered opid None;
-        Prog.Proc.Tbl.set t.alias_kills opid None;
-        Prog.Proc.Tbl.set t.ssa_cache opid None
-      end;
-      s.ring.((s.rhead + s.rlen) mod s.window) <- (pid :> int);
-      s.rlen <- s.rlen + 1;
-      Mutex.unlock s.smutex
-
-let lowered_proc t name : Ir.proc =
-  match Callgraph.proc_id t.pcg name with
-  | Some pid -> lowered_at t pid
-  | None -> invalid_arg (Printf.sprintf "Context.lowered_proc: %s" name)
+  if is_streaming t then begin
+    Prog.Proc.Tbl.set t.lowered pid None;
+    Prog.Proc.Tbl.set t.alias_kills pid None;
+    Prog.Proc.Tbl.set t.ssa_cache pid None
+  end
 
 (** Per-procedure SSA side-effect oracle, backed by the IPA results. *)
 let effects_for t (proc_name : string) : Ssa.call_effects =
@@ -523,7 +486,6 @@ let invalidate_proc t (pid : Prog.Proc.id) : unit =
   Prog.Proc.Tbl.set t.ssa_cache pid None;
   Prog.Proc.Tbl.set t.epochs pid t.edit_epoch
 
-let epoch_of t (pid : Prog.Proc.id) : int = Prog.Proc.Tbl.get t.epochs pid
 let current_epoch t : int = t.edit_epoch
 
 (** Demote real-valued constants to bottom when float propagation is off.

@@ -28,9 +28,8 @@ open Fsicp_scc
     domains share them without synchronisation. *)
 type alias_kills = { ak_keys : int array; ak_lists : Ir.var list array }
 
-(** Streaming-mode eviction state (opaque outside the context): a ring of
-    retired procedure ids whose derived artifacts are released once the
-    ring overflows its window. *)
+(** Marks a streaming context (opaque outside the context; it holds no
+    state). *)
 type stream
 
 type t = {
@@ -77,22 +76,20 @@ val create : ?floats:bool -> ?jobs:int -> ?prev:t -> Ast.program -> t
 (** Streaming variant of {!create} for 10⁴–10⁶-procedure corpora: the
     whole-program analyses run up front (they are compact), but lowering,
     alias-kill tables and SSA materialise per procedure on first demand and
-    are released again by {!retire}, keeping at most [window] (default 64)
-    retired procedures plus the in-flight ones resident — peak heap scales
-    with the wavefront frontier, not the program.  Solve-time mode only:
+    are released again by {!retire} as soon as the procedure's analysis is
+    done, so only the in-flight procedures' artifacts are resident — peak
+    heap scales with the wavefront frontier, not the program.  Solve-time mode only:
     the solutions are identical to the eager path's, but consumers that
     re-walk SSA after the solve (transformation, metrics, the returns
     extension) should use {!create}. *)
-val create_streaming : ?floats:bool -> ?window:int -> Ast.program -> t
+val create_streaming : ?floats:bool -> Ast.program -> t
 
 (** [true] iff the context was built by {!create_streaming}. *)
 val is_streaming : t -> bool
 
-(** Release the procedure's lowered IR, alias-kill table and SSA once the
-    solver has fully consumed it.  No-op on non-streaming contexts; the
-    actual eviction is deferred by the retirement ring (see
-    {!create_streaming}).  Artifacts re-requested after eviction are
-    rebuilt, identically. *)
+(** Drop the procedure's lowered IR, alias-kill table and SSA at once, after
+    the solver has fully consumed it.  No-op on non-streaming contexts.
+    Artifacts re-requested afterwards are rebuilt, identically. *)
 val retire : t -> Prog.Proc.id -> unit
 
 (** Lower every reachable procedure on [jobs] domains; {!Driver.run} uses
@@ -105,17 +102,6 @@ val lower_all : jobs:int -> Ast.program -> Callgraph.t -> Ir.proc Prog.Proc.Tbl.
 val compute_alias_kills :
   Alias.t -> Summary.t -> Callgraph.t -> Ir.proc Prog.Proc.Tbl.t ->
   alias_kills Prog.Proc.Tbl.t
-
-val lowered_at : t -> Prog.Proc.id -> Ir.proc
-val lowered_proc : t -> string -> Ir.proc
-
-(** Per-procedure alias-kill table (built on demand in streaming mode). *)
-val alias_kills_at : t -> Prog.Proc.id -> alias_kills
-
-(** Per-procedure SSA side-effect oracle backed by the IPA results:
-    call defs from MOD, recorded globals from REF, alias kills from the
-    reference-parameter alias pairs. *)
-val effects_for : t -> string -> Ssa.call_effects
 
 (** SSA form of a reachable procedure (cached). *)
 val ssa_at : t -> Prog.Proc.id -> Ssa.proc
@@ -152,10 +138,6 @@ val replace_proc : t -> Ast.program -> Ast.proc -> Summary.proc_summary -> unit
     the SCC entry-vector memo with it), and stamp the procedure's epoch.
     Artifacts of every other procedure remain valid. *)
 val invalidate_proc : t -> Prog.Proc.id -> unit
-
-(** Epoch stamped on the procedure's artifacts by the last
-    {!invalidate_proc} (0 = pristine since {!create}). *)
-val epoch_of : t -> Prog.Proc.id -> int
 
 (** The context's current edit epoch (0 at {!create}; bumped once per
     {!invalidate_proc}). *)

@@ -66,7 +66,7 @@ let meet_site sh v ~word args globals =
 (* Block-data seeds, pre-encoded to packed words and keyed by raw int id:
    the entry-environment lookups never box.  [main] is a raw id, [-1] when
    the program has no such node. *)
-type roots = { blockdata : (int, int) Hashtbl.t; main : int }
+type roots = { pcg : Callgraph.t; blockdata : (int, int) Hashtbl.t; main : int }
 
 let roots (ctx : Context.t) =
   let blockdata = Context.blockdata_env ctx in
@@ -74,12 +74,13 @@ let roots (ctx : Context.t) =
   List.iter
     (fun (g, v) -> Hashtbl.replace tbl (Prog.Var.to_int g) (P.of_t v))
     blockdata;
+  let pcg = ctx.Context.pcg in
   let main =
-    match Callgraph.proc_id ctx.Context.pcg ctx.Context.prog.Ast.main with
+    match Callgraph.proc_id pcg ctx.Context.prog.Ast.main with
     | Some pid -> (pid :> int)
     | None -> -1
   in
-  { blockdata = tbl; main }
+  { pcg; blockdata = tbl; main }
 
 let is_main r (pid : Prog.Proc.id) = (pid :> int) = r.main
 
@@ -89,9 +90,13 @@ let seed r (g : int) =
 let set_main_globals r sh v =
   Array.iteri (fun k g -> v.(sh.nf + k) <- seed r (Prog.Var.to_int g)) sh.gids
 
-let main_vector r sh =
-  let v = Array.make (size sh) P.bot in
-  set_main_globals r sh v;
+(* Any call into [main] is a back edge, so its block-data globals replace
+   whatever those edges contributed: main's whole global story. *)
+let entry r sh pid contribute =
+  let v = top sh in
+  Array.iter (fun e -> contribute e v) (Callgraph.in_edges r.pcg pid);
+  if is_main r pid then set_main_globals r sh v;
+  finalize v;
   v
 
 let env r sh (pid : Prog.Proc.id) slot (v : Ir.var) : int =
@@ -146,3 +151,27 @@ let box_site ~caller ~cs_index ~callee ~exec ~word (args, globals) =
   record ~caller ~cs_index ~callee ~exec
     (Array.map box args, List.map (fun (g, w) -> (g, box w)) globals)
 
+let publish (pcg : Callgraph.t) ~method_name ~scc_runs shapes vecs site =
+  let db = pcg.Callgraph.db in
+  let entries =
+    Prog.tbl_init db (fun pid ->
+        let i = (pid :> int) in
+        box_entry shapes.(i) vecs.(i))
+  in
+  let call_records =
+    Array.fold_right
+      (fun pid acc ->
+        Array.fold_right
+          (fun (e : Callgraph.edge) acc ->
+            match site e with
+            | None -> acc
+            | Some (exec, word, words) ->
+                box_site ~caller:pid ~cs_index:e.Callgraph.cs_index
+                  ~callee:e.Callgraph.callee ~exec ~word words
+                :: acc)
+          (Callgraph.out_edges pcg pid)
+          acc)
+      pcg.Callgraph.nodes []
+  in
+  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs
+    ~scc_results:(Prog.tbl db None)

@@ -12,6 +12,7 @@
 open Fsicp_prog
 open Fsicp_cfg
 open Fsicp_ssa
+open Fsicp_callgraph
 open Fsicp_scc
 
 (** Formal count and sorted REF-closure global ids of one procedure. *)
@@ -47,20 +48,24 @@ val meet_site :
   (Prog.Var.id * 'a) list ->
   unit
 
-(** The entry roots of a program: block-data constants and [main]. *)
+(** The entry roots of a program: its PCG, block-data constants and
+    [main]. *)
 type roots
 
 val roots : Context.t -> roots
-val is_main : roots -> Prog.Proc.id -> bool
 
-(** [set_main_globals r sh v] overwrites every global slot of [v] with its
-    block-data seed (⊥ without one): [main]'s whole global story, since any
-    call into [main] is a back edge. *)
-val set_main_globals : roots -> shape -> int array -> unit
-
-(** [main_vector r sh] is [main]'s root vector: formals ⊥, globals from
-    block data. *)
-val main_vector : roots -> shape -> int array
+(** [entry r sh pid contribute] is procedure [pid]'s finalized entry
+    vector.  Starting from {!top}, [contribute e v] meets in-edge [e]'s
+    contribution into [v] (typically with {!meet_site}), for every in-edge
+    in canonical order; then [main]'s global slots take their block-data
+    seeds (⊥ without one), since any call into [main] is a back edge; then
+    {!finalize}. *)
+val entry :
+  roots ->
+  shape ->
+  Prog.Proc.id ->
+  (Callgraph.edge -> int array -> unit) ->
+  int array
 
 (** [env r sh pid slot] is the SCC entry environment of procedure [pid]
     whose slot [s] reads [slot s].  A versioned global outside the REF
@@ -94,3 +99,18 @@ val box_site :
   int array * (Prog.Var.id * int) list ->
   Solution.callsite_record
 
+(** [publish pcg ~method_name ~scc_runs shapes vecs site] boxes a method's
+    final entry vectors ([vecs.(i)] over [shapes.(i)], by procedure id)
+    and call sites into a solution with no SCC results.  For every PCG
+    out-edge, callers in id order and sites in [cs_index] order, [site e]
+    is [Some (exec, word, words)] to publish the site through
+    {!box_site}, or [None] to leave it out. *)
+val publish :
+  Callgraph.t ->
+  method_name:string ->
+  scc_runs:int ->
+  shape array ->
+  int array array ->
+  (Callgraph.edge ->
+  (bool * (int -> int) * (int array * (Prog.Var.id * int) list)) option) ->
+  Solution.t

@@ -35,8 +35,9 @@
     result is independent of completion order — rather than pushed by the
     callers, which keeps the per-call-site hot path free of locks: the
     scheduler's pending counts and cross-domain handoffs are the only
-    synchronisation points.  The entry vector itself — slot layout, roots,
-    finalisation and boxing — is {!Entry_vec}'s.  Back-edge
+    synchronisation points.  The entry vector itself — slot layout, the
+    in-edge meet, [main]'s roots, finalisation and boxing — is
+    {!Entry_vec}'s.  Back-edge
     contributions come from the flow-insensitive seed, which is complete
     before the wavefront starts, so no cross-domain race exists.
     [jobs = 1] processes the nodes sequentially in exactly the forward
@@ -221,48 +222,27 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     @@ fun () ->
     (* Computed on demand, so only the frontier's shapes are live. *)
     let sh = Entry_vec.shape ctx proc in
-    let v = Entry_vec.top sh in
-    let contribute (cr : Solution.callsite_record) =
-      Entry_vec.meet_site sh v ~word:P.of_t cr.Solution.cr_args
-        cr.Solution.cr_globals
+    (* A forward caller has been processed (the scheduler guarantees it),
+       so its recorded executable call-site values are pulled; a back edge
+       contributes the flow-insensitive record instead. *)
+    let v =
+      Entry_vec.entry roots sh pid (fun (e : Callgraph.edge) v ->
+          let caller = e.Callgraph.caller and cs_index = e.Callgraph.cs_index in
+          let meet (cr : Solution.callsite_record) =
+            Entry_vec.meet_site sh v ~word:P.of_t cr.Solution.cr_args
+              cr.Solution.cr_globals
+          in
+          if e.Callgraph.back then
+            Option.iter
+              (fun fi ->
+                Option.iter meet
+                  (Solution.find_call_record fi ~caller ~cs_index))
+              fi
+          else
+            match (Prog.Proc.Tbl.get record_idx caller).(cs_index) with
+            | Some cr when cr.Solution.cr_executable -> meet cr
+            | Some _ | None -> ())
     in
-    (* Back edges contribute the flow-insensitive per-call-site statuses. *)
-    (match fi with
-    | None -> ()
-    | Some fi ->
-        Array.iter
-          (fun (e : Callgraph.edge) ->
-            if e.Callgraph.back then
-              match
-                Solution.find_call_record fi ~caller:e.Callgraph.caller
-                  ~cs_index:e.Callgraph.cs_index
-              with
-              | None -> ()
-              | Some cr -> contribute cr)
-          (Callgraph.in_edges pcg pid));
-    (* Entry environment of [main]: block data constants; everything else
-       unknown.  (Any call edge into [main] is necessarily a back edge, so
-       this replacement is main's whole global story bar the FI seed, which
-       it deliberately overrides — as the sequential traversal always did.) *)
-    if Entry_vec.is_main roots pid then Entry_vec.set_main_globals roots sh v;
-    (* Forward edges: every forward caller has been processed (the
-       scheduler guarantees it), so pull its recorded executable call-site
-       values, in canonical in-edge order. *)
-    Array.iter
-      (fun (e : Callgraph.edge) ->
-        if not e.Callgraph.back then
-          match
-            (Prog.Proc.Tbl.get record_idx e.Callgraph.caller).(e.Callgraph
-                                                                  .cs_index)
-          with
-          | Some cr when cr.Solution.cr_executable -> contribute cr
-          | Some _ | None -> ())
-      (Callgraph.in_edges pcg pid);
-    (* Top after all contributions = no executable call reaches the
-       procedure; treat as unknown rather than claiming dead-code
-       constants.  Finalize in place: [v] doubles as the entry lookup the
-       SCC entry environment reads below. *)
-    Entry_vec.finalize v;
     Prog.Proc.Tbl.set entries pid (Entry_vec.box_entry sh v);
     (* One flow-sensitive intraprocedural analysis of [proc]. *)
     let entry_env = Entry_vec.env roots sh pid (Array.get v) in

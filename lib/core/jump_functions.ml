@@ -61,12 +61,6 @@ type jf =
   | Jpoly of Poly.t  (** polynomial in the caller's formals *)
   | Jbot
 
-let pp_jf ppf = function
-  | Jconst v -> Value.pp ppf v
-  | Jformal i -> Fmt.pf ppf "f%d" i
-  | Jpoly p -> Poly.pp ppf p
-  | Jbot -> Fmt.string ppf "⊥"
-
 (* ------------------------------------------------------------------ *)
 (* Symbolic polynomial evaluation over SSA                             *)
 (* ------------------------------------------------------------------ *)

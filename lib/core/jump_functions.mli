@@ -23,8 +23,6 @@ type jf =
   | Jpoly of Poly.t
   | Jbot
 
-val pp_jf : jf Fmt.t
-
 type site_jfs = {
   sj_caller : Prog.Proc.id;
   sj_cs_index : int;

@@ -16,7 +16,12 @@
 
     Gauss–Seidel style: within a pass, forward edges see values recorded in
     the same pass; back edges see the previous pass's records (nothing, on
-    the first pass — the optimistic ⊤ start). *)
+    the first pass — the optimistic ⊤ start).
+
+    The passes are budgeted at twice the program's entry slots plus two.
+    A run that exhausts the budget has not converged, and its last pass
+    may claim constants a later pass would lower, so it answers with the
+    {!Fs_icp} solution instead, which is sound. *)
 
 open Fsicp_lang
 open Fsicp_prog
@@ -28,7 +33,10 @@ open Fsicp_scc
 
 let method_name = "iterative-reference"
 
-let max_passes = 100
+module Trace = Fsicp_trace.Trace
+
+(* Solves whose pass budget ran out and that answered with FS instead. *)
+let c_fallback = Trace.counter "ref.fs_fallback"
 
 let solve (ctx : Context.t) : Solution.t =
   let pcg = ctx.Context.pcg in
@@ -163,40 +171,54 @@ let solve (ctx : Context.t) : Solution.t =
       (Callgraph.forward_order pcg);
     !any_change
   in
-  let passes = ref 0 in
-  while pass () && !passes < max_passes do
-    incr passes
-  done;
-  (* Assemble call records from the final pass, caller-major. *)
-  let call_records =
+  let slots =
     Array.fold_left
-      (fun acc (pid : Prog.Proc.id) ->
-        let row = records.((pid :> int)) in
-        let out = Callgraph.out_edges pcg pid in
-        let acc = ref acc in
-        Array.iteri
-          (fun cs_index slot ->
-            match slot with
-            | None -> ()
-            | Some (executable, args, gvals) ->
-                acc :=
-                  {
-                    Solution.cr_caller = pid;
-                    cr_cs_index = cs_index;
-                    cr_callee = out.(cs_index).Callgraph.callee;
-                    cr_executable = executable;
-                    cr_args = args;
-                    cr_globals = gvals;
-                  }
-                  :: !acc)
-          row;
-        !acc)
-      [] (Callgraph.reverse_order pcg)
+      (fun k pid ->
+        let proc = Prog.proc_name db pid in
+        let s = Summary.find ctx.Context.summaries proc in
+        k + List.length s.Summary.ps_formals + List.length (gref_globals proc))
+      0 pcg.Callgraph.nodes
   in
-  let entries =
-    Prog.Proc.Tbl.map
-      (function Some e -> e | None -> Solution.empty_entry)
-      entries_tbl
+  let budget = (2 * slots) + 2 in
+  let rec converged passes =
+    (not (pass ())) || (passes < budget && converged (passes + 1))
   in
-  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:!scc_runs
-    ~scc_results
+  if not (converged 1) then begin
+    Trace.incr c_fallback;
+    { (Fs_icp.solve ctx) with Solution.method_name }
+  end
+  else begin
+    (* Assemble call records from the final pass, caller-major. *)
+    let call_records =
+      Array.fold_left
+        (fun acc (pid : Prog.Proc.id) ->
+          let row = records.((pid :> int)) in
+          let out = Callgraph.out_edges pcg pid in
+          let acc = ref acc in
+          Array.iteri
+            (fun cs_index slot ->
+              match slot with
+              | None -> ()
+              | Some (executable, args, gvals) ->
+                  acc :=
+                    {
+                      Solution.cr_caller = pid;
+                      cr_cs_index = cs_index;
+                      cr_callee = out.(cs_index).Callgraph.callee;
+                      cr_executable = executable;
+                      cr_args = args;
+                      cr_globals = gvals;
+                    }
+                    :: !acc)
+            row;
+          !acc)
+        [] (Callgraph.reverse_order pcg)
+    in
+    let entries =
+      Prog.Proc.Tbl.map
+        (function Some e -> e | None -> Solution.empty_entry)
+        entries_tbl
+    in
+    Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:!scc_runs
+      ~scc_results
+  end

@@ -59,6 +59,8 @@ let context_budget = 24
    packed words are canonical. *)
 let vec_meet = Array.map2 P.meet
 
+let meet_into acc v = Array.iteri (fun s w -> acc.(s) <- P.meet acc.(s) w) v
+
 (** [solve ?jobs ctx] — the value-context solution.  [jobs] is accepted
     for interface symmetry and ignored: the worklist is drained
     sequentially in deterministic order (contexts of one procedure feed
@@ -80,10 +82,11 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   in
 
   (* Context tables: the distinct vectors seen (until the budget trips),
-     merged-mode state, and the running entry meet over every arrival. *)
+     merged-mode state, and the running entry meet over every arrival
+     (⊤ until the first). *)
   let seen : int array list array = Array.make n [] in
   let merged : int array option array = Array.make n None in
-  let entry_meet : int array option array = Array.make n None in
+  let entry_meet = Array.map Entry_vec.top shapes in
 
   (* Per-call-site accumulators, dense by (caller index, cs_index): [Some]
      once executable in any context, holding the meet of each
@@ -105,9 +108,7 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
      exactly as in {!Fs_icp}. *)
   let arrive i (v : int array) =
     if i <> (main_id :> int) then begin
-      (match entry_meet.(i) with
-      | None -> entry_meet.(i) <- Some v
-      | Some m -> entry_meet.(i) <- Some (vec_meet m v));
+      meet_into entry_meet.(i) v;
       match merged.(i) with
       | Some m ->
           let m' = vec_meet m v in
@@ -178,9 +179,12 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
       (Ssa.call_sites ssa)
   in
 
-  (* Root: [main] under the block-data environment. *)
-  let root = Entry_vec.main_vector roots shapes.((main_id :> int)) in
-  entry_meet.((main_id :> int)) <- Some root;
+  (* Root: [main]'s entry with no contributions — formals ⊥, globals from
+     block data. *)
+  let root =
+    Entry_vec.entry roots shapes.((main_id :> int)) main_id (fun _ _ -> ())
+  in
+  entry_meet.((main_id :> int)) <- root;
   seen.((main_id :> int)) <- [ root ];
   Queue.add ((main_id :> int), root) queue;
 
@@ -197,38 +201,19 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   Trace.add c_contexts !contexts;
   Trace.add c_merged !merged_procs;
 
-  (* Publish: entry = meet of every arrival (⊥ rows for procedures no
+  (* Publish: entry = meet of every arrival (⊥ for procedures no
      executable call reached), records from the per-site accumulators
      (non-executable sites in the FS [Top] convention — including every
      site of a never-analysed procedure, reconstructed from the callee's
      shape without touching its SSA). *)
-  let entries =
-    Prog.tbl_init db (fun pid ->
-        let sh = shapes.((pid :> int)) in
-        match entry_meet.((pid :> int)) with
-        | Some v -> Entry_vec.box_entry sh v
-        | None -> Entry_vec.box_entry sh (Array.make (Entry_vec.size sh) P.bot))
-  in
-  let call_records =
-    Array.to_list nodes
-    |> List.concat_map (fun (pid : Prog.Proc.id) ->
-           let i = (pid :> int) in
-           Array.to_list (Callgraph.out_edges pcg pid)
-           |> List.map (fun (e : Callgraph.edge) ->
-                  let cs = e.Callgraph.cs_index in
-                  let callee = e.Callgraph.callee in
-                  let exec, words =
-                    match sites.(i).(cs) with
-                    | Some words -> (true, words)
-                    | None ->
-                        let sh = shapes.((callee :> int)) in
-                        (false, Entry_vec.split sh (Entry_vec.top sh))
-                  in
-                  Entry_vec.box_site ~caller:pid ~cs_index:cs ~callee ~exec
-                    ~word:Fun.id words))
-  in
-  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:!scc_runs
-    ~scc_results:(Prog.tbl db None)
+  Array.iter Entry_vec.finalize entry_meet;
+  Entry_vec.publish pcg ~method_name ~scc_runs:!scc_runs shapes entry_meet
+    (fun (e : Callgraph.edge) ->
+      match sites.((e.Callgraph.caller :> int)).(e.Callgraph.cs_index) with
+      | Some words -> Some (true, Fun.id, words)
+      | None ->
+          let sh = shapes.((e.Callgraph.callee :> int)) in
+          Some (false, Fun.id, Entry_vec.split sh (Entry_vec.top sh)))
 
 let solve ?jobs (ctx : Context.t) : Solution.t =
   Trace.next_epoch ();

@@ -41,13 +41,6 @@ type arg_summary =
   | Alocal of string  (** a bare local *)
   | Aexpr  (** any compound expression *)
 
-let pp_arg_summary ppf = function
-  | Alit v -> Fmt.pf ppf "lit:%a" Value.pp v
-  | Aformal i -> Fmt.pf ppf "formal#%d" i
-  | Aglobal g -> Fmt.pf ppf "global:%s" g
-  | Alocal x -> Fmt.pf ppf "local:%s" x
-  | Aexpr -> Fmt.string ppf "expr"
-
 type call_summary = {
   cs_callee : string;
   cs_args : arg_summary array;
@@ -77,9 +70,6 @@ let classify_arg_with ~classify (e : Ast.expr) : arg_summary =
       | Sema.Global -> Aglobal x
       | Sema.Local -> Alocal x)
   | Ast.Unary _ | Ast.Binary _ -> Aexpr
-
-let classify_arg ~globals ~formals (e : Ast.expr) : arg_summary =
-  classify_arg_with ~classify:(Sema.classify ~globals ~formals) e
 
 let summarize_proc (prog : Ast.program) (p : Ast.proc) : proc_summary =
   let globals = prog.Ast.globals and formals = p.Ast.formals in

@@ -23,8 +23,6 @@ type arg_summary =
   | Alocal of string
   | Aexpr  (** any compound expression *)
 
-val pp_arg_summary : arg_summary Fmt.t
-
 type call_summary = {
   cs_callee : string;
   cs_args : arg_summary array;
@@ -43,9 +41,6 @@ type t = {
   prog : Ast.program;
   table : (string, proc_summary) Hashtbl.t;
 }
-
-val classify_arg :
-  globals:string list -> formals:string list -> Ast.expr -> arg_summary
 
 val summarize_proc : Ast.program -> Ast.proc -> proc_summary
 

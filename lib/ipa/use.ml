@@ -132,6 +132,3 @@ let compute (procs : Ir.proc Prog.Proc.Tbl.t) (modref : Modref.t)
 
 (** Is global [g] in USE(p)? *)
 let global_used t p g = VrefSet.mem (Vglobal g) (get t p)
-
-(** Is formal [i] in USE(p)? *)
-let formal_used t p i = VrefSet.mem (Vformal i) (get t p)

@@ -16,4 +16,3 @@ val compute :
 
 val get : t -> string -> VrefSet.t
 val global_used : t -> string -> string -> bool
-val formal_used : t -> string -> int -> bool

@@ -131,27 +131,13 @@ let[@inline] operand_word (values : int array) (o : Ssa.operand) : int =
   | Ssa.Oconst v -> P.of_value v
   | Ssa.Oname n -> values.(n.Ssa.id)
 
-let value_of (r : result) (n : Ssa.name) = P.to_t r.values.(n.Ssa.id)
-let value_w (r : result) (n : Ssa.name) = r.values.(n.Ssa.id)
-
 let operand_value (r : result) (o : Ssa.operand) : Lattice.t =
   match o with
   | Ssa.Oconst v -> Lattice.Const v
   | Ssa.Oname n -> P.to_t r.values.(n.Ssa.id)
 
-let operand_w (r : result) (o : Ssa.operand) : int = operand_word r.values o
-
 (** Is dense edge [e] executable? *)
 let edge_bit (r : result) (e : int) : bool = bit_get r.edge_exec e
-
-(** Is the (unique) CFG edge [src -> dst] executable? *)
-let edge_executable (r : result) ~src ~dst : bool =
-  let p = proc_exn r in
-  let hi = p.Ssa.edge_base.(src + 1) in
-  let rec go i =
-    i < hi && ((p.Ssa.edge_dst.(i) = dst && bit_get r.edge_exec i) || go (i + 1))
-  in
-  go p.Ssa.edge_base.(src)
 
 (* -- Oracle resolution ----------------------------------------------- *)
 
@@ -481,15 +467,6 @@ let run ?(config = default_config) (p : Ssa.proc) : result =
 (* Result queries used by the interprocedural phases and the metrics   *)
 (* ------------------------------------------------------------------ *)
 
-(** Call sites together with executability: the FS ICP only propagates
-    argument and global values from {e executable} call sites — an
-    unreachable call contributes nothing to the callee's entry meet, which
-    is how "the path containing y = 0 is not executed" of paper Figure 1
-    sharpens the interprocedural solution. *)
-let executable_call_sites (r : result) : (int * int * Ssa.call) list =
-  Ssa.call_sites (proc_exn r)
-  |> List.filter (fun (b, _, _) -> r.block_executable.(b))
-
 (** Lattice value of argument [j] at call [c] (which must be executable). *)
 let arg_value (r : result) (c : Ssa.call) j : Lattice.t =
   operand_value r c.Ssa.c_args.(j).Ssa.sa_operand
@@ -526,12 +503,6 @@ let global_at_call (r : result) (c : Ssa.call) (g : Ir.var) : Lattice.t option
     =
   let id = global_id_at_call r c g in
   if id < 0 then None else Some (P.to_t r.values.(id))
-
-(** Packed variant: [Lattice.P.absent] when not recorded (a valid packed
-    word is never [absent], including inline negative integers). *)
-let global_at_call_w (r : result) (c : Ssa.call) (g : Ir.var) : int =
-  let id = global_id_at_call r c g in
-  if id < 0 then P.absent else r.values.(id)
 
 (** Count of {e uses} of source-level variables (not compiler temporaries)
     that are proved constant in executable code: the "intraprocedural
@@ -572,29 +543,6 @@ let substitution_count (r : result) : int =
       end)
     p.blocks;
   !count
-
-(** Names of source variables proved constant somewhere (diagnostics). *)
-let constant_names (r : result) : (Ssa.name * Value.t) list =
-  let acc = ref [] in
-  let add n =
-    let w = r.values.(n.Ssa.id) in
-    if P.is_const w && Ir.Var.is_source n.Ssa.base then
-      acc := (n, P.const_value w) :: !acc
-  in
-  let p = proc_exn r in
-  Array.iter (fun (_, n) -> add n) p.Ssa.entry_names;
-  Array.iter
-    (fun (blk : Ssa.block) ->
-      Array.iter (fun (ph : Ssa.phi) -> add ph.Ssa.p_name) blk.Ssa.phis;
-      Array.iter
-        (function
-          | Ssa.Assign (n, _) -> add n
-          | Ssa.Kill kills -> Array.iter (fun (_, n) -> add n) kills
-          | Ssa.Call c -> Array.iter (fun (_, n) -> add n) c.Ssa.c_defs
-          | Ssa.Print _ -> ())
-        blk.Ssa.instrs)
-    p.Ssa.blocks;
-  List.rev !acc
 
 (** Packed value of variable [v] at procedure exit: the meet, over all {e
     executable} return blocks, of the reaching SSA version's value.  [top]

@@ -84,20 +84,7 @@ val memo_size : Ssa.proc -> int
 (** Is dense edge [e] of the result's procedure executable? *)
 val edge_bit : result -> int -> bool
 
-(** Is the (unique) CFG edge [src -> dst] executable? *)
-val edge_executable : result -> src:int -> dst:int -> bool
-
-val value_of : result -> Ssa.name -> Lattice.t
 val operand_value : result -> Ssa.operand -> Lattice.t
-
-(** Packed variants of the value accessors, for allocation-free callers. *)
-val value_w : result -> Ssa.name -> int
-
-val operand_w : result -> Ssa.operand -> int
-
-(** Call sites whose block the analysis proved executable — the only ones
-    whose arguments the flow-sensitive ICP propagates. *)
-val executable_call_sites : result -> (int * int * Ssa.call) list
 
 (** Lattice value of the [j]-th argument of call [c]. *)
 val arg_value : result -> Ssa.call -> int -> Lattice.t
@@ -108,15 +95,9 @@ val arg_value_w : result -> Ssa.call -> int -> int
     is in the callee's REF closure). *)
 val global_at_call : result -> Ssa.call -> Ir.var -> Lattice.t option
 
-(** Packed variant: {!Lattice.P.absent} when not recorded. *)
-val global_at_call_w : result -> Ssa.call -> Ir.var -> int
-
 (** The Grove–Torczon / Metzger–Stroud metric: textual uses of source-level
     variables proved constant in executable code (Table 5). *)
 val substitution_count : result -> int
-
-(** Source-variable SSA names proved constant (diagnostics). *)
-val constant_names : result -> (Ssa.name * Fsicp_lang.Value.t) list
 
 (** Value of variable [v] at procedure exit: the meet over executable
     return blocks of the reaching version's value; [Top] when the procedure

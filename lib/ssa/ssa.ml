@@ -1013,11 +1013,6 @@ let slot_of (p : proc) (v : Ir.var) : int =
   done;
   !res
 
-(** The entry (version-0) name of a variable, if it exists in the proc. *)
-let entry_name (p : proc) (v : Ir.var) : name option =
-  let s = slot_of p v in
-  if s < 0 then None else Some (snd p.entry_names.(s))
-
 (** Decode a dense site id back to its structured form. *)
 let decode_site (p : proc) (s : int) : use_site =
   let code = p.site_code.(s) in

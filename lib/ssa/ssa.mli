@@ -129,8 +129,6 @@ val of_proc : ?effects:call_effects -> Ast.program -> Ir.proc -> proc
 (** The variable's dense slot in this procedure's universe, or -1. *)
 val slot_of : proc -> Ir.var -> int
 
-val entry_name : proc -> Ir.var -> name option
-
 (** Decode a dense site id back to its structured form. *)
 val decode_site : proc -> int -> use_site
 

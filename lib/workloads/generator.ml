@@ -776,39 +776,3 @@ let small_profile seed =
     g_extra_calls = (0, 2);
     g_back_edge_prob = (if seed mod 3 = 0 then 0.4 else 0.0);
   }
-
-(** Debug: class histogram for a profile (used by the calibration tools). *)
-let class_histogram (p : profile) : (string * int) list =
-  let rng = Prng.create p.g_seed in
-  let g =
-    {
-      rng;
-      profile = p;
-      proc_names = [||];
-      formals_of = [||];
-      classes_of = [||];
-      collide_counter = 0;
-      bd_pure = [];
-      bd_mod = [];
-      setconst = [];
-      noise = [];
-    }
-  in
-  let counts = Hashtbl.create 8 in
-  let bump k =
-    Hashtbl.replace counts k (1 + Option.value (Hashtbl.find_opt counts k) ~default:0)
-  in
-  for _ = 1 to 1000 do
-    match pick_class g with
-    | Fselector -> bump "selector"
-    | Fimm _ -> bump "imm"
-    | Fcollide -> bump "collide"
-    | Fpass -> bump "pass"
-    | Flocal_const _ -> bump "local_const"
-    | Flocal_collide -> bump "local_collide"
-    | Fprune _ -> bump "prune"
-    | Fout _ -> bump "out"
-    | Fbot -> bump "bot"
-    | Fglobal -> bump "global"
-  done;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []

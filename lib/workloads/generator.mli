@@ -77,6 +77,3 @@ val generate : profile -> Ast.program
 (** Modest profiles for property tests, every mechanism enabled; one seed
     in three has guarded recursion. *)
 val small_profile : int -> profile
-
-(** Distribution of {!formal_class} draws for a profile (calibration aid). *)
-val class_histogram : profile -> (string * int) list

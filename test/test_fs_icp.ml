@@ -297,8 +297,16 @@ let test_entry_vec_layout () =
     (P.of_int 3) (env_main (var "g" Ir.Global));
   Alcotest.(check int) "f: non-closure global is bottom" P.bot
     (env_f (var "g" Ir.Global));
+  let no_calls _ _ = () in
   Alcotest.(check (array int)) "main's root vector" [| P.of_int 7 |]
-    (Entry_vec.main_vector roots sh_main)
+    (Entry_vec.entry roots sh_main (pid "main") no_calls);
+  Alcotest.(check (array int)) "f: unreached slots finalize to bottom"
+    [| P.bot; P.bot |]
+    (Entry_vec.entry roots sh_f (pid "f") no_calls);
+  Alcotest.(check (array int)) "f: a contribution meets into its slot"
+    [| P.of_int 1; P.bot |]
+    (Entry_vec.entry roots sh_f (pid "f") (fun _ v ->
+         Entry_vec.meet_site sh_f v ~word:Fun.id [| P.of_int 1 |] []))
 
 (* A re-solve whose dirty cone is past the sequential clamp (24 procedures)
    but smaller than the requested pool of 32: the wavefront must shrink

@@ -285,6 +285,50 @@ let test_dispatch_addendum () =
   Alcotest.(check bool) "cc finds no fewer constants than fs" true
     (count cc >= count fs)
 
+(* A chain that a back edge lowers one procedure per pass: [main] calls
+   [p1(1)] with [g = 0], each [p_i] prints its formal and calls [p_{i+1}]
+   while [g == 0], and [p_k] sets [g = 1] and calls back into [p_{k-1}(2)],
+   which walks the chain down to [p1] with 2.  The optimistic iterations
+   need about [k] passes to lower [p1]'s formal. *)
+let back_chain k =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "global g;\nproc main() { g = 0; call p1(1); }\n";
+  for i = 1 to k - 1 do
+    Printf.bprintf b "proc p%d(a) { print a; if (g == 0) { call p%d(a); }%s }\n"
+      i (i + 1)
+      (if i = 1 then "" else Printf.sprintf " else { call p%d(a); }" (i - 1))
+  done;
+  Printf.bprintf b "proc p%d(a) { g = 1; call p%d(2); }\n" k (k - 1);
+  parse (Buffer.contents b)
+
+(* A CC or Reference run that stops before it converges publishes [p1]'s
+   formal as the constant 1, and folding under it deletes [p1]'s
+   [if (g == 0)], so the folded program never stops.  Both budgets cover
+   the chain: each run converges, and neither falls back to FS. *)
+let test_pass_budget_long_chain () =
+  let total = Fsicp_trace.Trace.counter_total in
+  let fallbacks () = total "cc.fs_fallback" + total "ref.fs_fallback" in
+  let fallbacks0 = fallbacks () in
+  let check name prog sol =
+    Alcotest.check Test_util.lattice_testable
+      (name ^ ": p1's formal") L.Bot
+      (Solution.formal_value sol "p1" 0);
+    match O.check_solution_sound prog sol with
+    | Ok () -> ()
+    | Error d -> Alcotest.failf "%s unsound: %s" name d
+  in
+  let prog = back_chain 101 in
+  let ctx = Context.create ~jobs:1 prog in
+  let cc = Cc_icp.solve ctx in
+  check "cc, k = 101" prog cc;
+  let prints p = (Fsicp_interp.Interp.run p).Fsicp_interp.Interp.prints in
+  Alcotest.(check (list Test_util.value_testable))
+    "folding under cc keeps the output" (prints prog)
+    (prints (Fold.fold_program ctx cc));
+  let prog = back_chain 130 in
+  check "ref, k = 130" prog (Reference.solve (Context.create ~jobs:1 prog));
+  Alcotest.(check int) "no FS fallback" fallbacks0 (fallbacks ())
+
 (* ------------------------------------------------------------------ *)
 (* Shrinker                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -416,6 +460,8 @@ let suite =
     test_cc_vc_qcheck;
     Alcotest.test_case "dispatch addendum: vc strictly beats fs" `Quick
       test_dispatch_addendum;
+    Alcotest.test_case "pass budget: long back-edge chain" `Quick
+      test_pass_budget_long_chain;
     Alcotest.test_case "shrinker minimises" `Quick test_shrink_minimises;
     Alcotest.test_case "shrinker respects budget" `Quick
       test_shrink_respects_budget;

@@ -154,6 +154,27 @@ let test_streaming_retires_ssa () =
       | None -> Alcotest.fail "eager solve dropped an SCC result")
     eager.Context.pcg.Callgraph.nodes
 
+let test_streaming_builds_once () =
+  (* Retirement drops a procedure's IR, alias kills and SSA as soon as its
+     analysis is done, and nothing asks for them again: every reachable
+     procedure is lowered and SSA-built exactly once, at one domain or
+     four, and the solution is the eager one. *)
+  let prog = Scale.generate (spec Scale.Mixed 300 5) in
+  let eager = digest_of ~mode:`Eager ~jobs:1 prog in
+  List.iter
+    (fun jobs ->
+      let total = Fsicp_trace.Trace.counter_total in
+      let lowered = total "lower.procs" and built = total "ssa.built" in
+      let ctx = Context.create_streaming prog in
+      let fs = Fs_icp.solve ~jobs ctx in
+      let n = Callgraph.n_procs ctx.Context.pcg in
+      let label what = Printf.sprintf "jobs %d: %s" jobs what in
+      Alcotest.(check int) (label "lower.procs") n (total "lower.procs" - lowered);
+      Alcotest.(check int) (label "ssa.built") n (total "ssa.built" - built);
+      Alcotest.(check string) (label "digest = eager jobs=1") eager
+        (Solution.digest fs))
+    [ 1; 4 ]
+
 let qcheck_spec_gen =
   QCheck2.Gen.(
     let* family = oneofl Scale.all_families in
@@ -282,6 +303,8 @@ let suite =
       test_digest_modes_agree;
     Alcotest.test_case "streaming retires SSA from Scc.result" `Quick
       test_streaming_retires_ssa;
+    Alcotest.test_case "streaming builds each procedure once" `Quick
+      test_streaming_builds_once;
     qcheck_sharded_digest;
     Alcotest.test_case "shard regions: families" `Quick
       test_shard_regions_families;
