@@ -176,6 +176,13 @@ let scale_reps () =
   | None -> 3
   | Some s -> max 1 (int_of_string s)
 
+(* A child inherits the parent's unflushed output buffers and would write
+   them again when it flushes (an uncaught exception or [exit] in the
+   child does), so everything printed so far goes out before each fork. *)
+let flush_before_fork () =
+  flush stdout;
+  flush stderr
+
 (** One scale measurement, in a forked child process.  The fork serves the
     peak-heap column: [top_heap_words] is process-monotonic, so consecutive
     in-process runs would hide every footprint smaller than the largest
@@ -187,6 +194,7 @@ let scale_reps () =
     reliably. *)
 let scale_measure ~reps ~jobs ~mode prog : (float * float * float * int, string) result =
   let rd, wr = Unix.pipe () in
+  flush_before_fork ();
   match Unix.fork () with
   | 0 ->
       Unix.close rd;
@@ -345,6 +353,7 @@ let scale () =
     inherits it. *)
 let row_top_heap (setup : unit -> unit -> unit) : int option =
   let rd, wr = Unix.pipe () in
+  flush_before_fork ();
   match Unix.fork () with
   | 0 ->
       Unix.close rd;

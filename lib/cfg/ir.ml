@@ -18,14 +18,14 @@ type kind =
   | Temp  (** compiler-introduced temporary; never escapes the procedure *)
 
 type var = { vid : Prog.Var.id; vkind : kind }
-(** [vid] is the interned name ({!Fsicp_prog.Prog.Var}): comparing, hashing
-    and equating variables are single-word integer operations on the SSA and
-    SCC hot paths.  The spelling is recovered with {!Var.name} only at
-    pretty-printing and solution-assembly boundaries.
+(** [vid] is the interned name ({!Fsicp_prog.Prog.Var}): hashing and
+    equating variables are single-word integer operations on the SSA and
+    SCC hot paths.
 
-    Note the induced {!Var.compare} order is interning order, not
-    alphabetical: any user-visible listing must sort by {!Var.name}
-    explicitly. *)
+    {!Var.compare} is the one variable order: by name, then by kind.  It
+    never depends on the order in which the process interned the names, so
+    neither does anything sorted by it (the SSA universe, call-def and
+    kill lists, {!VarSet}) nor, through them, [Solution.digest]. *)
 
 module Var = struct
   type t = var
@@ -42,6 +42,7 @@ module Var = struct
     | Formal i, Formal j -> Int.compare i j
     | _ -> Int.compare (kind_tag a) (kind_tag b)
 
+  (* [Prog.Var.compare] reads no name when the ids are equal. *)
   let compare a b =
     match Prog.Var.compare a.vid b.vid with
     | 0 -> compare_kind a.vkind b.vkind
@@ -55,9 +56,10 @@ module Var = struct
 
   (** Collision-free int key within one procedure's variable universe: the
       interned name id plus the kind tag.  (The [Formal] index is dropped:
-      a name resolves to at most one formal slot per procedure.)  Backs the
-      dense slot tables of {!Fsicp_ssa.Ssa} and the per-call entry-env
-      lookup of {!Fsicp_scc.Scc.env_of_list}. *)
+      a name resolves to at most one formal slot per procedure.)  An
+      identity for dense and hashed tables — the construction scratch of
+      {!Fsicp_ssa.Ssa} and {!Fsicp_scc.Scc.env_of_list} — never an order:
+      it depends on the process's interning order. *)
   let slot_key v = (Prog.Var.to_int v.vid * 4) + kind_tag v.vkind
 
   let pp ppf v =
@@ -73,13 +75,6 @@ module Var = struct
 
   (** Source-level variables — the ones metrics count uses of. *)
   let is_source v = not (is_temp v)
-
-  (** Sort by source spelling — for user-visible listings, where the
-      interning order behind {!compare} would be meaningless. *)
-  let by_name a b =
-    match String.compare (name a) (name b) with
-    | 0 -> compare_kind a.vkind b.vkind
-    | c -> c
 end
 
 module VarSet = Set.Make (Var)

@@ -40,11 +40,11 @@ let c_pcg_reused = Trace.counter "callgraph.reused"
 
 (** Raw reference-parameter alias lists of every formal or global a
     procedure directly assigns, as parallel arrays sorted by
-    [Ir.Var.slot_key].  The lists depend only on the IPA results, so they
+    [Ir.Var.compare].  The lists depend only on the IPA results, so they
     are computed once per context and shared by every SSA (re)build; the
     arrays are immutable after {!create}, which keeps concurrent builds on
     several domains race-free. *)
-type alias_kills = { ak_keys : int array; ak_lists : Ir.var list array }
+type alias_kills = { ak_vars : Ir.var array; ak_lists : Ir.var list array }
 
 (** Streaming mode holds no state: [stream = Some ()] marks it. *)
 type stream = unit
@@ -131,7 +131,7 @@ let raw_assign_aliases (aliases : Alias.t)
     assigned formal or global. *)
 let alias_kills_of_proc aliases summaries (p : Ir.proc) : alias_kills =
   let summary = Summary.find summaries p.Ir.name in
-  let seen : (int, Ir.var list) Hashtbl.t = Hashtbl.create 16 in
+  let seen : (int, Ir.var) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (fun (blk : Ir.block) ->
       Array.iter
@@ -140,23 +140,16 @@ let alias_kills_of_proc aliases summaries (p : Ir.proc) : alias_kills =
               match v.Ir.vkind with
               | Ir.Local | Ir.Temp -> ()
               | Ir.Formal _ | Ir.Global ->
-                  let k = Ir.Var.slot_key v in
-                  if not (Hashtbl.mem seen k) then
-                    Hashtbl.add seen k
-                      (raw_assign_aliases aliases summary p.Ir.name v))
+                  Hashtbl.replace seen (Ir.Var.slot_key v) v)
           | Ir.Call _ | Ir.Print _ -> ())
         blk.Ir.instrs)
     p.Ir.cfg.Ir.blocks;
-  let n = Hashtbl.length seen in
-  let keys = Array.make n 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun k _ ->
-      keys.(!i) <- k;
-      incr i)
-    seen;
-  Array.sort Int.compare keys;
-  { ak_keys = keys; ak_lists = Array.map (fun k -> Hashtbl.find seen k) keys }
+  let vars = Array.of_seq (Hashtbl.to_seq_values seen) in
+  Array.sort Ir.Var.compare vars;
+  {
+    ak_vars = vars;
+    ak_lists = Array.map (raw_assign_aliases aliases summary p.Ir.name) vars;
+  }
 
 (** Alias-kill tables for every reachable procedure. *)
 let compute_alias_kills aliases summaries (pcg : Callgraph.t)
@@ -164,9 +157,10 @@ let compute_alias_kills aliases summaries (pcg : Callgraph.t)
   Prog.tbl_init pcg.Callgraph.db (fun pid ->
       alias_kills_of_proc aliases summaries (Prog.Proc.Tbl.get lowered pid))
 
-(* Equal alias-kill tables: same keys, same kill lists. *)
+(* Equal alias-kill tables: same variables, same kill lists. *)
 let alias_kills_equal (a : alias_kills) (b : alias_kills) : bool =
-  a.ak_keys = b.ak_keys
+  Array.length a.ak_vars = Array.length b.ak_vars
+  && Array.for_all2 Ir.Var.equal a.ak_vars b.ak_vars
   && Array.for_all2 (List.equal Ir.Var.equal) a.ak_lists b.ak_lists
 
 (* Does [prog] make exactly the calls [c]'s program makes?  Same entry,
@@ -353,13 +347,8 @@ let retire t (pid : Prog.Proc.id) : unit =
   end
 
 (** Per-procedure SSA side-effect oracle, backed by the IPA results. *)
-let effects_for t (proc_name : string) : Ssa.call_effects =
-  let summary = Summary.find t.summaries proc_name in
-  let kills =
-    match Callgraph.proc_id t.pcg proc_name with
-    | Some pid -> Some (alias_kills_at t pid)
-    | None -> None
-  in
+let effects_for t (pid : Prog.Proc.id) : Ssa.call_effects =
+  let ak = alias_kills_at t pid in
   {
     Ssa.defs_of_call =
       (fun ~callee ~byref_args ->
@@ -370,27 +359,23 @@ let effects_for t (proc_name : string) : Ssa.call_effects =
       (fun v ->
         match v.Ir.vkind with
         | Ir.Local | Ir.Temp -> []
-        | Ir.Formal _ | Ir.Global -> (
-            match kills with
-            | None -> raw_assign_aliases t.aliases summary proc_name v
-            | Some ak ->
-                (* Binary search the precomputed per-proc table; a miss
-                   means the variable is never directly assigned here, so
-                   nothing needs killing. *)
-                let key = Ir.Var.slot_key v in
-                let lo = ref 0 and hi = ref (Array.length ak.ak_keys - 1) in
-                let found = ref [] in
-                while !lo <= !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  let k = ak.ak_keys.(mid) in
-                  if k = key then begin
-                    found := ak.ak_lists.(mid);
-                    lo := !hi + 1
-                  end
-                  else if k < key then lo := mid + 1
-                  else hi := mid - 1
-                done;
-                !found));
+        | Ir.Formal _ | Ir.Global ->
+            (* Binary search the precomputed per-proc table; a miss means
+               the variable is never directly assigned here, so nothing
+               needs killing. *)
+            let lo = ref 0 and hi = ref (Array.length ak.ak_vars - 1) in
+            let found = ref [] in
+            while !lo <= !hi do
+              let mid = (!lo + !hi) / 2 in
+              let c = Ir.Var.compare ak.ak_vars.(mid) v in
+              if c = 0 then begin
+                found := ak.ak_lists.(mid);
+                lo := !hi + 1
+              end
+              else if c < 0 then lo := mid + 1
+              else hi := mid - 1
+            done;
+            !found);
   }
 
 (** SSA form of a reachable procedure (cached).  Concurrent misses on the
@@ -403,9 +388,8 @@ let ssa_at t (pid : Prog.Proc.id) : Ssa.proc =
       p
   | None ->
       Trace.incr c_ssa_built;
-      let name = Callgraph.proc_name t.pcg pid in
       let p =
-        Ssa.of_proc ~effects:(effects_for t name) t.prog (lowered_at t pid)
+        Ssa.of_proc ~effects:(effects_for t pid) t.prog (lowered_at t pid)
       in
       Prog.Proc.Tbl.set t.ssa_cache pid (Some p);
       p
@@ -432,8 +416,7 @@ let build_ssa ?jobs t : unit =
   let built =
     Par.parallel_init ~label:"ssa:build" ~jobs (Array.length missing) (fun i ->
         let pid = missing.(i) in
-        let name = Callgraph.proc_name t.pcg pid in
-        Ssa.of_proc ~effects:(effects_for t name) t.prog (lowered_at t pid))
+        Ssa.of_proc ~effects:(effects_for t pid) t.prog (lowered_at t pid))
   in
   Array.iteri
     (fun i pid -> Prog.Proc.Tbl.set t.ssa_cache pid (Some built.(i)))

@@ -23,10 +23,10 @@ open Fsicp_callgraph
 open Fsicp_scc
 
 (** Raw alias lists of every formal or global a procedure directly
-    assigns, as parallel arrays sorted by [Ir.Var.slot_key]; computed once
+    assigns, as parallel arrays sorted by [Ir.Var.compare]; computed once
     per context and immutable afterwards, so SSA rebuilds on any number of
     domains share them without synchronisation. *)
-type alias_kills = { ak_keys : int array; ak_lists : Ir.var list array }
+type alias_kills = { ak_vars : Ir.var array; ak_lists : Ir.var list array }
 
 (** Marks a streaming context (opaque outside the context; it holds no
     state). *)

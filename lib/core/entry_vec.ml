@@ -13,34 +13,34 @@ module P = Lattice.P
 type shape = { nf : int; gids : Prog.Var.id array }
 
 (* GREF of a procedure is exactly what [call_global_refs] reports for a
-   call to it, and Modref precomputes that list per procedure.  Sorting
-   the ids lets every lookup binary-search instead of hashing. *)
+   call to it, and Modref precomputes that list per procedure, descending
+   by name.  Ascending, the ids let every lookup binary-search instead of
+   hashing. *)
 let shape (ctx : Context.t) proc =
   let nf =
     List.length (Summary.find ctx.Context.summaries proc).Summary.ps_formals
   in
   let gids =
     Modref.call_global_refs ctx.Context.modref ~callee:proc
-    |> List.map (fun (g : Ir.var) -> g.Ir.vid)
+    |> List.rev_map (fun (g : Ir.var) -> g.Ir.vid)
     |> Array.of_list
   in
-  Array.sort Prog.Var.compare gids;
   { nf; gids }
 
 let size sh = sh.nf + Array.length sh.gids
 
-let global_slot sh (g : int) =
+let global_slot sh (g : Prog.Var.id) =
   let gs = sh.gids in
   let lo = ref 0 and hi = ref (Array.length gs - 1) in
   let found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let gm = Prog.Var.to_int gs.(mid) in
-    if gm = g then begin
+    let c = Prog.Var.compare gs.(mid) g in
+    if c = 0 then begin
       found := sh.nf + mid;
       lo := !hi + 1
     end
-    else if gm < g then lo := mid + 1
+    else if c < 0 then lo := mid + 1
     else hi := mid - 1
   done;
   !found
@@ -58,7 +58,7 @@ let meet_site sh v ~word args globals =
     args;
   List.iter
     (fun (g, w) ->
-      let s = global_slot sh (Prog.Var.to_int g) in
+      let s = global_slot sh g in
       (* missing: not in the REF closure — its entry value is never used *)
       if s >= 0 then v.(s) <- P.meet v.(s) (word w))
     globals
@@ -103,13 +103,12 @@ let env r sh (pid : Prog.Proc.id) slot (v : Ir.var) : int =
   match v.Ir.vkind with
   | Ir.Formal j -> if j < sh.nf then slot j else P.bot
   | Ir.Global ->
-      let g = Prog.Var.to_int v.Ir.vid in
-      let s = global_slot sh g in
+      let s = global_slot sh v.Ir.vid in
       if s >= 0 then slot s
         (* Not in the REF closure but still versioned (e.g. only in the MOD
            closure of some callee): unknown at entry unless this is [main]
            and block data initialises it. *)
-      else if is_main r pid then seed r g
+      else if is_main r pid then seed r (Prog.Var.to_int v.Ir.vid)
       else P.bot
   | Ir.Local | Ir.Temp -> P.bot
 
@@ -125,7 +124,7 @@ let split sh v =
     List.init (Array.length sh.gids) (fun k -> (sh.gids.(k), v.(sh.nf + k))) )
 
 (* Decode to boxed values only at the Solution boundary; [gids] is sorted,
-   so [pe_globals] comes out in canonical id order. *)
+   so [pe_globals] comes out in name order. *)
 let box_entry sh v =
   {
     Solution.pe_formals = Array.init sh.nf (fun j -> P.to_t v.(j));

@@ -4,7 +4,7 @@
 
     A procedure's entry vector is a packed-word array ({!Fsicp_scc.Lattice.P})
     over its {!shape}: slot [j < nf] is formal [j], slot [nf + k] is the
-    [k]-th global of its REF closure in ascending id order.  This module is
+    [k]-th global of its REF closure in name order.  This module is
     the only one that knows that layout; {!Reference} deliberately keeps
     its own, so the solver it checks {!Fs_icp} against shares no code with
     it. *)
@@ -25,9 +25,9 @@ val shape : Context.t -> string -> shape
 (** Number of slots: formals plus closure globals. *)
 val size : shape -> int
 
-(** [global_slot sh g] is the slot of the global with raw id [g], or [-1]
-    when [g] is outside the REF closure (its entry value is never read). *)
-val global_slot : shape -> int -> int
+(** [global_slot sh g] is the slot of global [g], or [-1] when [g] is
+    outside the REF closure (its entry value is never read). *)
+val global_slot : shape -> Prog.Var.id -> int
 
 (** [top sh] is a fresh all-⊤ vector, the identity of {!meet_site}. *)
 val top : shape -> int array

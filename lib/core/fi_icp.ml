@@ -132,9 +132,8 @@ let compile (ctx : Context.t) : table =
                  | Some v -> v
                  | None -> Lattice.Bot )))
   in
-  let pe_globals =
-    Array.map (List.sort (fun (a, _) (b, _) -> Prog.Var.compare a b)) refs
-  in
+  (* [refs] is descending by name; entries list it ascending. *)
+  let pe_globals = Array.map List.rev refs in
 
   (* -- Sites and ops, in forward traversal order ----------------------- *)
   let calls = Array.map (fun pid -> (summary pid).Summary.ps_calls) pcg.Callgraph.nodes in

@@ -383,12 +383,12 @@ let solve (ctx : Context.t) (variant : variant) : Solution.t =
           Prog.Proc.Tbl.get formal_values pid
           |> Array.map (fun w -> if w = P.top then Lattice.Bot else P.to_t w)
         in
-        (* Globals are not handled by jump-function methods. *)
+        (* Globals are not handled by jump-function methods.  The REF
+           closure comes descending by name; entries list it ascending. *)
         let pe_globals =
           Modref.call_global_refs ctx.Context.modref
             ~callee:(Prog.proc_name db pid)
-          |> List.map (fun (gv : Ir.var) -> (gv.Ir.vid, Lattice.Bot))
-          |> List.sort (fun (a, _) (b, _) -> Prog.Var.compare a b)
+          |> List.rev_map (fun (gv : Ir.var) -> (gv.Ir.vid, Lattice.Bot))
         in
         { Solution.pe_formals; pe_globals })
   in

@@ -39,7 +39,7 @@ type proc_entry = {
   pe_formals : Lattice.t array;
   pe_globals : (Prog.Var.id * Lattice.t) list;
       (** entry value of each global the procedure may reference, keyed by
-          interned variable id and sorted by it; globals not listed are
+          interned variable id and sorted by name; globals not listed are
           unknown (bottom) *)
 }
 

@@ -215,53 +215,19 @@ let compute (summaries : Summary.t) (aliases : Alias.t) (pcg : Callgraph.t) :
         in
         solve gmod imod;
         solve gref iref);
-  (* SSA construction orders variables by intern id, so the order in
-     which this pass first interns the globals is part of every SSA
-     numbering and of [Solution.digest]: keep the one it has always used —
-     procedures callees first, each one's MOD globals by name, then its
-     REF globals by name. *)
+  (* Globals in name order, which is [Ir.Var.compare]'s order on them. *)
   let by_name = Array.init ng Fun.id in
   Array.sort (fun x y -> String.compare gnames.(x) gnames.(y)) by_name;
-  (* Does procedure [p]'s set hold a global outside [seen]? *)
-  let has_globals sets p seen =
-    let r = ref false in
-    for w = 0 to width - 1 do
-      if sets.((p * width) + w) land gmask.(w) land lnot seen.(w) <> 0 then
-        r := true
-    done;
-    !r
-  in
-  let gvars = Array.make ng None and seen = Array.make width 0 in
-  let interned = ref [] in
-  let intern sets p =
-    if has_globals sets p seen then
-      Array.iter
-        (fun b ->
-          if mem sets (p * width) b && not (mem seen 0 b) then begin
-            add seen 0 b;
-            gvars.(b) <- Some (Ir.global gnames.(b));
-            interned := b :: !interned
-          end)
-        by_name
-  in
-  for p = n - 1 downto 0 do
-    intern gmod p;
-    intern gref p
-  done;
-  let gvar b = Option.get gvars.(b) in
-  let by_var = Array.of_list !interned in
-  Array.sort (fun x y -> Ir.Var.compare (gvar x) (gvar y)) by_var;
+  let gvars = Array.map Ir.global gnames in
   (* [p]'s globals, listed in [order]. *)
-  let none = Array.make width 0 in
   let render sets order p =
     let l = ref [] in
-    if has_globals sets p none then
-      for k = Array.length order - 1 downto 0 do
-        if mem sets (p * width) order.(k) then l := gvar order.(k) :: !l
-      done;
+    for k = Array.length order - 1 downto 0 do
+      if mem sets (p * width) order.(k) then l := gvars.(order.(k)) :: !l
+    done;
     !l
   in
-  let defs_globals = Array.init n (render gmod by_var) in
+  let defs_globals = Array.init n (render gmod by_name) in
   let defs_formals =
     Array.init n (fun p ->
         let l = ref [] in

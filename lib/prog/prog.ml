@@ -138,7 +138,10 @@ module Var = struct
   let name (i : id) = T.value i
   let to_int i = i
   let equal : id -> id -> bool = Int.equal
-  let compare : id -> id -> int = Int.compare
+
+  let compare (a : id) (b : id) =
+    if a = b then 0 else String.compare (name a) (name b)
+
   let hash (i : id) = i
   let pp ppf i = Fmt.string ppf (name i)
 end

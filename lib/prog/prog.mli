@@ -10,9 +10,10 @@
       postorder, so the id {e is} the topological position).  Per-procedure
       analysis state lives in dense {!Proc.Tbl} arrays indexed by these ids.
     - {!Var.id} — a process-global interned variable name.  Interning is
-      thread-safe (the lowering and SSA phases run on multiple domains) and
-      ids are used for identity — [compare]/[equal]/[hash] on one machine
-      word — never as dense array indices.
+      thread-safe (the lowering and SSA phases run on multiple domains).
+      Which id a name gets depends on what the process interned before, so
+      an id is an identity ([equal]/[hash] on one machine word), never an
+      order: [compare] orders by name.
 
     Proc ids are {e per-program}: an id minted for one program's database is
     meaningless (and out of bounds) in another's.  They must never leak
@@ -54,9 +55,10 @@ end
 module Var : sig
   type id = private int
   (** A process-globally interned variable name.  Equal names always intern
-      to equal ids, so [equal]/[compare]/[hash] are single-word integer
-      operations.  Ids are dense per process, not per program — use them for
-      identity and ordering, never to size per-program arrays. *)
+      to equal ids, so [equal]/[hash] are single-word integer operations.
+      Ids are dense per process, not per program, and depend on the order
+      in which the process first met each name — use them for identity,
+      never for ordering or to size per-program arrays. *)
 
   val intern : string -> id
   (** Thread-safe; idempotent per name.  A name interned before takes no
@@ -69,7 +71,11 @@ module Var : sig
 
   val to_int : id -> int
   val equal : id -> id -> bool
+
   val compare : id -> id -> int
+  (** By name ([String.compare]); equal ids compare equal without reading
+      the names.  The order never depends on the process. *)
+
   val hash : id -> int
   val pp : id Fmt.t
 end

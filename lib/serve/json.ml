@@ -230,7 +230,18 @@ let parse_number c =
         | Some f -> Float f
         | None -> fail "invalid number %S" s)
 
-let rec parse_value c =
+(* Arrays and objects recurse once per level, so a frame of 60 MB of
+   ['['] would overflow the stack long before it ran out of input. *)
+let max_depth = 256
+
+(* Step over the opening bracket of a value nested at [depth]. *)
+let enter depth c =
+  if depth >= max_depth then
+    fail "nesting deeper than %d levels at offset %d" max_depth c.pos;
+  c.pos <- c.pos + 1;
+  depth + 1
+
+let rec parse_value depth c =
   skip_ws c;
   match peek c with
   | None -> fail "unexpected end of input"
@@ -239,31 +250,31 @@ let rec parse_value c =
   | Some 'f' -> literal c "false" (Bool false)
   | Some 'n' -> literal c "null" Null
   | Some '[' ->
-      c.pos <- c.pos + 1;
+      let depth = enter depth c in
       skip_ws c;
       if peek c = Some ']' then begin
         c.pos <- c.pos + 1;
         Arr []
       end
       else begin
-        let acc = ref [ parse_value c ] in
+        let acc = ref [ parse_value depth c ] in
         skip_ws c;
         while peek c = Some ',' do
           c.pos <- c.pos + 1;
-          acc := parse_value c :: !acc;
+          acc := parse_value depth c :: !acc;
           skip_ws c
         done;
         expect c ']';
         Arr (List.rev !acc)
       end
   | Some '{' ->
-      c.pos <- c.pos + 1;
+      let depth = enter depth c in
       let member () =
         skip_ws c;
         let k = parse_string c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value depth c in
         skip_ws c;
         (k, v)
       in
@@ -286,7 +297,7 @@ let rec parse_value c =
 
 let of_string (s : string) : (t, string) result =
   let c = { src = s; pos = 0 } in
-  match parse_value c with
+  match parse_value 0 c with
   | v ->
       skip_ws c;
       if c.pos <> String.length s then

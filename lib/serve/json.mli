@@ -16,7 +16,11 @@ type t =
 
 val to_string : t -> string
 
-(** Parse one complete document; trailing non-whitespace is an error. *)
+(** Deepest array/object nesting {!of_string} accepts (256). *)
+val max_depth : int
+
+(** Parse one complete document; trailing non-whitespace is an error, and
+    so is nesting deeper than {!max_depth}. *)
 val of_string : string -> (t, string) result
 
 (** Object member lookup; [None] on non-objects and missing keys. *)

@@ -147,10 +147,9 @@ type proc = {
           numbered consecutively in successor order ([Cond] with equal arms
           collapses to one edge, mirroring [Ir.successors]) *)
   edge_dst : int array;  (** edge id -> destination block *)
-  vars : Ir.var array;  (** the variable universe, in slot order *)
-  var_keys : int array;
-      (** [Ir.Var.slot_key] of each slot, ascending — {!slot_of} binary
-          searches this instead of hashing *)
+  vars : Ir.var array;
+      (** the variable universe, in slot order: ascending by
+          [Ir.Var.compare], which {!slot_of} binary-searches *)
   entry_ids : int array;  (** var slot -> version-0 name id *)
   exit_ids : (int * int array) array;
       (** per [Ret] block: var slot -> reaching name id, or -1 *)
@@ -264,8 +263,8 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
   (* One pass over the IR collects occurring vars, call-defined vars,
      recorded globals and alias kills — deduplicated through the
      epoch-stamped {!Scratch} (no hashing, no [VarSet] trees) and sorted
-     once by [slot_key], which induces exactly the order the original
-     [VarSet.elements]-based formulation produced. *)
+     once by [Ir.Var.compare], so the slots, and every SSA name numbered
+     from them, do not depend on the process's interning order. *)
   let scratch = Scratch.get () in
   let epoch = scratch.Scratch.epoch in
   let acc = ref [] in
@@ -349,15 +348,12 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
       | Ir.Goto _ | Ir.Ret -> ())
     cfg.Ir.blocks;
   let vars = Array.of_list !acc in
-  Array.sort
-    (fun a b -> Int.compare (Ir.Var.slot_key a) (Ir.Var.slot_key b))
-    vars;
+  Array.sort Ir.Var.compare vars;
   let nvars = !nv in
-  let var_keys = Array.map Ir.Var.slot_key vars in
   (* Rebind keys to dense slots; [ensure] is done growing, so the arrays
      can be captured. *)
   let slot_arr = scratch.Scratch.slot in
-  Array.iteri (fun i k -> slot_arr.(k) <- i) var_keys;
+  Array.iteri (fun i v -> slot_arr.(Ir.Var.slot_key v) <- i) vars;
   let[@inline] vidx v = slot_arr.(Ir.Var.slot_key v) in
 
   (* -- Dense edge ids ------------------------------------------------ *)
@@ -981,7 +977,6 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
     edge_base;
     edge_dst;
     vars;
-    var_keys;
     entry_ids;
     exit_ids;
     calls;
@@ -995,20 +990,19 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
 (* ------------------------------------------------------------------ *)
 
 (** The variable's dense slot in this procedure's universe, or -1.
-    Binary search over the sorted [var_keys] — alloc- and hash-free. *)
+    Binary search over [vars] — alloc- and hash-free. *)
 let slot_of (p : proc) (v : Ir.var) : int =
-  let k = Ir.Var.slot_key v in
-  let keys = p.var_keys in
-  let lo = ref 0 and hi = ref (Array.length keys - 1) in
+  let vars = p.vars in
+  let lo = ref 0 and hi = ref (Array.length vars - 1) in
   let res = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let km = keys.(mid) in
-    if km = k then begin
+    let c = Ir.Var.compare vars.(mid) v in
+    if c = 0 then begin
       res := mid;
       lo := !hi + 1
     end
-    else if km < k then lo := mid + 1
+    else if c < 0 then lo := mid + 1
     else hi := mid - 1
   done;
   !res

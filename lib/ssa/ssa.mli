@@ -95,9 +95,9 @@ type proc = {
           consecutively in successor order, [Cond] with equal arms collapsed
           to one edge (mirroring [Ir.successors]) *)
   edge_dst : int array;  (** edge id -> destination block *)
-  vars : Ir.var array;  (** the variable universe, in slot order *)
-  var_keys : int array;
-      (** [Ir.Var.slot_key] of each slot, ascending — backs {!slot_of} *)
+  vars : Ir.var array;
+      (** the variable universe, in slot order: ascending by
+          [Ir.Var.compare] *)
   entry_ids : int array;  (** var slot -> version-0 name id *)
   exit_ids : (int * int array) array;
       (** per [Ret] block: var slot -> reaching name id, or -1 *)

@@ -277,7 +277,7 @@ let test_entry_vec_layout () =
   let pid name = Cg.proc_id_exn ctx.Context.pcg name in
   let sh_main = Entry_vec.shape ctx "main" and sh_f = Entry_vec.shape ctx "f" in
   let var name vkind = { Ir.vid = V.intern name; vkind } in
-  let k = V.to_int (V.intern "k") and g = V.to_int (V.intern "g") in
+  let k = V.intern "k" and g = V.intern "g" in
   Alcotest.(check int) "f: one formal" 1 sh_f.Entry_vec.nf;
   Alcotest.(check int) "f: formal, then k" 2 (Entry_vec.size sh_f);
   Alcotest.(check int) "f: k follows the formals" 1 (Entry_vec.global_slot sh_f k);

@@ -159,6 +159,40 @@ let test_framing_bad_length () =
       | _ -> Alcotest.fail "oversized frame accepted"
       | exception Protocol.Frame_error _ -> ())
 
+(* A document nested one level past [Json.max_depth] is refused with an
+   error naming the limit, and the connection goes on serving: the frames
+   are queued on a socket pair, whose write half is then shut, so
+   [serve_connection] answers both and returns at EOF. *)
+let test_json_depth_cap () =
+  let nest n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "at the cap parses" true
+    (Result.is_ok (Json.of_string (nest Json.max_depth)));
+  with_socketpair (fun a b ->
+      Protocol.write_frame a (nest (Json.max_depth + 1));
+      Protocol.write_frame a {|{"cmd":"version"}|};
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      Serve.serve_connection (Protocol.make_state ~jobs:1 ~version:"test" ()) b;
+      let next () =
+        match Protocol.read_frame a with
+        | Some payload -> parse_exn payload
+        | None -> Alcotest.fail "connection closed early"
+      in
+      let deep = next () in
+      Alcotest.(check (option bool)) "deep frame: ok:false" (Some false)
+        (match Json.member "ok" deep with
+        | Some (Json.Bool x) -> Some x
+        | _ -> None);
+      let err = Option.value ~default:"" (Json.str_member "error" deep) in
+      let limit = string_of_int Json.max_depth in
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the limit: %s" err)
+        true
+        (List.exists (String.equal limit)
+           (String.split_on_char ' ' err));
+      Alcotest.(check (option string)) "version still answered"
+        (Some "test")
+        (Json.str_member "version" (next ())))
+
 (* -- socket-free dispatch -------------------------------------------------- *)
 
 let prog_src =
@@ -391,6 +425,8 @@ let suite =
     Alcotest.test_case "JSON rejects malformed documents" `Quick
       test_json_errors;
     Alcotest.test_case "JSON accessors" `Quick test_json_accessors;
+    Alcotest.test_case "JSON nesting cap over a connection" `Quick
+      test_json_depth_cap;
     Alcotest.test_case "framing round-trips" `Quick test_framing_roundtrip;
     Alcotest.test_case "framing: clean EOF" `Quick test_framing_eof;
     Alcotest.test_case "framing: oversized length rejected" `Quick
