@@ -43,6 +43,7 @@ type t = {
       (** name → AST index over [prog.procs]; kept by {!replace_proc}.  The
           list scan it replaces made every per-procedure [proc_ast] O(n) —
           quadratic across lowering on the 10⁴–10⁶-procedure corpora. *)
+  scope : Sema.scope;  (** [prog]'s name table, shared by every procedure *)
   db : Prog.t;
   nodes : Prog.Proc.id array;
   edges : edge list;
@@ -181,8 +182,8 @@ let build (prog : Ast.program) : t =
       if e.back then
         Prog.Bits.set back_bits (cs_base.((e.caller :> int)) + e.cs_index))
     edges;
-  { prog; asts; db; nodes; edges; out_adj; in_adj; cs_base; back_bits;
-    wave = None }
+  { prog; asts; scope = Sema.scope prog; db; nodes; edges; out_adj; in_adj;
+    cs_base; back_bits; wave = None }
 
 let is_back_edge _t (e : edge) = e.back
 
@@ -260,9 +261,14 @@ let replace_proc t (prog : Ast.program) (p : Ast.proc) =
     record sharing [t]'s nodes, edges, adjacency, call-site numbering,
     back-edge bits and wavefront lists, with its own program and its own
     name index.  [t]'s index is never touched, so [t] keeps answering
-    {!proc_ast} with its own program's procedures. *)
+    {!proc_ast} with its own program's procedures.  The scope carries over
+    when the globals list is physically [t]'s. *)
 let with_program t (prog : Ast.program) : t =
-  { t with prog; asts = index_asts prog }
+  let scope =
+    if prog.Ast.globals == t.prog.Ast.globals then t.scope
+    else Sema.scope prog
+  in
+  { t with prog; asts = index_asts prog; scope }
 
 (** The wavefront's dependency lists: per procedure id, the distinct
     callers over forward (non-back) edges in ascending order, and per id

@@ -25,6 +25,9 @@ type t = {
   asts : (string, Ast.proc) Hashtbl.t;
       (** name → AST index over [prog.procs], kept in sync by {!replace_proc};
           makes {!proc_ast} O(1) instead of a program-wide list scan *)
+  scope : Sema.scope;
+      (** [prog]'s name table, built once per program: lowering, the
+          transforms and verification resolve names through it *)
   db : Prog.t;  (** name <-> id bijection for the reachable procedures *)
   nodes : Prog.Proc.id array;
       (** reachable procedures in reverse postorder from main;
@@ -102,8 +105,8 @@ val replace_proc : t -> Ast.program -> Ast.proc -> unit
     [prog] has [t]'s entry and procedure names and every procedure makes
     the calls it makes in [t]'s program: a new record that shares [t]'s
     nodes, edges, adjacency, call-site numbering, back-edge bits and
-    wavefront lists, with its own program and name index.  [t] is left
-    untouched. *)
+    wavefront lists, with its own program and name index (and [t]'s scope
+    when the globals list is physically [t]'s).  [t] is left untouched. *)
 val with_program : t -> Ast.program -> t
 
 (** The wavefront's dependency lists: per procedure id, its distinct

@@ -9,12 +9,8 @@
 open Fsicp_lang
 
 type builder = {
-  prog : Ast.program;
+  scope : Sema.scope;  (** the program's name table *)
   formals : string list;
-  classify : string -> Sema.var_class;
-      (** hashed {!Sema.classifier} over the program's globals and this
-          procedure's formals: one table build per procedure instead of a
-          global-list scan per identifier occurrence *)
   mutable blocks_rev : (Ir.instr list * Ir.terminator option) list;
       (** finished blocks, newest first; [None] terminator = fallthrough
           placeholder fixed up when the successor is known *)
@@ -25,7 +21,7 @@ type builder = {
 }
 
 let resolve (b : builder) (x : string) : Ir.var =
-  match b.classify x with
+  match Sema.resolve b.scope ~formals:b.formals x with
   | Sema.Formal i -> Ir.formal x i
   | Sema.Global -> Ir.global x
   | Sema.Local -> Ir.local x
@@ -169,14 +165,12 @@ let prune_unreachable (cfg : Ir.cfg) : Ir.cfg =
   in
   { Ir.blocks; entry = remap.(cfg.Ir.entry) }
 
-(** Lower one procedure. *)
-let lower_proc (prog : Ast.program) (p : Ast.proc) : Ir.proc =
+(** Lower one procedure, resolving names through the program's scope. *)
+let lower_in (scope : Sema.scope) (p : Ast.proc) : Ir.proc =
   let b =
     {
-      prog;
+      scope;
       formals = p.Ast.formals;
-      classify =
-        Sema.classifier ~globals:prog.Ast.globals ~formals:p.Ast.formals;
       blocks_rev = [];
       cur = [];
       cur_id = 0;
@@ -203,7 +197,10 @@ let lower_proc (prog : Ast.program) (p : Ast.proc) : Ir.proc =
     n_call_sites = b.next_cs;
   }
 
+let lower_proc (prog : Ast.program) (p : Ast.proc) : Ir.proc =
+  lower_in (Sema.scope prog) p
+
 (** Lower every procedure of a program.  The program must be
     {!Sema.check}-clean. *)
 let lower_program (prog : Ast.program) : Ir.proc list =
-  List.map (lower_proc prog) prog.Ast.procs
+  List.map (lower_in (Sema.scope prog)) prog.Ast.procs

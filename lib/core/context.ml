@@ -69,11 +69,12 @@ type t = {
   stream : stream option;  (** [Some _] iff built by {!create_streaming} *)
 }
 
-(** Lower every reachable procedure on [jobs] domains, keeping the IR
-    [reuse] supplies for a procedure instead of lowering it again.  Each
-    lowering is independent (all mutable state is builder-local), so the
-    work is embarrassingly parallel. *)
-let lower_reusing ~jobs ~reuse prog (pcg : Callgraph.t) :
+(** Lower every reachable procedure on [jobs] domains under [scope],
+    keeping the IR [reuse] supplies for a procedure instead of lowering it
+    again.  Each lowering is independent (all mutable state is
+    builder-local; the scope is read-only), so the work is embarrassingly
+    parallel. *)
+let lower_reusing ~jobs ~reuse scope (pcg : Callgraph.t) :
     Ir.proc Prog.Proc.Tbl.t =
   let kept = Prog.tbl_init pcg.Callgraph.db reuse in
   let missing =
@@ -87,15 +88,20 @@ let lower_reusing ~jobs ~reuse prog (pcg : Callgraph.t) :
   Trace.add c_lower_reused (Callgraph.n_procs pcg - n);
   let procs =
     Par.parallel_init ~label:"lower:proc" ~jobs n (fun i ->
-        Lower.lower_proc prog (Callgraph.proc_ast pcg missing.(i)))
+        Lower.lower_in scope (Callgraph.proc_ast pcg missing.(i)))
   in
   Array.iteri
     (fun i pid -> Prog.Proc.Tbl.set kept pid (Some procs.(i)))
     missing;
   Prog.Proc.Tbl.map Option.get kept
 
-let lower_all ~jobs prog pcg =
-  lower_reusing ~jobs ~reuse:(fun _ -> None) prog pcg
+let lower_all ~jobs (prog : Ast.program) (pcg : Callgraph.t) =
+  let scope =
+    if prog.Ast.globals == pcg.Callgraph.prog.Ast.globals then
+      pcg.Callgraph.scope
+    else Sema.scope prog
+  in
+  lower_reusing ~jobs ~reuse:(fun _ -> None) scope pcg
 
 (** The alias list a store to [v] in [proc_name] must kill (raw: unsorted,
     may include [v] itself; SSA construction normalizes). *)
@@ -252,7 +258,7 @@ let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
   let lowered, alias_kills =
     Trace.span "context:lower" @@ fun () ->
     let lowered =
-      lower_reusing ~jobs prog pcg ~reuse:(fun pid ->
+      lower_reusing ~jobs pcg.Callgraph.scope pcg ~reuse:(fun pid ->
           Option.bind (same_in_prev pid) (fun (c, old) ->
               Prog.Proc.Tbl.get c.lowered old))
     in
@@ -322,7 +328,9 @@ let lowered_at t (pid : Prog.Proc.id) : Ir.proc =
          procedure.  Lowering is pure and distinct pids write distinct
          slots, so concurrent misses never interfere. *)
       Trace.incr c_lower_procs;
-      let p = Lower.lower_proc t.prog (Callgraph.proc_ast t.pcg pid) in
+      let p =
+        Lower.lower_in t.pcg.Callgraph.scope (Callgraph.proc_ast t.pcg pid)
+      in
       Prog.Proc.Tbl.set t.lowered pid (Some p);
       p
 
@@ -459,7 +467,9 @@ let replace_proc t (prog : Ast.program) (p : Ast.proc)
     their epochs are untouched. *)
 let invalidate_proc t (pid : Prog.Proc.id) : unit =
   t.edit_epoch <- t.edit_epoch + 1;
-  let ir = Lower.lower_proc t.prog (Callgraph.proc_ast t.pcg pid) in
+  let ir =
+    Lower.lower_in t.pcg.Callgraph.scope (Callgraph.proc_ast t.pcg pid)
+  in
   Prog.Proc.Tbl.set t.lowered pid (Some ir);
   Prog.Proc.Tbl.set t.alias_kills pid
     (Some (alias_kills_of_proc t.aliases t.summaries ir));

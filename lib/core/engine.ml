@@ -175,7 +175,8 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
          per-body and the globals list is untouched by a procedure edit —
          so summarize just that procedure. *)
       let new_s =
-        Trace.span "engine:summary" (fun () -> Summary.summarize_proc prog p)
+        Trace.span "engine:summary" (fun () ->
+            Summary.summarize_in pcg.Callgraph.scope p)
       in
       match Callgraph.proc_id pcg p.Ast.pname with
       | None ->

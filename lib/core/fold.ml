@@ -60,19 +60,53 @@ let rec fold_expr (env : env) (e : Ast.expr) : Ast.expr * Lattice.t =
 
 type ctx = {
   modref : Modref.t;
-  globals : string list;
   formals : string list;
-  proc : string;
-  alias_kills : string -> string list;
-      (** names whose location a store to the given name may also write
-          (reference-parameter aliasing) — they become unknown too *)
+  formal_kills : string list array;
+      (** per formal index: the formals and globals a store through that
+          formal may also write (reference-parameter aliasing) *)
+  global_kills : (string * string) list;
+      (** pairs [(g, f)]: a store to global [g] may also write formal [f];
+          empty for most procedures *)
 }
+
+let rec global_kills x = function
+  | [] -> []
+  | (g, f) :: tl ->
+      if String.equal g x then f :: global_kills x tl else global_kills x tl
+
+let rec kills_from (c : ctx) x i = function
+  | [] -> global_kills x c.global_kills
+  | f :: _ when String.equal f x -> c.formal_kills.(i)
+  | _ :: tl -> kills_from c x (i + 1) tl
+
+(* Names whose location a store to [x] may also write: they become unknown
+   too.  Formals shadow globals, as in name resolution.  Runs per
+   assignment and per call kill, so it allocates nothing when there is
+   nothing to kill. *)
+let alias_kills (c : ctx) x : string list = kills_from c x 0 c.formals
+
+(* [p]'s kill lists, built once per procedure from its alias pairs. *)
+let proc_ctx (ctx : Context.t) (p : Ast.proc) : ctx =
+  let aliases = ctx.Context.aliases and name = p.Ast.pname in
+  let formals = Array.of_list p.Ast.formals in
+  let global_kills = ref [] in
+  let formal_kills =
+    Array.mapi
+      (fun i f ->
+        let ff = Alias.formals_aliasing_formal aliases name i in
+        let fg = Alias.globals_aliasing_formal aliases name i in
+        List.iter (fun g -> global_kills := (g, f) :: !global_kills) fg;
+        List.map (Array.get formals) ff @ fg)
+      formals
+  in
+  { modref = ctx.Context.modref; formals = p.Ast.formals; formal_kills;
+    global_kills = List.rev !global_kills }
 
 let assign_effect (c : ctx) (env : env) x v : env =
   let env = Env.add x v env in
   List.fold_left
     (fun env y -> Env.add y Lattice.Bot env)
-    env (c.alias_kills x)
+    env (alias_kills c x)
 
 (* Abstract effect of a statement list on the environment, without
    rewriting; used to reach the loop fixpoint.  Returns None for
@@ -134,7 +168,7 @@ and abstract_stmt (c : ctx) (env : env option) (s : Ast.stmt) : env option =
                may share it. *)
             List.iter
               (fun y -> env := Env.add y Lattice.Bot !env)
-              (c.alias_kills x)
+              (alias_kills c x)
           in
           List.iteri
             (fun j arg ->
@@ -142,9 +176,7 @@ and abstract_stmt (c : ctx) (env : env option) (s : Ast.stmt) : env option =
               | Ast.Var x when Modref.formal_modified c.modref q j -> kill x
               | _ -> ())
             args;
-          List.iter
-            (fun g -> if Modref.global_modified_in c.modref q g then kill g)
-            c.globals;
+          Modref.iter_mod_globals c.modref q kill;
           Some !env)
 
 let rec rewrite_block (c : ctx) (env : env option) (body : Ast.stmt list) :
@@ -233,48 +265,7 @@ let fold_program (ctx : Context.t) (solution : Solution.t) : Ast.program =
         match Solution.entry_opt solution p.Ast.pname with
         | None -> p
         | Some entry ->
-            let formal_index x =
-              let rec go i = function
-                | [] -> None
-                | f :: _ when String.equal f x -> Some i
-                | _ :: tl -> go (i + 1) tl
-              in
-              go 0 p.Ast.formals
-            in
-            let alias_kills x =
-              match formal_index x with
-              | Some i ->
-                  let nth_formal j = List.nth_opt p.Ast.formals j in
-                  let ff =
-                    Fsicp_ipa.Alias.formals_aliasing_formal
-                      ctx.Context.aliases p.Ast.pname i
-                    |> List.filter_map nth_formal
-                  in
-                  let fg =
-                    Fsicp_ipa.Alias.globals_aliasing_formal
-                      ctx.Context.aliases p.Ast.pname i
-                  in
-                  ff @ fg
-              | None ->
-                  if List.mem x prog.Ast.globals then
-                    List.mapi (fun i f -> (i, f)) p.Ast.formals
-                    |> List.filter_map (fun (i, f) ->
-                           if
-                             Fsicp_ipa.Alias.formal_global_may_alias
-                               ctx.Context.aliases p.Ast.pname i x
-                           then Some f
-                           else None)
-                  else []
-            in
-            let c =
-              {
-                modref = ctx.Context.modref;
-                globals = prog.Ast.globals;
-                formals = p.Ast.formals;
-                proc = p.Ast.pname;
-                alias_kills;
-              }
-            in
+            let c = proc_ctx ctx p in
             let env0 =
               let e = ref Env.empty in
               List.iteri

@@ -91,20 +91,20 @@ and subst_stmt env (s : Ast.stmt) : Ast.stmt =
   { s with Ast.sdesc = d }
 
 (** Inline one call: returns the replacement statement list. *)
-let expand (prog : Ast.program) (counter : int ref) (callee : Ast.proc)
+let expand (scope : Sema.scope) (counter : int ref) (callee : Ast.proc)
     (args : Ast.expr list) : Ast.stmt list =
   incr counter;
   let k = !counter in
   let fresh base = Printf.sprintf "%s__in%d" base k in
   (* Locals of the callee (anything that is neither a formal nor a global)
      get fresh names. *)
-  let globals = prog.Ast.globals in
-  let mentioned = Ast.mentioned_vars callee in
   let locals =
     List.filter
       (fun x ->
-        (not (List.mem x callee.Ast.formals)) && not (List.mem x globals))
-      mentioned
+        match Sema.resolve scope ~formals:callee.Ast.formals x with
+        | Sema.Local -> true
+        | Sema.Formal _ | Sema.Global -> false)
+      (Ast.mentioned_vars callee)
   in
   let env_locals = List.map (fun l -> (l, Ast.Var (fresh l))) locals in
   (* Formals: variables substitute textually (by-reference); other actuals
@@ -138,6 +138,7 @@ let expand (prog : Ast.program) (counter : int ref) (callee : Ast.proc)
     Returns the new program and the number of calls expanded. *)
 let inline_program (ctx : Context.t) ?(max_body = 12) () : Ast.program * int =
   let prog = ctx.Context.prog in
+  let scope = ctx.Context.pcg.Fsicp_callgraph.Callgraph.scope in
   let counter = ref 0 in
   let expanded = ref 0 in
   let eligible =
@@ -151,7 +152,7 @@ let inline_program (ctx : Context.t) ?(max_body = 12) () : Ast.program * int =
         match List.assoc_opt q eligible with
         | Some callee ->
             incr expanded;
-            expand prog counter callee args
+            expand scope counter callee args
         | None -> [ s ])
     | Ast.If (c, t, e) ->
         [ { s with Ast.sdesc = Ast.If (c, rewrite_block t, rewrite_block e) } ]

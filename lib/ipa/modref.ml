@@ -256,23 +256,46 @@ let mem_in t sets name b =
   let p = id_of t name in
   p >= 0 && b >= 0 && b < t.width * word_bits && mem sets (p * t.width) b
 
+(** The set held by [words] from index [base] on, as a [VrefSet]. *)
+let to_vrefs t words base : VrefSet.t =
+  let ng = Array.length t.gnames and s = ref VrefSet.empty in
+  for b = 0 to (t.width * word_bits) - 1 do
+    if mem words base b then
+      s :=
+        VrefSet.add
+          (if b < ng then Vglobal t.gnames.(b) else Vformal (b - ng))
+          !s
+  done;
+  !s
+
 let set_of t sets name : VrefSet.t =
   let p = id_of t name in
-  if p < 0 then VrefSet.empty
-  else begin
-    let ng = Array.length t.gnames and s = ref VrefSet.empty in
-    for b = 0 to (t.width * word_bits) - 1 do
-      if mem sets (p * t.width) b then
-        s :=
-          VrefSet.add
-            (if b < ng then Vglobal t.gnames.(b) else Vformal (b - ng))
-            !s
-    done;
-    !s
-  end
+  if p < 0 then VrefSet.empty else to_vrefs t sets (p * t.width)
 
 let gmod_of t name = set_of t t.gmod name
 let gref_of t name = set_of t t.gref name
+
+(** Apply [f] to each global in [name]'s MOD set, in ascending bit order,
+    which is the program's globals order.  A zero word is skipped whole,
+    so the cost is the set's width plus its global members. *)
+let iter_mod_globals t name f =
+  let p = id_of t name in
+  if p >= 0 then begin
+    let ng = Array.length t.gnames and base = p * t.width in
+    for w = 0 to ((ng + word_bits - 1) / word_bits) - 1 do
+      let word = t.gmod.(base + w) in
+      if word <> 0 then
+        for k = 0 to min word_bits (ng - (w * word_bits)) - 1 do
+          if word land (1 lsl k) <> 0 then f t.gnames.((w * word_bits) + k)
+        done
+    done
+  end
+
+let width t = t.width
+let n_globals t = Array.length t.gnames
+let global_name t b = t.gnames.(b)
+let gref_word t (pid : Fsicp_prog.Prog.Proc.id) w =
+  t.gref.(((pid :> int) * t.width) + w)
 
 let global_bit t g = Option.value (Hashtbl.find_opt t.gbit g) ~default:(-1)
 

@@ -16,6 +16,29 @@ val gmod_of : t -> string -> VrefSet.t
 
 val gref_of : t -> string -> VrefSet.t
 
+(** Apply the function to each global in the procedure's MOD set, in
+    ascending bit order, which is the program's globals order (nothing for
+    a procedure the PCG does not reach).  Costs the set's width in words
+    plus its global members, not the number of globals. *)
+val iter_mod_globals : t -> string -> (string -> unit) -> unit
+
+(** {2 The bit numbering}
+
+    A set is [width t] words of [word_bits] bits each: bit [b] below
+    [n_globals t] is global [global_name t b], the [b]-th of the program's
+    globals, and bit [n_globals t + i] is formal [i]. *)
+
+val word_bits : int
+val width : t -> int
+val n_globals : t -> int
+val global_name : t -> int -> string
+
+(** Word [w] of the procedure's REF set. *)
+val gref_word : t -> Fsicp_prog.Prog.Proc.id -> int -> int
+
+(** The set held by the array's [width t] words from the index on. *)
+val to_vrefs : t -> int array -> int -> VrefSet.t
+
 (** Do both results number the globals alike (the same globals list)? *)
 val same_numbering : t -> t -> bool
 

@@ -71,11 +71,12 @@ let classify_arg_with ~classify (e : Ast.expr) : arg_summary =
       | Sema.Local -> Alocal x)
   | Ast.Unary _ | Ast.Binary _ -> Aexpr
 
-let summarize_proc (prog : Ast.program) (p : Ast.proc) : proc_summary =
-  let globals = prog.Ast.globals and formals = p.Ast.formals in
-  (* One hashed classifier per procedure: collection is O(body), not
-     O(body × globals), which matters on the 10⁴–10⁶-procedure corpora. *)
-  let classify = Sema.classifier ~globals ~formals in
+(* Names resolve through the program's scope, so collection is O(body)
+   per procedure, not O(body × globals): the globals table is built once
+   per program, which matters on the 10⁴–10⁶-procedure corpora. *)
+let summarize_in (scope : Sema.scope) (p : Ast.proc) : proc_summary =
+  let formals = p.Ast.formals in
+  let classify = Sema.resolve scope ~formals in
   let to_vref x =
     match classify x with
     | Sema.Formal i -> Some (Vformal i)
@@ -100,6 +101,9 @@ let summarize_proc (prog : Ast.program) (p : Ast.proc) : proc_summary =
   { ps_name = p.Ast.pname; ps_formals = formals; ps_imod = imod;
     ps_iref = iref; ps_calls = calls }
 
+let summarize_proc (prog : Ast.program) (p : Ast.proc) : proc_summary =
+  summarize_in (Sema.scope prog) p
+
 (** Collect summaries for every procedure of the program.  With [prev],
     a procedure whose AST node is physically the one [prev] summarized
     keeps that summary, provided the globals list is physically [prev]'s
@@ -119,10 +123,11 @@ let collect ?prev (prog : Ast.program) : t =
           | Some _ | None -> None)
     | Some _ | None -> fun _ -> None
   in
+  let scope = Sema.scope prog in
   List.iter
     (fun p ->
       Hashtbl.replace table p.Ast.pname
-        (match reused p with Some s -> s | None -> summarize_proc prog p))
+        (match reused p with Some s -> s | None -> summarize_in scope p))
     prog.Ast.procs;
   { prog; table }
 

@@ -42,6 +42,11 @@ type t = {
   table : (string, proc_summary) Hashtbl.t;
 }
 
+(** The summary of one procedure, resolving its names through the
+    program's {!Sema.scope}: O(body). *)
+val summarize_in : Sema.scope -> Ast.proc -> proc_summary
+
+(** {!summarize_in} under a scope built for this call: O(body + globals). *)
 val summarize_proc : Ast.program -> Ast.proc -> proc_summary
 
 (** Summaries of every procedure.  With [prev], a procedure whose AST node

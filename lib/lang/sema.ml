@@ -18,33 +18,32 @@ exception Illformed of error list
 (** Variable classification, shared with lowering. *)
 type var_class = Formal of int | Global | Local
 
-(** [classify ~globals ~formals x] resolves identifier [x] inside a procedure
-    with the given formals, under the program's global declarations.
-    Formals shadow globals of the same name. *)
-let classify ~globals ~formals x : var_class =
-  let rec find_formal i = function
-    | [] -> None
-    | f :: _ when String.equal f x -> Some i
-    | _ :: tl -> find_formal (i + 1) tl
-  in
-  match find_formal 0 formals with
-  | Some i -> Formal i
-  | None -> if List.mem x globals then Global else Local
+(** A program's name table: its globals, hashed once per program.  Every
+    per-procedure resolution shares it, so resolving a name costs a scan of
+    the procedure's few formals and one probe, whatever the number of
+    globals. *)
+type scope = { sc_globals : string list; sc_table : (string, unit) Hashtbl.t }
 
-(** Hashed variant of {!classify} for per-procedure bulk resolution: the
-    lookup tables are built once, so each query is O(1) instead of a list
-    scan over the program's globals.  Identical results to {!classify}. *)
-let classifier ~globals ~formals : string -> var_class =
-  let tbl = Hashtbl.create (4 * (List.length formals + 1)) in
-  List.iter (fun g -> Hashtbl.replace tbl g Global) globals;
-  (* Formals shadow globals of the same name; first occurrence wins, as in
-     [classify]'s left-to-right scan. *)
-  List.iteri
-    (fun i f -> if not (Hashtbl.mem tbl f) || Hashtbl.find tbl f = Global
-                then Hashtbl.replace tbl f (Formal i))
-    formals;
-  fun x ->
-    match Hashtbl.find_opt tbl x with Some c -> c | None -> Local
+let scope (prog : Ast.program) : scope =
+  let sc_table = Hashtbl.create (2 * List.length prog.Ast.globals) in
+  List.iter (fun g -> Hashtbl.replace sc_table g ()) prog.Ast.globals;
+  { sc_globals = prog.Ast.globals; sc_table }
+
+let globals scope = scope.sc_globals
+let is_global scope x = Hashtbl.mem scope.sc_table x
+
+(* [x] against the formals from position [i] on, then the globals.  Not a
+   local closure: resolution runs once per identifier occurrence, and a
+   closure would be allocated for each. *)
+let rec resolve_from scope x i = function
+  | [] -> if Hashtbl.mem scope.sc_table x then Global else Local
+  | f :: _ when String.equal f x -> Formal i
+  | _ :: tl -> resolve_from scope x (i + 1) tl
+
+(** [resolve scope ~formals x] resolves identifier [x] inside a procedure
+    with the given formals: the first formal of that name, else the global
+    of that name, else a local.  Formals shadow globals. *)
+let resolve scope ~formals x : var_class = resolve_from scope x 0 formals
 
 (* [err] prepends one error to [errs]: both checks below accumulate in
    reverse and return in report order. *)

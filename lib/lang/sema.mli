@@ -16,14 +16,21 @@ exception Illformed of error list
     anything else is a procedure-local. *)
 type var_class = Formal of int | Global | Local
 
-val classify :
-  globals:string list -> formals:string list -> string -> var_class
+(** A program's name table, built once per program (O(globals)) and shared
+    by every per-procedure resolution. *)
+type scope
 
-(** Hashed variant of {!classify} for bulk per-procedure resolution: builds
-    the lookup table once (O(globals + formals)) so each subsequent query is
-    O(1).  Result-identical to {!classify} for every identifier. *)
-val classifier :
-  globals:string list -> formals:string list -> string -> var_class
+val scope : Ast.program -> scope
+
+(** The program's globals, in declaration order. *)
+val globals : scope -> string list
+
+val is_global : scope -> string -> bool
+
+(** [resolve scope ~formals x] classifies identifier [x] inside a procedure
+    with the given formals: the first formal named [x], else a declared
+    global, else a local.  O(formals) plus one hash probe. *)
+val resolve : scope -> formals:string list -> string -> var_class
 
 val check : Ast.program -> (unit, error list) result
 

@@ -134,7 +134,7 @@ let eval_expr store guards e =
    cells), callee locals rename apart per expansion (the fresh names start
    at [Int 0] in the store, which is the interpreter's zeroing).  The '%'
    in minted names cannot appear in parsed identifiers. *)
-let expand_call ~fresh ~globals (callee : Ast.proc) args k =
+let expand_call ~fresh ~scope (callee : Ast.proc) args k =
   let expid = !fresh in
   incr fresh;
   let subst = Hashtbl.create 8 in
@@ -152,7 +152,7 @@ let expand_call ~fresh ~globals (callee : Ast.proc) args k =
     match Hashtbl.find_opt subst x with
     | Some y -> y
     | None ->
-        if List.exists (String.equal x) globals then x
+        if Sema.is_global scope x then x
         else Printf.sprintf "%%inl%d$%s" expid x
   in
   let rec rexpr = function
@@ -182,7 +182,7 @@ type stepped =
 
 (* One statement of one side.  [expandable q] returns the callee body to
    step into transparently ([None] = treat the call as opaque). *)
-let step_side ~expandable ~globals ~modref ~fresh side =
+let step_side ~expandable ~scope ~modref ~fresh side =
   match side.kont with
   | [] -> SSide { side with ev = Some EDone }
   | s :: k -> (
@@ -222,7 +222,8 @@ let step_side ~expandable ~globals ~modref ~fresh side =
                 if List.length callee.Ast.formals <> List.length args then
                   SStuck "call-arity"
                 else
-                  SSide { side with kont = expand_call ~fresh ~globals callee args k }
+                  SSide
+                    { side with kont = expand_call ~fresh ~scope callee args k }
             | None ->
                 let base = base_name q in
                 let vals =
@@ -245,7 +246,7 @@ let step_side ~expandable ~globals ~modref ~fresh side =
                       if Modref.global_referenced_in modref base g then
                         Some (g, lookup side.store g)
                       else None)
-                    globals
+                    (Sema.globals scope)
                 in
                 SSide
                   { side with kont = k; guards = !guards;
@@ -257,14 +258,14 @@ let step_side ~expandable ~globals ~modref ~fresh side =
           SSide { side with guards = !guards; ev = Some EFault })
 
 (* Cell classes of the by-reference positions of a call event. *)
-let classes_of ~globals (c : callev) =
+let classes_of ~scope (c : callev) =
   let seen = Hashtbl.create 8 in
   List.mapi
     (fun i a ->
       match a with
       | AVal -> None
       | AByref x ->
-          if List.exists (String.equal x) globals then Some (CGlobal x)
+          if Sema.is_global scope x then Some (CGlobal x)
           else
             Some
               (CSlot
@@ -317,8 +318,9 @@ type product = {
   pr_stuck : string option;
 }
 
-let run_product ~expandable ~globals ~formals ~modref ~seed_store ~lbody ~rbody
+let run_product ~expandable ~scope ~formals ~modref ~seed_store ~lbody ~rbody
     ~fuel ~max_splits =
+  let globals = Sema.globals scope in
   let fresh = ref 1 in
   let obls = ref [] in
   let obligate ~pc ~what lhs rhs =
@@ -384,7 +386,7 @@ let run_product ~expandable ~globals ~formals ~modref ~seed_store ~lbody ~rbody
              | Some (CSlot i), Some (CSlot j) -> i = j
              | None, None -> true
              | _ -> false)
-           (classes_of ~globals ca) (classes_of ~globals cb))
+           (classes_of ~scope ca) (classes_of ~scope cb))
     then Error "call-alias-pattern-mismatch"
     else begin
       List.iteri
@@ -409,14 +411,10 @@ let run_product ~expandable ~globals ~formals ~modref ~seed_store ~lbody ~rbody
               rs := Smap.add y s !rs
           | _ -> ())
         (List.combine ca.c_args cb.c_args);
-      List.iter
-        (fun g ->
-          if Modref.global_modified_in modref ca.c_base g then begin
-            let s = fresh_sym g in
-            ls := Smap.add g s !ls;
-            rs := Smap.add g s !rs
-          end)
-        globals;
+      Modref.iter_mod_globals modref ca.c_base (fun g ->
+          let s = fresh_sym g in
+          ls := Smap.add g s !ls;
+          rs := Smap.add g s !rs);
       Ok
         ( { l with store = !ls; guards = []; ev = None },
           { r with store = !rs; guards = []; ev = None } )
@@ -484,7 +482,7 @@ let run_product ~expandable ~globals ~formals ~modref ~seed_store ~lbody ~rbody
     end
   and step_one pc l r which =
     let side = match which with `L -> l | `R -> r in
-    match step_side ~expandable ~globals ~modref ~fresh side with
+    match step_side ~expandable ~scope ~modref ~fresh side with
     | SStuck reason -> stuck := Some reason
     | SSide side' -> (
         match which with
@@ -697,8 +695,8 @@ let seed_store ~transform ~entry ~formals ~globals =
    program, so the two sides agree), expanding the original body — the
    transformed side's residual calls are exactly the nested, not-yet-expanded
    ones, so the event streams line up. *)
-let run_product_two ~ctx ~transform ~orig ~globals ~formals ~store ~fuel
-    ~max_splits (q : Ast.proc) (cp : Ast.proc) =
+let run_product_two ~ctx ~transform ~orig ~formals ~store ~fuel ~max_splits
+    (q : Ast.proc) (cp : Ast.proc) =
   let transparent name =
     String.equal transform "inline"
     &&
@@ -709,12 +707,13 @@ let run_product_two ~ctx ~transform ~orig ~globals ~formals ~store ~fuel
   run_product
     ~expandable:(fun name ->
       if transparent name then Ast.find_proc orig name else None)
-    ~globals ~formals ~modref:ctx.Context.modref ~seed_store:store
+    ~scope:ctx.Context.pcg.Fsicp_callgraph.Callgraph.scope ~formals
+    ~modref:ctx.Context.modref ~seed_store:store
     ~lbody:cp.Ast.body ~rbody:q.Ast.body ~fuel ~max_splits
 
 let build_vc ~fuel ~max_splits ~backend ~mode ctx ~solution ~transform
     ~orig ~trans (q : Ast.proc) (cp : Ast.proc) =
-  let globals = orig.Ast.globals in
+  let scope = ctx.Context.pcg.Fsicp_callgraph.Callgraph.scope in
   let formals = cp.Ast.formals in
   let finish verdict paths obligations =
     Trace.incr c_vcs;
@@ -730,8 +729,7 @@ let build_vc ~fuel ~max_splits ~backend ~mode ctx ~solution ~transform
   in
   if not (List.equal String.equal q.Ast.formals cp.Ast.formals) then
     finish (Inconclusive "formals-mismatch") 0 []
-  else if List.exists (fun f -> List.exists (String.equal f) globals) formals
-  then
+  else if List.exists (Sema.is_global scope) formals then
     (* A formal shadowing a global would fold two cells into one flat-store
        slot; bail out rather than risk an unsound identification. *)
     finish (Inconclusive "formal-shadows-global") 0 []
@@ -743,19 +741,17 @@ let build_vc ~fuel ~max_splits ~backend ~mode ctx ~solution ~transform
         if Alias.formals_may_alias ctx.Context.aliases cp.Ast.pname i j then
           aliased := true
       done;
-      List.iter
-        (fun g ->
-          if
-            Alias.formal_global_may_alias ctx.Context.aliases cp.Ast.pname i g
-          then aliased := true)
-        globals
+      if Alias.globals_aliasing_formal ctx.Context.aliases cp.Ast.pname i <> []
+      then aliased := true
     done;
     if !aliased then finish (Inconclusive "may-alias") 0 []
     else begin
       let entry = Solution.entry_opt solution cp.Ast.pname in
-      let store = seed_store ~transform ~entry ~formals ~globals in
+      let store =
+        seed_store ~transform ~entry ~formals ~globals:(Sema.globals scope)
+      in
       let product =
-        run_product_two ~ctx ~transform ~orig ~globals ~formals ~store ~fuel
+        run_product_two ~ctx ~transform ~orig ~formals ~store ~fuel
           ~max_splits q cp
       in
       let obligations = product.pr_obligations in

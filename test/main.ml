@@ -27,6 +27,7 @@ let () =
       ("metrics", Test_metrics.suite);
       ("workloads", Test_workloads.suite);
       ("scale", Test_scale.suite);
+      ("alloc", Test_alloc.suite);
       ("par", Test_par.suite);
       ("figure1", Test_figure1.suite);
       ("trace", Test_trace.suite);

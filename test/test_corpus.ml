@@ -7,18 +7,7 @@ open Fsicp_core
 module I = Fsicp_interp.Interp
 module L = Fsicp_scc.Lattice
 
-(* dune runs the tests from the build directory mirror; walk up to the
-   source tree root, which contains dune-project. *)
-let corpus_dir =
-  let rec find dir =
-    if Sys.file_exists (Filename.concat dir "testdata") then
-      Filename.concat dir "testdata"
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then failwith "testdata directory not found"
-      else find parent
-  in
-  find (Sys.getcwd ())
+let corpus_dir = Filename.concat Test_util.source_root "testdata"
 
 let load name =
   let path = Filename.concat corpus_dir name in

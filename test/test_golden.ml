@@ -8,16 +8,7 @@ open Fsicp_lang
 open Fsicp_core
 module Trace = Fsicp_trace.Trace
 
-(* dune runs the tests from the build directory mirror; walk up to the
-   source tree root, which contains testdata/ and test/golden/. *)
-let root_dir =
-  let rec find dir =
-    if Sys.file_exists (Filename.concat dir "testdata") then dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then failwith "source root not found" else find parent
-  in
-  find (Sys.getcwd ())
+let root_dir = Test_util.source_root
 
 let read_file path =
   let ic = open_in_bin path in

@@ -347,6 +347,149 @@ let prop_modref_matches_reference =
     ~name:"bitset MOD/REF = round-robin reference (sets, call defs, refs)"
     Test_util.seed_gen modref_matches_reference
 
+(* -- USE and name resolution against their list/set references -------- *)
+
+(* A random program for the USE and resolution properties, as source text:
+   like [modref_source], but some formals take the name of a global they
+   then shadow, bodies branch, loop and return, locals are read before
+   they are written, and two programs in three close a ring of calls
+   through [p0], so most have a recursive component. *)
+let shadow_source seed =
+  let r = Random.State.make [| seed |] in
+  let pick n = Random.State.int r n in
+  let ng = [| 3; 8; 70; 130 |].(pick 4) in
+  let np = 2 + pick 7 in
+  let global () = Printf.sprintf "g%d" (pick ng) in
+  (* Formal [i] of each procedure: its own name, or a global's. *)
+  let formals =
+    Array.init np (fun _ ->
+        let names = ref [] in
+        for i = 0 to pick 4 - 1 do
+          let g = global () in
+          names :=
+            (if pick 3 = 0 && not (List.mem g !names) then g
+             else Printf.sprintf "f%d" i)
+            :: !names
+        done;
+        Array.of_list (List.rev !names))
+  in
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  add "global %s;\n"
+    (String.concat ", " (List.init ng (Printf.sprintf "g%d")));
+  let call fs q =
+    let nf = Array.length fs and args = ref [] in
+    for _ = 1 to Array.length formals.(q) do
+      let a =
+        match (pick 7, !args) with
+        | 0, prev :: _ -> prev
+        | (0 | 1), _ when nf > 0 -> fs.(pick nf)
+        | 2, _ -> string_of_int (pick 9)
+        | 3, _ -> "l"
+        | 4, _ -> "l + 1"
+        | _, _ -> global ()
+      in
+      args := a :: !args
+    done;
+    add "call p%d(%s); " q (String.concat ", " (List.rev !args))
+  in
+  let body fs k =
+    let nf = Array.length fs in
+    let var () =
+      match pick 4 with
+      | 0 when nf > 0 -> fs.(pick nf)
+      | 1 -> "l"
+      | _ -> global ()
+    in
+    let operand () = if pick 4 = 0 then string_of_int (pick 9) else var () in
+    let rec stmts depth =
+      for _ = 1 to 1 + pick 3 do
+        match pick (if depth > 1 then 4 else 7) with
+        | 0 | 1 -> add "%s = %s + %s; " (var ()) (operand ()) (operand ())
+        | 2 -> add "print %s; " (operand ())
+        | 3 ->
+            (* Calls lean forward, so chains form, with every third one
+               to any procedure, so cycles form too. *)
+            call fs
+              (if pick 3 = 0 then pick np else min (np - 1) (k + 1 + pick 2))
+        | 4 ->
+            add "if (%s > 3) { " (operand ());
+            stmts (depth + 1);
+            add "} else { ";
+            stmts (depth + 1);
+            add "} "
+        | 5 ->
+            add "while (%s < 2) { " (var ());
+            stmts (depth + 1);
+            add "} "
+        | _ -> add "if (%s == 1) { return; } " (operand ())
+      done
+    in
+    stmts 0
+  in
+  add "proc main() { ";
+  body [||] (-1);
+  call [||] 0;
+  add "}\n";
+  Array.iteri
+    (fun k fs ->
+      add "proc p%d(%s) { " k (String.concat ", " (Array.to_list fs));
+      body fs k;
+      (* Close a ring through p0 in two programs of three. *)
+      if pick 3 > 0 then call fs ((k + 1) mod np);
+      add "}\n")
+    formals;
+  Buffer.contents b
+
+(* USE over MOD/REF's bitsets equals the [VarSet] reference, for every
+   reachable procedure. *)
+let use_matches_reference seed =
+  let p, pcg, _, _, modref = setup (shadow_source seed) in
+  let lowered = Fsicp_core.Context.lower_all ~jobs:1 p pcg in
+  let use = Use.compute lowered modref pcg in
+  let reference = Use_reference.compute lowered modref pcg in
+  Array.for_all
+    (fun pid ->
+      let name = Callgraph.proc_name pcg pid in
+      Summary.VrefSet.equal (Use.get use name)
+        (Use_reference.get reference name))
+    pcg.Callgraph.nodes
+
+let prop_use_matches_reference =
+  Test_util.qcheck ~count:300 ~name:"bitset USE = VarSet reference"
+    Test_util.seed_gen use_matches_reference
+
+(* The list scan the program's scope replaced: the first formal named [x],
+   else a global, else a local. *)
+let classify ~globals ~formals x : Sema.var_class =
+  let rec find_formal i = function
+    | [] -> None
+    | f :: _ when String.equal f x -> Some i
+    | _ :: tl -> find_formal (i + 1) tl
+  in
+  match find_formal 0 formals with
+  | Some i -> Sema.Formal i
+  | None -> if List.mem x globals then Sema.Global else Sema.Local
+
+(* Every name a procedure mentions, every formal and global, and a name
+   nothing declares resolve alike under the scope and the list scan. *)
+let scope_matches_classify seed =
+  let p = Test_util.parse (shadow_source seed) in
+  let scope = Sema.scope p in
+  List.for_all
+    (fun (q : Ast.proc) ->
+      let formals = q.Ast.formals in
+      List.for_all
+        (fun x ->
+          Sema.resolve scope ~formals x
+          = classify ~globals:p.Ast.globals ~formals x)
+        (("undeclared" :: Ast.mentioned_vars q) @ formals @ p.Ast.globals))
+    p.Ast.procs
+
+let prop_scope_matches_classify =
+  Test_util.qcheck ~count:300 ~name:"scope resolver = list-scan classify"
+    Test_util.seed_gen scope_matches_classify
+
 let suite =
   [
     Alcotest.test_case "summary IMOD/IREF" `Quick test_summary_imod_iref;
@@ -370,4 +513,6 @@ let suite =
     Alcotest.test_case "USE vs REF" `Quick test_use_vs_ref;
     Alcotest.test_case "MOD: alias chain" `Quick test_mod_alias_chain;
     prop_modref_matches_reference;
+    prop_use_matches_reference;
+    prop_scope_matches_classify;
   ]

@@ -394,15 +394,8 @@ let test_shrink_respects_budget () =
 (* ------------------------------------------------------------------ *)
 
 let regressions_dir =
-  let rec find dir =
-    if Sys.file_exists (Filename.concat dir "testdata") then
-      Filename.concat (Filename.concat dir "testdata") "regressions"
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then failwith "testdata directory not found"
-      else find parent
-  in
-  find (Sys.getcwd ())
+  Filename.concat (Filename.concat Test_util.source_root "testdata")
+    "regressions"
 
 let regression_files () =
   if Sys.file_exists regressions_dir && Sys.is_directory regressions_dir then

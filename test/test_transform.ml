@@ -160,6 +160,28 @@ let test_fold_keeps_byref_args () =
   in
   Alcotest.(check bool) "by-ref arg not literalised" true ok
 
+let test_fold_call_kills_aliased_formal () =
+  (* f's formal a may alias global g (main passes g), and h writes g: the
+     call to h must kill a as well as g, so [print a] prints 7, not 5. *)
+  let prog, ctx, fs =
+    setup
+      {|global g;
+        proc main() { g = 0; call f(g); print g; }
+        proc f(a) { a = 5; call h(); print a; }
+        proc h() { g = 7; }|}
+  in
+  let prog' = Fold.fold_program ctx fs in
+  let f = Ast.find_proc_exn prog' "f" in
+  let prints_a =
+    List.exists
+      (fun (s : Ast.stmt) ->
+        match s.Ast.sdesc with Ast.Print (Ast.Var "a") -> true | _ -> false)
+      f.Ast.body
+  in
+  Alcotest.(check bool) "print a not folded" true prints_a;
+  let prints p = List.map (Fmt.str "%a" Value.pp) (I.run p).I.prints in
+  Alcotest.(check (list string)) "same output" (prints prog) (prints prog')
+
 let prop_fold_preserves_semantics =
   Test_util.qcheck ~count:60 ~name:"folding preserves behaviour"
     Test_util.seed_gen
@@ -321,6 +343,8 @@ let suite =
       test_fold_prunes_dead_branch;
     Alcotest.test_case "fold drops dead loop" `Quick test_fold_drops_dead_loop;
     Alcotest.test_case "fold keeps by-ref args" `Quick test_fold_keeps_byref_args;
+    Alcotest.test_case "fold: call kills an aliased formal" `Quick
+      test_fold_call_kills_aliased_formal;
     prop_fold_preserves_semantics;
     Alcotest.test_case "return constants found" `Quick
       test_return_constants_found;

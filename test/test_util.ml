@@ -11,6 +11,22 @@ let parse src =
   Sema.check_exn p;
   p
 
+(** The source tree's root.  dune runs the tests from the build mirror, so
+    walk up from the working directory to the first directory holding
+    [dune-project], [testdata/] and [test/golden/] together: a [testdata/]
+    copied into the build mirror alone does not capture the search. *)
+let source_root =
+  let marks = [ "dune-project"; "testdata"; Filename.concat "test" "golden" ] in
+  let rec find dir =
+    if
+      List.for_all (fun m -> Sys.file_exists (Filename.concat dir m)) marks
+    then dir
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then failwith "source root not found" else find parent
+  in
+  find (Sys.getcwd ())
+
 (** Random well-formed programs for property tests: a seed selects a
     generator profile with every mechanism enabled (including guarded
     recursion for one seed in three). *)

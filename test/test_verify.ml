@@ -12,14 +12,7 @@ module Smt = Fsicp_verify.Smt
 
 let parse = Test_util.parse
 
-let root_dir =
-  let rec find dir =
-    if Sys.file_exists (Filename.concat dir "testdata") then dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then failwith "source root not found" else find parent
-  in
-  find (Sys.getcwd ())
+let root_dir = Test_util.source_root
 
 let read_file path =
   let ic = open_in_bin path in
