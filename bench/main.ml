@@ -209,20 +209,25 @@ let scale_measure ~reps ~jobs ~mode prog : (float * float * float * int, string)
             ignore (Fs_icp.solve ~jobs ctx)
           in
           let base_top = (Gc.quick_stat ()).Gc.top_heap_words in
-          let q0 = Gc.quick_stat () in
+          (* Exact counters: a [Gc.quick_stat] delta only moves when a
+             minor collection happens, so a small solve read as zero. *)
+          let words () =
+            let _, _, major = Gc.counters () in
+            (Gc.minor_words (), major)
+          in
+          let minor0, major0 = words () in
           let t0 = Unix.gettimeofday () in
           solve ();
           let best = ref (1000.0 *. (Unix.gettimeofday () -. t0)) in
-          let q1 = Gc.quick_stat () in
+          let minor1, major1 = words () in
           for _ = 2 to reps do
             let t0 = Unix.gettimeofday () in
             solve ();
             let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
             if ms < !best then best := ms
           done;
-          Printf.sprintf "ok %f %f %f %d\n" !best
-            (q1.Gc.minor_words -. q0.Gc.minor_words)
-            (q1.Gc.major_words -. q0.Gc.major_words)
+          Printf.sprintf "ok %f %f %f %d\n" !best (minor1 -. minor0)
+            (major1 -. major0)
             ((Gc.quick_stat ()).Gc.top_heap_words - base_top)
         with e -> Printf.sprintf "err %s\n" (Printexc.to_string e)
       in

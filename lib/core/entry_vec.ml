@@ -133,22 +133,16 @@ let box_entry sh v =
           (sh.gids.(k), P.to_t v.(sh.nf + k)));
   }
 
-let record ~caller ~cs_index ~callee ~exec (cr_args, cr_globals) =
+let box_site ~caller ~cs_index ~callee ~exec ~word (args, globals) =
+  let box w = if exec then P.to_t (word w) else Lattice.Top in
   {
     Solution.cr_caller = caller;
     cr_cs_index = cs_index;
     cr_callee = callee;
     cr_executable = exec;
-    cr_args;
-    cr_globals;
+    cr_args = Array.map box args;
+    cr_globals = List.map (fun (g, w) -> (g, box w)) globals;
   }
-
-let box ~exec w = if exec then P.to_t w else Lattice.Top
-
-let box_site ~caller ~cs_index ~callee ~exec ~word (args, globals) =
-  let box w = box ~exec (word w) in
-  record ~caller ~cs_index ~callee ~exec
-    (Array.map box args, List.map (fun (g, w) -> (g, box w)) globals)
 
 let publish (pcg : Callgraph.t) ~method_name ~scc_runs shapes vecs site =
   let db = pcg.Callgraph.db in
@@ -157,20 +151,16 @@ let publish (pcg : Callgraph.t) ~method_name ~scc_runs shapes vecs site =
         let i = (pid :> int) in
         box_entry shapes.(i) vecs.(i))
   in
-  let call_records =
-    Array.fold_right
-      (fun pid acc ->
-        Array.fold_right
-          (fun (e : Callgraph.edge) acc ->
-            match site e with
-            | None -> acc
-            | Some (exec, word, words) ->
+  let call_index =
+    Prog.tbl_init db (fun pid ->
+        Array.map
+          (fun (e : Callgraph.edge) ->
+            Option.map
+              (fun (exec, word, words) ->
                 box_site ~caller:pid ~cs_index:e.Callgraph.cs_index
-                  ~callee:e.Callgraph.callee ~exec ~word words
-                :: acc)
-          (Callgraph.out_edges pcg pid)
-          acc)
-      pcg.Callgraph.nodes []
+                  ~callee:e.Callgraph.callee ~exec ~word words)
+              (site e))
+          (Callgraph.out_edges pcg pid))
   in
-  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs
+  Solution.of_rows ~method_name ~db ~entries ~call_index ~scc_runs
     ~scc_results:(Prog.tbl db None)

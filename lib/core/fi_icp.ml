@@ -331,14 +331,11 @@ let record (t : table) values s : Solution.callsite_record =
     cr_globals = t.site_globals.(s);
   }
 
-(* A caller's records, in summary order, read back from its index row. *)
-let records_of row = Array.fold_right (fun r acc -> Option.get r :: acc) row []
-
-let finish (t : table) ~entries ~records ~call_index : Solution.t =
+let finish (t : table) ~entries ~call_index : Solution.t =
   let db = t.ctx.Context.pcg.Callgraph.db in
   let sol =
-    Solution.of_index ~method_name ~db ~entries ~records ~call_index
-      ~scc_runs:0 ~scc_results:t.no_scc
+    Solution.of_rows ~method_name ~db ~entries ~call_index ~scc_runs:0
+      ~scc_results:t.no_scc
   in
   t.last <- Some sol;
   sol
@@ -355,7 +352,6 @@ let assemble (t : table) : Solution.t =
   in
   finish t
     ~entries:(Prog.tbl_init db (fun pid -> entry t values (pid :> int)))
-    ~records:(Prog.Proc.Tbl.map records_of call_index)
     ~call_index
 
 (** Compile [ctx] and solve it; the table stays valid for {!update} as long
@@ -373,9 +369,8 @@ let solve (ctx : Context.t) : Solution.t = snd (solve_table ctx)
     summary [t]'s context already holds: patch the literal words of its
     call sites, re-run the pass in full, and rebuild only the entries and
     call records whose words (or literal spellings) changed — every other
-    entry, record list and call-index row is shared with the previous
-    solution.  Also returns the PCG edge of every call record whose value
-    changed. *)
+    entry and call-record row is shared with the previous solution.  Also
+    returns the PCG edge of every call record whose value changed. *)
 let update (t : table) (pid : Prog.Proc.id) : Solution.t * Callgraph.edge list
     =
   Trace.next_epoch ();
@@ -455,13 +450,11 @@ let update (t : table) (pid : Prog.Proc.id) : Solution.t * Callgraph.edge list
   in
   (* Rebuild the marked records into fresh copies of their callers' rows;
      every other row is shared. *)
-  let call_index, records =
-    if !marked = [] then (prev.Solution.call_index, prev.Solution.records)
-    else
-      ( Prog.Proc.Tbl.copy prev.Solution.call_index,
-        Prog.Proc.Tbl.copy prev.Solution.records )
+  let call_index =
+    if !marked = [] then prev.Solution.call_index
+    else Prog.Proc.Tbl.copy prev.Solution.call_index
   in
-  let callers = ref [] and edges = ref [] in
+  let edges = ref [] in
   List.iter
     (fun s ->
       let caller = t.site_caller.(s) in
@@ -471,7 +464,6 @@ let update (t : table) (pid : Prog.Proc.id) : Solution.t * Callgraph.edge list
         else begin
           let row = Array.copy row in
           Prog.Proc.Tbl.set call_index caller row;
-          callers := caller :: !callers;
           row
         end
       in
@@ -480,9 +472,4 @@ let update (t : table) (pid : Prog.Proc.id) : Solution.t * Callgraph.edge list
         edges := Callgraph.edge_at pcg ~caller ~cs_index:(cs_of t s) :: !edges;
       Bytes.set t.site_mark s '\000')
     !marked;
-  List.iter
-    (fun caller ->
-      Prog.Proc.Tbl.set records caller
-        (records_of (Prog.Proc.Tbl.get call_index caller)))
-    !callers;
-  (finish t ~entries ~records ~call_index, !edges)
+  (finish t ~entries ~call_index, !edges)

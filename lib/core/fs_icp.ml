@@ -175,24 +175,23 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
 
   (* Per-procedure outputs, written only by the domain that processes the
      procedure and read by its dependents after the scheduler's
-     happens-before edge.  Call records are indexed by (caller id,
+     happens-before edge.  Call records are stored by (caller id,
      cs_index): dense rows, one slot per call site, since a caller records
-     each of its sites at most once; the rows and the per-caller record
-     lists become the solution's as they stand.
+     each of its sites at most once; the rows become the solution's as
+     they stand, so it is identical for every [jobs].
 
-     Incremental path: start from copies of the previous solution's four
+     Incremental path: start from copies of the previous solution's three
      per-procedure tables, so every clean procedure keeps its entry, SCC
-     result, record list and call-index row (shared, never written).  A clean procedure's forward callers are all
-     clean (the cone is forward-closed) and its back-edge contributions
-     are unchanged (procedures downstream of a changed flow-insensitive
-     record are seeded into the cone), so its previous outputs are exactly
-     what a from-scratch solve would recompute.  Each dirty procedure gets
-     a fresh row.  The per-caller record lists are kept in the forward
-     traversal order of each caller's call sites, so the solution is
-     identical for every [jobs]. *)
+     result and call-record row (shared, never written).  A clean
+     procedure's forward callers are all clean (the cone is
+     forward-closed) and its back-edge contributions are unchanged
+     (procedures downstream of a changed flow-insensitive record are
+     seeded into the cone), so its previous outputs are exactly what a
+     from-scratch solve would recompute.  Each dirty procedure gets a
+     fresh row. *)
   let db = pcg.Callgraph.db in
   let fresh_row pid = Array.make (Callgraph.n_call_sites pcg pid) None in
-  let entries, results, records, record_idx =
+  let entries, results, record_idx =
     match (prev, dirty) with
     | Some (prev : Solution.t), Some d ->
         let record_idx = Prog.Proc.Tbl.copy prev.Solution.call_index in
@@ -201,12 +200,10 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
           d;
         ( Prog.Proc.Tbl.copy prev.Solution.entries,
           Prog.Proc.Tbl.copy prev.Solution.scc_results,
-          Prog.Proc.Tbl.copy prev.Solution.records,
           record_idx )
     | _ ->
         ( Prog.tbl db Solution.empty_entry,
           Prog.tbl db None,
-          Prog.tbl db [],
           Prog.tbl_init db fresh_row )
   in
 
@@ -282,21 +279,17 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
        this layer's minor words on the 20 000-procedure corpus (7 675 vs
        7 994 kw per compile at jobs 1) and no measurable time, so FS boxes
        through the same path as CC and VC. *)
-    let recs =
-      List.map
-        (fun (b, _, (c : Ssa.call)) ->
-          let cr =
-            Entry_vec.box_site ~caller:pid ~cs_index:c.Ssa.c_cs_id
-              ~callee:(Callgraph.proc_id_exn pcg c.Ssa.c_callee)
-              ~exec:res.Scc.block_executable.(b)
-              ~word:(Context.censor_w ctx)
-              (Entry_vec.read_site ~word:Fun.id res c)
-          in
-          (Prog.Proc.Tbl.get record_idx pid).(c.Ssa.c_cs_id) <- Some cr;
-          cr)
-        call_sites
-    in
-    Prog.Proc.Tbl.set records pid recs;
+    let row = Prog.Proc.Tbl.get record_idx pid in
+    List.iter
+      (fun (b, _, (c : Ssa.call)) ->
+        row.(c.Ssa.c_cs_id) <-
+          Some
+            (Entry_vec.box_site ~caller:pid ~cs_index:c.Ssa.c_cs_id
+               ~callee:(Callgraph.proc_id_exn pcg c.Ssa.c_callee)
+               ~exec:res.Scc.block_executable.(b)
+               ~word:(Context.censor_w ctx)
+               (Entry_vec.read_site ~word:Fun.id res c)))
+      call_sites;
     (* Streaming solves must not retain each procedure's SSA through the
        retained [Scc.result]: once the records are extracted the result
        keeps every per-name array (the canonical digest reads those) but
@@ -358,8 +351,8 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
   in
   Par.wavefront ~jobs ~owners ~order ~deps ~dependents process;
 
-  Solution.of_index ~method_name ~db ~entries ~records
-    ~call_index:record_idx ~scc_runs:n ~scc_results:results
+  Solution.of_rows ~method_name ~db ~entries ~call_index:record_idx
+    ~scc_runs:n ~scc_results:results
 
 let solve ?jobs ?fi
     ?(call_def_value :

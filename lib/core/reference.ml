@@ -46,13 +46,11 @@ let solve (ctx : Context.t) : Solution.t =
     Modref.call_global_refs ctx.Context.modref ~callee:proc
     |> List.map (fun (gv : Ir.var) -> gv.Ir.vid)
   in
-  (* Records from the previous / current pass, by (caller id, cs_index):
-     (executable, args, globals) in dense per-caller rows. *)
-  let records :
-      (bool * Lattice.t array * (Prog.Var.id * Lattice.t) list) option array
-      array =
-    Array.init (Callgraph.n_procs pcg) (fun i ->
-        Array.make (Callgraph.n_call_sites pcg pcg.Callgraph.nodes.(i)) None)
+  (* Records from the previous / current pass, by (caller id, cs_index) in
+     dense per-caller rows; the last pass's rows are the solution's. *)
+  let records : Solution.callsite_record option array Prog.Proc.Tbl.t =
+    Prog.tbl_init db (fun pid ->
+        Array.make (Callgraph.n_call_sites pcg pid) None)
   in
   let entries_tbl : Solution.proc_entry option Prog.Proc.Tbl.t =
     Prog.tbl db None
@@ -82,11 +80,14 @@ let solve (ctx : Context.t) : Solution.t =
             (Hashtbl.copy globals);
         Array.iter
           (fun (e : Callgraph.edge) ->
-            match records.((e.Callgraph.caller :> int)).(e.Callgraph.cs_index)
+            match
+              (Prog.Proc.Tbl.get records e.Callgraph.caller).(e.Callgraph.cs_index)
             with
             | None -> () (* not yet recorded: optimistic, no contribution *)
-            | Some (executable, args, gvals) ->
-                if executable then begin
+            | Some
+                { Solution.cr_executable; cr_args = args; cr_globals = gvals; _ }
+              ->
+                if cr_executable then begin
                   Array.iteri
                     (fun j v ->
                       if j < nf then formals.(j) <- Lattice.meet formals.(j) v)
@@ -165,8 +166,16 @@ let solve (ctx : Context.t) : Solution.t =
                            (Lattice.P.to_t res.Scc.values.(n.Ssa.id))
                        else Lattice.Top ))
             in
-            records.((pid :> int)).(c.Ssa.c_cs_id) <-
-              Some (executable, args, gvals))
+            (Prog.Proc.Tbl.get records pid).(c.Ssa.c_cs_id) <-
+              Some
+                {
+                  Solution.cr_caller = pid;
+                  cr_cs_index = c.Ssa.c_cs_id;
+                  cr_callee = Callgraph.proc_id_exn pcg c.Ssa.c_callee;
+                  cr_executable = executable;
+                  cr_args = args;
+                  cr_globals = gvals;
+                })
           (Ssa.call_sites ssa))
       (Callgraph.forward_order pcg);
     !any_change
@@ -188,37 +197,11 @@ let solve (ctx : Context.t) : Solution.t =
     { (Fs_icp.solve ctx) with Solution.method_name }
   end
   else begin
-    (* Assemble call records from the final pass, caller-major. *)
-    let call_records =
-      Array.fold_left
-        (fun acc (pid : Prog.Proc.id) ->
-          let row = records.((pid :> int)) in
-          let out = Callgraph.out_edges pcg pid in
-          let acc = ref acc in
-          Array.iteri
-            (fun cs_index slot ->
-              match slot with
-              | None -> ()
-              | Some (executable, args, gvals) ->
-                  acc :=
-                    {
-                      Solution.cr_caller = pid;
-                      cr_cs_index = cs_index;
-                      cr_callee = out.(cs_index).Callgraph.callee;
-                      cr_executable = executable;
-                      cr_args = args;
-                      cr_globals = gvals;
-                    }
-                    :: !acc)
-            row;
-          !acc)
-        [] (Callgraph.reverse_order pcg)
-    in
     let entries =
       Prog.Proc.Tbl.map
         (function Some e -> e | None -> Solution.empty_entry)
         entries_tbl
     in
-    Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:!scc_runs
-      ~scc_results
+    Solution.of_rows ~method_name ~db ~entries ~call_index:records
+      ~scc_runs:!scc_runs ~scc_results
   end

@@ -14,9 +14,10 @@
       candidates").
 
     Per-procedure state is dense: {!Prog.Proc.Tbl} arrays indexed by the
-    program database's procedure ids, and a per-caller [cs_index]-indexed
-    call-record index.  Names are recovered from the database only in the
-    user-facing accessors ({!constant_formals}, {!pp}, ...). *)
+    program database's procedure ids.  Each call record is stored once, in
+    its caller's row at its [cs_index].  Names are recovered from the
+    database only in the user-facing accessors ({!constant_formals},
+    {!pp}, ...). *)
 
 open Fsicp_prog
 open Fsicp_scc
@@ -47,13 +48,12 @@ type t = {
   method_name : string;
   db : Prog.t;
   entries : proc_entry Prog.Proc.Tbl.t;  (** per reachable procedure *)
-  records : callsite_record list Prog.Proc.Tbl.t;
-      (** the call records of each caller, in the order the method
-          recorded them; {!call_records} is their concatenation in caller
-          id order *)
   call_index : callsite_record option array Prog.Proc.Tbl.t;
-      (** the same records, by caller id and [cs_index], so
-          {!find_call_record} is an array load *)
+      (** the call records, by caller id and [cs_index]: slot [k] of row
+          [p] holds caller [p]'s record of site [k], or [None] where the
+          method recorded none.  The only store of call records, so
+          {!find_call_record} is an array load and {!call_records} reads
+          the rows in order *)
   scc_runs : int;
       (** number of flow-sensitive intraprocedural analyses performed — the
           paper's headline is that the FS method needs exactly one per
@@ -63,45 +63,47 @@ type t = {
           everywhere for flow-insensitive methods) *)
 }
 
-(** Assemble a solution from a caller-major record list (ascending caller
-    id, as every method records them), splitting it by caller and indexing
-    it by (caller, cs_index) in the same pass.  When duplicates exist the
-    first record wins the index, matching the former linear scan. *)
+(** Assemble a solution over rows the method filled: slot [k] of row
+    [p] holds [None] or caller [p]'s record of site [k] (a row may be
+    wider than its largest index).  The FI and FS solvers' incremental
+    updates share every unchanged row with the previous solution. *)
+let of_rows ~method_name ~db ~entries ~call_index ~scc_runs ~scc_results : t =
+  { method_name; db; entries; call_index; scc_runs; scc_results }
+
+(** Assemble a solution from call records in any order, each stored at its
+    (caller, cs_index) slot; a row is as wide as its caller's largest
+    index.  Two records of one site are an error. *)
 let make ~method_name ~db ~entries ~call_records ~scc_runs ~scc_results : t =
-  (* Row sizes: the maximum cs_index per caller among the records. *)
-  let n = Prog.n_procs db in
-  let width = Array.make n 0 in
+  let width = Array.make (Prog.n_procs db) 0 in
   List.iter
     (fun cr ->
       let c = (cr.cr_caller :> int) in
       width.(c) <- max width.(c) (cr.cr_cs_index + 1))
     call_records;
-  let call_index = Prog.tbl_init db (fun pid -> Array.make width.((pid :> int)) None) in
-  let records = Prog.tbl db [] in
+  let call_index =
+    Prog.tbl_init db (fun pid -> Array.make width.((pid :> int)) None)
+  in
   List.iter
     (fun cr ->
       let row = Prog.Proc.Tbl.get call_index cr.cr_caller in
-      if row.(cr.cr_cs_index) = None then row.(cr.cr_cs_index) <- Some cr;
-      Prog.Proc.Tbl.set records cr.cr_caller
-        (cr :: Prog.Proc.Tbl.get records cr.cr_caller))
+      if Option.is_some row.(cr.cr_cs_index) then
+        invalid_arg
+          (Printf.sprintf "Solution.make: two records of call site %s#%d"
+             (Prog.proc_name db cr.cr_caller)
+             cr.cr_cs_index);
+      row.(cr.cr_cs_index) <- Some cr)
     call_records;
-  { method_name; db; entries; records = Prog.Proc.Tbl.map List.rev records;
-    call_index; scc_runs; scc_results }
+  of_rows ~method_name ~db ~entries ~call_index ~scc_runs ~scc_results
 
-(** Assemble a solution whose per-caller records and call index the solver
-    already built: row [p] of [call_index] must hold exactly [records]'
-    records of caller [p] at their [cs_index] (rows may be wider than the
-    largest index).  The FI and FS solvers fill the rows while they run,
-    and their incremental updates share every unchanged row with the
-    previous solution instead of re-indexing every record. *)
-let of_index ~method_name ~db ~entries ~records ~call_index ~scc_runs
-    ~scc_results : t =
-  { method_name; db; entries; records; call_index; scc_runs; scc_results }
+(* Every record, callers in ascending id order, each caller's in
+   ascending [cs_index] order. *)
+let iter_call_records f t =
+  Prog.Proc.Tbl.iteri (fun _ row -> Array.iter (Option.iter f) row) t.call_index
 
-(** Every call record, callers in ascending id order. *)
 let call_records t : callsite_record list =
-  Prog.Proc.Tbl.fold (fun _ rs acc -> List.rev_append rs acc) t.records []
-  |> List.rev
+  let acc = ref [] in
+  iter_call_records (fun cr -> acc := cr :: !acc) t;
+  List.rev !acc
 
 let empty_entry = { pe_formals = [||]; pe_globals = [] }
 let proc_name t pid = Prog.proc_name t.db pid
@@ -187,7 +189,7 @@ let digest (s : t) : string =
         e.pe_globals;
       Buffer.add_char b '\n')
     (Prog.procs db);
-  List.iter
+  iter_call_records
     (fun cr ->
       Buffer.add_string b
         (Printf.sprintf "call %s#%d->%s exec=%b:"
@@ -205,7 +207,7 @@ let digest (s : t) : string =
             (Printf.sprintf " %s=%s" (Prog.Var.name g) (Lattice.to_string v)))
         cr.cr_globals;
       Buffer.add_char b '\n')
-    (call_records s);
+    s;
   Array.iter
     (fun pid ->
       match Prog.Proc.Tbl.get s.scc_results pid with

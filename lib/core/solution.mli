@@ -5,8 +5,8 @@
 
     Procedures are identified by the program database's dense
     {!Fsicp_prog.Prog.Proc.id}s; per-procedure state is stored in
-    {!Prog.Proc.Tbl} arrays and call records are indexed by
-    [(caller id, cs_index)] without any string hashing.  Ids come from the
+    {!Prog.Proc.Tbl} arrays, and each call record is stored once, in
+    its caller's row at its [cs_index], without any string hashing.  Ids come from the
     {!Fsicp_callgraph.Callgraph.t} the solution was computed over; ids from
     any other program database are out of contract. *)
 
@@ -34,12 +34,9 @@ type t = {
   method_name : string;
   db : Prog.t;  (** the program database the ids below belong to *)
   entries : proc_entry Prog.Proc.Tbl.t;
-  records : callsite_record list Prog.Proc.Tbl.t;
-      (** each caller's call records, in the order the method recorded
-          them; {!call_records} concatenates them *)
   call_index : callsite_record option array Prog.Proc.Tbl.t;
-      (** records by caller id and [cs_index]; kept consistent with
-          [records] by {!make} *)
+      (** the call records, by caller id and [cs_index]; [None] where the
+          method recorded no site.  The only store of call records *)
   scc_runs : int;
       (** flow-sensitive intraprocedural analyses performed — the paper's
           headline is exactly one per procedure for the FS method *)
@@ -48,9 +45,22 @@ type t = {
           everywhere for flow-insensitive methods) *)
 }
 
-(** Assemble a solution from a caller-major record list (callers in
-    ascending id order), splitting it by caller and building the dense
-    [(caller, cs_index)] call-record index in the same pass. *)
+(** Assemble a solution over rows the method filled: slot [k] of row [p]
+    holds [None] or caller [p]'s record of site [k] (a row may be wider
+    than its largest index).  Lets the FI and FS solvers' incremental
+    updates share every unchanged row with the previous solution. *)
+val of_rows :
+  method_name:string ->
+  db:Prog.t ->
+  entries:proc_entry Prog.Proc.Tbl.t ->
+  call_index:callsite_record option array Prog.Proc.Tbl.t ->
+  scc_runs:int ->
+  scc_results:Scc.result option Prog.Proc.Tbl.t ->
+  t
+
+(** Assemble a solution from call records in any order, storing each at
+    its [(caller, cs_index)] slot.
+    @raise Invalid_argument on two records of one call site. *)
 val make :
   method_name:string ->
   db:Prog.t ->
@@ -60,23 +70,8 @@ val make :
   scc_results:Scc.result option Prog.Proc.Tbl.t ->
   t
 
-(** Assemble a solution over per-caller records and a call index the
-    solver already built: row [p] of [call_index] must hold exactly
-    caller [p]'s [records] at their [cs_index] (a row may be wider than
-    its largest index).  Lets the FI and FS solvers' incremental updates
-    share every unchanged row with the previous solution. *)
-val of_index :
-  method_name:string ->
-  db:Prog.t ->
-  entries:proc_entry Prog.Proc.Tbl.t ->
-  records:callsite_record list Prog.Proc.Tbl.t ->
-  call_index:callsite_record option array Prog.Proc.Tbl.t ->
-  scc_runs:int ->
-  scc_results:Scc.result option Prog.Proc.Tbl.t ->
-  t
-
 (** Every call record: callers in ascending id order, each caller's
-    records in recorded order.  Built on each call. *)
+    records in ascending [cs_index] order.  Built on each call. *)
 val call_records : t -> callsite_record list
 
 val empty_entry : proc_entry

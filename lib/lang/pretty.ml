@@ -2,83 +2,130 @@
 
     The output is valid concrete syntax: for every well-formed program [p],
     [Parser.program_of_string (to_string p)] is structurally equal to [p]
-    (positions aside).  This round-trip is checked by a property test. *)
+    (positions aside).  This round-trip is checked by a property test.
+
+    Everything is written straight into one {!Buffer}: a corpus prints
+    megabytes of text, and Format boxes allocated about seventeen words
+    per byte of it. *)
 
 open Ast
 
-let rec pp_expr ?(prec = 0) ppf e =
-  match e with
-  | Const v -> Value.pp ppf v
-  | Var x -> Fmt.string ppf x
-  | Unary (op, e) -> Fmt.pf ppf "%a%a" Ops.pp_unop op (pp_atom ~prec:10) e
+let str = Buffer.add_string
+let chr = Buffer.add_char
+
+let value b = function
+  | Value.Int n -> str b (string_of_int n)
+  | Value.Real r -> str b (Value.real_to_string r)
+
+let rec expr b ~prec = function
+  | Const v -> value b v
+  | Var x -> str b x
+  | Unary (op, e) ->
+      str b (Ops.unop_to_string op);
+      atom b e
   | Binary (op, l, r) ->
+      (* Left-associative: the right operand needs strictly higher
+         precedence to avoid re-association on re-parse. *)
       let p = Ops.binop_precedence op in
-      let body ppf () =
-        (* Left-associative: the right operand needs strictly higher
-           precedence to avoid re-association on re-parse. *)
-        Fmt.pf ppf "%a %a %a" (pp_expr ~prec:p) l Ops.pp_binop op
-          (pp_expr ~prec:(p + 1))
-          r
-      in
-      if p < prec then Fmt.pf ppf "(%a)" body () else body ppf ()
+      if p < prec then chr b '(';
+      expr b ~prec:p l;
+      chr b ' ';
+      str b (Ops.binop_to_string op);
+      chr b ' ';
+      expr b ~prec:(p + 1) r;
+      if p < prec then chr b ')'
 
-and pp_atom ~prec ppf e =
+(* The operand of a unary operator: anything but a variable or a
+   non-negative literal is parenthesized. *)
+and atom b e =
   match e with
-  | Const (Value.Int n) when n < 0 -> Fmt.pf ppf "(%d)" n
-  | Const (Value.Real r) when r < 0.0 -> Fmt.pf ppf "(%a)" Value.pp (Value.Real r)
-  | Const _ | Var _ -> pp_expr ~prec ppf e
-  | Unary _ | Binary _ -> Fmt.pf ppf "(%a)" (pp_expr ~prec:0) e
+  | Var _ -> expr b ~prec:0 e
+  | Const (Value.Int n) when n >= 0 -> expr b ~prec:0 e
+  | Const (Value.Real r) when not (r < 0.0) -> expr b ~prec:0 e
+  | Const _ | Unary _ | Binary _ ->
+      chr b '(';
+      expr b ~prec:0 e;
+      chr b ')'
 
-let rec pp_stmt ~indent ppf (s : stmt) =
-  let pad = String.make indent ' ' in
+let comma_list b f = List.iteri (fun i x -> if i > 0 then str b ", "; f x)
+let pad b indent = for _ = 1 to indent do chr b ' ' done
+
+let rec stmt b ~indent (s : stmt) =
+  pad b indent;
   match s.sdesc with
-  | Assign (x, e) -> Fmt.pf ppf "%s%s = %a;" pad x (pp_expr ~prec:0) e
-  | If (c, t, []) ->
-      Fmt.pf ppf "%sif (%a) %a" pad (pp_expr ~prec:0) c (pp_block ~indent) t
-  | If (c, t, e) ->
-      Fmt.pf ppf "%sif (%a) %a else %a" pad (pp_expr ~prec:0) c
-        (pp_block ~indent) t (pp_block ~indent) e
+  | Assign (x, e) ->
+      str b x;
+      str b " = ";
+      expr b ~prec:0 e;
+      chr b ';'
+  | If (c, t, e) -> (
+      str b "if (";
+      expr b ~prec:0 c;
+      str b ") ";
+      block b ~indent t;
+      match e with
+      | [] -> ()
+      | _ ->
+          str b " else ";
+          block b ~indent e)
   | While (c, body) ->
-      Fmt.pf ppf "%swhile (%a) %a" pad (pp_expr ~prec:0) c (pp_block ~indent)
-        body
+      str b "while (";
+      expr b ~prec:0 c;
+      str b ") ";
+      block b ~indent body
   | Call (p, args) ->
-      Fmt.pf ppf "%scall %s(%a);" pad p
-        (Fmt.list ~sep:(Fmt.any ", ") (pp_expr ~prec:0))
-        args
-  | Return -> Fmt.pf ppf "%sreturn;" pad
-  | Print e -> Fmt.pf ppf "%sprint %a;" pad (pp_expr ~prec:0) e
+      str b "call ";
+      str b p;
+      chr b '(';
+      comma_list b (expr b ~prec:0) args;
+      str b ");"
+  | Return -> str b "return;"
+  | Print e ->
+      str b "print ";
+      expr b ~prec:0 e;
+      chr b ';'
 
-and pp_block ~indent ppf (body : stmt list) =
-  if body = [] then Fmt.string ppf "{ }"
-  else begin
-    Fmt.pf ppf "{@\n";
-    List.iter (fun s -> Fmt.pf ppf "%a@\n" (pp_stmt ~indent:(indent + 2)) s) body;
-    Fmt.pf ppf "%s}" (String.make indent ' ')
-  end
+and block b ~indent = function
+  | [] -> str b "{ }"
+  | body ->
+      str b "{\n";
+      List.iter (fun s -> stmt b ~indent:(indent + 2) s; chr b '\n') body;
+      pad b indent;
+      chr b '}'
 
-let pp_proc ppf (p : proc) =
-  Fmt.pf ppf "proc %s(%a) %a" p.pname
-    (Fmt.list ~sep:(Fmt.any ", ") Fmt.string)
-    p.formals (pp_block ~indent:0) p.body
+let proc b (p : proc) =
+  str b "proc ";
+  str b p.pname;
+  chr b '(';
+  comma_list b (str b) p.formals;
+  str b ") ";
+  block b ~indent:0 p.body
 
-let pp_program ppf (prog : program) =
-  let declared_only =
-    List.filter (fun g -> not (List.mem_assoc g prog.blockdata)) prog.globals
-  in
-  if declared_only <> [] then
-    Fmt.pf ppf "global %a;@\n"
-      (Fmt.list ~sep:(Fmt.any ", ") Fmt.string)
-      declared_only;
+let program b (prog : program) =
+  let initialised = Hashtbl.create (List.length prog.blockdata) in
+  List.iter (fun (g, _) -> Hashtbl.replace initialised g ()) prog.blockdata;
+  (match List.filter (fun g -> not (Hashtbl.mem initialised g)) prog.globals with
+  | [] -> ()
+  | declared_only ->
+      str b "global ";
+      comma_list b (str b) declared_only;
+      str b ";\n");
   if prog.blockdata <> [] then begin
-    Fmt.pf ppf "blockdata {@\n";
+    str b "blockdata {\n";
     List.iter
-      (fun (g, v) -> Fmt.pf ppf "  %s = %a;@\n" g Value.pp v)
+      (fun (g, v) -> str b "  "; str b g; str b " = "; value b v; str b ";\n")
       prog.blockdata;
-    Fmt.pf ppf "}@\n"
+    str b "}\n"
   end;
-  List.iter (fun p -> Fmt.pf ppf "%a@\n" pp_proc p) prog.procs
+  List.iter (fun p -> proc b p; chr b '\n') prog.procs
 
-let expr_to_string e = Fmt.str "%a" (pp_expr ~prec:0) e
-let stmt_to_string s = Fmt.str "%a" (pp_stmt ~indent:0) s
-let proc_to_string p = Fmt.str "%a" pp_proc p
-let program_to_string p = Fmt.str "%a" pp_program p
+let to_string f x =
+  let b = Buffer.create 4096 in
+  f b x;
+  Buffer.contents b
+
+let expr_to_string = to_string (expr ~prec:0)
+let stmt_to_string = to_string (stmt ~indent:0)
+let proc_to_string = to_string proc
+let program_to_string = to_string program
+let pp_program ppf p = Fmt.string ppf (program_to_string p)

@@ -3,13 +3,10 @@
     positions and global-declaration order), a property the test suite
     checks. *)
 
-val pp_expr : ?prec:int -> Ast.expr Fmt.t
-val pp_stmt : indent:int -> Ast.stmt Fmt.t
-val pp_block : indent:int -> Ast.stmt list Fmt.t
-val pp_proc : Ast.proc Fmt.t
-val pp_program : Ast.program Fmt.t
-
 val expr_to_string : Ast.expr -> string
 val stmt_to_string : Ast.stmt -> string
 val proc_to_string : Ast.proc -> string
 val program_to_string : Ast.program -> string
+
+(** {!program_to_string}, as a formatter for the command line. *)
+val pp_program : Ast.program Fmt.t

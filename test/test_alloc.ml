@@ -1,5 +1,6 @@
 (** Exact allocation counts: the per-procedure layers must cost O(body),
-    not O(body × globals).  Two programs share their 500 procedure bodies;
+    not O(body × globals), and printing costs a constant number of words
+    per output byte.  Two programs share their 500 procedure bodies;
     one declares the 8 globals the bodies use, the other 800, of which the
     bodies name 18.  At [jobs 1] everything runs on the calling domain, so
     the counts are deterministic: the same on every machine with the same
@@ -69,8 +70,27 @@ let test_alloc_flat_in_globals () =
   if over <> [] then
     Alcotest.failf "over the 1.5x bound:\n%s" (String.concat "\n" over)
 
+(* Printing writes into one buffer: the words allocated per output byte
+   stay a small constant (the buffer's doublings and the final copy), far
+   below the ~17 a Format-box printer spends on the same corpus. *)
+let test_pretty_words_per_byte () =
+  let module Scale = Fsicp_workloads.Scale in
+  let prog =
+    Scale.generate
+      { Scale.sp_family = Scale.Mixed; sp_procs = 2_000; sp_seed = 1 }
+  in
+  let text, minor, major =
+    words (fun () -> Fsicp_lang.Pretty.program_to_string prog)
+  in
+  let per_byte = (minor +. major) /. float_of_int (String.length text) in
+  if per_byte > 2.0 then
+    Alcotest.failf "printing %d bytes allocated %.2f words per byte (bound 2)"
+      (String.length text) per_byte
+
 let suite =
   [
     Alcotest.test_case "allocation per procedure flat in globals" `Quick
       test_alloc_flat_in_globals;
+    Alcotest.test_case "printing allocates at most 2 words per byte" `Quick
+      test_pretty_words_per_byte;
   ]

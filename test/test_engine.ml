@@ -534,6 +534,100 @@ let test_batch_with_illformed_prefix () =
   Alcotest.(check (option int)) "both edits counted" (Some 2)
     (List.assoc_opt "edits" (Engine.stats e))
 
+(* -- call records stored once --------------------------------------------- *)
+
+(* [call_records] is strictly ascending by (caller, cs_index), and
+   [find_call_record] answers exactly those records at their coordinates
+   and [None] at every other index, one past each end included. *)
+let check_records_once what (pcg : Callgraph.t) (s : Solution.t) =
+  let key (cr : Solution.callsite_record) =
+    ((cr.Solution.cr_caller :> int), cr.Solution.cr_cs_index)
+  in
+  let recs = Solution.call_records s in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> compare (key a) (key b) < 0 && ascending rest
+    | [ _ ] | [] -> true
+  in
+  if not (ascending recs) then
+    Alcotest.failf "%s: call records not strictly ascending by (caller, \
+                    cs_index)" what;
+  let at = Hashtbl.create 64 in
+  List.iter (fun cr -> Hashtbl.replace at (key cr) cr) recs;
+  Array.iter
+    (fun caller ->
+      for cs_index = -1 to Callgraph.n_call_sites pcg caller do
+        let expected = Hashtbl.find_opt at ((caller :> int), cs_index) in
+        match (expected, Solution.find_call_record s ~caller ~cs_index) with
+        | None, None -> ()
+        | Some cr, Some cr' when cr == cr' -> ()
+        | _ ->
+            Alcotest.failf "%s: find_call_record %s#%d disagrees with \
+                            call_records"
+              what
+              (Callgraph.proc_name pcg caller)
+              cs_index
+      done)
+    pcg.Callgraph.nodes
+
+let check_every_method what (ctx : Context.t) =
+  let pcg = ctx.Context.pcg in
+  List.iter
+    (fun (m, solve) -> check_records_once (what ^ " " ^ m) pcg (solve ()))
+    ([
+       ("fi", fun () -> Fi_icp.solve ctx);
+       ("fs", fun () -> Fs_icp.solve ~jobs:1 ctx);
+       ("cc", fun () -> Cc_icp.solve ~jobs:1 ctx);
+       ("vc", fun () -> Vc_icp.solve ~jobs:1 ctx);
+       ("ref", fun () -> Reference.solve ctx);
+     ]
+    @ List.map
+        (fun v ->
+          (Jump_functions.variant_name v, fun () -> Jump_functions.solve ctx v))
+        Jump_functions.all_variants)
+
+(* Every method on the suite and on generated cyclic programs, then the
+   FI and FS solutions the engine keeps across random edits (the
+   incremental [Fi_icp.update] and [Fs_icp.resolve] paths). *)
+let test_call_records_stored_once () =
+  List.iter
+    (fun (b : Fsicp_workloads.Spec.benchmark) ->
+      check_every_method b.Fsicp_workloads.Spec.b_name
+        (Context.create ~jobs:1 (Fsicp_workloads.Spec.program b)))
+    Fsicp_workloads.Spec.suite;
+  for seed = 1 to 8 do
+    let prog =
+      Fsicp_workloads.Generator.(
+        generate
+          {
+            default_profile with
+            g_seed = seed;
+            g_procs = 16;
+            g_back_edge_prob = 0.5;
+          })
+    in
+    let ctx = Context.create ~jobs:1 prog in
+    if not (Callgraph.has_cycles ctx.Context.pcg) then
+      Alcotest.failf "cyclic seed %d: the PCG has no cycle" seed;
+    check_every_method (Printf.sprintf "cyclic seed %d" seed) ctx
+  done;
+  let incremental = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| 0x5eed17; seed |] in
+      let e = Engine.create ~jobs:2 (Oracle.program_of_seed seed) in
+      for i = 1 to 6 do
+        let p = Oracle.random_edit rng (Engine.context e).Context.prog in
+        (match Engine.edit_proc ~jobs:2 e p with
+        | Engine.Incremental _ -> incr incremental
+        | Engine.Rebuilt _ -> ());
+        let what = Printf.sprintf "seed %d edit %d" seed i in
+        let pcg = (Engine.context e).Context.pcg in
+        check_records_once (what ^ " fi") pcg (Engine.fi_solution e);
+        check_records_once (what ^ " fs") pcg (Engine.solution e)
+      done)
+    [ 0; 3; 6; 9; 12; 15 ];
+  if !incremental = 0 then Alcotest.fail "no edit took the incremental path"
+
 let suite =
   [
     Alcotest.test_case "shape-preserving edit is incremental" `Quick
@@ -572,4 +666,6 @@ let suite =
       test_fi_update_respelled_literal;
     Alcotest.test_case "SPICE toggle edit carries the PCG and aliases"
       `Quick test_toggle_edit_carries_pcg;
+    Alcotest.test_case "call records stored once, every method" `Quick
+      test_call_records_stored_once;
   ]
