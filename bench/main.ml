@@ -209,17 +209,15 @@ let scale_measure ~reps ~jobs ~mode prog : (float * float * float * int, string)
             ignore (Fs_icp.solve ~jobs ctx)
           in
           let base_top = (Gc.quick_stat ()).Gc.top_heap_words in
-          (* Exact counters: a [Gc.quick_stat] delta only moves when a
-             minor collection happens, so a small solve read as zero. *)
-          let words () =
-            let _, _, major = Gc.counters () in
-            (Gc.minor_words (), major)
-          in
-          let minor0, major0 = words () in
+          (* Exact counters, summed over domains: a [Gc.quick_stat] delta
+             only moves when a minor collection happens, so a small solve
+             read as zero, and [Gc.minor_words] alone misses what the pool
+             workers allocate at [jobs > 1]. *)
+          let minor0, major0 = Par.allocated_words () in
           let t0 = Unix.gettimeofday () in
           solve ();
           let best = ref (1000.0 *. (Unix.gettimeofday () -. t0)) in
-          let minor1, major1 = words () in
+          let minor1, major1 = Par.allocated_words () in
           for _ = 2 to reps do
             let t0 = Unix.gettimeofday () in
             solve ();

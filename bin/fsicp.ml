@@ -104,8 +104,10 @@ let jobs_conv =
 
 let jobs_arg =
   Arg.(value & opt (some jobs_conv) None & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"worker domains for parallel phases (default: FSICP_JOBS, \
-               else all cores); results are identical for every N")
+         ~doc:"at most this many worker domains for parallel phases \
+               (default: FSICP_JOBS, else all cores); programs under 2000 \
+               reachable procedures run on one domain; results are \
+               identical for every N")
 
 let resolve_jobs = function
   | Some j -> j

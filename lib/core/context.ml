@@ -69,11 +69,12 @@ type t = {
   stream : stream option;  (** [Some _] iff built by {!create_streaming} *)
 }
 
-(** Lower every reachable procedure on [jobs] domains under [scope],
-    keeping the IR [reuse] supplies for a procedure instead of lowering it
-    again.  Each lowering is independent (all mutable state is
-    builder-local; the scope is read-only), so the work is embarrassingly
-    parallel. *)
+(** Lower every reachable procedure under [scope], keeping the IR [reuse]
+    supplies for a procedure instead of lowering it again.  Each lowering
+    is independent (all mutable state is builder-local; the scope is
+    read-only), so the work is embarrassingly parallel: it runs on up to
+    [jobs] domains once enough procedures need lowering
+    ({!Fsicp_par.Par.domains}). *)
 let lower_reusing ~jobs ~reuse scope (pcg : Callgraph.t) :
     Ir.proc Prog.Proc.Tbl.t =
   let kept = Prog.tbl_init pcg.Callgraph.db reuse in
@@ -87,7 +88,10 @@ let lower_reusing ~jobs ~reuse scope (pcg : Callgraph.t) :
   Trace.add c_lower_procs n;
   Trace.add c_lower_reused (Callgraph.n_procs pcg - n);
   let procs =
-    Par.parallel_init ~label:"lower:proc" ~jobs n (fun i ->
+    Par.parallel_init ~label:"lower:proc"
+      ~jobs:(Par.domains Par.Init ~jobs n)
+      n
+      (fun i ->
         Lower.lower_in scope (Callgraph.proc_ast pcg missing.(i)))
   in
   Array.iteri
@@ -408,10 +412,11 @@ let ssa t name : Ssa.proc =
   | None -> invalid_arg (Printf.sprintf "Context.ssa: %s" name)
 
 (** Pre-build the SSA form of every reachable procedure not yet cached, on
-    [jobs] domains.  Construction per procedure only reads shared immutable
-    analysis results, so it parallelises freely; the cache is filled
-    sequentially afterwards.  Once this returns, {!ssa} is a read-only
-    cache hit from any domain. *)
+    up to [jobs] domains once enough procedures are missing
+    ({!Fsicp_par.Par.domains}).  Construction per procedure only reads
+    shared immutable analysis results, so it parallelises freely; the
+    cache is filled sequentially afterwards.  Once this returns, {!ssa} is
+    a read-only cache hit from any domain. *)
 let build_ssa ?jobs t : unit =
   let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
   let missing =
@@ -420,9 +425,13 @@ let build_ssa ?jobs t : unit =
          (fun pid -> Prog.Proc.Tbl.get t.ssa_cache pid = None)
          (Array.to_list t.pcg.Callgraph.nodes))
   in
-  Trace.add c_ssa_built (Array.length missing);
+  let n = Array.length missing in
+  Trace.add c_ssa_built n;
   let built =
-    Par.parallel_init ~label:"ssa:build" ~jobs (Array.length missing) (fun i ->
+    Par.parallel_init ~label:"ssa:build"
+      ~jobs:(Par.domains Par.Init ~jobs n)
+      n
+      (fun i ->
         let pid = missing.(i) in
         Ssa.of_proc ~effects:(effects_for t pid) t.prog (lowered_at t pid))
   in

@@ -54,8 +54,9 @@ type t = {
 
 (** Build the context for a {!Sema.check}-clean program.  [jobs] bounds the
     domains used for per-procedure lowering (default
-    {!Fsicp_par.Par.default_jobs}); the result is identical for every
-    value.
+    {!Fsicp_par.Par.default_jobs}; one domain below
+    {!Fsicp_par.Par.cutoff} [Init] procedures); the result is identical
+    for every value.
 
     [prev], the context of an earlier version of the program, lets
     artifacts with provably unchanged inputs carry over; MOD/REF runs as
@@ -92,7 +93,8 @@ val is_streaming : t -> bool
     Artifacts re-requested afterwards are rebuilt, identically. *)
 val retire : t -> Prog.Proc.id -> unit
 
-(** Lower every reachable procedure on [jobs] domains; {!Driver.run} uses
+(** Lower every reachable procedure on up to [jobs] domains, one below
+    {!Fsicp_par.Par.cutoff} [Init] procedures; {!Driver.run} uses
     it, and {!create} lowers through the same code, skipping procedures
     whose IR it carries over from [prev]. *)
 val lower_all : jobs:int -> Ast.program -> Callgraph.t -> Ir.proc Prog.Proc.Tbl.t
@@ -109,7 +111,8 @@ val ssa_at : t -> Prog.Proc.id -> Ssa.proc
 val ssa : t -> string -> Ssa.proc
 
 (** Pre-build the SSA form of every reachable procedure not yet cached, on
-    [jobs] domains; afterwards {!ssa} is a read-only cache hit from any
+    up to [jobs] domains, one below {!Fsicp_par.Par.cutoff} [Init] missing
+    procedures; afterwards {!ssa} is a read-only cache hit from any
     domain. *)
 val build_ssa : ?jobs:int -> t -> unit
 

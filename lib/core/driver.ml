@@ -15,11 +15,11 @@
     flow-insensitive method" — compare [fi_seconds] against
     [fs_seconds].
 
-    Independent phases run concurrently when [jobs > 1]: steps 1 and 2
-    need only the program, so the IPA collection and the PCG construction
-    overlap; lowering fans out per procedure; and the flow-sensitive ICP
-    runs its PCG wavefront on the same domain budget.  Each phase is still
-    timed individually (inside its own task), so the Figure-2 trace keeps
+    The phases run in sequence.  With [jobs > 1], lowering fans out per
+    procedure and the flow-sensitive ICP runs its PCG wavefront on the
+    same domain budget, each only on programs past its
+    {!Fsicp_par.Par.cutoff}; a smaller program never starts a worker
+    domain.  Each phase is timed individually, so the Figure-2 trace keeps
     one entry per phase regardless of [jobs]. *)
 
 open Fsicp_lang
@@ -31,8 +31,8 @@ module Trace = Fsicp_trace.Trace
 type timing = {
   t_phase : string;
   t_seconds : float;
-  t_minor_words : float;  (** words allocated on the executing domain *)
-  t_major_words : float;
+  t_minor_words : float;  (** minor-heap words, summed over domains *)
+  t_major_words : float;  (** words allocated directly in the major heap *)
 }
 
 type t = {
@@ -45,23 +45,15 @@ type t = {
   timings : timing list;
 }
 
-(* Wall-clock plus the executing domain's allocation counters: in OCaml 5
-   the counters are per-domain, so a phase running inside a [Par.both] task
-   reports the allocation of that task's domain.  [Gc.quick_stat] only
-   moves at minor-GC boundaries, so it reads 0 for a phase that fits in
-   the minor heap.  [Gc.minor_words] is exact, and so is the major figure
-   of [Gc.counters]; its minor figure is not (OCaml 5.1 undercounts the
-   unfinished minor heap). *)
-let alloc_words () =
-  let _, _, major = Gc.counters () in
-  (Gc.minor_words (), major)
-
+(* Wall-clock plus the words the phase allocated on every domain it ran
+   on: OCaml 5's counters are per-domain, so {!Par.allocated_words} adds
+   what the pool workers allocated to the calling domain's own count. *)
 let time_it f =
-  let minor0, major0 = alloc_words () in
+  let minor0, major0 = Par.allocated_words () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  let minor1, major1 = alloc_words () in
+  let minor1, major1 = Par.allocated_words () in
   (r, (dt, minor1 -. minor0, major1 -. major0))
 
 (** Run the complete pipeline on [jobs] domains (default
@@ -77,12 +69,9 @@ let run ?(floats = true) ?jobs ?(extended = false) (prog : Ast.program) : t =
     time_it (fun () -> Trace.span name f)
   in
   Trace.next_epoch ();
-  (* Steps 1–2 are independent given the program: collect the IPA inputs
-     while the PCG is being built. *)
-  let (pcg, t_pcg), (summaries, t_sum) =
-    Par.both ~jobs
-      (phase "2:call-graph" (fun () -> Callgraph.build prog))
-      (phase "1:ipa-collect" (fun () -> Summary.collect prog))
+  let pcg, t_pcg = phase "2:call-graph" (fun () -> Callgraph.build prog) () in
+  let summaries, t_sum =
+    phase "1:ipa-collect" (fun () -> Summary.collect prog) ()
   in
   Trace.next_epoch ();
   let aliases, t_alias =

@@ -7,8 +7,8 @@ open Fsicp_ipa
 type timing = {
   t_phase : string;
   t_seconds : float;
-  t_minor_words : float;  (** words allocated on the executing domain *)
-  t_major_words : float;
+  t_minor_words : float;  (** minor-heap words, summed over domains *)
+  t_major_words : float;  (** words allocated directly in the major heap *)
 }
 
 type t = {
@@ -21,10 +21,10 @@ type t = {
   timings : timing list;
 }
 
-(** Run steps 1–6 on a {!Sema.check}-clean program.  Independent phases
-    (IPA collection ∥ PCG construction, per-procedure lowering, the FS
-    wavefront) run on [jobs] domains (default
-    {!Fsicp_par.Par.default_jobs}); results are identical for every
+(** Run steps 1–6, in sequence, on a {!Sema.check}-clean program.
+    Per-procedure lowering and the FS wavefront run on up to [jobs]
+    domains (default {!Fsicp_par.Par.default_jobs}) once the program is
+    past their {!Fsicp_par.Par.cutoff}; results are identical for every
     [jobs].  [extended] (default [false]) additionally runs the
     beyond-the-paper methods — copy-constant ({!Cc_icp}, phase
     ["5c:cc-icp"]) and value-context ({!Vc_icp}, phase ["5d:vc-icp"]) —

@@ -28,7 +28,9 @@
     The traversal is a dependency {e wavefront}: a procedure is ready as
     soon as all of its forward-edge callers have been analysed,
     independently of its siblings, so ready procedures run concurrently on
-    [jobs] domains ({!Fsicp_par.Par.wavefront}, each domain owning the
+    up to [jobs] domains once the traversal reaches
+    {!Fsicp_par.Par.cutoff} [Wavefront] procedures
+    ({!Fsicp_par.Par.wavefront}, each domain owning the
     procedures of the {!shard_regions} it is assigned).  Procedure [p]'s
     entry meet is {e pulled} at dispatch time from the call records its
     forward callers already produced — in canonical in-edge order, so the
@@ -129,9 +131,10 @@ let owners_of_regions (bounds : int array) ~jobs ~n : int array =
 (** [solve ?jobs ?fi ?call_def_value ctx] computes the flow-sensitive
     solution.
 
-    [jobs] is the number of worker domains for the wavefront traversal and
-    the SSA pre-build (default {!Fsicp_par.Par.default_jobs}); the solution
-    is identical for every value.
+    [jobs] bounds the worker domains for the wavefront traversal and the
+    SSA pre-build (default {!Fsicp_par.Par.default_jobs}); the traversal
+    runs on one domain below {!Fsicp_par.Par.cutoff} [Wavefront]
+    procedures.  The solution is identical for every value.
 
     [fi] overrides the flow-insensitive solution used for back edges
     (computed on demand when the PCG has cycles, matching the paper:
@@ -153,23 +156,36 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
   let pcg = ctx.Context.pcg in
   let nodes = pcg.Callgraph.nodes in
   let n = Array.length nodes in
-  let jobs =
-    max 1 (min (match jobs with Some j -> j | None -> Par.default_jobs ()) n)
-  in
+  let budget = match jobs with Some j -> j | None -> Par.default_jobs () in
   let fi =
     match fi with
     | Some s -> Some s
     | None -> if Callgraph.has_cycles pcg then Some (Fi_icp.solve ctx) else None
   in
 
-  (* Pre-build SSA for every procedure (embarrassingly parallel, and the
-     bulk of the flow-sensitive setup time); afterwards [Context.ssa] is a
-     read-only cache hit from any domain.  Streaming contexts skip this on
-     purpose: each procedure's SSA is built inside [process] when its
-     wavefront turn comes and released right after, so the peak resident
-     set follows the frontier instead of the program. *)
+  (* The procedures to drive: every id from scratch, the dirty cone
+     (ascending ids) on the incremental path.  Ascending ids are the
+     forward topological order, so the sequential path is an in-order
+     sweep.  The wavefront spreads over domains only from
+     [Par.cutoff Wavefront] procedures on; below it, and for a cone that
+     small, it never wakes the pool. *)
+  let order =
+    match dirty with
+    | Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d
+    | None -> Array.init n Fun.id
+  in
+  let jobs = Par.domains Par.Wavefront ~jobs:budget (Array.length order) in
+
+  (* With domains to spare, pre-build SSA for every procedure first
+     (embarrassingly parallel past [Par.cutoff Init], and the bulk of the
+     flow-sensitive setup time); afterwards [Context.ssa] is a read-only
+     cache hit from any domain, which a parallel wavefront needs.
+     Streaming contexts skip this on purpose: each procedure's SSA is
+     built inside [process] when its wavefront turn comes and released
+     right after, so the peak resident set follows the frontier instead of
+     the program. *)
   let streaming = Context.is_streaming ctx in
-  if jobs > 1 && not streaming then Context.build_ssa ~jobs ctx;
+  if budget > 1 && not streaming then Context.build_ssa ~jobs:budget ctx;
 
   let roots = Entry_vec.roots ctx in
 
@@ -301,27 +317,17 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     end
   in
 
-  (* One scheduler call for both paths.  A from-scratch solve orders every
-     id; an incremental one restricts the wavefront to the dirty cone: a
-     dirty procedure waits only on its dirty forward callers (clean
-     callers' records are already in [record_idx]), and completion must
-     never enqueue a clean node.  Ascending ids are the forward topological
-     order, so the sequential path is just an in-order sweep.  The frontier
-     is sharded into contiguous SCC-whole id regions, ~4 per domain, each
-     domain owning its regions' nodes on a private stack; every output is
-     stored by procedure id, which makes the solution independent of the
-     sharding, so this is purely a scheduling choice (verified by the
-     digest-equality tests). *)
-  let order =
-    match dirty with
-    | Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d
-    | None -> Array.init n Fun.id
-  in
-  (* A cone can be smaller than the pool: the scheduler runs one domain
-     per owner, so both shrink to the order's length together.  At one
-     domain the scheduler ignores [owners], [deps] and [dependents], so
-     neither sharding nor the cone's dependency filtering happens. *)
-  let jobs = min jobs (Array.length order) in
+  (* One scheduler call for both paths.  An incremental solve restricts
+     the wavefront to the dirty cone: a dirty procedure waits only on its
+     dirty forward callers (clean callers' records are already in
+     [record_idx]), and completion must never enqueue a clean node.  The
+     frontier is sharded into contiguous SCC-whole id regions, ~4 per
+     domain, each domain owning its regions' nodes on a private stack;
+     every output is stored by procedure id, which makes the solution
+     independent of the sharding, so this is purely a scheduling choice
+     (verified by the digest-equality tests).  At one domain the scheduler
+     ignores [owners], [deps] and [dependents], so neither sharding nor
+     the cone's dependency filtering happens. *)
   let owners, deps, dependents =
     if jobs <= 1 then ([||], [||], [||])
     else
@@ -380,10 +386,4 @@ let resolve ?jobs ~(fi : Solution.t) ~(prev : Solution.t)
   let n = Array.length ctx.Context.pcg.Callgraph.nodes in
   Trace.add c_resolve_dirty (Array.length dirty);
   Trace.add c_resolve_reused (n - Array.length dirty);
-  (* Small dirty regions run sequentially regardless of the requested
-     [jobs]: waking the pool and handing nodes between domains costs more
-     than re-solving a handful of procedures outright.  Results are
-     identical at every jobs count by construction, so the clamp is purely
-     a latency decision. *)
-  let jobs = if Array.length dirty < 24 then Some 1 else jobs in
   solve_body ?jobs ~fi ~prev ~dirty ctx

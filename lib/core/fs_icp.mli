@@ -27,9 +27,11 @@ val method_name : string
 val shard_regions : Fsicp_callgraph.Callgraph.t -> parts:int -> int array
 
 (** [solve ?jobs ?fi ?call_def_value ctx]:
-    [jobs] is the number of worker domains for the wavefront traversal
+    [jobs] bounds the worker domains for the wavefront traversal
     (default {!Fsicp_par.Par.default_jobs}; [1] is the sequential
-    reference path, and every value yields the same solution);
+    reference path, which every program under
+    {!Fsicp_par.Par.cutoff} [Wavefront] procedures takes, and every value
+    yields the same solution);
     [fi] overrides the flow-insensitive solution used for back edges
     (computed on demand only when the PCG has cycles, as in the paper);
     [call_def_value] refines post-call values of call-defined variables —
@@ -50,8 +52,9 @@ val solve :
     the edited procedures plus every callee of a back edge whose
     flow-insensitive record changed; [fi] is the fresh flow-insensitive
     solution; [prev] the previous flow-sensitive one.  Only the cone is
-    re-driven through the wavefront (unchanged entry vectors inside it hit
-    the SCC memo); procedures outside it reuse their previous entry, call
+    re-driven through the wavefront, on one domain when the cone is under
+    {!Fsicp_par.Par.cutoff} [Wavefront] (unchanged entry vectors inside it
+    hit the SCC memo); procedures outside it reuse their previous entry, call
     records and SCC result verbatim.  The returned solution is identical to
     a from-scratch {!solve} of the edited program, at any [jobs]; the saved
     work is visible in the ["fs.resolve.dirty"] / ["fs.resolve.reused"] /

@@ -88,14 +88,18 @@ type t = {
 
 let create src = { src; off = 0; line = 1; bol = 0 }
 let pos lx : Ast.pos = { line = lx.line; col = lx.off - lx.bol + 1 }
-let peek_char lx = if lx.off >= String.length lx.src then None else Some lx.src.[lx.off]
+let at_end lx = lx.off >= String.length lx.src
+
+(* The current character, or ['\000'] past the end: a plain [char], so
+   peeking allocates nothing.  A NUL inside the source is told apart from
+   the end by {!at_end}. *)
+let peek_char lx = if at_end lx then '\000' else String.unsafe_get lx.src lx.off
 
 let advance lx =
-  (match peek_char lx with
-  | Some '\n' ->
-      lx.line <- lx.line + 1;
-      lx.bol <- lx.off + 1
-  | _ -> ());
+  if peek_char lx = '\n' then begin
+    lx.line <- lx.line + 1;
+    lx.bol <- lx.off + 1
+  end;
   lx.off <- lx.off + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -104,23 +108,22 @@ let is_ident_char c = is_ident_start c || is_digit c
 
 let rec skip_ws lx =
   match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | ' ' | '\t' | '\r' | '\n' ->
       advance lx;
       skip_ws lx
-  | Some '#' ->
+  | '#' ->
       skip_line lx;
       skip_ws lx
-  | Some '/' when lx.off + 1 < String.length lx.src && lx.src.[lx.off + 1] = '/' ->
+  | '/' when lx.off + 1 < String.length lx.src && lx.src.[lx.off + 1] = '/' ->
       skip_line lx;
       skip_ws lx
   | _ -> ()
 
 and skip_line lx =
-  match peek_char lx with
-  | Some '\n' | None -> ()
-  | Some _ ->
-      advance lx;
-      skip_line lx
+  if not (at_end lx || peek_char lx = '\n') then begin
+    advance lx;
+    skip_line lx
+  end
 
 let keyword_of_string = function
   | "global" -> Some KW_GLOBAL
@@ -139,19 +142,17 @@ let lex_number lx p =
   let seen_dot = ref false and seen_exp = ref false in
   let rec go () =
     match peek_char lx with
-    | Some c when is_digit c ->
+    | c when is_digit c ->
         advance lx;
         go ()
-    | Some '.' when not (!seen_dot || !seen_exp) ->
+    | '.' when not (!seen_dot || !seen_exp) ->
         seen_dot := true;
         advance lx;
         go ()
-    | Some ('e' | 'E') when not !seen_exp ->
+    | 'e' | 'E' when not !seen_exp ->
         seen_exp := true;
         advance lx;
-        (match peek_char lx with
-        | Some ('+' | '-') -> advance lx
-        | _ -> ());
+        (match peek_char lx with '+' | '-' -> advance lx | _ -> ());
         go ()
     | _ -> ()
   in
@@ -170,17 +171,17 @@ let lex_number lx p =
 let next lx : token * Ast.pos =
   skip_ws lx;
   let p = pos lx in
+  if at_end lx then (EOF, p)
+  else
   match peek_char lx with
-  | None -> (EOF, p)
-  | Some c when is_digit c -> (lex_number lx p, p)
-  | Some c when is_ident_start c ->
+  | c when is_digit c -> (lex_number lx p, p)
+  | c when is_ident_start c ->
       let start = lx.off in
       let rec go () =
-        match peek_char lx with
-        | Some c when is_ident_char c ->
-            advance lx;
-            go ()
-        | _ -> ()
+        if is_ident_char (peek_char lx) then begin
+          advance lx;
+          go ()
+        end
       in
       go ();
       let text = String.sub lx.src start (lx.off - start) in
@@ -196,14 +197,14 @@ let next lx : token * Ast.pos =
             | _ -> IDENT text)
       in
       (tok, p)
-  | Some c ->
+  | c ->
       let two ifnext single double =
         advance lx;
-        match peek_char lx with
-        | Some c' when c' = ifnext ->
-            advance lx;
-            double
-        | _ -> single
+        if peek_char lx = ifnext then begin
+          advance lx;
+          double
+        end
+        else single
       in
       let tok =
         match c with
@@ -225,12 +226,12 @@ let next lx : token * Ast.pos =
         | '&' ->
             advance lx;
             (match peek_char lx with
-            | Some '&' -> advance lx; OP_ANDAND
+            | '&' -> advance lx; OP_ANDAND
             | _ -> error p "expected '&&'")
         | '|' ->
             advance lx;
             (match peek_char lx with
-            | Some '|' -> advance lx; OP_OROR
+            | '|' -> advance lx; OP_OROR
             | _ -> error p "expected '||'")
         | c -> error p "unexpected character %C" c
       in

@@ -26,14 +26,13 @@ let c_pools = Trace.counter ~stable:false "par.pools"
 let c_spawned = Trace.counter ~stable:false "par.domains_spawned"
 let c_idle = Trace.counter ~stable:false "par.idle_waits"
 
-(* Wavefront progress and traffic.  All three are scheduling
-   artefacts (they depend on which domain reached which node first), hence
+(* Wavefront progress and traffic.  Both are scheduling artefacts (they
+   depend on which domain reached which node first), hence
    [~stable:false]; [par.shard.solved] is flushed in batches during the
    run so a concurrent reader — the serve daemon's stats endpoint — sees
    live progress on a long corpus, not just the final total. *)
 let c_shard_solved = Trace.counter ~stable:false "par.shard.solved"
 let c_shard_handoffs = Trace.counter ~stable:false "par.shard.handoffs"
-let c_shard_frontier = Trace.counter ~stable:false "par.shard.frontier_peak"
 
 (* Strict job-count parsing, shared by the FSICP_JOBS environment variable
    and the CLI's --jobs flag.  A malformed count is an error, never a
@@ -55,6 +54,36 @@ let default_jobs () =
   | None -> Domain.recommended_domain_count ()
 
 let record_error err e = ignore (Atomic.compare_and_set err None (Some e))
+
+(* -- Size cutoffs ------------------------------------------------------- *)
+
+type combinator = Init | Wavefront
+
+(* Below these procedure counts two domains were not reliably faster in
+   wall time than one on the 2-core VM, and always cost more CPU
+   (DESIGN.md, "Parallel execution model"). *)
+let cutoff = function Init -> 2_000 | Wavefront -> 16_000
+
+let domains combinator ~jobs n =
+  if n < cutoff combinator then 1 else max 1 (min jobs n)
+
+(* -- Allocation across domains ------------------------------------------ *)
+
+(* [Gc.minor_words] and [Gc.counters] count the calling domain only, so
+   each pool worker adds what it allocated in a run to these totals before
+   it reports the run finished.  Direct major words (major less promoted)
+   are blocks too large for the minor heap. *)
+let worker_minor = Atomic.make 0
+let worker_major = Atomic.make 0
+
+let own_words () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted)
+
+let allocated_words () =
+  let minor, major = own_words () in
+  ( minor +. float_of_int (Atomic.get worker_minor),
+    major +. float_of_int (Atomic.get worker_major) )
 
 (* -- Worker pool ------------------------------------------------------- *)
 
@@ -103,7 +132,13 @@ let worker ?(once = false) d wake ~served =
       let body = pool.body in
       Mutex.unlock pool.mu;
       (* [body] never raises: [run_pool] wraps it. *)
+      let minor0, major0 = own_words () in
       body d;
+      let minor1, major1 = own_words () in
+      Atomic.fetch_and_add worker_minor (int_of_float (minor1 -. minor0))
+      |> ignore;
+      Atomic.fetch_and_add worker_major (int_of_float (major1 -. major0))
+      |> ignore;
       Mutex.lock pool.mu;
       pool.active <- pool.active - 1;
       if pool.active = 0 then Condition.signal pool.finished;
@@ -120,10 +155,10 @@ let spawn_worker ?once d =
   (dom, wake)
 
 (* Parked workers are not free: every minor collection stops every
-   domain, a parked one included.  On a 2-core Xeon one parked worker adds
-   about 0.05 ms to each collection and thirty add about 4.5 ms.  So the
-   pool parks at most [nproc - 1] workers (and at least one); a run wider
-   than that, with more domains than cores, adds transient workers for its
+   domain, a parked one included.  On the 2-core VM one parked worker
+   adds 0.01-0.03 ms to each collection and 13% to the CPU time of an
+   allocation loop (DESIGN.md).  So the pool parks at most [nproc - 1]
+   workers (and at least one); a wider run adds transient workers for its
    extra indices and joins them before it returns. *)
 let max_parked = max 1 (Domain.recommended_domain_count () - 1)
 
@@ -195,8 +230,7 @@ let parallel_init ?label ~jobs n f =
             (fun () -> f i)
   in
   Trace.add c_tasks n;
-  if n = 0 then [||]
-  else if jobs <= 1 || n = 1 || not (acquire ()) then Array.init n f
+  if jobs <= 1 || n <= 1 || not (acquire ()) then Array.init n f
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
@@ -217,27 +251,8 @@ let parallel_init ?label ~jobs n f =
   end
 
 let map_list ~jobs f l =
-  match l with
-  | [] -> []
-  | [ x ] ->
-      Trace.add c_tasks 1;
-      [ f x ]
-  | _ ->
-      let a = Array.of_list l in
-      Array.to_list (parallel_init ~jobs (Array.length a) (fun i -> f a.(i)))
-
-let both ~jobs f g =
-  Trace.add c_tasks 2;
-  if jobs <= 1 || not (acquire ()) then
-    let a = f () in
-    let b = g () in
-    (a, b)
-  else begin
-    let a = ref None and b = ref None in
-    run_pool 2 (Atomic.make None) (fun d ->
-        if d = 0 then a := Some (f ()) else b := Some (g ()));
-    match (!a, !b) with Some a, Some b -> (a, b) | _ -> assert false
-  end
+  let a = Array.of_list l in
+  Array.to_list (parallel_init ~jobs (Array.length a) (fun i -> f a.(i)))
 
 module Arena = struct
   type stack = { mutable sbuf : int array; mutable slen : int }
@@ -343,8 +358,7 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
   (* Checked before the pool is tried, so a bad assignment fails the same
      way whether or not another run holds the pool. *)
   if jobs > 1 && n > 1 then check_owners ~jobs owners order;
-  if n = 0 then ()
-  else if jobs <= 1 || n = 1 || not (acquire ()) then Array.iter process order
+  if jobs <= 1 || n <= 1 || not (acquire ()) then Array.iter process order
   else begin
     let pending =
       Array.map (fun ds -> Atomic.make (List.length ds)) deps
@@ -366,17 +380,7 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
     let stacks =
       Array.init jobs (fun _ -> { Arena.sbuf = Array.make 256 0; slen = 0 })
     in
-    let frontier = Atomic.make 0 and frontier_peak = Atomic.make 0 in
     let handoffs = Atomic.make 0 in
-    let note_enqueued () =
-      let cur = 1 + Atomic.fetch_and_add frontier 1 in
-      let rec bump () =
-        let p = Atomic.get frontier_peak in
-        if cur > p && not (Atomic.compare_and_set frontier_peak p cur) then
-          bump ()
-      in
-      bump ()
-    in
     (* Wake every domain: run end (remaining = 0) and errors must unblock
        workers asleep on their own inbox. *)
     let wake_all () =
@@ -422,7 +426,6 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
       end
     in
     let enqueue d j =
-      note_enqueued ();
       let o = owners.(j) in
       if o = d then Arena.push stacks.(d) j
       else begin
@@ -440,10 +443,7 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
     let seed d =
       Array.iter
         (fun i ->
-          if owners.(i) = d && deps.(i) = [] then begin
-            note_enqueued ();
-            Arena.push stacks.(d) i
-          end)
+          if owners.(i) = d && deps.(i) = [] then Arena.push stacks.(d) i)
         order
     in
     let solved_flush = 256 in
@@ -459,7 +459,6 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
         if Atomic.get err <> None then continue := false
         else if not (Arena.is_empty stacks.(d)) then begin
           let i = Arena.pop stacks.(d) in
-          ignore (Atomic.fetch_and_add frontier (-1));
           (* The whole unit — node body and completion bookkeeping — sits
              under one handler: an exception escaping the completion would
              otherwise kill this domain silently and leave the others
@@ -510,8 +509,6 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
     (* Domain [d] of the run is pool worker [d]: each needs its identity
        for stack and inbox affinity. *)
     Fun.protect
-      ~finally:(fun () ->
-        Trace.add c_shard_handoffs (Atomic.get handoffs);
-        Trace.add c_shard_frontier (Atomic.get frontier_peak))
+      ~finally:(fun () -> Trace.add c_shard_handoffs (Atomic.get handoffs))
       (fun () -> run_pool jobs err domain_main)
   end

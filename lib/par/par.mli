@@ -43,8 +43,21 @@ val parallel_init : ?label:string -> jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map_list ~jobs f l] is [List.map f l]; list order is preserved. *)
 val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [both ~jobs f g] runs the two thunks, concurrently when [jobs > 1]. *)
-val both : jobs:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+type combinator = Init | Wavefront
+
+(** [cutoff c] is the work-item count below which a call site of [c] runs
+    on one domain (DESIGN.md, "Parallel execution model", has the
+    break-even table it comes from). *)
+val cutoff : combinator -> int
+
+(** [domains c ~jobs n] is the domain count for [n] work items of [c]: 1
+    when [n < cutoff c], otherwise [jobs] capped at [n], and at least 1. *)
+val domains : combinator -> jobs:int -> int -> int
+
+(** [(minor, direct_major)] words allocated so far by the calling domain
+    plus those every pool worker allocated in its runs, so a difference of
+    two readings counts a phase on every domain it ran on. *)
+val allocated_words : unit -> float * float
 
 (** Per-domain epoch-stamped scratch arena for flat analysis kernels.
 
@@ -131,10 +144,9 @@ end
       impossible to sustain; handoff traffic is counted by the
       [par.shard.handoffs] trace counter.
     - Progress is observable while the run is in flight: completions are
-      flushed in batches to [par.shard.solved], and the high-water mark of
-      the ready frontier is recorded in [par.shard.frontier_peak] (all
-      [~stable:false] — scheduling artefacts, excluded from the canonical
-      trace).
+      flushed in batches to [par.shard.solved] ([~stable:false], like
+      [par.shard.handoffs] — scheduling artefacts, excluded from the
+      canonical trace).
 
     Any [owners] assignment yields the same set of [process] calls with the
     same happens-before edges, so a caller that assembles results

@@ -160,14 +160,15 @@ let outcome_json = function
 
 (* The trace counters a serve client cares about: incremental re-solve
    volume, SCC memo behaviour, sharded-wavefront progress (procedures
-   solved, cross-shard handoffs, frontier high-water mark), worker
-   domains spawned, which stays at [jobs - 1] once the pool is warm, and
+   solved, cross-shard handoffs), worker
+   domains spawned (none for a program under the [Par] size cutoffs, at
+   most [jobs - 1] once the pool is warm), and
    the PCGs, lowerings and SSA forms a rebuild carried over unchanged. *)
 let traced_counters =
   [
     "fs.resolve.dirty"; "fs.resolve.reused"; "scc.runs"; "scc.memo_hits";
     "scc.memo_evictions"; "scc.block_visits"; "par.shard.solved";
-    "par.shard.handoffs"; "par.shard.frontier_peak"; "par.domains_spawned";
+    "par.shard.handoffs"; "par.domains_spawned";
     "callgraph.reused"; "lower.reused"; "ssa.reused";
   ]
 

@@ -1,6 +1,6 @@
 (** Exact allocation counts: the per-procedure layers must cost O(body),
-    not O(body × globals), and printing costs a constant number of words
-    per output byte.  Two programs share their 500 procedure bodies;
+    not O(body × globals), and printing and parsing cost a constant
+    number of words per byte.  Two programs share their 500 procedure bodies;
     one declares the 8 globals the bodies use, the other 800, of which the
     bodies name 18.  At [jobs 1] everything runs on the calling domain, so
     the counts are deterministic: the same on every machine with the same
@@ -87,10 +87,30 @@ let test_pretty_words_per_byte () =
     Alcotest.failf "printing %d bytes allocated %.2f words per byte (bound 2)"
       (String.length text) per_byte
 
+(* Lexing peeks each character several times, so a peek must not
+   allocate.  Parsing this text reads about 5.4 words per byte; when the
+   lexer's peek boxed each character in an option it read 11. *)
+let test_parse_words_per_byte () =
+  let module Scale = Fsicp_workloads.Scale in
+  let text =
+    Fsicp_lang.Pretty.program_to_string
+      (Scale.generate
+         { Scale.sp_family = Scale.Mixed; sp_procs = 2_000; sp_seed = 1 })
+  in
+  let _, minor, major =
+    words (fun () -> Fsicp_lang.Parser.program_of_string text)
+  in
+  let per_byte = (minor +. major) /. float_of_int (String.length text) in
+  if per_byte > 7.0 then
+    Alcotest.failf "parsing %d bytes allocated %.2f words per byte (bound 7)"
+      (String.length text) per_byte
+
 let suite =
   [
     Alcotest.test_case "allocation per procedure flat in globals" `Quick
       test_alloc_flat_in_globals;
     Alcotest.test_case "printing allocates at most 2 words per byte" `Quick
       test_pretty_words_per_byte;
+    Alcotest.test_case "parsing allocates at most 7 words per byte" `Quick
+      test_parse_words_per_byte;
   ]

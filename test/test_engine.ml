@@ -232,6 +232,27 @@ let test_toggle_edit_carries_ssa jobs () =
        (Engine.solution (Engine.create ~jobs ctx.Context.prog)))
     (Solution.digest (Engine.solution e))
 
+(* SPICE is far under both [Par] cutoffs, so a [jobs 2] session — load,
+   an incremental edit, three rebuilds, a CC read and a VC read — and a
+   [jobs 2] Figure-2 pipeline run entirely on the calling domain: they
+   start no pool run and spawn no worker. *)
+let test_small_session_stays_sequential () =
+  let pools0 = Trace.counter_total "par.pools"
+  and spawned0 = Trace.counter_total "par.domains_spawned" in
+  let prog = spice () in
+  let e = Engine.create ~jobs:2 prog in
+  let leaf = List.nth prog.Ast.procs (List.length prog.Ast.procs - 1) in
+  ignore (Engine.edit_proc ~jobs:2 e leaf);
+  for _ = 1 to 3 do
+    expect_rebuilt ~jobs:2 e (toggle_edit (Engine.context e).Context.prog)
+  done;
+  ignore (Cc_icp.solve ~jobs:2 (Engine.context e));
+  ignore (Vc_icp.solve ~jobs:2 (Engine.context e));
+  ignore (Driver.run ~jobs:2 prog);
+  Alcotest.(check int) "par.pools" 0 (Trace.counter_total "par.pools" - pools0);
+  Alcotest.(check int) "par.domains_spawned" 0
+    (Trace.counter_total "par.domains_spawned" - spawned0)
+
 (* A leaf starts storing [k], which no ancestor modifies: each ancestor's
    callee closures change, so each must get fresh SSA (its call to the
    leaf now defines [k]); the sibling [c] keeps its SSA. *)
@@ -648,6 +669,8 @@ let suite =
       (test_toggle_edit_carries_ssa 1);
     Alcotest.test_case "SPICE toggle edit carries SSA over (jobs 2)" `Quick
       (test_toggle_edit_carries_ssa 2);
+    Alcotest.test_case "jobs 2 SPICE session starts no worker" `Quick
+      test_small_session_stays_sequential;
     Alcotest.test_case "leaf global store refreshes every ancestor's SSA"
       `Quick test_leaf_global_store_refreshes_ancestors;
     Alcotest.test_case "callee formal store refreshes the caller's SSA" `Quick

@@ -308,13 +308,14 @@ let test_entry_vec_layout () =
     (Entry_vec.entry roots sh_f (pid "f") (fun _ v ->
          Entry_vec.meet_site sh_f v ~word:Fun.id [| P.of_int 1 |] []))
 
-(* A re-solve whose dirty cone is past the sequential clamp (24 procedures)
-   but smaller than the requested pool of 32: the wavefront must shrink
-   its domains and its owners together.  The cone is chosen so that, with
-   owners drawn for 32 domains, some member would belong to a domain
-   numbered past the cone's size — one that a pool cut down to the cone
-   never spawns.  The re-solve must finish and give exactly the
-   from-scratch solution. *)
+(* A re-solve whose dirty cone (24 to 31 procedures) is smaller than the
+   requested pool of 32: the wavefront must shrink its domains and its
+   owners together.  The cone is chosen so that, with owners drawn for 32
+   domains, some member would belong to a domain numbered past the cone's
+   size — one that a pool cut down to the cone never spawns.  Such a cone
+   is far under [Par.cutoff Wavefront], so the re-solve now runs on one
+   domain; [Par.domains] caps a wider run at the cone's length.  The
+   re-solve must finish and give exactly the from-scratch solution. *)
 let test_resolve_cone_below_jobs () =
   let module Cg = Fsicp_callgraph.Callgraph in
   let module Scale = Fsicp_workloads.Scale in

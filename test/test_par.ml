@@ -89,14 +89,6 @@ let test_map_list () =
         (Par.map_list ~jobs (fun x -> x * x) l))
     [ 1; 2; 4 ]
 
-let test_both () =
-  List.iter
-    (fun jobs ->
-      let a, b = Par.both ~jobs (fun () -> 41) (fun () -> "x") in
-      Alcotest.(check int) "first thunk" 41 a;
-      Alcotest.(check string) "second thunk" "x" b)
-    [ 1; 2 ]
-
 let test_exception_propagates () =
   List.iter
     (fun jobs ->
@@ -339,6 +331,86 @@ let prop_cyclic_jobs_equivalent =
         (fun jobs -> solutions_identical base (solve_jobs prog jobs))
         [ 2; 4 ])
 
+(* -- size cutoffs ---------------------------------------------------------- *)
+
+let pools () = Fsicp_trace.Trace.counter_total "par.pools"
+
+(* A Mixed-family program with at least [n] reachable procedures. *)
+let scale_program n =
+  let prog =
+    Scale.generate { Scale.sp_family = Scale.Mixed; sp_procs = n; sp_seed = 3 }
+  in
+  let ctx = Context.create ~jobs:1 prog in
+  let reachable = Fsicp_callgraph.Callgraph.n_procs ctx.Context.pcg in
+  if reachable < n then
+    Alcotest.failf "Scale program of %d procedures reaches only %d" n reachable;
+  prog
+
+(* [f jobs] at [jobs] 1, 2 and 4 gives one digest, and each run past the
+   first starts the pool at least once. *)
+let check_parallel_site ~what f =
+  let base = f 1 in
+  List.iter
+    (fun jobs ->
+      let p0 = pools () in
+      let d = f jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: jobs=%d starts the pool" what jobs)
+        true
+        (pools () > p0);
+      Alcotest.(check string)
+        (Printf.sprintf "%s: jobs=%d digest = jobs=1" what jobs)
+        base d)
+    [ 2; 4 ]
+
+(* Lowering and the SSA pre-build fan out past [cutoff Init] procedures. *)
+let test_cutoff_init_sites () =
+  let prog = scale_program (Par.cutoff Par.Init + 16) in
+  let fs ctx = Solution.digest (Fs_icp.solve ~jobs:1 ctx) in
+  check_parallel_site ~what:"lowering" (fun jobs ->
+      fs (Context.create ~jobs prog));
+  check_parallel_site ~what:"SSA pre-build" (fun jobs ->
+      let ctx = Context.create ~jobs:1 prog in
+      Context.build_ssa ~jobs ctx;
+      fs ctx)
+
+(* The wavefront fans out past [cutoff Wavefront] procedures, from scratch
+   and over a re-solved cone of that size: the cone of [main] is the whole
+   program. *)
+let test_cutoff_wavefront_sites () =
+  let prog = scale_program (Par.cutoff Par.Wavefront + 16) in
+  let ctx = Context.create ~jobs:1 prog in
+  let fi = Fi_icp.solve ctx in
+  check_parallel_site ~what:"FS solve" (fun jobs ->
+      Solution.digest (Fs_icp.solve ~jobs ~fi (Context.create ~jobs:1 prog)));
+  let prev = Fs_icp.solve ~jobs:1 ~fi ctx in
+  let pcg = ctx.Context.pcg in
+  let dirty =
+    Fsicp_callgraph.Callgraph.(
+      cone pcg ~seeds:[ Option.get (proc_id pcg "main") ])
+  in
+  Alcotest.(check bool) "the cone of main is past the cutoff" true
+    (Array.length dirty >= Par.cutoff Par.Wavefront);
+  check_parallel_site ~what:"FS re-solve" (fun jobs ->
+      Solution.digest (Fs_icp.resolve ~jobs ~fi ~prev ~dirty ctx))
+
+(* Past the cutoff, the words a solve allocates on the pool workers count
+   too: at [jobs 2] the FS solve reads at least the [jobs 1] count (the
+   same work, plus scheduling), and within 10% of it. *)
+let test_cutoff_counts_worker_words () =
+  let prog = scale_program (Par.cutoff Par.Wavefront + 16) in
+  let minor jobs =
+    let ctx = Context.create ~jobs:1 prog in
+    let fi = Fi_icp.solve ctx in
+    let m0, _ = Par.allocated_words () in
+    ignore (Fs_icp.solve ~jobs ~fi ctx);
+    let m1, _ = Par.allocated_words () in
+    m1 -. m0
+  in
+  let one = minor 1 and two = minor 2 in
+  if two < one || two > 1.1 *. one then
+    Alcotest.failf "FS minor words: %.0f at jobs 2, %.0f at jobs 1" two one
+
 (* An owner naming a domain the run does not spawn is a caller error that
    must surface at once, not a node that is never seeded and a run that
    never ends. *)
@@ -373,14 +445,11 @@ let test_pool_nested () =
         (Array.init 12 (fun i -> Array.init 7 (f i)))
         (Par.parallel_init ~jobs 12 (fun i ->
              Par.parallel_init ~jobs 7 (f i)));
-      let a, b =
-        Par.both ~jobs
-          (fun () -> Par.map_list ~jobs succ [ 1; 2; 3 ])
-          (fun () -> Par.parallel_init ~jobs 4 (fun i -> i * i))
-      in
-      Alcotest.(check (list int)) "nested map_list in both" [ 2; 3; 4 ] a;
-      Alcotest.(check (array int)) "nested parallel_init in both"
-        [| 0; 1; 4; 9 |] b)
+      Alcotest.(check (array (list int)))
+        (Printf.sprintf "nested map_list (jobs=%d)" jobs)
+        (Array.init 5 (fun i -> [ i + 1; i + 2 ]))
+        (Par.parallel_init ~jobs 5 (fun i ->
+             Par.map_list ~jobs succ [ i; i + 1 ])))
     [ 2; 4 ]
 
 (* A raising run re-raises its exception; the workers survive it, so the
@@ -394,10 +463,15 @@ let test_pool_survives_exception () =
        with
       | _ -> Alcotest.fail "expected Failure"
       | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
-      (match Par.both ~jobs (fun () -> 1) (fun () -> failwith "second") with
-      | _ -> Alcotest.fail "expected Failure"
+      (match
+         Par.wavefront ~jobs ~owners:(Array.init 8 (fun i -> i mod jobs))
+           ~order:(Array.init 8 Fun.id) ~deps:(Array.make 8 [])
+           ~dependents:(Array.make 8 []) (fun i ->
+             if i = 5 then failwith "wave")
+       with
+      | () -> Alcotest.fail "expected Failure"
       | exception Failure m ->
-          Alcotest.(check string) "both re-raises" "second" m);
+          Alcotest.(check string) "wavefront re-raises" "wave" m);
       Alcotest.(check int)
         (Printf.sprintf "next run uses every domain (jobs=%d)" jobs)
         jobs (domains_used ~jobs);
@@ -548,7 +622,6 @@ let suite =
       test_default_jobs_env;
     Alcotest.test_case "parallel_init = Array.init" `Quick test_parallel_init;
     Alcotest.test_case "map_list = List.map" `Quick test_map_list;
-    Alcotest.test_case "both returns both results" `Quick test_both;
     Alcotest.test_case "worker exception re-raised" `Quick
       test_exception_propagates;
     Alcotest.test_case "wavefront jobs=1 follows order" `Quick
@@ -571,10 +644,16 @@ let suite =
       test_pool_survives_exception;
     Alcotest.test_case "pool: two domains call at once" `Quick
       test_pool_concurrent_callers;
-    Alcotest.test_case "pool: grows from jobs 2 to jobs 4" `Quick
-      test_pool_grows;
     Alcotest.test_case "pool: warm runs spawn no domain" `Quick
       test_pool_spawns_once;
+    Alcotest.test_case "pool: grows from jobs 2 to jobs 4" `Quick
+      test_pool_grows;
+    Alcotest.test_case "cutoff: lowering and SSA fan out past it" `Quick
+      test_cutoff_init_sites;
+    Alcotest.test_case "cutoff: solve and re-solve fan out past it" `Quick
+      test_cutoff_wavefront_sites;
+    Alcotest.test_case "cutoff: worker allocation is counted" `Quick
+      test_cutoff_counts_worker_words;
     Alcotest.test_case "Var.intern from four domains" `Quick
       test_var_intern_concurrent;
     Alcotest.test_case "Valpool.intern from a worker domain" `Quick
