@@ -211,8 +211,8 @@ let scale_measure ~reps ~jobs ~mode prog : (float * float * float * int, string)
           let base_top = (Gc.quick_stat ()).Gc.top_heap_words in
           (* Exact counters, summed over domains: a [Gc.quick_stat] delta
              only moves when a minor collection happens, so a small solve
-             read as zero, and [Gc.minor_words] alone misses what the pool
-             workers allocate at [jobs > 1]. *)
+             read as zero, and [Gc.minor_words] alone misses what spawned
+             domains allocate at [jobs > 1]. *)
           let minor0, major0 = Par.allocated_words () in
           let t0 = Unix.gettimeofday () in
           solve ();
@@ -382,6 +382,43 @@ let row_top_heap (setup : unit -> unit -> unit) : int option =
       try Scanf.sscanf line "ok %d" (fun d -> Some d)
       with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
 
+(* Bechamel's own allocation instances read [Gc.quick_stat], whose word
+   counts move only at minor collections in OCaml 5.1, so a row that
+   allocates less than a minor heap between samples read 0.0 words.  These
+   two read [Par.allocated_words]: exact, and summed over every domain a
+   run spawned.  The major column is direct major words (major less
+   promoted), the blocks too large for the minor heap. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = fst (Par.allocated_words ())
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+module Direct_major_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = snd (Par.allocated_words ())
+  let label () = "direct-major-words"
+  let unit () = "mjw"
+end
+
+let minor_words =
+  Bechamel.Measure.(
+    instance (module Minor_words) (register (module Minor_words)))
+
+let direct_major_words =
+  Bechamel.Measure.(
+    instance (module Direct_major_words)
+      (register (module Direct_major_words)))
+
 let bechamel () =
   section "BECHAMEL MICRO-BENCHMARKS";
   let open Bechamel in
@@ -432,9 +469,8 @@ let bechamel () =
             Context.reset_scc_memos ctx;
             ignore (Fs_icp.solve ctx) );
       (* SSA construction cost of the same program, kept visible in its own
-         row now that fs-icp(largest) runs warm.  Single-domain build:
-         Bechamel's GC instances only observe the calling domain, so a
-         parallel build would hide most of the allocation. *)
+         row now that fs-icp(largest) runs warm.  Single-domain build, so
+         the row measures the same work at any [FSICP_JOBS]. *)
       ( "ssa-build(largest)",
         fun () ->
           let ctx = Context.create largest_prog in
@@ -487,10 +523,7 @@ let bechamel () =
          hits).  The "largest" name puts them under the same time gate as
          the acceptance row, and at this scale their allocation clears the
          gate floor, so a regression in either new solver fails --check.
-         Single-domain like ssa-build: Bechamel's GC instances only
-         observe the calling domain, so a parallel solve both hides part
-         of the allocation and makes the visible share flap with worker
-         scheduling. *)
+         Single-domain like ssa-build. *)
       ( "cc-icp(largest)",
         fun () ->
           let ctx = Context.create ~jobs:1 largest_prog in
@@ -534,7 +567,7 @@ let bechamel () =
     largest.Spec.b_profile.Generator.g_procs;
   let test = Test.make_grouped ~name:"fsicp" ~fmt:"%s/%s" tests in
   let instances =
-    Instance.[ monotonic_clock; minor_allocated; major_allocated ]
+    [ Instance.monotonic_clock; minor_words; direct_major_words ]
   in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
@@ -555,8 +588,8 @@ let bechamel () =
     tbl
   in
   let times = estimates Instance.monotonic_clock in
-  let minors = estimates Instance.minor_allocated in
-  let majors = estimates Instance.major_allocated in
+  let minors = estimates minor_words in
+  let majors = estimates direct_major_words in
   let rows = ref [] in
   Hashtbl.iter
     (fun name ns ->

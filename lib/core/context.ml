@@ -27,8 +27,10 @@ module Trace = Fsicp_trace.Trace
 
 (* Lowering and SSA construction volume.  [ssa.built] is jobs-invariant
    (every reachable procedure is built exactly once, eagerly or lazily);
-   [ssa.cache_hits] depends on whether {!build_ssa} pre-filled the cache,
-   i.e. on [jobs], but is deterministic at a fixed count. *)
+   [ssa.cache_hits] depends on whether {!build_ssa} pre-filled the cache.
+   [Fs_icp] pre-builds only when the build fans out, so the count depends
+   on [jobs] past [Par.cutoff Init] procedures and not below it, and is
+   deterministic at a fixed count. *)
 let c_lower_procs = Trace.counter "lower.procs"
 let c_ssa_built = Trace.counter "ssa.built"
 let c_ssa_hits = Trace.counter "ssa.cache_hits"

@@ -47,7 +47,7 @@ type t = {
 
 (* Wall-clock plus the words the phase allocated on every domain it ran
    on: OCaml 5's counters are per-domain, so {!Par.allocated_words} adds
-   what the pool workers allocated to the calling domain's own count. *)
+   what the spawned domains allocated to the calling domain's own count. *)
 let time_it f =
   let minor0, major0 = Par.allocated_words () in
   let t0 = Unix.gettimeofday () in

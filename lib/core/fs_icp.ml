@@ -168,7 +168,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
      forward topological order, so the sequential path is an in-order
      sweep.  The wavefront spreads over domains only from
      [Par.cutoff Wavefront] procedures on; below it, and for a cone that
-     small, it never wakes the pool. *)
+     small, it runs on the calling domain alone. *)
   let order =
     match dirty with
     | Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d
@@ -176,16 +176,21 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
   in
   let jobs = Par.domains Par.Wavefront ~jobs:budget (Array.length order) in
 
-  (* With domains to spare, pre-build SSA for every procedure first
-     (embarrassingly parallel past [Par.cutoff Init], and the bulk of the
-     flow-sensitive setup time); afterwards [Context.ssa] is a read-only
-     cache hit from any domain, which a parallel wavefront needs.
-     Streaming contexts skip this on purpose: each procedure's SSA is
-     built inside [process] when its wavefront turn comes and released
-     right after, so the peak resident set follows the frontier instead of
-     the program. *)
+  (* When the SSA build would fan out ([Par.cutoff Init] procedures to
+     drive), pre-build SSA for every procedure first (embarrassingly
+     parallel, and the bulk of the flow-sensitive setup time); afterwards
+     [Context.ssa] is a read-only cache hit from any domain, which a
+     parallel wavefront needs — and the wavefront's cutoff lies above
+     [Init]'s.  Below it the solve takes the [jobs 1] path: each
+     procedure's SSA is built at its wavefront turn.  Streaming contexts
+     skip the pre-build on purpose: each procedure's SSA is built inside
+     [process] when its turn comes and released right after, so the peak
+     resident set follows the frontier instead of the program. *)
   let streaming = Context.is_streaming ctx in
-  if budget > 1 && not streaming then Context.build_ssa ~jobs:budget ctx;
+  if
+    Par.domains Par.Init ~jobs:budget (Array.length order) > 1
+    && not streaming
+  then Context.build_ssa ~jobs:budget ctx;
 
   let roots = Entry_vec.roots ctx in
 

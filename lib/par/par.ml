@@ -1,11 +1,9 @@
 (** Domain-based parallel execution primitives (see the interface for the
     determinism and safety contracts).
 
-    Every combinator runs on one process-wide pool of worker domains,
-    spawned on first use and grown to the largest [jobs] requested, up to
-    one worker per spare core.  Between runs the workers sleep on their own
-    condition variable, so an idle pool costs no CPU and a run pays a
-    wake-up, not a [Domain.spawn].
+    Every parallel run spawns its worker domains and joins them before it
+    returns, so no domain outlives its run and an idle process has none to
+    stop at each minor collection.
     [parallel_init] hands out indices from one atomic counter, so there is
     no work queue to balance and no per-task allocation.  The wavefront
     scheduler keeps atomic pending counts and per-domain ready stacks,
@@ -16,11 +14,11 @@
 module Trace = Fsicp_trace.Trace
 
 (* [par.tasks] counts every work item handed to a combinator, sequential
-   fast paths included, so its total is invariant in [jobs].  Pool runs,
-   domain spawns and idle waits are scheduling artefacts: runs are
-   deterministic at a fixed [jobs] but vary across counts, spawns depend on
-   what ran earlier in the process, and idle waits are inherently racy,
-   hence [~stable:false]. *)
+   fast paths included, so its total is invariant in [jobs].  Parallel
+   runs, domain spawns and idle waits are scheduling artefacts: runs and
+   spawns are deterministic at a fixed [jobs] but vary across counts (and
+   whether a run found the token free), and idle waits are inherently
+   racy, hence [~stable:false]. *)
 let c_tasks = Trace.counter "par.tasks"
 let c_pools = Trace.counter ~stable:false "par.pools"
 let c_spawned = Trace.counter ~stable:false "par.domains_spawned"
@@ -28,9 +26,7 @@ let c_idle = Trace.counter ~stable:false "par.idle_waits"
 
 (* Wavefront progress and traffic.  Both are scheduling artefacts (they
    depend on which domain reached which node first), hence
-   [~stable:false]; [par.shard.solved] is flushed in batches during the
-   run so a concurrent reader — the serve daemon's stats endpoint — sees
-   live progress on a long corpus, not just the final total. *)
+   [~stable:false]; each domain adds its share when the run ends. *)
 let c_shard_solved = Trace.counter ~stable:false "par.shard.solved"
 let c_shard_handoffs = Trace.counter ~stable:false "par.shard.handoffs"
 
@@ -70,8 +66,8 @@ let domains combinator ~jobs n =
 (* -- Allocation across domains ------------------------------------------ *)
 
 (* [Gc.minor_words] and [Gc.counters] count the calling domain only, so
-   each pool worker adds what it allocated in a run to these totals before
-   it reports the run finished.  Direct major words (major less promoted)
+   each spawned domain adds what it allocated in its run to these totals
+   before it returns.  Direct major words (major less promoted)
    are blocks too large for the minor heap. *)
 let worker_minor = Atomic.make 0
 let worker_major = Atomic.make 0
@@ -85,137 +81,59 @@ let allocated_words () =
   ( minor +. float_of_int (Atomic.get worker_minor),
     major +. float_of_int (Atomic.get worker_major) )
 
-(* -- Worker pool ------------------------------------------------------- *)
+(* -- Runs ---------------------------------------------------------------- *)
 
-(* One pool per process.  Worker [d] (1-based; the calling domain is
-   domain 0 of every run) sleeps on [wakes.(d - 1)] until a run numbered
-   past the last one it served includes it ([d < width]), runs [body d],
-   and reports back through [active]/[finished].  The run fields are
-   guarded by [mu]; [wakes] changes only under [busy], the run token.  A
-   domain that cannot take the token — a call nested inside a task, or a
-   second domain calling while a run is in flight — gets [false] from
-   [acquire] and runs sequentially, so a run never waits on another run
-   and the pool never spawns past the largest [jobs] requested. *)
-type pool = {
-  mu : Mutex.t;
-  finished : Condition.t;
-  mutable wakes : Condition.t array;
-  mutable run : int;
-  mutable width : int;
-  mutable body : int -> unit;
-  mutable active : int;
-}
-
-let pool =
-  {
-    mu = Mutex.create ();
-    finished = Condition.create ();
-    wakes = [||];
-    run = 0;
-    width = 0;
-    body = ignore;
-    active = 0;
-  }
-
+(* One run at a time.  A domain that cannot take the token — a call nested
+   inside a task, or a second domain calling while a run is in flight —
+   gets [false] from [acquire] and runs sequentially, so a run never waits
+   on another run. *)
 let busy = Atomic.make false
 let acquire () = Atomic.compare_and_set busy false true
 
-(* A parked worker serves runs until the process ends: parked, it costs
-   no CPU, and the process exits without joining it.  A [~once] worker
-   serves one run and returns. *)
-let worker ?(once = false) d wake ~served =
-  let served = ref served and live = ref true in
-  Mutex.lock pool.mu;
-  while !live do
-    if pool.run <> !served && d < pool.width then begin
-      served := pool.run;
-      let body = pool.body in
-      Mutex.unlock pool.mu;
-      (* [body] never raises: [run_pool] wraps it. *)
-      let minor0, major0 = own_words () in
-      body d;
-      let minor1, major1 = own_words () in
-      Atomic.fetch_and_add worker_minor (int_of_float (minor1 -. minor0))
-      |> ignore;
-      Atomic.fetch_and_add worker_major (int_of_float (major1 -. major0))
-      |> ignore;
-      Mutex.lock pool.mu;
-      pool.active <- pool.active - 1;
-      if pool.active = 0 then Condition.signal pool.finished;
-      live := not once
-    end
-    else Condition.wait wake pool.mu
-  done;
-  Mutex.unlock pool.mu
-
-let spawn_worker ?once d =
-  let wake = Condition.create () and served = pool.run in
-  let dom = Domain.spawn (fun () -> worker ?once d wake ~served) in
-  Trace.incr c_spawned;
-  (dom, wake)
-
-(* Parked workers are not free: every minor collection stops every
-   domain, a parked one included.  On the 2-core VM one parked worker
-   adds 0.01-0.03 ms to each collection and 13% to the CPU time of an
-   allocation loop (DESIGN.md).  So the pool parks at most [nproc - 1]
-   workers (and at least one); a wider run adds transient workers for its
-   extra indices and joins them before it returns. *)
-let max_parked = max 1 (Domain.recommended_domain_count () - 1)
-
-(* Spawn parked workers until there are [n]; the caller holds the token. *)
-let grow n =
-  while Array.length pool.wakes < n do
-    let _, wake = spawn_worker (Array.length pool.wakes + 1) in
-    pool.wakes <- Array.append pool.wakes [| wake |]
-  done
-
-(* Run [body d] for every [d] in [0, k) — domain 0 is the caller — on a
-   token the caller already holds, and give the token back.  The first
-   exception any [body d] raised is recorded in [err] (the bodies poll it
-   to stop early) and re-raised once every participant has finished; the
-   workers themselves survive it. *)
+(* Run [body d] for every [d] in [0, k) on a token the caller already
+   holds, and give the token back.  Domain 0 is the caller; the run spawns
+   the other [k - 1] and joins them before it returns, so no domain
+   outlives its run.  The spawned domains wait on [start], which the
+   caller holds while it spawns: a spawn that fails sets [err] before any
+   body starts, so every body stops at once instead of waiting on the
+   missing domain's share.  The first exception any [body d] raised is
+   recorded in [err] (the bodies poll it to stop early) and re-raised once
+   every domain has finished. *)
 let run_pool k (err : exn option Atomic.t) body =
   Trace.incr c_pools;
   let guarded d = try body d with e -> record_error err e in
+  let start = Mutex.create () in
+  let worker d () =
+    Mutex.lock start;
+    Mutex.unlock start;
+    let minor0, major0 = own_words () in
+    guarded d;
+    let minor1, major1 = own_words () in
+    Atomic.fetch_and_add worker_minor (int_of_float (minor1 -. minor0))
+    |> ignore;
+    Atomic.fetch_and_add worker_major (int_of_float (major1 -. major0))
+    |> ignore
+  in
   Fun.protect
     ~finally:(fun () -> Atomic.set busy false)
     (fun () ->
-      let parked = min (k - 1) max_parked in
-      grow parked;
       Trace.span ~timing:true "par:pool" (fun () ->
-          (* Transient workers wait for the run like parked ones.  One
-             that fails to spawn narrows the run and sets [err] before it
-             starts, so every body stops at once instead of waiting on the
-             missing domain's share. *)
-          let rec spawn_transient d acc =
-            if d >= k then List.rev acc
+          Mutex.lock start;
+          let rec spawn d acc =
+            if d >= k then acc
             else
-              match spawn_worker ~once:true d with
-              | w -> spawn_transient (d + 1) (w :: acc)
+              match Domain.spawn (worker d) with
+              | dom ->
+                  Trace.incr c_spawned;
+                  spawn (d + 1) (dom :: acc)
               | exception e ->
                   record_error err e;
-                  List.rev acc
+                  acc
           in
-          let transient = spawn_transient (parked + 1) [] in
-          Mutex.lock pool.mu;
-          pool.body <- guarded;
-          pool.width <- parked + 1 + List.length transient;
-          pool.active <- pool.width - 1;
-          pool.run <- pool.run + 1;
-          for d = 1 to parked do
-            Condition.signal pool.wakes.(d - 1)
-          done;
-          List.iter (fun (_, wake) -> Condition.signal wake) transient;
-          Mutex.unlock pool.mu;
+          let doms = spawn 1 [] in
+          Mutex.unlock start;
           guarded 0;
-          Mutex.lock pool.mu;
-          while pool.active > 0 do
-            Condition.wait pool.finished pool.mu
-          done;
-          (* Drop the run's closure: it may reach large per-run state. *)
-          pool.body <- ignore;
-          Mutex.unlock pool.mu;
-          List.iter (fun (dom, _) -> Domain.join dom) transient));
+          List.iter Domain.join doms));
   match Atomic.get err with Some e -> raise e | None -> ()
 
 let parallel_init ?label ~jobs n f =
@@ -265,13 +183,15 @@ module Arena = struct
     sb : stack;
   }
 
+  let new_stack () = { sbuf = Array.make 256 0; slen = 0 }
+
   let create () =
     {
       epoch = 0;
       stamps = Array.make 1024 0;
       reserved = 0;
-      sa = { sbuf = Array.make 256 0; slen = 0 };
-      sb = { sbuf = Array.make 256 0; slen = 0 };
+      sa = new_stack ();
+      sb = new_stack ();
     }
 
   let key = Domain.DLS.new_key create
@@ -324,19 +244,10 @@ end
 
 (* -- Wavefront ------------------------------------------------------------ *)
 
-(* A bounded single-consumer inbox: the owning domain drains it, any
-   domain pushes into it.  Fixed capacity keeps the cross-shard traffic
-   memory-bounded on huge corpora; see [push_remote] for why a full inbox
-   can never deadlock the system. *)
-type inbox = {
-  ibuf : int array;
-  mutable ihead : int;  (* next slot to pop *)
-  mutable ilen : int;
-  imutex : Mutex.t;
-  inonempty : Condition.t;
-}
-
-let inbox_capacity = 1024
+(* A single-consumer inbox: the owning domain drains it, any domain pushes
+   into it, both under [imutex].  Each node is handed over at most once, so
+   an inbox never holds more than the nodes its owner owns. *)
+type inbox = { items : Arena.stack; imutex : Mutex.t; inonempty : Condition.t }
 
 (* Exactly [jobs] domains, never fewer: [owners] names domains in
    [0, jobs), and a node owned by a domain outside the run would never be
@@ -355,8 +266,8 @@ let check_owners ~jobs (owners : int array) order =
 let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
   let n = Array.length order in
   Trace.add c_tasks n;
-  (* Checked before the pool is tried, so a bad assignment fails the same
-     way whether or not another run holds the pool. *)
+  (* Checked before the token is tried, so a bad assignment fails the same
+     way whether or not another run holds it. *)
   if jobs > 1 && n > 1 then check_owners ~jobs owners order;
   if jobs <= 1 || n <= 1 || not (acquire ()) then Array.iter process order
   else begin
@@ -368,18 +279,14 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
     let inboxes =
       Array.init jobs (fun _ ->
           {
-            ibuf = Array.make inbox_capacity 0;
-            ihead = 0;
-            ilen = 0;
+            items = Arena.new_stack ();
             imutex = Mutex.create ();
             inonempty = Condition.create ();
           })
     in
     (* Private per-domain ready stacks; only the owning domain touches its
        stack, so the per-node hot path has no shared frontier lock at all. *)
-    let stacks =
-      Array.init jobs (fun _ -> { Arena.sbuf = Array.make 256 0; slen = 0 })
-    in
+    let stacks = Array.init jobs (fun _ -> Arena.new_stack ()) in
     let handoffs = Atomic.make 0 in
     (* Wake every domain: run end (remaining = 0) and errors must unblock
        workers asleep on their own inbox. *)
@@ -391,46 +298,17 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
           Mutex.unlock q.imutex)
         inboxes
     in
-    (* Move everything queued in [d]'s inbox onto [d]'s private stack.
-       Never blocks; returns whether anything arrived. *)
-    let drain_inbox d =
-      let q = inboxes.(d) in
-      Mutex.lock q.imutex;
-      let got = q.ilen > 0 in
-      while q.ilen > 0 do
-        Arena.push stacks.(d) q.ibuf.(q.ihead);
-        q.ihead <- (q.ihead + 1) mod inbox_capacity;
-        q.ilen <- q.ilen - 1
-      done;
-      Mutex.unlock q.imutex;
-      got
-    in
-    (* Hand a ready node to its owner.  When the owner's inbox is full the
-       pusher drains its *own* inbox and retries: in any cycle of domains
-       blocked on mutually full inboxes, every participant's drain frees
-       its counterpart's push, so the cycle always dissolves — the classic
-       bounded-handoff deadlock is structurally impossible. *)
-    let rec push_remote d o j =
-      let q = inboxes.(o) in
-      Mutex.lock q.imutex;
-      if q.ilen < inbox_capacity then begin
-        q.ibuf.((q.ihead + q.ilen) mod inbox_capacity) <- j;
-        q.ilen <- q.ilen + 1;
-        Condition.signal q.inonempty;
-        Mutex.unlock q.imutex
-      end
-      else begin
-        Mutex.unlock q.imutex;
-        ignore (drain_inbox d);
-        if Atomic.get err = None then push_remote d o j
-      end
-    in
+    (* Hand a ready node to its owner. *)
     let enqueue d j =
       let o = owners.(j) in
       if o = d then Arena.push stacks.(d) j
       else begin
         Atomic.incr handoffs;
-        push_remote d o j
+        let q = inboxes.(o) in
+        Mutex.lock q.imutex;
+        Arena.push q.items j;
+        Condition.signal q.inonempty;
+        Mutex.unlock q.imutex
       end
     in
     (* Seed: each domain claims its own roots, scanning [order] once so
@@ -446,16 +324,25 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
           if owners.(i) = d && deps.(i) = [] then Arena.push stacks.(d) i)
         order
     in
-    let solved_flush = 256 in
     let domain_main d =
       seed d;
-      let solved_batch = ref 0 in
+      let solved = ref 0 in
       let continue = ref true in
       while !continue do
-        (* Opportunistic drain: keeps this domain's inbox short even while
-           its private stack stays busy, so remote pushers rarely stall.
-           The unsynchronised length read is a heuristic only. *)
-        if inboxes.(d).ilen > 0 then ignore (drain_inbox d);
+        (* Move handed-over nodes onto the private stack, in arrival order,
+           as soon as they arrive, not only once the stack runs dry: they go
+           on top and run next, since the domain that handed one over may
+           be waiting on their dependents.  The unsynchronised emptiness
+           read is a heuristic only. *)
+        let q = inboxes.(d) in
+        if not (Arena.is_empty q.items) then begin
+          Mutex.lock q.imutex;
+          for k = 0 to q.items.Arena.slen - 1 do
+            Arena.push stacks.(d) q.items.Arena.sbuf.(k)
+          done;
+          q.items.Arena.slen <- 0;
+          Mutex.unlock q.imutex
+        end;
         if Atomic.get err <> None then continue := false
         else if not (Arena.is_empty stacks.(d)) then begin
           let i = Arena.pop stacks.(d) in
@@ -465,11 +352,7 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
              asleep forever. *)
           try
             process i;
-            incr solved_batch;
-            if !solved_batch >= solved_flush then begin
-              Trace.add c_shard_solved !solved_batch;
-              solved_batch := 0
-            end;
+            incr solved;
             List.iter
               (fun j ->
                 if Atomic.fetch_and_add pending.(j) (-1) = 1 then enqueue d j)
@@ -483,19 +366,15 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
         else begin
           (* Private stack empty: sleep on the inbox until a handoff, the
              end of the run, or an error arrives. *)
-          let q = inboxes.(d) in
-          Mutex.lock q.imutex;
-          if
-            q.ilen = 0
+          let idle () =
+            Arena.is_empty q.items
             && Atomic.get remaining > 0
             && Atomic.get err = None
-          then
+          in
+          Mutex.lock q.imutex;
+          if idle () then
             Trace.span ~timing:true "par:idle" (fun () ->
-                while
-                  q.ilen = 0
-                  && Atomic.get remaining > 0
-                  && Atomic.get err = None
-                do
+                while idle () do
                   Trace.incr c_idle;
                   Condition.wait q.inonempty q.imutex
                 done);
@@ -504,10 +383,9 @@ let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
             continue := false
         end
       done;
-      if !solved_batch > 0 then Trace.add c_shard_solved !solved_batch
+      Trace.add c_shard_solved !solved
     in
-    (* Domain [d] of the run is pool worker [d]: each needs its identity
-       for stack and inbox affinity. *)
+    (* Domain [d] of the run owns stack and inbox [d]. *)
     Fun.protect
       ~finally:(fun () -> Trace.add c_shard_handoffs (Atomic.get handoffs))
       (fun () -> run_pool jobs err domain_main)

@@ -1,6 +1,6 @@
-(** Domain-based parallel execution primitives: a work-stealing-free worker
-    pool over an atomic index, and a dependency-wavefront scheduler for
-    DAG-shaped work such as the PCG forward traversal.
+(** Domain-based parallel execution primitives: a work-stealing-free
+    parallel loop over an atomic index, and a dependency-wavefront scheduler
+    for DAG-shaped work such as the PCG forward traversal.
 
     Every combinator takes an explicit [jobs] count.  [jobs <= 1] runs the
     work sequentially in the calling domain, in the canonical order — the
@@ -8,17 +8,14 @@
     result-producing combinators are deterministic by construction: results
     land in slots keyed by input index, never by completion order.
 
-    The parallel paths share one process-wide pool of worker domains.  The
-    first call with [jobs = k] spawns the missing workers; between runs
-    they sleep on a condition variable, so later calls reuse them and a
-    domain's local state (its {!Arena}, its trace buffer) stays warm.  The
-    pool parks at most [Domain.recommended_domain_count () - 1] workers
-    (at least one), because every minor collection stops every domain; a
-    wider run spawns transient workers for the extra indices and joins them
-    before it returns.  Spawns are counted by the [par.domains_spawned]
-    trace counter.  One run holds the pool at a time: a call made while a
-    run is in flight — nested inside a task, or from another domain — takes
-    the sequential [jobs <= 1] path instead of waiting or spawning. *)
+    A parallel run with [k] domains runs domain 0 on the caller, spawns the
+    other [k - 1] and joins them before it returns, so no domain outlives
+    its run: every minor collection stops every domain, and an idle one
+    would slow the rest of the process.  Runs are counted by the
+    [par.pools] trace counter and spawns by [par.domains_spawned].  One run
+    is in flight at a time: a call made while a run is in flight — nested
+    inside a task, or from another domain — takes the sequential
+    [jobs <= 1] path instead of waiting or spawning. *)
 
 (** Strict job-count parsing (shared by [FSICP_JOBS] and the CLI's
     [--jobs]): the trimmed string must be an integer ≥ 1.  Anything else —
@@ -35,7 +32,7 @@ val default_jobs : unit -> int
 (** [parallel_init ~jobs n f] is [Array.init n f] computed by up to [jobs]
     domains.  [f] must be safe to call concurrently on distinct indices.
     The first exception raised by any [f i] is re-raised after all workers
-    stop; the workers survive it.  [label] wraps each [f i] in a detached
+    stop.  [label] wraps each [f i] in a detached
     {!Fsicp_trace.Trace} span named [label] carrying the index, on the
     sequential fast path too. *)
 val parallel_init : ?label:string -> jobs:int -> int -> (int -> 'a) -> 'a array
@@ -55,7 +52,7 @@ val cutoff : combinator -> int
 val domains : combinator -> jobs:int -> int -> int
 
 (** [(minor, direct_major)] words allocated so far by the calling domain
-    plus those every pool worker allocated in its runs, so a difference of
+    plus those every spawned domain allocated in its run, so a difference of
     two readings counts a phase on every domain it ran on. *)
 val allocated_words : unit -> float * float
 
@@ -64,8 +61,8 @@ val allocated_words : unit -> float * float
     One arena lives in each domain's local storage ({!Domain.DLS}), so a
     kernel running under {!wavefront} gets private scratch with no locking
     and near-zero allocation once the arena has grown to the largest
-    procedure it has seen.  Pool workers persist across runs, so their
-    arenas stay grown from one run to the next.  The arena hands out two
+    procedure it has seen.  A spawned domain starts with a fresh arena,
+    which grows within its run.  The arena hands out two
     kinds of scratch:
 
     - {b mark regions} — ranges of an int-stamp array used as bitsets.  A
@@ -138,22 +135,20 @@ end
       dense-id regions (see [Fs_icp.shard_regions]) so a shard is a
       structurally related slice of the graph, not a random sample.
     - A node completed by domain [d] whose dependent belongs to domain
-      [o <> d] is handed off through [o]'s bounded inbox (a
-      mutex-protected ring).  When the inbox is full the pusher drains its
-      own inbox and retries, which makes cycles of mutually full inboxes
-      impossible to sustain; handoff traffic is counted by the
-      [par.shard.handoffs] trace counter.
-    - Progress is observable while the run is in flight: completions are
-      flushed in batches to [par.shard.solved] ([~stable:false], like
-      [par.shard.handoffs] — scheduling artefacts, excluded from the
-      canonical trace).
+      [o <> d] is handed off through [o]'s inbox, a growable stack under a
+      mutex.  Each node is handed over at most once, so an inbox holds at
+      most the nodes its owner owns, and a push never waits for room.
+      Handoffs are counted by the [par.shard.handoffs] trace counter, and
+      each domain adds the nodes it processed to [par.shard.solved] when
+      the run ends (both [~stable:false]: scheduling artefacts, excluded
+      from the canonical trace).
 
     Any [owners] assignment yields the same set of [process] calls with the
     same happens-before edges, so a caller that assembles results
     canonically (by node index) is bit-identical across [jobs] and
     [owners].  The first exception raised by any [process i] aborts the
     wavefront and is re-raised after all workers stop.  A wavefront that
-    finds the pool busy runs sequentially, after the same [owners]
+    finds another run in flight runs sequentially, after the same [owners]
     check. *)
 val wavefront :
   jobs:int ->

@@ -159,10 +159,9 @@ let outcome_json = function
       [ ("outcome", Json.Str "rebuilt"); ("reason", Json.Str reason) ]
 
 (* The trace counters a serve client cares about: incremental re-solve
-   volume, SCC memo behaviour, sharded-wavefront progress (procedures
-   solved, cross-shard handoffs), worker
-   domains spawned (none for a program under the [Par] size cutoffs, at
-   most [jobs - 1] once the pool is warm), and
+   volume, SCC memo behaviour, sharded-wavefront work (procedures solved,
+   cross-shard handoffs), worker domains spawned (none for a program under
+   the [Par] size cutoffs, [jobs - 1] per parallel run past them), and
    the PCGs, lowerings and SSA forms a rebuild carried over unchanged. *)
 let traced_counters =
   [

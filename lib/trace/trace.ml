@@ -46,8 +46,10 @@ let counter ?(stable = true) name =
 (* Per-domain buffers.  Each domain records into its own buffer with plain
    (unsynchronised) stores; buffers are registered once into a global list
    via CAS and are never removed, so events and counts survive the death of
-   the domain that wrote them.  Reads of foreign buffers only happen at
-   quiescent points (flush/reset), after the writing domains were joined. *)
+   the domain that wrote them.  A domain that exits hands its buffer to the
+   next domain to start recording (see [buf_key]).  Reads of foreign
+   buffers only happen at quiescent points (flush/reset), after the writing
+   domains were joined. *)
 
 type ev =
   | Begin of {
@@ -70,39 +72,55 @@ type buf = {
 let dummy_ev = End { t = 0.0 }
 let all_bufs : buf list Atomic.t = Atomic.make []
 
+(* Buffers of exited domains, waiting for a new owner. *)
+let free_bufs : buf list Atomic.t = Atomic.make []
+
 (* Reset is lazy: bumping [generation] logically clears every buffer at
    once, and each buffer physically clears itself on its next record.
-   This keeps [reset] O(1) — the registry holds one buffer per domain that
-   ever recorded (the caller, the parked pool workers, and any transient
-   worker of a run wider than the machine), and walking those (or letting
-   events pile up) is exactly the overhead the bench's traced row would
-   otherwise measure.  Parked workers are reused from run to run, so at
-   [jobs <= nproc] the registry stops growing once the pool is warm. *)
+   This keeps [reset] O(1) — walking the registry (or letting events pile
+   up) is exactly the overhead the bench's traced row would otherwise
+   measure. *)
 let generation = Atomic.make 0
 let live b = b.gen = Atomic.get generation
 
-let register_buf b =
-  let rec go () =
-    let old = Atomic.get all_bufs in
-    if not (Atomic.compare_and_set all_bufs old (b :: old)) then go ()
-  in
-  go ()
+let rec push_buf l b =
+  let old = Atomic.get l in
+  if not (Atomic.compare_and_set l old (b :: old)) then push_buf l b
 
-(* The event array starts empty: a buffer owned by a worker domain that
-   only ever records counters (the common case — spans are off by default)
-   costs a couple hundred bytes, which keeps the buffers of transient
-   workers negligible. *)
+(* Each push allocates a fresh cons cell, so a CAS on the list head cannot
+   succeed against a head that was popped and pushed back meanwhile. *)
+let rec pop_buf l =
+  match Atomic.get l with
+  | [] -> None
+  | b :: rest as old ->
+      if Atomic.compare_and_set l old rest then Some b else pop_buf l
+
+(* A domain's first record takes the buffer of a domain that has exited,
+   and registers a new one only when none is free; its own exit frees it
+   again.  The registry then holds one buffer per domain alive at once, not
+   one per domain ever spawned, however many runs spawn and join their
+   workers.  A recycled log stays well-bracketed: its previous owner closed
+   every span before it exited.  The event array starts empty: a buffer
+   that only ever records counters (the common case — spans are off by
+   default) costs a couple hundred bytes. *)
 let buf_key =
   Domain.DLS.new_key (fun () ->
       let b =
-        {
-          evs = [||];
-          elen = 0;
-          counts = Array.make 16 0;
-          gen = Atomic.get generation;
-        }
+        match pop_buf free_bufs with
+        | Some b -> b
+        | None ->
+            let b =
+              {
+                evs = [||];
+                elen = 0;
+                counts = Array.make 16 0;
+                gen = Atomic.get generation;
+              }
+            in
+            push_buf all_bufs b;
+            b
       in
-      register_buf b;
+      Domain.at_exit (fun () -> push_buf free_bufs b);
       b)
 
 let my_buf () =

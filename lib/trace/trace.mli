@@ -83,7 +83,7 @@ val next_epoch : unit -> unit
 (** [span name f] evaluates [f ()] inside a [name] span on the calling
     domain; the end event is recorded even when [f] raises.  [args] is
     forced only when tracing is enabled.  [timing] marks a span that exists
-    purely for wall-clock attribution (pool lifetime, idle waits): the
+    purely for wall-clock attribution (run lifetime, idle waits): the
     {!Logical} flush drops it and promotes its children.  [detach] marks a
     work item that may run on any domain: the {!Logical} flush lifts it out
     of whatever stack it was recorded under to the root level, making the

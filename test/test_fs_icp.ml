@@ -309,10 +309,10 @@ let test_entry_vec_layout () =
          Entry_vec.meet_site sh_f v ~word:Fun.id [| P.of_int 1 |] []))
 
 (* A re-solve whose dirty cone (24 to 31 procedures) is smaller than the
-   requested pool of 32: the wavefront must shrink its domains and its
+   32 domains requested: the wavefront must shrink its domains and its
    owners together.  The cone is chosen so that, with owners drawn for 32
    domains, some member would belong to a domain numbered past the cone's
-   size — one that a pool cut down to the cone never spawns.  Such a cone
+   size — one that a run cut down to the cone never spawns.  Such a cone
    is far under [Par.cutoff Wavefront], so the re-solve now runs on one
    domain; [Par.domains] caps a wider run at the cone's length.  The
    re-solve must finish and give exactly the from-scratch solution. *)
@@ -352,6 +352,25 @@ let test_resolve_cone_below_jobs () =
         "cone re-solve at jobs 32 = from-scratch solve"
         (Solution.digest prev) (Solution.digest sol)
 
+(* Under [Par.cutoff Init] procedures a solve at [jobs 2] takes the
+   [jobs 1] path: no SSA pre-build, so each procedure's SSA is built once
+   at its wavefront turn and the SSA counters read the same at both. *)
+let test_ssa_counters_below_cutoff () =
+  let prog =
+    Fsicp_workloads.Spec.(
+      program (List.find (fun b -> b.b_name = "013.SPICE2G6") suite))
+  in
+  let counts jobs =
+    let ctx = Context.create ~jobs prog in
+    let total = Fsicp_trace.Trace.counter_total in
+    let built = total "ssa.built" and hits = total "ssa.cache_hits" in
+    ignore (Fs_icp.solve ~jobs ctx);
+    (total "ssa.built" - built, total "ssa.cache_hits" - hits)
+  in
+  let b1, h1 = counts 1 and b2, h2 = counts 2 in
+  Alcotest.(check (pair int int)) "ssa.built, ssa.cache_hits: jobs 2 = jobs 1"
+    (b1, h1) (b2, h2)
+
 let suite =
   [
     Alcotest.test_case "local constant propagates" `Quick
@@ -384,4 +403,6 @@ let suite =
       test_entry_vec_layout;
     Alcotest.test_case "cone re-solve below the pool size" `Quick
       test_resolve_cone_below_jobs;
+    Alcotest.test_case "SPICE: SSA counters equal at jobs 1 and 2" `Quick
+      test_ssa_counters_below_cutoff;
   ]

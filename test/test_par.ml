@@ -347,7 +347,7 @@ let scale_program n =
   prog
 
 (* [f jobs] at [jobs] 1, 2 and 4 gives one digest, and each run past the
-   first starts the pool at least once. *)
+   first makes at least one parallel run. *)
 let check_parallel_site ~what f =
   let base = f 1 in
   List.iter
@@ -355,7 +355,7 @@ let check_parallel_site ~what f =
       let p0 = pools () in
       let d = f jobs in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d starts the pool" what jobs)
+        (Printf.sprintf "%s: jobs=%d runs in parallel" what jobs)
         true
         (pools () > p0);
       Alcotest.(check string)
@@ -394,7 +394,7 @@ let test_cutoff_wavefront_sites () =
   check_parallel_site ~what:"FS re-solve" (fun jobs ->
       Solution.digest (Fs_icp.resolve ~jobs ~fi ~prev ~dirty ctx))
 
-(* Past the cutoff, the words a solve allocates on the pool workers count
+(* Past the cutoff, the words a solve allocates on spawned domains count
    too: at [jobs 2] the FS solve reads at least the [jobs 1] count (the
    same work, plus scheduling), and within 10% of it. *)
 let test_cutoff_counts_worker_words () =
@@ -422,7 +422,7 @@ let test_wavefront_owner_out_of_range () =
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* -- worker pool ---------------------------------------------------------- *)
+(* -- parallel runs -------------------------------------------------------- *)
 
 (* One wavefront node per domain, no edges: node [d] is owned by, and so
    runs on, domain [d].  Returns how many distinct domains ran a node. *)
@@ -434,7 +434,7 @@ let domains_used ~jobs =
       seen.(d) <- (Domain.self () :> int));
   List.length (List.sort_uniq compare (Array.to_list seen))
 
-(* A [Par] call inside a task finds the pool busy and runs sequentially;
+(* A [Par] call inside a task finds a run in flight and runs sequentially;
    its result is still [Array.init]'s. *)
 let test_pool_nested () =
   List.iter
@@ -452,8 +452,8 @@ let test_pool_nested () =
              Par.map_list ~jobs succ [ i; i + 1 ])))
     [ 2; 4 ]
 
-(* A raising run re-raises its exception; the workers survive it, so the
-   next run still spreads over every domain it asks for. *)
+(* A raising run re-raises its exception and gives the run token back, so
+   the next run still spreads over every domain it asks for. *)
 let test_pool_survives_exception () =
   List.iter
     (fun jobs ->
@@ -480,7 +480,7 @@ let test_pool_survives_exception () =
         (Par.parallel_init ~jobs 100 succ))
     [ 2; 4 ]
 
-(* Two domains calling [Par] at once: whichever finds the pool busy runs
+(* Two domains calling [Par] at once: whichever finds a run in flight runs
    sequentially, and both get the right answers. *)
 let test_pool_concurrent_callers () =
   List.iter
@@ -516,23 +516,44 @@ let test_pool_grows () =
         jobs (domains_used ~jobs))
     [ 2; 4; 2; 4 ]
 
-(* Once the pool is warm, runs reuse its workers: four hundred more runs
-   at two domains spawn none, so the trace-buffer registry stays put. *)
-let test_pool_spawns_once () =
-  let spawned () = Fsicp_trace.Trace.counter_total "par.domains_spawned" in
+(* Every run at two domains spawns one and joins it: four hundred traced
+   runs spawn four hundred domains.  Each spawned domain takes over the
+   trace buffer the previous one left when it exited, so the wall trace
+   has at most two tracks, the caller's and the workers', and stays
+   well-bracketed. *)
+let test_runs_spawn_and_recycle () =
+  let module Trace = Fsicp_trace.Trace in
+  let spawned () = Trace.counter_total "par.domains_spawned" in
   let _, n, deps, dependents = random_dag () in
   let order = Array.init n Fun.id and owners = round_robin ~jobs:2 n in
-  let wave () =
-    Par.wavefront ~jobs:2 ~owners ~order ~deps ~dependents ignore
-  in
-  ignore (Par.parallel_init ~jobs:2 8 Fun.id);
-  wave ();
+  Trace.reset ();
+  Trace.set_enabled true;
   let before = spawned () in
-  for i = 1 to 200 do
-    ignore (Par.parallel_init ~jobs:2 16 (fun j -> i + j));
-    wave ()
-  done;
-  Alcotest.(check int) "no domain spawned after warm-up" before (spawned ())
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled false)
+    (fun () ->
+      for i = 1 to 200 do
+        ignore (Par.parallel_init ~label:"init" ~jobs:2 16 (fun j -> i + j));
+        Par.wavefront ~jobs:2 ~owners ~order ~deps ~dependents (fun _ ->
+            Trace.span "node" ignore)
+      done);
+  Alcotest.(check int) "one domain spawned per run" 400 (spawned () - before);
+  let events =
+    Test_trace.events_of (Trace.to_chrome_json ~mode:Trace.Wall ())
+  in
+  let tracks =
+    List.filter_map
+      (fun ev ->
+        if Test_trace.str_field "ph" ev = "B" then
+          Some (Test_trace.int_field "tid" ev)
+        else None)
+      events
+    |> List.sort_uniq compare
+  in
+  if List.length tracks > 2 then
+    Alcotest.failf "%d wall-trace tracks after 400 runs at jobs 2"
+      (List.length tracks);
+  ignore (Test_trace.check_balanced events)
 
 (* -- interning from several domains -------------------------------------- *)
 
@@ -644,8 +665,8 @@ let suite =
       test_pool_survives_exception;
     Alcotest.test_case "pool: two domains call at once" `Quick
       test_pool_concurrent_callers;
-    Alcotest.test_case "pool: warm runs spawn no domain" `Quick
-      test_pool_spawns_once;
+    Alcotest.test_case "runs: one spawn each, two tracks" `Quick
+      test_runs_spawn_and_recycle;
     Alcotest.test_case "pool: grows from jobs 2 to jobs 4" `Quick
       test_pool_grows;
     Alcotest.test_case "cutoff: lowering and SSA fan out past it" `Quick
