@@ -8,7 +8,7 @@
     fsicp run FILE                                   interpret the program
     fsicp dump FILE --what ast|cfg|ssa|pcg|modref    intermediate forms
     fsicp fold FILE [--method M]                     folded/optimised output
-    fsicp tables [--table N] [--quick]               paper tables 1..5 etc.
+    fsicp tables [--table NAME]                      paper tables and figures
     fsicp generate --seed N [--procs P] [--back B]   synthetic program
     fsicp fuzz [--seeds N] [--start S] [--no-shrink] differential oracle
     fsicp fuzz --edits K [--seeds N]                 edit-sequence oracle
@@ -269,70 +269,96 @@ let clone_cmd =
 
 (* -- tables ------------------------------------------------------------- *)
 
-let tables table =
-  let all = table = 0 in
-  if all || table = 1 then begin
-    let t, _ =
-      Fsicp_harness.Harness.candidates_table
-        ~title:"Table 1: interprocedural call site constant candidates, measured (paper)"
-        Spec.suite
-    in
-    Report.print t;
+module H = Fsicp_harness.Harness
+
+(* Tables 1-6 by the name [--table] takes: the paper's Tables 1-5 and the
+   beyond-the-paper gains. *)
+let numbered_tables : (string * (unit -> unit)) list =
+  let propagated ?floats ~title benchmarks =
+    let _, runs = H.candidates_table ?floats ~title:"" benchmarks in
+    H.propagated_table ~title runs
+  in
+  [
+    ( "1",
+      fun () ->
+        Report.print
+          (fst
+             (H.candidates_table
+                ~title:
+                  "Table 1: interprocedural call site constant candidates, \
+                   measured (paper)"
+                Spec.suite)) );
+    ( "2",
+      fun () ->
+        Report.print
+          (propagated
+             ~title:
+               "Table 2: interprocedural propagated constants, measured \
+                (paper)"
+             Spec.suite) );
+    ( "3",
+      fun () ->
+        Report.print
+          (fst
+             (H.candidates_table ~floats:false
+                ~title:
+                  "Table 3: call site candidates, first-release subset, no \
+                   floats"
+                Spec.first_release)) );
+    ( "4",
+      fun () ->
+        Report.print
+          (propagated ~floats:false
+             ~title:
+               "Table 4: propagated constants, first-release subset, no \
+                floats"
+             Spec.first_release) );
+    ( "5",
+      fun () ->
+        let _, runs =
+          H.candidates_table ~floats:false ~title:"" Spec.first_release
+        in
+        Report.print
+          (H.substitutions_table
+             ~title:"Table 5: intraprocedural substitutions, measured (paper)"
+             runs) );
+    ("6", fun () -> Report.print (H.extended_gains_table ()));
+  ]
+
+(* The paper's figures, its timing claim and the ablation reports. *)
+let named_tables : (string * (unit -> unit)) list =
+  [
+    ("fig1", fun () -> Report.print (H.figure1_table ()));
+    ("fig2", fun () -> print_string (H.figure2 ()));
+    ("time", fun () -> Report.print (H.timing_table ()));
+    ("backedge", fun () -> Report.print (H.backedge_sweep ()));
+    ("floats", fun () -> Report.print (H.floats_table ()));
+    ("returns", fun () -> Report.print (H.returns_table ()));
+  ]
+
+(* ["0"], the default, prints tables 1-6. *)
+let tables name =
+  let print (_, f) =
+    f ();
     print_newline ()
-  end;
-  if all || table = 2 then begin
-    let _, runs =
-      Fsicp_harness.Harness.candidates_table ~title:"" Spec.suite
-    in
-    Report.print
-      (Fsicp_harness.Harness.propagated_table
-         ~title:"Table 2: interprocedural propagated constants, measured (paper)"
-         runs);
-    print_newline ()
-  end;
-  if all || table = 3 then begin
-    let t, _ =
-      Fsicp_harness.Harness.candidates_table ~floats:false
-        ~title:"Table 3: call site candidates, first-release subset, no floats"
-        Spec.first_release
-    in
-    Report.print t;
-    print_newline ()
-  end;
-  if all || table = 4 then begin
-    let _, runs =
-      Fsicp_harness.Harness.candidates_table ~floats:false ~title:""
-        Spec.first_release
-    in
-    Report.print
-      (Fsicp_harness.Harness.propagated_table
-         ~title:"Table 4: propagated constants, first-release subset, no floats"
-         runs);
-    print_newline ()
-  end;
-  if all || table = 5 then begin
-    let _, runs =
-      Fsicp_harness.Harness.candidates_table ~floats:false ~title:""
-        Spec.first_release
-    in
-    Report.print
-      (Fsicp_harness.Harness.substitutions_table
-         ~title:"Table 5: intraprocedural substitutions, measured (paper)"
-         runs);
-    print_newline ()
-  end;
-  if all || table = 6 then begin
-    Report.print (Fsicp_harness.Harness.extended_gains_table ());
-    print_newline ()
-  end
+  in
+  if name = "0" then List.iter print numbered_tables
+  else print (List.find (fun (n, _) -> n = name) (numbered_tables @ named_tables))
 
 let tables_cmd =
+  let names = "0" :: List.map fst (numbered_tables @ named_tables) in
   Cmd.v
     (Cmd.info "tables" ~doc:"print the paper's tables (measured vs paper)")
     Term.(
       const tables
-      $ Arg.(value & opt int 0 & info [ "table"; "t" ] ~docv:"N"
-               ~doc:"1..5, 6 = beyond-the-paper gains; 0 = all"))
+      $ Arg.(
+          value
+          & opt (enum (List.map (fun n -> (n, n)) names)) "0"
+          & info [ "table"; "t" ] ~docv:"NAME"
+              ~doc:
+                "1..5 = the paper's tables, 6 = beyond-the-paper gains, \
+                 fig1, fig2 (compilation model trace), time (FS vs FI \
+                 analysis time), backedge, floats, returns; 0 = tables 1..6"))
 
 (* -- generate ------------------------------------------------------------ *)
 

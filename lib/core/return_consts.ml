@@ -22,7 +22,7 @@
     Matching the paper's measurements ("these results do not include the
     propagation of return constants, since the implementation of this
     feature has not yet been completed"), the table harness keeps this off;
-    the RETURNS ablation bench turns it on. *)
+    the RETURNS ablation ([fsicp tables --table returns]) turns it on. *)
 
 open Fsicp_lang
 open Fsicp_prog

@@ -2,8 +2,7 @@
     evaluation section on the calibrated synthetic suite, printing measured
     values side by side with the paper's published ones ("measured (paper)").
 
-    Shared by [bench/main.exe] (the canonical entry point, see
-    EXPERIMENTS.md) and the [fsicp] CLI. *)
+    [fsicp tables] prints each of them (see EXPERIMENTS.md). *)
 
 open Fsicp_core
 open Fsicp_workloads

@@ -78,8 +78,7 @@ let free_bufs : buf list Atomic.t = Atomic.make []
 (* Reset is lazy: bumping [generation] logically clears every buffer at
    once, and each buffer physically clears itself on its next record.
    This keeps [reset] O(1) — walking the registry (or letting events pile
-   up) is exactly the overhead the bench's traced row would otherwise
-   measure. *)
+   up) is exactly the overhead a traced solve would otherwise pay. *)
 let generation = Atomic.make 0
 let live b = b.gen = Atomic.get generation
 

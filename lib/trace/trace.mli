@@ -24,9 +24,9 @@
     atomic flag load, and the argument thunk is never forced.  Counters are
     always on — every increment in the pipeline funnels a local tally at a
     kernel boundary, never a hot-loop store — so acceptance checks like the
-    SCC memo warm-path assertion can read them unconditionally.  The
-    benchmark harness gates the end-to-end overhead of both paths at ≤3% on
-    the flow-sensitive solve ([bench --check]).
+    SCC memo warm-path assertion can read them unconditionally.  The test
+    suite bounds the words a fully traced flow-sensitive solve allocates at
+    1.15× an untraced one ([test/test_alloc.ml]).
 
     {2 Determinism}
 

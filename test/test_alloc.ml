@@ -1,12 +1,22 @@
-(** Exact allocation counts: the per-procedure layers must cost O(body),
-    not O(body × globals), and printing and parsing cost a constant
-    number of words per byte.  Two programs share their 500 procedure bodies;
-    one declares the 8 globals the bodies use, the other 800, of which the
-    bodies name 18.  At [jobs 1] everything runs on the calling domain, so
-    the counts are deterministic: the same on every machine with the same
-    OCaml version. *)
+(** Exact allocation and work counts.  The per-procedure layers must cost
+    O(body), not O(body × globals), and printing and parsing cost a
+    constant number of words per byte.  The solvers on the calibrated suite
+    stay within a bound of committed word counts, an FS solve grows
+    linearly in the corpus size, an incremental edit costs a fraction of a
+    from-scratch solve, and tracing adds a bounded share of words.  At
+    [jobs 1] everything runs on the calling domain, so the counts are
+    deterministic: the same on every machine with the same OCaml
+    version. *)
 
 open Fsicp_core
+module Par = Fsicp_par.Par
+module Trace = Fsicp_trace.Trace
+module Callgraph = Fsicp_callgraph.Callgraph
+module Scale = Fsicp_workloads.Scale
+module Spec = Fsicp_workloads.Spec
+
+(* Two programs share their 500 procedure bodies; one declares the 8
+   globals the bodies use, the other 800, of which the bodies name 18. *)
 
 let n_procs = 500
 
@@ -30,13 +40,13 @@ let source ~globals =
   done;
   Buffer.contents b
 
-(* Words [f] allocates on this domain: minor-heap words, and words
-   allocated directly in the major heap (large blocks). *)
+(* Words [f] allocates on every domain it runs on: minor-heap words, and
+   words allocated directly in the major heap (large blocks). *)
 let words f =
-  let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
+  let m0, j0 = Par.allocated_words () in
   let r = f () in
-  let m1 = Gc.minor_words () and _, p1, j1 = Gc.counters () in
-  (r, m1 -. m0, j1 -. p1 -. (j0 -. p0))
+  let m1, j1 = Par.allocated_words () in
+  (r, m1 -. m0, j1 -. j0)
 
 (* Per-procedure minor and total words of the three layers. *)
 let per_proc globals =
@@ -74,7 +84,6 @@ let test_alloc_flat_in_globals () =
    stay a small constant (the buffer's doublings and the final copy), far
    below the ~17 a Format-box printer spends on the same corpus. *)
 let test_pretty_words_per_byte () =
-  let module Scale = Fsicp_workloads.Scale in
   let prog =
     Scale.generate
       { Scale.sp_family = Scale.Mixed; sp_procs = 2_000; sp_seed = 1 }
@@ -91,7 +100,6 @@ let test_pretty_words_per_byte () =
    allocate.  Parsing this text reads about 5.4 words per byte; when the
    lexer's peek boxed each character in an option it read 11. *)
 let test_parse_words_per_byte () =
-  let module Scale = Fsicp_workloads.Scale in
   let text =
     Fsicp_lang.Pretty.program_to_string
       (Scale.generate
@@ -105,6 +113,214 @@ let test_parse_words_per_byte () =
     Alcotest.failf "parsing %d bytes allocated %.2f words per byte (bound 7)"
       (String.length text) per_byte
 
+let spec name =
+  Spec.program (List.find (fun b -> b.Spec.b_name = name) Spec.suite)
+
+(* The largest suite program. *)
+let spice = lazy (spec "013.SPICE2G6")
+
+(* Each row is a setup that returns one run.  FS on NASA7 and WAVE5
+   rebuilds SSA per run; the SPICE rows keep SSA warm and drop the SCC
+   memos, so every kernel run propagates. *)
+let rows () =
+  let fs_cold prog () =
+    let ctx = Context.create ~jobs:1 prog in
+    fun () ->
+      Context.reset_ssa_cache ctx;
+      ignore (Fs_icp.solve ~jobs:1 ctx)
+  in
+  let warm solve () =
+    let ctx = Context.create ~jobs:1 (Lazy.force spice) in
+    Context.build_ssa ~jobs:1 ctx;
+    fun () ->
+      Context.reset_scc_memos ctx;
+      ignore (solve ctx)
+  in
+  let verify () =
+    let ctx = Context.create ~jobs:1 (Lazy.force spice) in
+    let solution = Fs_icp.solve ~jobs:1 ctx in
+    fun () -> ignore (Fsicp_verify.Verify.verify_program ctx ~solution)
+  in
+  [
+    ("FS on NASA7", fs_cold (spec "093.NASA7"), 63_260., 0.);
+    ("FS on WAVE5", fs_cold (spec "039.WAVE5"), 486_366., 14_515.);
+    ("FS on SPICE", warm (Fs_icp.solve ~jobs:1), 157_556., 536.);
+    ("CC on SPICE", warm (Cc_icp.solve ~jobs:1), 260_675., 536.);
+    ("VC on SPICE", warm (Vc_icp.solve ~jobs:1), 224_592., 536.);
+    ("Verify.verify_program on SPICE", verify, 5_415_166., 0.);
+  ]
+
+(* A row may allocate 10% more minor words than its committed count, and
+   25% more direct-major words where that count is at least 10 000 (below
+   it, one large block more or less swings the ratio).  The first run
+   grows arenas and caches, so the second is the one counted. *)
+let test_solver_rows () =
+  let over =
+    List.filter_map
+      (fun (name, setup, minor0, major0) ->
+        let run = setup () in
+        run ();
+        let (), minor, major = words run in
+        if minor > 1.10 *. minor0 || (major0 >= 10_000. && major > 1.25 *. major0)
+        then
+          Some
+            (Printf.sprintf
+               "%s: %.0f minor / %.0f direct-major words, committed %.0f / %.0f"
+               name minor major minor0 major0)
+        else None)
+      (rows ())
+  in
+  if over <> [] then
+    Alcotest.failf "over the 1.10x minor / 1.25x major bound:\n%s"
+      (String.concat "\n" over)
+
+(* φ placement is exact: the calibrated suite's SSA holds 626 φs.  A
+   change to placement must restate the count.  One extra φ per join block
+   adds 104 of them, yet moves the row words above by under 1%: SSA
+   construction is a small share of a solve. *)
+let test_suite_phis () =
+  let phis (b : Spec.benchmark) =
+    let ctx = Context.create ~jobs:1 (Spec.program b) in
+    Array.fold_left
+      (fun n pid ->
+        Array.fold_left
+          (fun n (blk : Fsicp_ssa.Ssa.block) ->
+            n + Array.length blk.Fsicp_ssa.Ssa.phis)
+          n (Context.ssa_at ctx pid).Fsicp_ssa.Ssa.blocks)
+      0 ctx.Context.pcg.Callgraph.nodes
+  in
+  let counts = List.map (fun b -> (b.Spec.b_name, phis b)) Spec.suite in
+  let total = List.fold_left (fun n (_, c) -> n + c) 0 counts in
+  if total <> 626 then
+    Alcotest.failf "%d φs over the suite, committed 626:\n%s" total
+      (String.concat "\n"
+         (List.map (fun (name, c) -> Printf.sprintf "%s: %d" name c) counts))
+
+(* OLS slope of ln y against ln x. *)
+let exponent pts =
+  let pts = List.map (fun (x, y) -> (log x, log y)) pts in
+  let n = float_of_int (List.length pts) in
+  let sum f = List.fold_left (fun a p -> a +. f p) 0.0 pts in
+  let sx = sum fst and sy = sum snd in
+  let sxx = sum (fun (x, _) -> x *. x) and sxy = sum (fun (x, y) -> x *. y) in
+  ((n *. sxy) -. (sx *. sy)) /. ((n *. sxx) -. (sx *. sx))
+
+(* [f ()]'s total words and the SCC blocks it visits. *)
+let work f =
+  let v0 = Trace.counter_total "scc.block_visits" in
+  let (), minor, major = words f in
+  (minor +. major, float_of_int (Trace.counter_total "scc.block_visits" - v0))
+
+(* Context build plus FS solve over Scale corpora from 1 000 to 8 000
+   procedures, eager and streaming, at [jobs] 1 and 2: both the words and
+   the SCC block visits must grow at most as procs^1.15.  At [jobs 2] the
+   corpora past [Par.cutoff Init] lower and build SSA on two domains. *)
+let test_scale_exponent () =
+  let corpora =
+    List.map
+      (fun procs ->
+        ( float_of_int procs,
+          Scale.generate
+            { Scale.sp_family = Scale.Mixed; sp_procs = procs; sp_seed = 1 } ))
+      [ 1_000; 2_000; 4_000; 8_000 ]
+  in
+  let over = ref [] in
+  List.iter
+    (fun (mode, jobs) ->
+      let pts =
+        List.map
+          (fun (procs, prog) ->
+            let w, v =
+              work (fun () ->
+                  let ctx =
+                    if mode = "streaming" then Context.create_streaming prog
+                    else Context.create ~jobs prog
+                  in
+                  ignore (Fs_icp.solve ~jobs ctx))
+            in
+            (procs, w, v))
+          corpora
+      in
+      let check what e =
+        if e > 1.15 then
+          over :=
+            Printf.sprintf "%s jobs %d: %s grow as procs^%.3f" mode jobs what e
+            :: !over
+      in
+      check "words" (exponent (List.map (fun (p, w, _) -> (p, w)) pts));
+      check "block visits" (exponent (List.map (fun (p, _, v) -> (p, v)) pts)))
+    [ ("eager", 1); ("streaming", 1); ("eager", 2); ("streaming", 2) ];
+  if !over <> [] then
+    Alcotest.failf "over the procs^1.15 bound:\n%s"
+      (String.concat "\n" (List.rev !over))
+
+(* The procedure with the median-sized downstream cone: neither a leaf
+   (near-empty dirty region) nor an entry (everything dirty). *)
+let median_cone_proc prog =
+  let pcg = Callgraph.build prog in
+  let sized =
+    Array.map
+      (fun pid -> (Array.length (Callgraph.cone pcg ~seeds:[ pid ]), pid))
+      pcg.Callgraph.nodes
+  in
+  Array.sort
+    (fun (a, p) (b, q) ->
+      match Int.compare a b with
+      | 0 -> Fsicp_prog.Prog.Proc.compare p q
+      | c -> c)
+    sized;
+  Callgraph.proc_ast pcg (snd sized.(Array.length sized / 2))
+
+(* Resubmitting the median-cone SPICE procedure verbatim drives the whole
+   incremental path (invalidate, FI re-solve, cone re-drive).  Against
+   [Engine.create] on the same program, it may cost at most 25% of the
+   words and of the SCC block visits, and must hit the SCC memos. *)
+let test_incremental_edit () =
+  let prog = Lazy.force spice in
+  let engine = Engine.create ~jobs:1 prog in
+  let target = median_cone_proc prog in
+  let edit () = ignore (Engine.edit_proc ~jobs:1 engine target) in
+  let scratch () = ignore (Engine.create ~jobs:1 prog) in
+  edit ();
+  let hits0 = Trace.counter_total "scc.memo_hits" in
+  let edit_words, edit_visits = work edit in
+  let hits = Trace.counter_total "scc.memo_hits" - hits0 in
+  let scratch_words, scratch_visits = work scratch in
+  let words_ratio = edit_words /. scratch_words
+  and visits_ratio = edit_visits /. scratch_visits in
+  if words_ratio > 0.25 || visits_ratio > 0.25 || hits = 0 then
+    Alcotest.failf
+      "editing %s: %.1f%% of the words and %.1f%% of the block visits of a \
+       from-scratch solve (bound 25%%), %d SCC memo hits (bound > 0)"
+      target.Fsicp_lang.Ast.pname (100. *. words_ratio)
+      (100. *. visits_ratio) hits
+
+(* A traced warm SPICE FS solve may allocate at most 15% more words than
+   an untraced one.  The first traced run grows the event buffers; a
+   reset keeps them. *)
+let test_tracing_words () =
+  let ctx = Context.create ~jobs:1 (Lazy.force spice) in
+  Context.build_ssa ~jobs:1 ctx;
+  let solve () =
+    Context.reset_scc_memos ctx;
+    ignore (Fs_icp.solve ~jobs:1 ctx)
+  in
+  let traced () =
+    Trace.reset ();
+    Trace.set_enabled true;
+    Fun.protect ~finally:(fun () -> Trace.set_enabled false) solve
+  in
+  solve ();
+  traced ();
+  let untraced_words, _ = work solve in
+  let traced_words, _ = work traced in
+  let ratio = traced_words /. untraced_words in
+  if ratio > 1.15 then
+    Alcotest.failf
+      "a traced solve allocated %.0f words, %.3fx the %.0f of an untraced \
+       one (bound 1.15x)"
+      traced_words ratio untraced_words
+
 let suite =
   [
     Alcotest.test_case "allocation per procedure flat in globals" `Quick
@@ -113,4 +329,14 @@ let suite =
       test_pretty_words_per_byte;
     Alcotest.test_case "parsing allocates at most 7 words per byte" `Quick
       test_parse_words_per_byte;
+    Alcotest.test_case "solver rows within 1.10x of committed words" `Quick
+      test_solver_rows;
+    Alcotest.test_case "suite SSA holds the committed 626 φs" `Quick
+      test_suite_phis;
+    Alcotest.test_case "FS words and block visits grow at most procs^1.15"
+      `Slow test_scale_exponent;
+    Alcotest.test_case "incremental edit costs at most 25% of a solve" `Quick
+      test_incremental_edit;
+    Alcotest.test_case "tracing adds at most 15% words" `Quick
+      test_tracing_words;
   ]
