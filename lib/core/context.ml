@@ -169,9 +169,11 @@ let compute_alias_kills aliases summaries (pcg : Callgraph.t)
   Prog.tbl_init pcg.Callgraph.db (fun pid ->
       alias_kills_of_proc aliases summaries (Prog.Proc.Tbl.get lowered pid))
 
-(* Equal alias-kill tables: same variables, same kill lists. *)
+(* Equal alias-kill tables: the same table, or the same variables and the
+   same kill lists. *)
 let alias_kills_equal (a : alias_kills) (b : alias_kills) : bool =
-  Array.length a.ak_vars = Array.length b.ak_vars
+  a == b
+  || Array.length a.ak_vars = Array.length b.ak_vars
   && Array.for_all2 Ir.Var.equal a.ak_vars b.ak_vars
   && Array.for_all2 (List.equal Ir.Var.equal) a.ak_lists b.ak_lists
 
@@ -213,6 +215,8 @@ let same_calls (c : t) (summaries : Summary.t) (prog : Ast.program) : bool =
     - by procedure name, the summary and the lowered IR, when the
       procedure's AST node and the globals list are physically [prev]'s
       (both read nothing else);
+    - the alias-kill table, when the alias pairs, the procedure's summary
+      and its IR are all physically [prev]'s (it reads nothing else);
     - the SSA form, with the SCC entry-vector memo inside it, when in
       addition the procedure's own MOD and REF closures, those of each of
       its callees, and its alias-kill table equal [prev]'s — exactly what
@@ -268,7 +272,24 @@ let create ?(floats = true) ?jobs ?prev (prog : Ast.program) : t =
           Option.bind (same_in_prev pid) (fun (c, old) ->
               Prog.Proc.Tbl.get c.lowered old))
     in
-    (lowered, compute_alias_kills aliases summaries pcg lowered)
+    let kills pid =
+      let ir = Prog.Proc.Tbl.get lowered pid in
+      let carried =
+        Option.bind (same_in_prev pid) (fun (c, old) ->
+            let name = Callgraph.proc_name pcg pid in
+            match Prog.Proc.Tbl.get c.lowered old with
+            | Some old_ir
+              when old_ir == ir && c.aliases == aliases
+                   && Summary.find c.summaries name
+                      == Summary.find summaries name ->
+                Prog.Proc.Tbl.get c.alias_kills old
+            | Some _ | None -> None)
+      in
+      match carried with
+      | Some k -> k
+      | None -> alias_kills_of_proc aliases summaries ir
+    in
+    (lowered, Prog.tbl_init pcg.Callgraph.db kills)
   in
   (* Bit comparisons, once the numbering is known to be shared. *)
   let closures_equal =
@@ -413,6 +434,12 @@ let ssa t name : Ssa.proc =
   | Some pid -> ssa_at t pid
   | None -> invalid_arg (Printf.sprintf "Context.ssa: %s" name)
 
+(** Reachable procedures whose SSA form is not cached, in id order. *)
+let unbuilt_ssa t : Prog.Proc.id list =
+  List.filter
+    (fun pid -> Prog.Proc.Tbl.get t.ssa_cache pid = None)
+    (Array.to_list t.pcg.Callgraph.nodes)
+
 (** Pre-build the SSA form of every reachable procedure not yet cached, on
     up to [jobs] domains once enough procedures are missing
     ({!Fsicp_par.Par.domains}).  Construction per procedure only reads
@@ -421,12 +448,7 @@ let ssa t name : Ssa.proc =
     a read-only cache hit from any domain. *)
 let build_ssa ?jobs t : unit =
   let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
-  let missing =
-    Array.of_list
-      (List.filter
-         (fun pid -> Prog.Proc.Tbl.get t.ssa_cache pid = None)
-         (Array.to_list t.pcg.Callgraph.nodes))
-  in
+  let missing = Array.of_list (unbuilt_ssa t) in
   let n = Array.length missing in
   Trace.add c_ssa_built n;
   let built =

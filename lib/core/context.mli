@@ -66,7 +66,9 @@ type t = {
     over keeps its formals and call shapes; the PCG then gets its own
     program and name index ({!Callgraph.with_program}).  Summaries and
     lowered IR carry over by procedure name when the procedure's AST node
-    and the program's globals list are physically [prev]'s.  An SSA form
+    and the program's globals list are physically [prev]'s, and the
+    alias-kill table when the alias pairs, the summary and the IR all
+    are.  An SSA form
     (with its SCC entry-vector memo) carries over when, in addition, the
     procedure's own MOD/REF closures, its callees' closures and its
     alias-kill table all equal [prev]'s.  Trace counters
@@ -109,6 +111,11 @@ val compute_alias_kills :
 val ssa_at : t -> Prog.Proc.id -> Ssa.proc
 
 val ssa : t -> string -> Ssa.proc
+
+(** Reachable procedures whose SSA form is not cached, in id order.
+    Right after {!create} with [prev], these are the procedures whose SSA
+    did not carry over. *)
+val unbuilt_ssa : t -> Prog.Proc.id list
 
 (** Pre-build the SSA form of every reachable procedure not yet cached, on
     up to [jobs] domains, one below {!Fsicp_par.Par.cutoff} [Init] missing

@@ -14,30 +14,36 @@
       flow-insensitive pass re-runs over the table compiled for this
       context with the edited procedure's literal words patched
       ({!Fi_icp.update}: still a whole-program pass, but one flat loop
-      over the call-site arguments), and the flow-sensitive wavefront is
-      re-driven over the downstream cone of the edit plus every callee of
-      a back edge whose flow-insensitive record changed
-      ({!Fs_icp.resolve}).  Everything outside the cone is reused, and
-      cone members whose entry vectors are unchanged hit the SCC
-      entry-vector memo.  A traced edit
+      over the call-site arguments), and the flow-sensitive solution is
+      re-solved from seeds ({!Fs_icp.resolve}): the edited procedure and
+      the callee of every back edge whose flow-insensitive record
+      changed.  Only the seeds' downstream cone is driven, and in it only
+      the seeds and the procedures whose forward in-edge records changed
+      are analysed again (early cutoff); everything else keeps its
+      previous outputs.  A traced edit
       records one span per step: [engine:sema], [engine:summary],
       [engine:invalidate], [fi:update], [engine:seeds], [fs:resolve].
 
     - {b rebuild} — when the shape changes (procedure added, call site
       added/removed/retargeted, formals or immediate MOD/REF changed): a
-      fresh context is built and both solutions are solved over it.
-      MOD/REF, FI and the FS wavefront run as on a cold start, but the new
-      context is built with the old one as [~prev] ({!Context.create}),
-      so whatever provably did not change carries over instead of being
-      rebuilt: the PCG and the alias pairs when no call changed (same
-      procedures, and every re-summarized procedure keeps its formals,
-      callees and argument shapes); by name, the summary and lowered IR of
-      every procedure whose AST node and the globals list are physically
-      the old ones, and the SSA form (with its SCC entry-vector memo) of
-      every such procedure whose own MOD/REF closures, callees' closures
-      and alias-kill table are also unchanged.  A store added at one
-      procedure's head keeps the PCG and aliases and leaves all but its
-      ancestors' SSA in place.
+      fresh context is built and both solutions are re-established over
+      it.  MOD/REF and FI run as on a cold start, but the new context is
+      built with the old one as [~prev] ({!Context.create}), so whatever
+      provably did not change carries over instead of being rebuilt: the
+      PCG and the alias pairs when no call changed (same procedures, and
+      every re-summarized procedure keeps its formals, callees and
+      argument shapes); by name, the summary, lowered IR and alias-kill
+      table of every procedure whose AST node and the globals list are
+      physically the old ones, and the SSA form (with its SCC entry-vector
+      memo) of every such procedure whose own MOD/REF closures, callees'
+      closures and alias-kill table are also unchanged.  When the PCG
+      carried over, FS is re-solved like an incremental edit, seeded with
+      every procedure whose SSA did not carry over and the callee of
+      every back edge whose FI record differs from the old FI solution's;
+      otherwise ids change and FS is solved from scratch.  A store added
+      at one procedure's head keeps the PCG and aliases, leaves all but
+      its ancestors' SSA in place, and analyses again only those
+      ancestors and the procedures whose call records they changed.
 
     Either way the resulting {!solution} is identical to a from-scratch
     solve of the edited program at any [jobs] — the differential oracle
@@ -64,24 +70,15 @@ type t = {
 
 type outcome =
   | Incremental of { dirty : int; total : int }
-      (** [dirty] procedures re-driven out of [total] reachable *)
+      (** [dirty] procedures analysed again out of [total] reachable *)
   | Rebuilt of string  (** rebuilt context, with the reason *)
-
-(* Context, FI and FS solutions of [prog]; [prev] is handed to
-   {!Context.create} so that unchanged procedures keep their summaries,
-   lowering and SSA.  One span per step, so a traced session splits a
-   rebuild into IPA and lowering (inside {!Context.create}), SSA, FI and
-   FS. *)
-let solve_fresh ?jobs ?prev ~floats prog =
-  let ctx = Context.create ~floats ?jobs ?prev prog in
-  Trace.span "engine:ssa" (fun () -> Context.build_ssa ?jobs ctx);
-  let fi_table, fi = Fi_icp.solve_table ctx in
-  let fs = Fs_icp.solve ?jobs ~fi ctx in
-  (ctx, fi_table, fi, fs)
 
 let create ?(floats = true) ?jobs (prog : Ast.program) : t =
   Sema.check_exn prog;
-  let ctx, fi_table, fi, fs = solve_fresh ?jobs ~floats prog in
+  let ctx = Context.create ~floats ?jobs prog in
+  Trace.span "engine:ssa" (fun () -> Context.build_ssa ?jobs ctx);
+  let fi_table, fi = Fi_icp.solve_table ctx in
+  let fs = Fs_icp.solve ?jobs ~fi ctx in
   { floats; ctx; fi_table; fi; fs; edits = 0; incremental_edits = 0;
     rebuilds = 0 }
 
@@ -110,9 +107,54 @@ let summary_shape_equal (a : Summary.proc_summary)
   && Summary.VrefSet.equal a.Summary.ps_iref b.Summary.ps_iref
   && Summary.calls_shape_equal a.Summary.ps_calls b.Summary.ps_calls
 
+(* [seeds] plus the callee of every back edge in [edges]: a back edge is
+   the only channel through which a changed flow-insensitive record
+   reaches a procedure that is not downstream of a seed over forward
+   edges. *)
+let with_back_edge_callees seeds (edges : Callgraph.edge list) =
+  List.fold_left
+    (fun seeds (e : Callgraph.edge) ->
+      if e.Callgraph.back then e.Callgraph.callee :: seeds else seeds)
+    seeds edges
+
+(* The back edges of [pcg] whose flow-insensitive records differ between
+   [fi] and [fi'], two solutions over its ids. *)
+let changed_back_edges (pcg : Callgraph.t) fi fi' =
+  List.filter
+    (fun (e : Callgraph.edge) ->
+      let find s =
+        Solution.find_call_record s ~caller:e.Callgraph.caller
+          ~cs_index:e.Callgraph.cs_index
+      in
+      e.Callgraph.back
+      && not (Option.equal Solution.record_equal (find fi) (find fi')))
+    pcg.Callgraph.edges
+
+(* A fresh context with the old one as [~prev], then both solutions.  When
+   the context kept the PCG (same nodes, so the same ids) and the
+   block-data roots, the FS solution is re-solved incrementally from the
+   old one: the seeds are the procedures whose SSA did not carry over
+   (read before the SSA build fills the cache) and the callees of the back
+   edges whose FI records changed.  Otherwise FS is solved from scratch. *)
 let rebuild ?jobs t prog reason : outcome =
-  let ctx, fi_table, fi, fs =
-    solve_fresh ?jobs ~prev:t.ctx ~floats:t.floats prog
+  let old = t.ctx in
+  let ctx = Context.create ~floats:t.floats ?jobs ~prev:old prog in
+  let keeps_pcg =
+    ctx.Context.pcg.Callgraph.nodes == old.Context.pcg.Callgraph.nodes
+    && prog.Ast.blockdata == old.Context.prog.Ast.blockdata
+  in
+  let unbuilt = if keeps_pcg then Context.unbuilt_ssa ctx else [] in
+  Trace.span "engine:ssa" (fun () -> Context.build_ssa ?jobs ctx);
+  let fi_table, fi = Fi_icp.solve_table ctx in
+  let fs =
+    if keeps_pcg then
+      let seeds =
+        Trace.span "engine:seeds" @@ fun () ->
+        with_back_edge_callees unbuilt
+          (changed_back_edges ctx.Context.pcg t.fi fi)
+      in
+      fst (Fs_icp.resolve ?jobs ~fi ~prev:t.fs ~seeds ctx)
+    else Fs_icp.solve ?jobs ~fi ctx
   in
   t.ctx <- ctx;
   t.fi_table <- fi_table;
@@ -201,25 +243,18 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
                the call records whose values changed. *)
             let fi', changed = Fi_icp.update t.fi_table pid in
             (* Seeds: the edited procedure, plus the callee of every back
-               edge whose flow-insensitive record changed — the only
-               channel through which an edit reaches a procedure that is
-               not downstream of it over forward edges. *)
-            let dirty =
-              Trace.span "engine:seeds" @@ fun () ->
-              Callgraph.cone pcg
-                ~seeds:
-                  (List.fold_left
-                     (fun seeds (e : Callgraph.edge) ->
-                       if e.Callgraph.back then e.Callgraph.callee :: seeds
-                       else seeds)
-                     [ pid ] changed)
+               edge whose flow-insensitive record changed. *)
+            let seeds =
+              Trace.span "engine:seeds" (fun () ->
+                  with_back_edge_callees [ pid ] changed)
             in
-            let fs' = Fs_icp.resolve ?jobs ~fi:fi' ~prev:t.fs ~dirty ctx in
+            let fs', driven =
+              Fs_icp.resolve ?jobs ~fi:fi' ~prev:t.fs ~seeds ctx
+            in
             t.fi <- fi';
             t.fs <- fs';
             t.incremental_edits <- t.incremental_edits + 1;
-            Incremental
-              { dirty = Array.length dirty; total = Callgraph.n_procs pcg }
+            Incremental { dirty = driven; total = Callgraph.n_procs pcg }
           end)
 
 (** Apply several procedure edits as one: the program with every edit

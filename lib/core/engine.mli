@@ -5,12 +5,14 @@
     flow-sensitive solutions hot across procedure-body edits.  A
     shape-preserving edit (same procedures, same callee sequences, same
     IPA summary shape) invalidates only the edited procedure's artifacts
-    and re-drives the flow-sensitive wavefront over the downstream cone of
-    the edit (plus back-edge-reached procedures whose flow-insensitive
-    records changed); a shape-changing edit rebuilds the context, carrying
-    over the PCG and alias pairs when no call changed, and every
-    procedure's summary, lowering and SSA whose inputs did not change
-    ({!Context.create}'s [prev]).
+    and re-solves the flow-sensitive solution from seeds — the edited
+    procedure and the back-edge callees whose flow-insensitive records
+    changed — analysing again only the seeds and the procedures whose
+    call-site inputs changed ({!Fs_icp.resolve}); a shape-changing edit
+    rebuilds the context, carrying over the PCG and alias pairs when no
+    call changed, and every procedure's summary, lowering, alias kills and
+    SSA whose inputs did not change ({!Context.create}'s [prev]), and
+    re-solves FS the same way when the PCG carried over.
     In both cases {!solution} is identical to a from-scratch solve of the
     edited program, at any [jobs] — the differential oracle checks this
     byte-for-byte over random edit sequences. *)
@@ -21,7 +23,7 @@ type t
 
 type outcome =
   | Incremental of { dirty : int; total : int }
-      (** [dirty] procedures re-driven out of [total] reachable *)
+      (** [dirty] procedures analysed again out of [total] reachable *)
   | Rebuilt of string  (** rebuilt context, with the reason *)
 
 (** Build the context and solve both methods from scratch.

@@ -58,11 +58,13 @@ let method_name = "flow-sensitive"
 module Trace = Fsicp_trace.Trace
 module P = Lattice.P
 
-(* Incremental re-solve volume: procedures re-driven through the wavefront
-   vs procedures whose previous outputs were reused verbatim.  Both are
+(* Incremental re-solve volume: procedures in the re-solved cone, procedures
+   outside it whose previous outputs were reused verbatim, and cone members
+   cut off because none of their inputs changed.  All three are
    deterministic for a given edit sequence. *)
 let c_resolve_dirty = Trace.counter "fs.resolve.dirty"
 let c_resolve_reused = Trace.counter "fs.resolve.reused"
+let c_resolve_cutoff = Trace.counter "fs.resolve.cutoff"
 
 (* -- Shard regions ------------------------------------------------------ *)
 
@@ -145,14 +147,16 @@ let owners_of_regions (bounds : int array) ~jobs ~n : int array =
     the return-constants extension ({!Return_consts}) passes the summaries
     of its reverse traversal here.
 
-    [prev]/[dirty] select the incremental path (see {!resolve}): only the
-    procedures in [dirty] — a forward-edge-closed cone in ascending id
-    order — are re-driven through the wavefront; every other procedure's
-    entry, call records and SCC result are copied from [prev] verbatim. *)
-let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
+    [prev]/[seeds] select the incremental path (see {!resolve}): only the
+    forward-edge cone of [seeds] is driven through the wavefront, and in
+    it only the seeds and the procedures whose forward in-edge records
+    changed are analysed again; every other procedure keeps [prev]'s
+    entry, call-record row and SCC result.  Returns the solution and the
+    number of procedures analysed. *)
+let solve_body ?jobs ?fi ?prev ?(seeds = [])
     ?(call_def_value :
        (caller:string -> Ssa.call -> Ir.var -> int) option)
-    (ctx : Context.t) : Solution.t =
+    (ctx : Context.t) : Solution.t * int =
   let pcg = ctx.Context.pcg in
   let nodes = pcg.Callgraph.nodes in
   let n = Array.length nodes in
@@ -163,16 +167,24 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     | None -> if Callgraph.has_cycles pcg then Some (Fi_icp.solve ctx) else None
   in
 
-  (* The procedures to drive: every id from scratch, the dirty cone
-     (ascending ids) on the incremental path.  Ascending ids are the
-     forward topological order, so the sequential path is an in-order
-     sweep.  The wavefront spreads over domains only from
-     [Par.cutoff Wavefront] procedures on; below it, and for a cone that
-     small, it runs on the calling domain alone. *)
-  let order =
-    match dirty with
-    | Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d
-    | None -> Array.init n Fun.id
+  (* The procedures to drive: every id from scratch, the seeds' cone
+     (ascending ids) on the incremental path, with the seeds marked.
+     Ascending ids are the forward topological order, so the sequential
+     path is an in-order sweep.  The wavefront spreads over domains only
+     from [Par.cutoff Wavefront] procedures on; below it, and for a cone
+     that small, it runs on the calling domain alone. *)
+  let order, seeded =
+    match prev with
+    | Some _ ->
+        let seeded = Bytes.make n '\000' in
+        List.iter
+          (fun (p : Prog.Proc.id) -> Bytes.set seeded (p :> int) '\001')
+          seeds;
+        ( Array.map
+            (fun (p : Prog.Proc.id) -> (p :> int))
+            (Callgraph.cone pcg ~seeds),
+          seeded )
+    | None -> (Array.init n Fun.id, Bytes.empty)
   in
   let jobs = Par.domains Par.Wavefront ~jobs:budget (Array.length order) in
 
@@ -184,7 +196,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
      [Init]'s.  Below it the solve takes the [jobs 1] path: each
      procedure's SSA is built at its wavefront turn.  Streaming contexts
      skip the pre-build on purpose: each procedure's SSA is built inside
-     [process] when its turn comes and released right after, so the peak
+     [analyse] when its turn comes and released right after, so the peak
      resident set follows the frontier instead of the program. *)
   let streaming = Context.is_streaming ctx in
   if
@@ -202,34 +214,49 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
      they stand, so it is identical for every [jobs].
 
      Incremental path: start from copies of the previous solution's three
-     per-procedure tables, so every clean procedure keeps its entry, SCC
-     result and call-record row (shared, never written).  A clean
-     procedure's forward callers are all clean (the cone is
-     forward-closed) and its back-edge contributions are unchanged
-     (procedures downstream of a changed flow-insensitive record are
-     seeded into the cone), so its previous outputs are exactly what a
-     from-scratch solve would recompute.  Each dirty procedure gets a
-     fresh row. *)
+     per-procedure tables, so every procedure that is not analysed again
+     keeps its entry, SCC result and call-record row (shared, never
+     written).  Each analysed procedure gets a fresh row. *)
   let db = pcg.Callgraph.db in
   let fresh_row pid = Array.make (Callgraph.n_call_sites pcg pid) None in
   let entries, results, record_idx =
-    match (prev, dirty) with
-    | Some (prev : Solution.t), Some d ->
-        let record_idx = Prog.Proc.Tbl.copy prev.Solution.call_index in
-        Array.iter
-          (fun pid -> Prog.Proc.Tbl.set record_idx pid (fresh_row pid))
-          d;
+    match prev with
+    | Some (prev : Solution.t) ->
         ( Prog.Proc.Tbl.copy prev.Solution.entries,
           Prog.Proc.Tbl.copy prev.Solution.scc_results,
-          record_idx )
-    | _ ->
+          Prog.Proc.Tbl.copy prev.Solution.call_index )
+    | None ->
         ( Prog.tbl db Solution.empty_entry,
           Prog.tbl db None,
           Prog.tbl_init db fresh_row )
   in
 
-  let process i =
-    let pid = nodes.(i) in
+  (* Early cutoff.  A cone member that is not a seed keeps [prev]'s outputs
+     when every forward in-edge record is still [prev]'s physical record.
+     Its forward callers were processed first (the scheduler's order), and
+     an analysed caller stores each record equal to [prev]'s as [prev]'s
+     own, so [==] is the whole test.  Its back-edge contributions are
+     unchanged too, since the callee of every back edge whose
+     flow-insensitive record changed is a seed, and a non-seed's SSA is
+     [prev]'s.  The same entry vector over the same SSA gives [prev]'s
+     entry, SCC result and records: a from-scratch solve would recompute
+     exactly them. *)
+  let cutoffs = Atomic.make 0 in
+  let unchanged (pid : Prog.Proc.id) =
+    match prev with
+    | None -> false
+    | Some prev ->
+        Bytes.get seeded (pid :> int) = '\000'
+        && Array.for_all
+             (fun (e : Callgraph.edge) ->
+               let caller = e.Callgraph.caller and k = e.Callgraph.cs_index in
+               e.Callgraph.back
+               || (Prog.Proc.Tbl.get record_idx caller).(k)
+                  == (Prog.Proc.Tbl.get prev.Solution.call_index caller).(k))
+             (Callgraph.in_edges pcg pid)
+  in
+
+  let analyse pid =
     let proc = Callgraph.proc_name pcg pid in
     (* Detached: the wavefront runs the procedure on whichever domain owns
        it, so the span must not inherit that domain's stack in the
@@ -299,17 +326,35 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
        words and boxing them are two passes; a fused reader saved 4% of
        this layer's minor words on the 20 000-procedure corpus (7 675 vs
        7 994 kw per compile at jobs 1) and no measurable time, so FS boxes
-       through the same path as CC and VC. *)
-    let row = Prog.Proc.Tbl.get record_idx pid in
+       through the same path as CC and VC.  On the incremental path a
+       record equal to [prev]'s is stored as [prev]'s, for the callees'
+       cutoff test. *)
+    let row =
+      match prev with
+      | Some _ ->
+          let row = fresh_row pid in
+          Prog.Proc.Tbl.set record_idx pid row;
+          row
+      | None -> Prog.Proc.Tbl.get record_idx pid
+    and prev_row =
+      match prev with
+      | Some prev -> Prog.Proc.Tbl.get prev.Solution.call_index pid
+      | None -> [||]
+    in
     List.iter
       (fun (b, _, (c : Ssa.call)) ->
-        row.(c.Ssa.c_cs_id) <-
-          Some
-            (Entry_vec.box_site ~caller:pid ~cs_index:c.Ssa.c_cs_id
-               ~callee:(Callgraph.proc_id_exn pcg c.Ssa.c_callee)
-               ~exec:res.Scc.block_executable.(b)
-               ~word:(Context.censor_w ctx)
-               (Entry_vec.read_site ~word:Fun.id res c)))
+        let k = c.Ssa.c_cs_id in
+        let cr =
+          Entry_vec.box_site ~caller:pid ~cs_index:k
+            ~callee:(Callgraph.proc_id_exn pcg c.Ssa.c_callee)
+            ~exec:res.Scc.block_executable.(b)
+            ~word:(Context.censor_w ctx)
+            (Entry_vec.read_site ~word:Fun.id res c)
+        in
+        row.(k) <-
+          (match if k < Array.length prev_row then prev_row.(k) else None with
+          | Some old as kept when Solution.record_equal old cr -> kept
+          | Some _ | None -> Some cr))
       call_sites;
     (* Streaming solves must not retain each procedure's SSA through the
        retained [Scc.result]: once the records are extracted the result
@@ -321,12 +366,16 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
       Context.retire ctx pid
     end
   in
+  let process i =
+    let pid = nodes.(i) in
+    if unchanged pid then Atomic.incr cutoffs else analyse pid
+  in
 
   (* One scheduler call for both paths.  An incremental solve restricts
-     the wavefront to the dirty cone: a dirty procedure waits only on its
-     dirty forward callers (clean callers' records are already in
-     [record_idx]), and completion must never enqueue a clean node.  The
-     frontier is sharded into contiguous SCC-whole id regions, ~4 per
+     the wavefront to the cone: a cone member waits only on its forward
+     callers in the cone (the others' records are already in
+     [record_idx]), and completion must never enqueue a node outside it.
+     The frontier is sharded into contiguous SCC-whole id regions, ~4 per
      domain, each domain owning its regions' nodes on a private stack;
      every output is stored by procedure id, which makes the solution
      independent of the sharding, so this is purely a scheduling choice
@@ -347,11 +396,11 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
          so ids double as wavefront slots.  The lists depend on the PCG
          alone and are shared by every solve. *)
       let deps, dependents = Callgraph.forward_deps pcg in
-      match dirty with
+      match prev with
       | None -> (owners, deps, dependents)
-      | Some d ->
+      | Some _ ->
           let m = Array.make n false in
-          Array.iter (fun (p : Prog.Proc.id) -> m.((p :> int)) <- true) d;
+          Array.iter (fun i -> m.(i) <- true) order;
           let rdeps = Array.make n [] and rdependents = Array.make n [] in
           Array.iter
             (fun i ->
@@ -362,33 +411,42 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
   in
   Par.wavefront ~jobs ~owners ~order ~deps ~dependents process;
 
-  Solution.of_rows ~method_name ~db ~entries ~call_index:record_idx
-    ~scc_runs:n ~scc_results:results
+  let cut = Atomic.get cutoffs in
+  if Option.is_some prev then begin
+    Trace.add c_resolve_dirty (Array.length order);
+    Trace.add c_resolve_reused (n - Array.length order);
+    Trace.add c_resolve_cutoff cut
+  end;
+  ( Solution.of_rows ~method_name ~db ~entries ~call_index:record_idx
+      ~scc_runs:n ~scc_results:results,
+    Array.length order - cut )
 
 let solve ?jobs ?fi
     ?(call_def_value :
        (caller:string -> Ssa.call -> Ir.var -> int) option)
     (ctx : Context.t) : Solution.t =
   Trace.next_epoch ();
-  Trace.span "fs:solve" (fun () -> solve_body ?jobs ?fi ?call_def_value ctx)
+  Trace.span "fs:solve" (fun () ->
+      fst (solve_body ?jobs ?fi ?call_def_value ctx))
 
-(** Incremental re-solve after a shape-preserving procedure edit.
+(** Incremental re-solve of an edited program over [prev]'s PCG.
 
-    [dirty] is the downstream wavefront cone ({!Callgraph.cone}) of the
-    edited procedures plus every callee of a back edge whose
-    flow-insensitive record changed; [fi] is the {e fresh} flow-insensitive
-    solution of the edited program; [prev] is the previous flow-sensitive
-    solution.  Only the cone is re-driven through the wavefront; everything
-    outside it is copied from [prev].  The result is identical — including
-    [scc_runs], which counts one flow-sensitive analysis per procedure, the
-    solution-shape invariant — to a from-scratch {!solve} at any [jobs];
-    the actual kernel work shows up in the trace counters instead
-    (["fs.resolve.dirty"], ["fs.resolve.reused"], ["scc.memo_hits"]). *)
+    [seeds] are the procedures whose inputs changed outside the wavefront:
+    the edited procedures, every procedure whose SSA form is not [prev]'s,
+    and the callee of every back edge whose flow-insensitive record
+    changed; [fi] is the {e fresh} flow-insensitive solution of the edited
+    program; [prev] is the previous flow-sensitive solution.  Only the
+    seeds' forward cone ({!Callgraph.cone}) is driven through the
+    wavefront, and in it a procedure is analysed again only when it is a
+    seed or some forward in-edge record differs from [prev]'s; the others
+    are cut off and keep [prev]'s entry, SCC result and row.  The result
+    is identical — including [scc_runs], which counts one flow-sensitive
+    analysis per procedure, the solution-shape invariant — to a
+    from-scratch {!solve} at any [jobs]; the actual work shows up in the
+    returned count of analysed procedures and in the trace counters
+    (["fs.resolve.dirty"], ["fs.resolve.reused"], ["fs.resolve.cutoff"],
+    ["scc.memo_hits"]). *)
 let resolve ?jobs ~(fi : Solution.t) ~(prev : Solution.t)
-    ~(dirty : Prog.Proc.id array) (ctx : Context.t) : Solution.t =
+    ~(seeds : Prog.Proc.id list) (ctx : Context.t) : Solution.t * int =
   Trace.next_epoch ();
-  Trace.span "fs:resolve" @@ fun () ->
-  let n = Array.length ctx.Context.pcg.Callgraph.nodes in
-  Trace.add c_resolve_dirty (Array.length dirty);
-  Trace.add c_resolve_reused (n - Array.length dirty);
-  solve_body ?jobs ~fi ~prev ~dirty ctx
+  Trace.span "fs:resolve" @@ fun () -> solve_body ?jobs ~fi ~prev ~seeds ctx

@@ -45,24 +45,34 @@ val solve :
   Context.t ->
   Solution.t
 
-(** [resolve ?jobs ~fi ~prev ~dirty ctx] — incremental re-solve after a
-    shape-preserving procedure edit ({!Engine} is the intended caller).
+(** [resolve ?jobs ~fi ~prev ~seeds ctx] — incremental re-solve of an
+    edited program whose PCG is [prev]'s ({!Engine} is the intended
+    caller, after a shape-preserving edit and after a rebuild that kept
+    the PCG).
 
-    [dirty] is the forward-edge cone ({!Fsicp_callgraph.Callgraph.cone}) of
-    the edited procedures plus every callee of a back edge whose
-    flow-insensitive record changed; [fi] is the fresh flow-insensitive
-    solution; [prev] the previous flow-sensitive one.  Only the cone is
-    re-driven through the wavefront, on one domain when the cone is under
-    {!Fsicp_par.Par.cutoff} [Wavefront] (unchanged entry vectors inside it
-    hit the SCC memo); procedures outside it reuse their previous entry, call
-    records and SCC result verbatim.  The returned solution is identical to
-    a from-scratch {!solve} of the edited program, at any [jobs]; the saved
-    work is visible in the ["fs.resolve.dirty"] / ["fs.resolve.reused"] /
-    ["scc.memo_hits"] trace counters. *)
+    [seeds] are the procedures whose inputs changed outside the
+    wavefront: the edited procedures, every procedure whose SSA form is
+    not the one [prev] was solved over, and the callee of every back edge
+    whose flow-insensitive record changed.  [fi] is the fresh
+    flow-insensitive solution; [prev] the previous flow-sensitive one.
+    The seeds' forward-edge cone ({!Fsicp_callgraph.Callgraph.cone}) is
+    driven through the wavefront, on one domain when the cone is under
+    {!Fsicp_par.Par.cutoff} [Wavefront].  Early cutoff: a cone member is
+    analysed again only when it is a seed or when a forward in-edge record
+    differs from [prev]'s (under {!Solution.record_equal}); an analysed
+    procedure stores every record equal to [prev]'s as [prev]'s own, so
+    the test is a physical comparison.  Cut-off members and procedures
+    outside the cone keep [prev]'s entry, call records and SCC result.
+
+    Returns a solution identical to a from-scratch {!solve} of the edited
+    program, at any [jobs], and the number of procedures analysed.  The
+    trace counters ["fs.resolve.dirty"] (cone size),
+    ["fs.resolve.reused"] (outside it), ["fs.resolve.cutoff"] (cut off
+    inside it) and ["scc.memo_hits"] show the saved work. *)
 val resolve :
   ?jobs:int ->
   fi:Solution.t ->
   prev:Solution.t ->
-  dirty:Fsicp_prog.Prog.Proc.id array ->
+  seeds:Fsicp_prog.Prog.Proc.id list ->
   Context.t ->
-  Solution.t
+  Solution.t * int

@@ -158,6 +158,18 @@ let constant_globals t : (string * string * Fsicp_lang.Value.t) list =
     t.entries []
   |> List.sort compare
 
+(** Same site values under the lattice's own equality ({!Lattice.equal},
+    hence [Value.equal] on constants), not polymorphic [=]: two records are
+    equal iff every consumer reads the same words from them. *)
+let record_equal (a : callsite_record) (b : callsite_record) : bool =
+  a == b
+  || Bool.equal a.cr_executable b.cr_executable
+     && Array.length a.cr_args = Array.length b.cr_args
+     && Array.for_all2 Lattice.equal a.cr_args b.cr_args
+     && List.equal
+          (fun (g, v) (h, w) -> Prog.Var.equal g h && Lattice.equal v w)
+          a.cr_globals b.cr_globals
+
 let find_call_record t ~caller ~cs_index =
   let row = Prog.Proc.Tbl.get t.call_index caller in
   if cs_index >= 0 && cs_index < Array.length row then row.(cs_index)

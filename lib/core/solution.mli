@@ -94,6 +94,11 @@ val global_value : t -> string -> string -> Lattice.t
 val constant_formals : t -> (string * int * Fsicp_lang.Value.t) list
 val constant_globals : t -> (string * string * Fsicp_lang.Value.t) list
 
+(** Do two records carry the same values?  Compares the executable flag,
+    the arguments and the globals with {!Fsicp_scc.Lattice.equal}, which
+    agrees with equality of the packed words the solvers read. *)
+val record_equal : callsite_record -> callsite_record -> bool
+
 (** The record of the caller's call site [cs_index]; [None] when the
     caller has no such site (a negative index included). *)
 val find_call_record :

@@ -339,8 +339,19 @@ let floats_table () : Report.t =
       ];
     ]
 
+(* The [q]-quantile of [xs] (nearest rank on the sorted values). *)
+let quantile q xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(min (Array.length a - 1) (int_of_float (q *. float_of_int (Array.length a))))
+
 (** §4 compile-time experiment: the whole analysis phase with the FI method
-    vs with the FS method, averaged over [reps] repetitions.
+    vs with the FS method, as the medians of [reps] interleaved FI/FS pairs
+    in process CPU time, with the interquartile range of the per-pair
+    FS/FI ratio as its spread.  Interleaving gives both configurations the
+    same machine state, and one unmeasured pair first warms the caches and
+    the value pool; a mean of wall-clock runs of a few milliseconds swung
+    a program's ratio from 1.28× to 0.73× between two runs.
 
     The paper's accounting: "Our prototype performs intraprocedural constant
     propagation by default" — i.e. both configurations pay for the IPA
@@ -350,13 +361,11 @@ let floats_table () : Report.t =
     adds its own one-SCC-per-procedure forward traversal on top, which is
     what makes it "+50%, consistent over all of the benchmarks" rather than
     orders of magnitude. *)
-let timing_table ?(reps = 3) () : Report.t =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
+let timing_table ?(reps = 11) () : Report.t =
+  let cpu f =
+    let t0 = Sys.time () in
+    ignore (Sys.opaque_identity (f ()));
+    Sys.time () -. t0
   in
   let rows =
     List.map
@@ -364,52 +373,64 @@ let timing_table ?(reps = 3) () : Report.t =
         let prog = Spec.program b in
         (* FI configuration: infrastructure + FI ICP + default
            intraprocedural pass (SSA built here). *)
-        let t_fi =
-          time (fun () ->
-              let ctx = Context.create prog in
-              let fi = Fi_icp.solve ctx in
-              Transform.substitutions ctx fi)
+        let fi () =
+          let ctx = Context.create prog in
+          let fi = Fi_icp.solve ctx in
+          Transform.substitutions ctx fi
         in
         (* FS configuration: the same, plus the interleaved flow-sensitive
            interprocedural traversal (SSA built there and reused by the
            final pass). *)
-        let t_fs =
-          time (fun () ->
-              let ctx = Context.create prog in
-              let fi = Fi_icp.solve ctx in
-              let fs = Fs_icp.solve ~fi ctx in
-              Transform.substitutions ctx fs)
+        let fs () =
+          let ctx = Context.create prog in
+          let fi = Fi_icp.solve ctx in
+          let fs = Fs_icp.solve ~fi ctx in
+          Transform.substitutions ctx fs
         in
-        ( b.Spec.b_name,
-          t_fi,
-          t_fs,
-          if t_fi > 0.0 then t_fs /. t_fi else Float.nan ))
+        ignore (cpu fi, cpu fs);
+        (* Alternate which configuration runs first in a pair. *)
+        let pairs =
+          List.init reps (fun i ->
+              if i mod 2 = 0 then
+                let t_fi = cpu fi in
+                (t_fi, cpu fs)
+              else
+                let t_fs = cpu fs in
+                (cpu fi, t_fs))
+        in
+        (b.Spec.b_name, pairs))
       Spec.suite
   in
-  let total_fi = List.fold_left (fun a (_, x, _, _) -> a +. x) 0.0 rows in
-  let total_fs = List.fold_left (fun a (_, _, x, _) -> a +. x) 0.0 rows in
+  let ms t = Printf.sprintf "%.2f" (1000.0 *. t) in
+  let row name pairs =
+    let ratios = List.map (fun (fi, fs) -> fs /. fi) pairs in
+    [
+      name;
+      ms (quantile 0.5 (List.map fst pairs));
+      ms (quantile 0.5 (List.map snd pairs));
+      Printf.sprintf "%.2fx" (quantile 0.5 ratios);
+      Printf.sprintf "%.2f-%.2f" (quantile 0.25 ratios) (quantile 0.75 ratios);
+    ]
+  in
+  (* Pair [i] of the whole suite: the sums of every program's pair [i]. *)
+  let totals =
+    List.init reps (fun i ->
+        List.fold_left
+          (fun (a, b) (_, pairs) ->
+            let fi, fs = List.nth pairs i in
+            (a +. fi, b +. fs))
+          (0.0, 0.0) rows)
+  in
   Report.make
     ~title:
-      "Analysis phase time (§4): paper reports FS ≈ FI + 50%, consistent \
-       across benchmarks; absolute times are ours"
-    ~header:[ "PROGRAM"; "FI (ms)"; "FS (ms)"; "FS/FI" ]
-    (List.map
-       (fun (n, fi, fs, ratio) ->
-         [
-           n;
-           Printf.sprintf "%.2f" (1000.0 *. fi);
-           Printf.sprintf "%.2f" (1000.0 *. fs);
-           Printf.sprintf "%.2fx" ratio;
-         ])
-       rows
-    @ [
-        [
-          "TOTAL";
-          Printf.sprintf "%.2f" (1000.0 *. total_fi);
-          Printf.sprintf "%.2f" (1000.0 *. total_fs);
-          Printf.sprintf "%.2fx" (total_fs /. total_fi);
-        ];
-      ])
+      (Printf.sprintf
+         "Analysis phase CPU time (§4), medians of %d interleaved FI/FS \
+          pairs: paper reports FS ≈ FI + 50%%, consistent across \
+          benchmarks; absolute times are ours"
+         reps)
+    ~header:[ "PROGRAM"; "FI (ms)"; "FS (ms)"; "FS/FI"; "FS/FI IQR" ]
+    (List.map (fun (name, pairs) -> row name pairs) rows
+    @ [ row "TOTAL" totals ])
 
 (** Figure 2: run the pipeline on a benchmark and print the phase trace. *)
 let figure2 () : string =

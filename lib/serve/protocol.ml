@@ -159,13 +159,14 @@ let outcome_json = function
       [ ("outcome", Json.Str "rebuilt"); ("reason", Json.Str reason) ]
 
 (* The trace counters a serve client cares about: incremental re-solve
-   volume, SCC memo behaviour, sharded-wavefront work (procedures solved,
+   volume (cone, reused, cut off), SCC memo behaviour, sharded-wavefront work (procedures solved,
    cross-shard handoffs), worker domains spawned (none for a program under
    the [Par] size cutoffs, [jobs - 1] per parallel run past them), and
    the PCGs, lowerings and SSA forms a rebuild carried over unchanged. *)
 let traced_counters =
   [
-    "fs.resolve.dirty"; "fs.resolve.reused"; "scc.runs"; "scc.memo_hits";
+    "fs.resolve.dirty"; "fs.resolve.reused"; "fs.resolve.cutoff";
+    "scc.runs"; "scc.memo_hits";
     "scc.memo_evictions"; "scc.block_visits"; "par.shard.solved";
     "par.shard.handoffs"; "par.domains_spawned";
     "callgraph.reused"; "lower.reused"; "ssa.reused";

@@ -3,7 +3,8 @@
     constant number of words per byte.  The solvers on the calibrated suite
     stay within a bound of committed word counts, an FS solve grows
     linearly in the corpus size, an incremental edit costs a fraction of a
-    from-scratch solve, and tracing adds a bounded share of words.  At
+    from-scratch solve, SPICE's edit routes analyse committed numbers of
+    procedures again, and tracing adds a bounded share of words.  At
     [jobs 1] everything runs on the calling domain, so the counts are
     deterministic: the same on every machine with the same OCaml
     version. *)
@@ -271,10 +272,21 @@ let median_cone_proc prog =
     sized;
   Callgraph.proc_ast pcg (snd sized.(Array.length sized / 2))
 
+(* FS re-solve volume of [f ()]: the procedures in the re-solved cones and
+   those of them analysed, the rest being cut off. *)
+let resolve_volume f =
+  let total = Trace.counter_total in
+  let d0 = total "fs.resolve.dirty" and c0 = total "fs.resolve.cutoff" in
+  let r = f () in
+  let dirty = total "fs.resolve.dirty" - d0 in
+  (r, dirty, dirty - (total "fs.resolve.cutoff" - c0))
+
 (* Resubmitting the median-cone SPICE procedure verbatim drives the whole
-   incremental path (invalidate, FI re-solve, cone re-drive).  Against
+   incremental path (invalidate, FI re-solve, seeded re-solve).  Against
    [Engine.create] on the same program, it may cost at most 25% of the
-   words and of the SCC block visits, and must hit the SCC memos. *)
+   words and of the SCC block visits.  Its records equal the previous
+   ones, so it is the one procedure analysed and the rest of its cone is
+   cut off. *)
 let test_incremental_edit () =
   let prog = Lazy.force spice in
   let engine = Engine.create ~jobs:1 prog in
@@ -282,18 +294,57 @@ let test_incremental_edit () =
   let edit () = ignore (Engine.edit_proc ~jobs:1 engine target) in
   let scratch () = ignore (Engine.create ~jobs:1 prog) in
   edit ();
-  let hits0 = Trace.counter_total "scc.memo_hits" in
-  let edit_words, edit_visits = work edit in
-  let hits = Trace.counter_total "scc.memo_hits" - hits0 in
+  let (edit_words, edit_visits), cone, analysed =
+    resolve_volume (fun () -> work edit)
+  in
   let scratch_words, scratch_visits = work scratch in
   let words_ratio = edit_words /. scratch_words
   and visits_ratio = edit_visits /. scratch_visits in
-  if words_ratio > 0.25 || visits_ratio > 0.25 || hits = 0 then
+  if
+    words_ratio > 0.25 || visits_ratio > 0.25 || analysed <> 1
+    || cone - analysed <= 0
+  then
     Alcotest.failf
       "editing %s: %.1f%% of the words and %.1f%% of the block visits of a \
-       from-scratch solve (bound 25%%), %d SCC memo hits (bound > 0)"
+       from-scratch solve (bound 25%%), %d of a %d-procedure cone analysed \
+       (committed: 1, the rest cut off)"
       target.Fsicp_lang.Ast.pname (100. *. words_ratio)
-      (100. *. visits_ratio) hits
+      (100. *. visits_ratio) analysed cone
+
+(* Committed FS re-solve volumes of SPICE's two edit routes at [jobs 1],
+   as (cone, analysed): a literal bump of the median-cone procedure
+   (incremental), and the serve benchmark's store toggle (a rebuild that
+   keeps the PCG).  Driving the whole cone, or solving the whole program
+   on a rebuild, fails them. *)
+let test_edit_route_volumes () =
+  let prog = Lazy.force spice in
+  let engine = Engine.create ~jobs:1 prog in
+  let route what want edit =
+    let outcome, cone, analysed =
+      resolve_volume (fun () -> Engine.edit_proc ~jobs:1 engine edit)
+    in
+    (match (outcome, want) with
+    | Engine.Incremental _, `Incremental | Engine.Rebuilt _, `Rebuilt -> ()
+    | _ -> Alcotest.failf "%s took the other route" what);
+    (what, cone, analysed)
+  in
+  let got =
+    [
+      route "median-cone literal bump" `Incremental
+        (Test_util.bump_literals (median_cone_proc prog));
+      route "store toggle" `Rebuilt (Test_util.toggle_edit prog);
+    ]
+  in
+  let committed =
+    [ ("median-cone literal bump", 7, 4); ("store toggle", 120, 12) ]
+  in
+  if got <> committed then
+    Alcotest.failf "FS re-solve volumes (cone, analysed) differ:\n%s"
+      (String.concat "\n"
+         (List.map2
+            (fun (what, c, a) (_, c', a') ->
+              Printf.sprintf "%s: (%d, %d), committed (%d, %d)" what c a c' a')
+            got committed))
 
 (* A traced warm SPICE FS solve may allocate at most 15% more words than
    an untraced one.  The first traced run grows the event buffers; a
@@ -337,6 +388,8 @@ let suite =
       `Slow test_scale_exponent;
     Alcotest.test_case "incremental edit costs at most 25% of a solve" `Quick
       test_incremental_edit;
+    Alcotest.test_case "SPICE edit routes analyse the committed volumes"
+      `Quick test_edit_route_volumes;
     Alcotest.test_case "tracing adds at most 15% words" `Quick
       test_tracing_words;
   ]

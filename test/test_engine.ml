@@ -1,7 +1,8 @@
 (** Tests for the incremental {!Engine}: edit routing (incremental vs
     rebuild), byte-identity of incremental solutions against from-scratch
-    solves, SCC memo reuse across edit→re-solve cycles (hits on no-op
-    edits, evictions under churn), {!Context.reset_scc_memos}, and an
+    solves, the re-solve's early cutoff on a no-op edit, SCC memo
+    behaviour across edit→re-solve cycles (evictions under churn),
+    {!Context.reset_scc_memos}, and an
     in-suite edit-sequence oracle smoke at [jobs ∈ {1, 4}]. *)
 
 open Fsicp_lang
@@ -86,23 +87,24 @@ let test_stats_track_edits () =
   Alcotest.(check int) "incremental_edits" 1 (get "incremental_edits");
   Alcotest.(check int) "rebuilds" 1 (get "rebuilds")
 
-(* -- SCC memo behaviour across edit→re-solve cycles ----------------------- *)
+(* -- early cutoff and SCC memos across edit→re-solve cycles --------------- *)
 
-(* A no-op edit (the procedure resubmitted verbatim) still re-drives the
-   dirty cone, and every re-driven procedure must hit its SCC entry-vector
-   memo: same entry vector, same memoised result, zero evictions. *)
-let test_noop_edit_hits_memo () =
+(* A no-op edit (the procedure resubmitted verbatim) analyses the edited
+   procedure alone: its records equal the previous ones, so its callee [h],
+   the rest of the cone, is cut off.  No memo entry is evicted. *)
+let test_noop_edit_cuts_off () =
   with_trace (fun () ->
       let e = Engine.create ~jobs:1 (parse base_src) in
-      let before_hits = Trace.counter_total "scc.memo_hits" in
       (match Engine.edit_proc ~jobs:1 e (f_with 2) with
       | Engine.Incremental { dirty; _ } ->
-          Alcotest.(check int) "no-op still re-drives the cone" 2 dirty
+          Alcotest.(check int) "no-op analyses only f" 1 dirty
       | Engine.Rebuilt why -> Alcotest.failf "unexpected rebuild: %s" why);
-      let hits = Trace.counter_total "scc.memo_hits" - before_hits in
-      Alcotest.(check bool)
-        (Printf.sprintf "memo hits on no-op edit (%d)" hits)
-        true (hits > 0);
+      Alcotest.(check int)
+        "cone: f and h" 2
+        (Trace.counter_total "fs.resolve.dirty");
+      Alcotest.(check int)
+        "h cut off" 1
+        (Trace.counter_total "fs.resolve.cutoff");
       Alcotest.(check int)
         "no evictions on no-op edit" 0
         (Trace.counter_total "scc.memo_evictions");
@@ -180,25 +182,7 @@ let spice () =
   Fsicp_workloads.Spec.(
     program (List.find (fun b -> b.b_name = "013.SPICE2G6") suite))
 
-(* The shape-changing edit the serve benchmark sends: a [g = g;] store at
-   the head of the first non-main procedure, for the first global outside
-   its immediate MOD that no formal shadows. *)
-let toggle_edit (prog : Ast.program) : Ast.proc =
-  let store g = { Ast.sdesc = Ast.Assign (g, Ast.Var g); spos = Ast.no_pos } in
-  let widen (p : Ast.proc) =
-    let assigned = Ast.assigned_vars p in
-    List.find_opt
-      (fun g -> not (List.mem g assigned || List.mem g p.Ast.formals))
-      prog.Ast.globals
-  in
-  List.find_map
-    (fun (p : Ast.proc) ->
-      match widen p with
-      | Some g when p.Ast.pname <> "main" ->
-          Some { p with Ast.body = store g :: p.Ast.body }
-      | Some _ | None -> None)
-    prog.Ast.procs
-  |> Option.get
+let toggle_edit = Test_util.toggle_edit
 
 let expect_rebuilt ?(jobs = 1) e p =
   match Engine.edit_proc ~jobs e p with
@@ -392,31 +376,39 @@ let test_toggle_edit_carries_pcg () =
   check_ipa_cold "new call" after;
   check_matches_scratch "new call = from-scratch" e
 
-(* A traced rebuild records one span per step. *)
+(* Spans recorded since the last [Trace.reset], and spans not. *)
+let check_spans ~present ~absent =
+  let names = List.map (fun (n, _, _) -> n) (Trace.span_totals ()) in
+  let check want span =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s span %s" span (if want then "recorded" else "absent"))
+      want (List.mem span names)
+  in
+  List.iter (check true) present;
+  List.iter (check false) absent
+
+(* A traced rebuild records one span per step.  The leaf store keeps the
+   PCG, so FS is re-solved ([fs:resolve]) from the seeds ([engine:seeds]);
+   a new call builds a new PCG, and FS is solved from scratch
+   ([fs:solve]). *)
 let test_rebuild_spans () =
   with_trace (fun () ->
       let e = Engine.create ~jobs:1 (parse carry_src) in
-      Trace.reset ();
-      expect_rebuilt e (proc_of leaf_store);
-      let json = Trace.to_chrome_json ~mode:Trace.Logical () in
-      let mentions needle =
-        let n = String.length needle in
-        let rec go i =
-          i + n <= String.length json
-          && (String.equal (String.sub json i n) needle || go (i + 1))
-        in
-        go 0
-      in
-      List.iter
-        (fun span ->
-          Alcotest.(check bool)
-            (span ^ " span recorded") true
-            (mentions (Printf.sprintf "\"name\":\"%s\"" span)))
+      let steps =
         [
           "engine:edit"; "context:ipa"; "ipa:summary"; "ipa:callgraph";
           "ipa:alias"; "ipa:modref"; "context:lower"; "engine:ssa";
-          "fi:solve"; "fs:solve";
-        ])
+          "fi:solve";
+        ]
+      in
+      Trace.reset ();
+      expect_rebuilt e (proc_of leaf_store);
+      check_spans
+        ~present:(steps @ [ "engine:seeds"; "fs:resolve" ])
+        ~absent:[ "fs:solve" ];
+      Trace.reset ();
+      expect_rebuilt e (proc_of "proc b(y) { k = k; g = g + y; call c(); }");
+      check_spans ~present:(steps @ [ "fs:solve" ]) ~absent:[ "fs:resolve" ])
 
 (* -- incremental FI, procedure-local Sema, step spans ----------------------- *)
 
@@ -529,15 +521,13 @@ let test_incremental_spans () =
       let e = Engine.create ~jobs:1 (parse base_src) in
       Trace.reset ();
       ignore (Engine.edit_proc ~jobs:1 e (f_with 7));
-      let names = List.map (fun (n, _, _) -> n) (Trace.span_totals ()) in
-      List.iter
-        (fun span ->
-          Alcotest.(check bool) (span ^ " span recorded") true
-            (List.mem span names))
-        [
-          "engine:edit"; "engine:sema"; "engine:summary"; "engine:invalidate";
-          "fi:update"; "engine:seeds"; "fs:resolve";
-        ])
+      check_spans
+        ~present:
+          [
+            "engine:edit"; "engine:sema"; "engine:summary";
+            "engine:invalidate"; "fi:update"; "engine:seeds"; "fs:resolve";
+          ]
+        ~absent:[])
 
 (* A batch whose prefix is ill-formed on its own (a formal added to [h]
    before [f]'s call to it is fixed) still applies as a whole. *)
@@ -657,8 +647,9 @@ let suite =
       test_rebuild_on_shape_change;
     Alcotest.test_case "new procedure rebuilds" `Quick test_rebuild_on_new_proc;
     Alcotest.test_case "stats track edit routes" `Quick test_stats_track_edits;
-    Alcotest.test_case "no-op edit hits SCC memos, no evictions" `Quick
-      test_noop_edit_hits_memo;
+    Alcotest.test_case "no-op edit analyses one procedure, no evictions"
+      `Quick
+      test_noop_edit_cuts_off;
     Alcotest.test_case "literal churn evicts SCC memos" `Quick
       test_churn_evicts_memo;
     Alcotest.test_case "reset_scc_memos forces cold kernels" `Quick

@@ -308,7 +308,7 @@ let test_entry_vec_layout () =
     (Entry_vec.entry roots sh_f (pid "f") (fun _ v ->
          Entry_vec.meet_site sh_f v ~word:Fun.id [| P.of_int 1 |] []))
 
-(* A re-solve whose dirty cone (24 to 31 procedures) is smaller than the
+(* A re-solve whose cone (24 to 31 procedures) is smaller than the
    32 domains requested: the wavefront must shrink its domains and its
    owners together.  The cone is chosen so that, with owners drawn for 32
    domains, some member would belong to a domain numbered past the cone's
@@ -335,19 +335,19 @@ let test_resolve_cone_below_jobs () =
       owner.(i) <- r mod jobs
     done
   done;
-  let cone =
+  let seed =
     Array.to_seq pcg.Cg.nodes
-    |> Seq.map (fun pid -> Cg.cone pcg ~seeds:[ pid ])
-    |> Seq.find (fun c ->
+    |> Seq.find (fun pid ->
+           let c = Cg.cone pcg ~seeds:[ pid ] in
            let k = Array.length c in
            k >= 24 && k < jobs
            && Array.exists (fun (p : Fsicp_prog.Prog.Proc.id) ->
                   owner.((p :> int)) >= k) c)
   in
-  match cone with
+  match seed with
   | None -> Alcotest.fail "no suitable 24-31 procedure cone in the corpus"
-  | Some dirty ->
-      let sol = Fs_icp.resolve ~jobs ~fi ~prev ~dirty ctx in
+  | Some seed ->
+      let sol, _ = Fs_icp.resolve ~jobs ~fi ~prev ~seeds:[ seed ] ctx in
       Alcotest.(check string)
         "cone re-solve at jobs 32 = from-scratch solve"
         (Solution.digest prev) (Solution.digest sol)

@@ -376,7 +376,11 @@ let test_cutoff_init_sites () =
 
 (* The wavefront fans out past [cutoff Wavefront] procedures, from scratch
    and over a re-solved cone of that size: the cone of [main] is the whole
-   program. *)
+   program.  Seeding [main] alone over its own solution analyses [main]
+   and cuts every other procedure off.  A real edit of [main]'s literal
+   arguments changes entries across the program; its seeded re-solve runs
+   on two domains, analyses thousands of procedures, and must equal a
+   from-scratch solve of the edited program at [jobs 2]. *)
 let test_cutoff_wavefront_sites () =
   let prog = scale_program (Par.cutoff Par.Wavefront + 16) in
   let ctx = Context.create ~jobs:1 prog in
@@ -385,14 +389,32 @@ let test_cutoff_wavefront_sites () =
       Solution.digest (Fs_icp.solve ~jobs ~fi (Context.create ~jobs:1 prog)));
   let prev = Fs_icp.solve ~jobs:1 ~fi ctx in
   let pcg = ctx.Context.pcg in
-  let dirty =
-    Fsicp_callgraph.Callgraph.(
-      cone pcg ~seeds:[ Option.get (proc_id pcg "main") ])
-  in
+  let main = Option.get (Fsicp_callgraph.Callgraph.proc_id pcg "main") in
   Alcotest.(check bool) "the cone of main is past the cutoff" true
-    (Array.length dirty >= Par.cutoff Par.Wavefront);
+    (Array.length (Fsicp_callgraph.Callgraph.cone pcg ~seeds:[ main ])
+    >= Par.cutoff Par.Wavefront);
   check_parallel_site ~what:"FS re-solve" (fun jobs ->
-      Solution.digest (Fs_icp.resolve ~jobs ~fi ~prev ~dirty ctx))
+      let sol, analysed = Fs_icp.resolve ~jobs ~fi ~prev ~seeds:[ main ] ctx in
+      Alcotest.(check int) "unchanged inputs: only main analysed" 1 analysed;
+      Solution.digest sol);
+  let e = Engine.create ~jobs:1 prog in
+  let edited =
+    Test_util.bump_literals
+      (Option.get (Fsicp_callgraph.Callgraph.find_ast pcg "main"))
+  in
+  let p0 = pools () in
+  (match Engine.edit_proc ~jobs:2 e edited with
+  | Engine.Incremental { dirty; _ } ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the edit re-analyses %d procedures (>= 1000)" dirty)
+        true (dirty >= 1000)
+  | Engine.Rebuilt why -> Alcotest.failf "edit of main rebuilt: %s" why);
+  Alcotest.(check bool) "the seeded re-solve runs in parallel" true
+    (pools () > p0);
+  let fresh = Context.create ~jobs:2 (Engine.context e).Context.prog in
+  Alcotest.(check string) "seeded re-solve at jobs 2 = from-scratch solve"
+    (Solution.digest (Fs_icp.solve ~jobs:2 fresh))
+    (Solution.digest (Engine.solution e))
 
 (* Past the cutoff, the words a solve allocates on spawned domains count
    too: at [jobs 2] the FS solve reads at least the [jobs 1] count (the

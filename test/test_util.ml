@@ -27,6 +27,49 @@ let source_root =
   in
   find (Sys.getcwd ())
 
+(** The shape-changing edit the serve benchmark sends: a [g = g;] store at
+    the head of the first non-main procedure, for the first global outside
+    its immediate MOD that no formal shadows. *)
+let toggle_edit (prog : Ast.program) : Ast.proc =
+  let store g = { Ast.sdesc = Ast.Assign (g, Ast.Var g); spos = Ast.no_pos } in
+  let widen (p : Ast.proc) =
+    let assigned = Ast.assigned_vars p in
+    List.find_opt
+      (fun g -> not (List.mem g assigned || List.mem g p.Ast.formals))
+      prog.Ast.globals
+  in
+  List.find_map
+    (fun (p : Ast.proc) ->
+      match widen p with
+      | Some g when p.Ast.pname <> "main" ->
+          Some { p with Ast.body = store g :: p.Ast.body }
+      | Some _ | None -> None)
+    prog.Ast.procs
+  |> Option.get
+
+(** [p] with every integer literal one higher: same statements and calls,
+    so the edit keeps the program's shape. *)
+let bump_literals (p : Ast.proc) : Ast.proc =
+  let rec expr = function
+    | Ast.Const (Value.Int n) -> Ast.Const (Value.Int (n + 1))
+    | (Ast.Const _ | Ast.Var _) as e -> e
+    | Ast.Unary (o, e) -> Ast.Unary (o, expr e)
+    | Ast.Binary (o, l, r) -> Ast.Binary (o, expr l, expr r)
+  in
+  let rec stmt (s : Ast.stmt) =
+    let sdesc =
+      match s.Ast.sdesc with
+      | Ast.Assign (x, e) -> Ast.Assign (x, expr e)
+      | Ast.If (c, t, f) -> Ast.If (expr c, List.map stmt t, List.map stmt f)
+      | Ast.While (c, b) -> Ast.While (expr c, List.map stmt b)
+      | Ast.Call (q, args) -> Ast.Call (q, List.map expr args)
+      | Ast.Print e -> Ast.Print (expr e)
+      | Ast.Return -> Ast.Return
+    in
+    { s with Ast.sdesc }
+  in
+  { p with Ast.body = List.map stmt p.Ast.body }
+
 (** Random well-formed programs for property tests: a seed selects a
     generator profile with every mechanism enabled (including guarded
     recursion for one seed in three). *)
