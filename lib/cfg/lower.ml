@@ -11,11 +11,13 @@ open Fsicp_lang
 type builder = {
   scope : Sema.scope;  (** the program's name table *)
   formals : string list;
-  mutable blocks_rev : (Ir.instr list * Ir.terminator option) list;
-      (** finished blocks, newest first; [None] terminator = fallthrough
-          placeholder fixed up when the successor is known *)
+  mutable instrs : Ir.instr array array;
+      (** finished blocks' instructions, by block id; the capacity doubles *)
+  mutable terms : Ir.terminator option array;
+      (** finished blocks' terminators, parallel to [instrs]; [None] =
+          fallthrough placeholder fixed up when the successor is known *)
   mutable cur : Ir.instr list;  (** current block's instructions, reversed *)
-  mutable cur_id : int;
+  mutable cur_id : int;  (** the current block's id = finished blocks *)
   mutable next_temp : int;
   mutable next_cs : int;
 }
@@ -37,7 +39,17 @@ let emit b ins = b.cur <- ins :: b.cur
    Block ids are assigned sequentially, so the caller knows the id of the
    block about to start: it is [b.cur_id + 1]. *)
 let finish_block b term =
-  b.blocks_rev <- (b.cur, term) :: b.blocks_rev;
+  if b.cur_id = Array.length b.terms then begin
+    let grow a fill =
+      let a' = Array.make (max 8 (2 * b.cur_id)) fill in
+      Array.blit a 0 a' 0 b.cur_id;
+      a'
+    in
+    b.instrs <- grow b.instrs [||];
+    b.terms <- grow b.terms None
+  end;
+  b.instrs.(b.cur_id) <- Array.of_list (List.rev b.cur);
+  b.terms.(b.cur_id) <- term;
   b.cur <- [];
   b.cur_id <- b.cur_id + 1
 
@@ -123,15 +135,8 @@ and lower_stmt b (s : Ast.stmt) =
 
 (* Patch the (placeholder) terminator of an already-finished block. *)
 and patch b id term =
-  let idx_from_newest = b.cur_id - 1 - id in
-  let rec go i = function
-    | [] -> invalid_arg "Lower.patch: no such block"
-    | (instrs, old) :: tl when i = 0 ->
-        assert (old = None);
-        (instrs, Some term) :: tl
-    | hd :: tl -> hd :: go (i - 1) tl
-  in
-  b.blocks_rev <- go idx_from_newest b.blocks_rev
+  assert (id < b.cur_id && b.terms.(id) = None);
+  b.terms.(id) <- Some term
 
 (* Remove blocks unreachable from the entry and remap ids. *)
 let prune_unreachable (cfg : Ir.cfg) : Ir.cfg =
@@ -171,7 +176,8 @@ let lower_in (scope : Sema.scope) (p : Ast.proc) : Ir.proc =
     {
       scope;
       formals = p.Ast.formals;
-      blocks_rev = [];
+      instrs = [||];
+      terms = [||];
       cur = [];
       cur_id = 0;
       next_temp = 0;
@@ -181,15 +187,13 @@ let lower_in (scope : Sema.scope) (p : Ast.proc) : Ir.proc =
   lower_block b p.Ast.body;
   finish_block b (Some Ir.Ret);
   let blocks =
-    List.rev_map
-      (fun (instrs_rev, term) ->
+    Array.init b.cur_id (fun i ->
         {
-          Ir.instrs = Array.of_list (List.rev instrs_rev);
-          term = (match term with Some t -> t | None -> Ir.Ret);
+          Ir.instrs = b.instrs.(i);
+          term = (match b.terms.(i) with Some t -> t | None -> Ir.Ret);
         })
-      b.blocks_rev
   in
-  let cfg = prune_unreachable { Ir.blocks = Array.of_list blocks; entry = 0 } in
+  let cfg = prune_unreachable { Ir.blocks; entry = 0 } in
   {
     Ir.name = p.Ast.pname;
     formals = Array.of_list (List.mapi (fun i f -> Ir.formal f i) p.Ast.formals);

@@ -107,6 +107,10 @@ val compute_alias_kills :
   Alias.t -> Summary.t -> Callgraph.t -> Ir.proc Prog.Proc.Tbl.t ->
   alias_kills Prog.Proc.Tbl.t
 
+(** The call-effect oracle {!ssa_at} builds a reachable procedure's SSA
+    with, backed by the IPA results. *)
+val effects_for : t -> Prog.Proc.id -> Ssa.call_effects
+
 (** SSA form of a reachable procedure (cached). *)
 val ssa_at : t -> Prog.Proc.id -> Ssa.proc
 

@@ -1,5 +1,5 @@
-(** Static single assignment form (Cytron et al.), over the {!Fsicp_cfg.Ir}
-    quad IR.
+(** Semi-pruned static single assignment form (Cytron et al.; Briggs et
+    al.), over the {!Fsicp_cfg.Ir} quad IR.
 
     The paper's intraprocedural analysis — Wegman–Zadeck Sparse Conditional
     Constant propagation — is "built upon an implementation of SSA data-flow
@@ -120,20 +120,12 @@ type memo += No_memo
 
 type proc = {
   name : string;
-  formals : Ir.var array;
   blocks : block array;
   entry : int;
   preds : int list array;
   dom : Dominance.t;
   entry_names : (Ir.var * name) array;  (** version-0 names, all variables *)
-  exit_names : (int * (Ir.var * name) array) list;
-      (** for each [Ret]-terminated block: the SSA version of every formal
-          and global reaching the return — the values a call observes after
-          the procedure finishes (drives the return-constants extension) *)
   n_names : int;
-  defs : int array;
-      (** name id -> packed (tag, block, index) def site as in [site_code]
-          (phi or instr tag), or -1 for a version-0 entry definition *)
   use_offsets : int array;
       (** CSR row starts into [use_sites], length [n_names + 1]: the use
           sites of name [id] are [use_sites.(use_offsets.(id)) ..
@@ -150,13 +142,14 @@ type proc = {
   vars : Ir.var array;
       (** the variable universe, in slot order: ascending by
           [Ir.Var.compare], which {!slot_of} binary-searches *)
-  entry_ids : int array;  (** var slot -> version-0 name id *)
   exit_ids : (int * int array) array;
-      (** per [Ret] block: var slot -> reaching name id, or -1 *)
+      (** per [Ret] block: var slot -> the id of the name reaching the
+          return, for every formal and global (the values a call observes
+          after the procedure finishes, which drive the return-constants
+          extension), or -1 *)
   calls : (int * int * call) array;
       (** every call as [(block, instr index, call)], block order *)
   n_call_defs : int;  (** total [c_defs] across [calls] *)
-  n_call_sites : int;
   mutable memo : memo;
 }
 
@@ -205,24 +198,49 @@ let conservative_effects ?(formals : Ir.var list = []) (prog : Ast.program) :
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [of_proc] runs four phases over a lowered procedure:
+   - {!universe}: the variable slots, each instruction's oracle answers,
+     and which slots are non-local;
+   - {!place_phis}: the iterated dominance frontier of each non-local
+     slot's definition blocks;
+   - {!rename}: a dominator-tree walk that versions every definition and
+     fills in the φ arguments;
+   - {!def_use}: dense site ids, the CSR def-use chains and the flat call
+     list.
+
+   The form is semi-pruned (Briggs, Cooper, Harvey and Simpson, "Practical
+   Improvements to the Construction and Destruction of SSA Form", 1998):
+   only non-local slots get φs.  A formal or a global is non-local, since
+   returns and calls read it; a local or a temporary is non-local when
+   some block reads it before that block defines it.  Every read of any
+   other slot follows a definition in its own block, so a φ for it would
+   define a name that nothing uses. *)
+
 let byref_array (args : Ir.arg array) : Ir.var option array =
   Array.map (fun (a : Ir.arg) -> a.Ir.a_byref) args
 
-(* Domain-local construction scratch: an epoch-stamped sparse map from
-   [Ir.Var.slot_key] to the procedure-local dense slot.  A key is bound
-   iff [stamp.(k) = epoch]; bumping the epoch invalidates every binding in
-   O(1), so consecutive [of_proc] calls on one domain share the arrays
-   without clearing.  [Domain.DLS] keeps the scratch race-free when
-   [Context.build_ssa] constructs procedures on several domains. *)
+(* Domain-local construction scratch, indexed by [Ir.Var.slot_key].  A key
+   is in the current universe iff [stamp.(k) = epoch], and then has the
+   dense slot [slot.(k)]; it is read before its own block defines it
+   somewhere iff [exposed.(k) = epoch]; and the block being scanned has
+   defined it iff [defined.(k) = tick].  [epoch] grows once per procedure
+   and [tick] once per block, so the arrays are never cleared and
+   consecutive [of_proc] calls on one domain share them.  [Domain.DLS]
+   keeps the scratch race-free when [Context.build_ssa] constructs
+   procedures on several domains. *)
 module Scratch = struct
   type t = {
     mutable epoch : int;
+    mutable tick : int;
     mutable stamp : int array;
     mutable slot : int array;
+    mutable exposed : int array;
+    mutable defined : int array;
   }
 
   let create () =
-    { epoch = 0; stamp = Array.make 4096 0; slot = Array.make 4096 0 }
+    let z () = Array.make 4096 0 in
+    { epoch = 0; tick = 0; stamp = z (); slot = z (); exposed = z (); defined = z () }
 
   let dls = Domain.DLS.new_key create
 
@@ -231,137 +249,275 @@ module Scratch = struct
     t.epoch <- t.epoch + 1;
     t
 
+  let grow a n =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
   let ensure t k =
     let cap = Array.length t.stamp in
     if k >= cap then begin
       let n = max (k + 1) (2 * cap) in
-      let stamp = Array.make n 0 in
-      Array.blit t.stamp 0 stamp 0 cap;
-      t.stamp <- stamp;
-      let slot = Array.make n 0 in
-      Array.blit t.slot 0 slot 0 cap;
-      t.slot <- slot
+      t.stamp <- grow t.stamp n;
+      t.slot <- grow t.slot n;
+      t.exposed <- grow t.exposed n;
+      t.defined <- grow t.defined n
     end
 end
 
-(** Build SSA form for a lowered procedure. *)
-let of_proc ?(effects : call_effects option) (prog : Ast.program)
-    (p : Ir.proc) : proc =
-  let effects =
-    match effects with
-    | Some e -> e
-    | None ->
-        conservative_effects ~formals:(Array.to_list p.Ir.formals) prog
-  in
+(* -- Phase 1: the universe ------------------------------------------ *)
+
+type universe = {
+  cfg : Ir.cfg;
+  vars : Ir.var array;
+      (* slot -> variable, ascending by [Ir.Var.compare], so the slots and
+         every SSA name numbered from them do not depend on the process's
+         interning order *)
+  slot : int array;  (* [Ir.Var.slot_key] -> slot, for the keys of [vars] *)
+  nonlocal : bool array;  (* per slot *)
+  ibase : int array;  (* block -> ordinal of its first instruction *)
+  call_ds : Ir.var array array;  (* call ordinal -> variables it defines *)
+  call_gs : Ir.var array array;  (* call ordinal -> globals it records *)
+  kill_at : Ir.var array array;  (* assignment ordinal -> its alias kills *)
+}
+
+let[@inline] vidx u v = u.slot.(Ir.Var.slot_key v)
+let[@inline] iord u b i = u.ibase.(b) + i
+
+(* One pass over the IR, blocks and instructions in order, collects the
+   occurring variables, the oracle's answers per instruction and the reads
+   that precede a definition in their block. *)
+let universe (effects : call_effects) (p : Ir.proc) : universe =
   let cfg = p.Ir.cfg in
   let nblocks = Array.length cfg.Ir.blocks in
-  let preds = Ir.predecessors cfg in
-  let dom = Dominance.compute cfg in
-  let df = Dominance.frontiers cfg dom in
-
-  (* -- The variable universe ---------------------------------------- *)
-  (* One pass over the IR collects occurring vars, call-defined vars,
-     recorded globals and alias kills — deduplicated through the
-     epoch-stamped {!Scratch} (no hashing, no [VarSet] trees) and sorted
-     once by [Ir.Var.compare], so the slots, and every SSA name numbered
-     from them, do not depend on the process's interning order. *)
-  let scratch = Scratch.get () in
-  let epoch = scratch.Scratch.epoch in
+  let sc = Scratch.get () in
+  let epoch = sc.Scratch.epoch in
   let acc = ref [] in
-  let nv = ref 0 in
   let note v =
     let k = Ir.Var.slot_key v in
-    Scratch.ensure scratch k;
-    if scratch.Scratch.stamp.(k) <> epoch then begin
-      scratch.Scratch.stamp.(k) <- epoch;
-      acc := v :: !acc;
-      incr nv
+    Scratch.ensure sc k;
+    if sc.Scratch.stamp.(k) <> epoch then begin
+      sc.Scratch.stamp.(k) <- epoch;
+      acc := v :: !acc
     end
   in
-  let note_op = function Ir.Const _ -> () | Ir.Var v -> note v in
-  let note_rhs = function
-    | Ir.Copy o | Ir.Unop (_, o) -> note_op o
-    | Ir.Binop (_, a, b) ->
-        note_op a;
-        note_op b
+  let read_op = function
+    | Ir.Const _ -> ()
+    | Ir.Var v ->
+        note v;
+        let k = Ir.Var.slot_key v in
+        if sc.Scratch.defined.(k) <> sc.Scratch.tick then
+          sc.Scratch.exposed.(k) <- epoch
+  in
+  let write v =
+    note v;
+    sc.Scratch.defined.(Ir.Var.slot_key v) <- sc.Scratch.tick
   in
   Array.iter note p.Ir.formals;
-  (* Per-instruction oracle caches, flat over the instruction ordinal. *)
   let ibase = Array.make (nblocks + 1) 0 in
   for b = 0 to nblocks - 1 do
     ibase.(b + 1) <- ibase.(b) + Array.length cfg.Ir.blocks.(b).Ir.instrs
   done;
   let n_instrs = ibase.(nblocks) in
-  let iord b i = ibase.(b) + i in
-  let call_ds : Ir.var list array = Array.make (max 1 n_instrs) [] in
-  let call_gs : Ir.var list array = Array.make (max 1 n_instrs) [] in
-  let kill_at : Ir.var list array = Array.make (max 1 n_instrs) [] in
+  let call_ds = Array.make n_instrs [||] in
+  let call_gs = Array.make n_instrs [||] in
+  let kill_at = Array.make n_instrs [||] in
   (* The alias-kill list of a variable is build-invariant; memoising it per
      assigned variable keeps the oracle's list surgery (closure over the
      alias pairs, sort, self-filter) off the per-assignment path. *)
-  let kill_memo : (int, Ir.var list) Hashtbl.t = Hashtbl.create 16 in
+  let kill_memo : (int, Ir.var array) Hashtbl.t = Hashtbl.create 16 in
+  let kills_of v =
+    let key = Ir.Var.slot_key v in
+    match Hashtbl.find_opt kill_memo key with
+    | Some ks -> ks
+    | None ->
+        let ks =
+          List.sort_uniq Ir.Var.compare (effects.assign_aliases v)
+          |> List.filter (fun w -> not (Ir.Var.equal v w))
+          |> Array.of_list
+        in
+        Hashtbl.add kill_memo key ks;
+        ks
+  in
   Array.iteri
     (fun b (blk : Ir.block) ->
+      sc.Scratch.tick <- sc.Scratch.tick + 1;
       Array.iteri
         (fun i ins ->
+          let o = ibase.(b) + i in
           match ins with
           | Ir.Call { callee; args; _ } ->
-              Array.iter (fun (a : Ir.arg) -> note_op a.Ir.a_operand) args;
+              Array.iter (fun (a : Ir.arg) -> read_op a.Ir.a_operand) args;
+              let gs = Array.of_list (effects.globals_used_by ~callee) in
               let ds =
-                effects.defs_of_call ~callee ~byref_args:(byref_array args)
+                Array.of_list
+                  (effects.defs_of_call ~callee ~byref_args:(byref_array args))
               in
-              let gs = effects.globals_used_by ~callee in
-              call_ds.(iord b i) <- ds;
-              call_gs.(iord b i) <- gs;
-              List.iter note ds;
-              List.iter note gs
+              Array.iter note gs;
+              Array.iter write ds;
+              call_gs.(o) <- gs;
+              call_ds.(o) <- ds
           | Ir.Assign (v, rhs) -> (
-              note v;
-              note_rhs rhs;
+              (match rhs with
+              | Ir.Copy x | Ir.Unop (_, x) -> read_op x
+              | Ir.Binop (_, x, y) ->
+                  read_op x;
+                  read_op y);
+              write v;
               (* Only formals and globals can carry reference-parameter
                  aliases (both oracles answer [] for locals and temps), so
                  the oracle and the memo are skipped on the common case. *)
               match v.Ir.vkind with
               | Ir.Local | Ir.Temp -> ()
               | Ir.Formal _ | Ir.Global ->
-                  let key = Ir.Var.slot_key v in
-                  let ks =
-                    match Hashtbl.find_opt kill_memo key with
-                    | Some ks -> ks
-                    | None ->
-                        let ks =
-                          List.sort_uniq Ir.Var.compare
-                            (effects.assign_aliases v)
-                          |> List.filter (fun w -> not (Ir.Var.equal v w))
-                        in
-                        Hashtbl.add kill_memo key ks;
-                        ks
-                  in
-                  if ks <> [] then begin
-                    kill_at.(iord b i) <- ks;
-                    List.iter note ks
-                  end)
-          | Ir.Print o -> note_op o)
+                  let ks = kills_of v in
+                  Array.iter note ks;
+                  kill_at.(o) <- ks)
+          | Ir.Print x -> read_op x)
         blk.Ir.instrs;
       match blk.Ir.term with
-      | Ir.Cond (c, _, _) -> note_op c
+      | Ir.Cond (c, _, _) -> read_op c
       | Ir.Goto _ | Ir.Ret -> ())
     cfg.Ir.blocks;
   let vars = Array.of_list !acc in
   Array.sort Ir.Var.compare vars;
-  let nvars = !nv in
-  (* Rebind keys to dense slots; [ensure] is done growing, so the arrays
-     can be captured. *)
-  let slot_arr = scratch.Scratch.slot in
-  Array.iteri (fun i v -> slot_arr.(Ir.Var.slot_key v) <- i) vars;
-  let[@inline] vidx v = slot_arr.(Ir.Var.slot_key v) in
+  (* [ensure] is done growing, so the slot array can be kept. *)
+  let slot = sc.Scratch.slot in
+  Array.iteri (fun i v -> slot.(Ir.Var.slot_key v) <- i) vars;
+  let nonlocal =
+    Array.map
+      (fun (v : Ir.var) ->
+        match v.Ir.vkind with
+        | Ir.Formal _ | Ir.Global -> true
+        | Ir.Local | Ir.Temp -> sc.Scratch.exposed.(Ir.Var.slot_key v) = epoch)
+      vars
+  in
+  { cfg; vars; slot; nonlocal; ibase; call_ds; call_gs; kill_at }
 
-  (* -- Dense edge ids ------------------------------------------------ *)
-  (* Out edges per block, numbered consecutively in successor order.  A
-     [Cond] with equal arms contributes one edge (as in [Ir.successors]),
-     so every (pred, succ) pair maps to exactly one edge id.  Derived from
-     the IR terminators up front so the renaming pass can fill successor
-     phi arguments positionally. *)
+(* -- Phase 2: φ placement ------------------------------------------- *)
+
+(* The slots that get a φ in each block, ascending: for each non-local
+   slot, the iterated dominance frontier of its definition blocks — the
+   entry block (version 0) and every block with an assignment, alias kill
+   or call def of it.  The definition blocks form a CSR over slots, the
+   worklist is an int stack, and the (block, slot) placements accumulate
+   in one int buffer that a counting sort splits per block: the phase
+   allocates no cons cell. *)
+let place_phis (u : universe) (df : int list array) : int array array =
+  let cfg = u.cfg in
+  let nblocks = Array.length cfg.Ir.blocks in
+  let nvars = Array.length u.vars in
+  let iter_defs f =
+    Array.iteri
+      (fun b (blk : Ir.block) ->
+        for i = 0 to Array.length blk.Ir.instrs - 1 do
+          let ws =
+            match blk.Ir.instrs.(i) with
+            | Ir.Assign (v, _) ->
+                f v b;
+                u.kill_at.(iord u b i)
+            | Ir.Call _ -> u.call_ds.(iord u b i)
+            | Ir.Print _ -> [||]
+          in
+          for j = 0 to Array.length ws - 1 do
+            f ws.(j) b
+          done
+        done)
+      cfg.Ir.blocks
+  in
+  let dcnt = Array.make (nvars + 1) 0 in
+  iter_defs (fun v _ ->
+      let s = vidx u v in
+      if u.nonlocal.(s) then dcnt.(s + 1) <- dcnt.(s + 1) + 1);
+  for s = 0 to nvars - 1 do
+    dcnt.(s + 1) <- dcnt.(s + 1) + dcnt.(s)
+  done;
+  let dpay = Array.make dcnt.(nvars) 0 in
+  let dfill = Array.sub dcnt 0 nvars in
+  iter_defs (fun v b ->
+      let s = vidx u v in
+      if u.nonlocal.(s) then begin
+        dpay.(dfill.(s)) <- b;
+        dfill.(s) <- dfill.(s) + 1
+      end);
+  (* [pairs] records each placement as b * nvars + s.  Placements arrive in
+     ascending slot order, so the counting sort keeps each block's slots
+     ascending.  The worker closures are hoisted out of the slot loop (the
+     iteration state lives in refs), so the loop allocates nothing. *)
+  let has_phi = Array.make nblocks 0 in
+  let queued = Array.make nblocks 0 in
+  let work = Array.make nblocks 0 in
+  let phi_cnt = Array.make (nblocks + 1) 0 in
+  let pairs = ref (Array.make 64 0) in
+  let n_pairs = ref 0 in
+  let stamp = ref 0 in
+  let cur = ref 0 in
+  let sp = ref 0 in
+  let enqueue b =
+    if queued.(b) <> !stamp then begin
+      queued.(b) <- !stamp;
+      work.(!sp) <- b;
+      incr sp
+    end
+  in
+  let visit y =
+    if has_phi.(y) <> !stamp then begin
+      has_phi.(y) <- !stamp;
+      phi_cnt.(y + 1) <- phi_cnt.(y + 1) + 1;
+      if !n_pairs = Array.length !pairs then
+        pairs := Scratch.grow !pairs (2 * !n_pairs);
+      !pairs.(!n_pairs) <- (y * nvars) + !cur;
+      incr n_pairs;
+      enqueue y
+    end
+  in
+  for s = 0 to nvars - 1 do
+    if u.nonlocal.(s) then begin
+      stamp := s + 1;
+      cur := s;
+      sp := 0;
+      enqueue cfg.Ir.entry;
+      for k = dcnt.(s) to dcnt.(s + 1) - 1 do
+        enqueue dpay.(k)
+      done;
+      while !sp > 0 do
+        decr sp;
+        List.iter visit df.(work.(!sp))
+      done
+    end
+  done;
+  for b = 0 to nblocks - 1 do
+    phi_cnt.(b + 1) <- phi_cnt.(b + 1) + phi_cnt.(b)
+  done;
+  let phi_vars =
+    Array.init nblocks (fun b -> Array.make (phi_cnt.(b + 1) - phi_cnt.(b)) 0)
+  in
+  let pfill = Array.make nblocks 0 in
+  for k = 0 to !n_pairs - 1 do
+    let code = !pairs.(k) in
+    let b = code / nvars and s = code mod nvars in
+    phi_vars.(b).(pfill.(b)) <- s;
+    pfill.(b) <- pfill.(b) + 1
+  done;
+  phi_vars
+
+(* -- Phase 3: renaming ---------------------------------------------- *)
+
+(* Dense edge ids: out edges per block, numbered consecutively in
+   successor order; a [Cond] with equal arms contributes one edge (as in
+   [Ir.successors]), so every (pred, succ) pair has exactly one id.
+   [pred_edge.(s)] holds the ids of [s]'s incoming edges in
+   predecessor-list order (the [p_edges] vector all φs of [s] share), and
+   [pred_pos] maps an edge to its position there. *)
+type edges = {
+  edge_base : int array;
+  edge_dst : int array;
+  pred_edge : int array array;
+  pred_pos : int array;
+}
+
+let edges (cfg : Ir.cfg) (preds : int list array) : edges =
+  let nblocks = Array.length cfg.Ir.blocks in
   let edge_base = Array.make (nblocks + 1) 0 in
   for b = 0 to nblocks - 1 do
     let out =
@@ -373,7 +529,7 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
     edge_base.(b + 1) <- edge_base.(b) + out
   done;
   let n_edges = edge_base.(nblocks) in
-  let edge_dst = Array.make (max 1 n_edges) 0 in
+  let edge_dst = Array.make n_edges 0 in
   for b = 0 to nblocks - 1 do
     match cfg.Ir.blocks.(b).Ir.term with
     | Ir.Goto t -> edge_dst.(edge_base.(b)) <- t
@@ -382,7 +538,6 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
         if t <> f then edge_dst.(edge_base.(b) + 1) <- f
     | Ir.Ret -> ()
   done;
-  (* Edge id of the unique (pred, succ) edge. *)
   let edge_id ~pred ~succ =
     match cfg.Ir.blocks.(pred).Ir.term with
     | Ir.Goto _ -> edge_base.(pred)
@@ -390,10 +545,7 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
         if t = f || t = succ then edge_base.(pred) else edge_base.(pred) + 1
     | Ir.Ret -> assert false
   in
-  (* Per block, the incoming edge ids in predecessor-list order (this is
-     exactly the [p_edges] vector of every phi of the block, shared), and
-     the inverse: each edge's position in its destination's list. *)
-  let pred_pos = Array.make (max 1 n_edges) 0 in
+  let pred_pos = Array.make n_edges 0 in
   let pred_edge =
     Array.init nblocks (fun s ->
         let arr = Array.make (List.length preds.(s)) 0 in
@@ -405,409 +557,230 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
           preds.(s);
         arr)
   in
+  { edge_base; edge_dst; pred_edge; pred_pos }
 
-  (* -- Phi placement (iterated dominance frontier) ------------------- *)
-  (* Def-site blocks per variable as a CSR (entry block plus every assign,
-     kill and call def); the iterated-DF worklist is an int stack and the
-     resulting (block, var) placements accumulate into one int buffer that
-     a counting sort turns into the per-block phi lists — no cons cell is
-     allocated anywhere in the phase. *)
-  let dcnt = Array.make (nvars + 1) 0 in
-  let bump v = dcnt.(vidx v + 1) <- dcnt.(vidx v + 1) + 1 in
-  Array.iteri
-    (fun b (blk : Ir.block) ->
-      Array.iteri
-        (fun i ins ->
-          match ins with
-          | Ir.Assign (v, _) ->
-              bump v;
-              List.iter bump kill_at.(iord b i)
-          | Ir.Call _ -> List.iter bump call_ds.(iord b i)
-          | Ir.Print _ -> ())
-        blk.Ir.instrs)
-    cfg.Ir.blocks;
-  for i = 0 to nvars - 1 do
-    dcnt.(i + 1) <- dcnt.(i + 1) + dcnt.(i)
+(* The renaming walk's state.  [cur] holds the reaching name per slot; an
+   undo log of (slot, previous name) pairs restores it on leaving a
+   dominator subtree.  [args.(b).(k)] holds the incoming names of [b]'s
+   [k]-th φ by predecessor position, each written when that predecessor
+   is renamed, which may come before [b] itself. *)
+type renamer = {
+  u : universe;
+  e : edges;
+  phi_vars : int array array;
+  children : int list array;
+  cur : name array;
+  next_ver : int array;
+  mutable next_id : int;
+  mutable undo_slot : int array;
+  mutable undo_prev : name array;
+  mutable undo_len : int;
+  args : (int * name) array array array;
+  out_phis : name array array;
+  out_instrs : instr array array;
+  out_terms : terminator array;
+  mutable exits : (int * int array) list;  (* newest first *)
+}
+
+let fresh rn s =
+  let n = { base = rn.u.vars.(s); ver = rn.next_ver.(s); id = rn.next_id } in
+  rn.next_ver.(s) <- rn.next_ver.(s) + 1;
+  rn.next_id <- rn.next_id + 1;
+  n
+
+(* A fresh name for slot [s] that reaches the rest of the subtree. *)
+let define rn s =
+  let n = fresh rn s in
+  if rn.undo_len = Array.length rn.undo_slot then begin
+    let cap = max 64 (2 * rn.undo_len) in
+    let ns = Array.make cap 0 and np = Array.make cap n in
+    Array.blit rn.undo_slot 0 ns 0 rn.undo_len;
+    Array.blit rn.undo_prev 0 np 0 rn.undo_len;
+    rn.undo_slot <- ns;
+    rn.undo_prev <- np
+  end;
+  rn.undo_slot.(rn.undo_len) <- s;
+  rn.undo_prev.(rn.undo_len) <- rn.cur.(s);
+  rn.undo_len <- rn.undo_len + 1;
+  rn.cur.(s) <- n;
+  n
+
+let rename_operand rn (o : Ir.operand) : operand =
+  match o with Ir.Const v -> Oconst v | Ir.Var v -> Oname rn.cur.(vidx rn.u v)
+
+let rename_call rn o cs_id callee (args : Ir.arg array) : call =
+  let c_args =
+    Array.map
+      (fun (a : Ir.arg) ->
+        { sa_operand = rename_operand rn a.Ir.a_operand;
+          sa_byref = a.Ir.a_byref })
+      args
+  in
+  let c_global_uses =
+    Array.map (fun g -> (g, rn.cur.(vidx rn.u g))) rn.u.call_gs.(o)
+  in
+  let ng = Array.length c_global_uses in
+  let c_guse_slots = Array.make ng 0 in
+  let c_guse_ids = Array.make ng 0 in
+  for j = 0 to ng - 1 do
+    let g, n = c_global_uses.(j) in
+    c_guse_slots.(j) <- vidx rn.u g;
+    c_guse_ids.(j) <- n.id
   done;
-  let dpay = Array.make (max 1 dcnt.(nvars)) 0 in
-  let dfill = Array.make (max 1 nvars) 0 in
-  Array.blit dcnt 0 dfill 0 nvars;
-  let put v b =
-    let s = vidx v in
-    dpay.(dfill.(s)) <- b;
-    dfill.(s) <- dfill.(s) + 1
-  in
-  Array.iteri
-    (fun b (blk : Ir.block) ->
-      Array.iteri
-        (fun i ins ->
-          match ins with
-          | Ir.Assign (v, _) ->
-              put v b;
-              List.iter (fun w -> put w b) kill_at.(iord b i)
-          | Ir.Call _ -> List.iter (fun w -> put w b) call_ds.(iord b i)
-          | Ir.Print _ -> ())
-        blk.Ir.instrs)
-    cfg.Ir.blocks;
-  (* Placement loop.  [phi_pairs] records each placement as b * nvars + v;
-     placements for one block arrive in ascending-v order (outer loop), so
-     the counting sort below reproduces the historical per-block order. *)
-  let has_phi_stamp = Array.make nblocks 0 in
-  let ever_stamp = Array.make nblocks 0 in
-  let work = Array.make (max 1 nblocks) 0 in
-  let phi_cnt = Array.make (nblocks + 1) 0 in
-  let phi_pairs = ref (Array.make 64 0) in
-  let n_pairs = ref 0 in
-  let push_pair code =
-    let cap = Array.length !phi_pairs in
-    if !n_pairs = cap then begin
-      let np = Array.make (2 * cap) 0 in
-      Array.blit !phi_pairs 0 np 0 cap;
-      phi_pairs := np
-    end;
-    !phi_pairs.(!n_pairs) <- code;
-    incr n_pairs
-  in
-  (* The worker closures are hoisted out of the per-variable loop (the
-     iteration state lives in refs) so the loop itself allocates nothing. *)
-  let stamp = ref 0 in
-  let sp = ref 0 in
-  let seed b =
-    if ever_stamp.(b) <> !stamp then begin
-      ever_stamp.(b) <- !stamp;
-      work.(!sp) <- b;
-      incr sp
-    end
-  in
-  let cur_v = ref 0 in
-  let visit y =
-    if has_phi_stamp.(y) <> !stamp then begin
-      has_phi_stamp.(y) <- !stamp;
-      phi_cnt.(y + 1) <- phi_cnt.(y + 1) + 1;
-      push_pair ((y * max 1 nvars) + !cur_v);
-      if ever_stamp.(y) <> !stamp then begin
-        ever_stamp.(y) <- !stamp;
-        work.(!sp) <- y;
-        incr sp
-      end
-    end
-  in
-  for v = 0 to nvars - 1 do
-    stamp := v + 1;
-    cur_v := v;
-    sp := 0;
-    seed cfg.Ir.entry;
-    for k = dcnt.(v) to dcnt.(v + 1) - 1 do
-      seed dpay.(k)
+  (* Parallel insertion sort by slot (ng is small). *)
+  for j = 1 to ng - 1 do
+    let s = c_guse_slots.(j) and id = c_guse_ids.(j) in
+    let m = ref (j - 1) in
+    while !m >= 0 && c_guse_slots.(!m) > s do
+      c_guse_slots.(!m + 1) <- c_guse_slots.(!m);
+      c_guse_ids.(!m + 1) <- c_guse_ids.(!m);
+      decr m
     done;
-    while !sp > 0 do
-      decr sp;
-      let b = work.(!sp) in
-      List.iter visit df.(b)
-    done
+    c_guse_slots.(!m + 1) <- s;
+    c_guse_ids.(!m + 1) <- id
   done;
-  for b = 0 to nblocks - 1 do
-    phi_cnt.(b + 1) <- phi_cnt.(b + 1) + phi_cnt.(b)
-  done;
-  (* phi_vars.(b) = var slots needing a phi at b, ascending. *)
-  let phi_vars =
-    Array.init nblocks (fun b ->
-        Array.make (phi_cnt.(b + 1) - phi_cnt.(b)) 0)
-  in
-  let pfill = Array.make (max 1 nblocks) 0 in
-  for k = 0 to !n_pairs - 1 do
-    let code = !phi_pairs.(k) in
-    let b = code / max 1 nvars and v = code mod max 1 nvars in
-    phi_vars.(b).(pfill.(b)) <- v;
-    pfill.(b) <- pfill.(b) + 1
-  done;
+  let c_defs = Array.map (fun v -> (v, define rn (vidx rn.u v))) rn.u.call_ds.(o) in
+  { c_cs_id = cs_id; c_callee = callee; c_args; c_global_uses; c_defs;
+    c_guse_slots; c_guse_ids; c_def_base = -1 }
 
-  (* -- Renaming ------------------------------------------------------ *)
-  let next_id = ref 0 in
-  let next_ver = Array.make (max 1 nvars) 0 in
-  let fresh base_idx =
-    let v = vars.(base_idx) in
-    let n = { base = v; ver = next_ver.(base_idx); id = !next_id } in
-    next_ver.(base_idx) <- next_ver.(base_idx) + 1;
-    incr next_id;
-    n
-  in
-  (* Reaching definition per var slot, with an undo log replacing the
-     per-var cons stacks: entering a block records (slot, previous name)
-     pairs in two parallel growable arrays; leaving restores them. *)
-  let cur =
-    if nvars = 0 then [||]
-    else Array.make nvars { base = vars.(0); ver = -1; id = -1 }
-  in
-  let undo_slot = ref (Array.make 64 0) in
-  let undo_prev = ref ([||] : name array) in
-  let undo_len = ref 0 in
-  let push_undo slot prev =
-    let cap = Array.length !undo_slot in
-    if Array.length !undo_prev < cap then begin
-      let np = Array.make cap prev in
-      Array.blit !undo_prev 0 np 0 !undo_len;
-      undo_prev := np
-    end;
-    if !undo_len = cap then begin
-      let ns = Array.make (2 * cap) 0 in
-      Array.blit !undo_slot 0 ns 0 cap;
-      undo_slot := ns;
-      let np = Array.make (2 * cap) prev in
-      Array.blit !undo_prev 0 np 0 cap;
-      undo_prev := np
-    end;
-    !undo_slot.(!undo_len) <- slot;
-    !undo_prev.(!undo_len) <- prev;
-    incr undo_len
-  in
-  let define base_idx n =
-    push_undo base_idx cur.(base_idx);
-    cur.(base_idx) <- n
-  in
-  (* Entry definitions: version 0 of every var (never popped). *)
-  let entry_names = Array.map (fun v -> (v, fresh (vidx v))) vars in
-  Array.iter (fun (_, n) -> cur.(vidx n.base) <- n) entry_names;
+let dummy_instr = Print (Oconst (Value.Int 0))
 
-  (* Output blocks under construction. *)
-  let out_phis : phi array array = Array.make nblocks [||] in
-  let out_instrs : instr array array = Array.make nblocks [||] in
-  let out_terms : terminator array = Array.make nblocks Ret in
-  let exit_names_acc : (int * (Ir.var * name) array) list ref = ref [] in
-  (* Preallocated positional phi-argument stores: slot k of a store is the
-     incoming value from the block's k-th predecessor, written when that
-     predecessor is renamed (which may happen before the block itself). *)
-  let args_store : (int * name) array array array =
-    if nvars = 0 then Array.make nblocks [||]
-    else begin
-      let dummy_arg = (-1, { base = vars.(0); ver = -1; id = -1 }) in
-      Array.init nblocks (fun s ->
-          let np = Array.length pred_edge.(s) in
-          Array.init (Array.length phi_vars.(s)) (fun _ ->
-              Array.make np dummy_arg))
-    end
-  in
-  (* The formals and globals whose reaching version each return records,
-     as ascending var slots. *)
-  let n_evars = ref 0 in
-  Array.iter
-    (fun (v : Ir.var) ->
-      match v.Ir.vkind with
-      | Ir.Formal _ | Ir.Global -> incr n_evars
-      | Ir.Local | Ir.Temp -> ())
-    vars;
-  let evars = Array.make !n_evars 0 in
+(* Block [b]'s instructions, into an exactly-sized array: an assignment
+   with alias kills yields two SSA instructions. *)
+let rename_instrs rn b : instr array =
+  let instrs = rn.u.cfg.Ir.blocks.(b).Ir.instrs in
+  let n = ref (Array.length instrs) in
+  for i = 0 to Array.length instrs - 1 do
+    if Array.length rn.u.kill_at.(iord rn.u b i) > 0 then incr n
+  done;
+  let out = Array.make !n dummy_instr in
   let k = ref 0 in
+  let emit ins =
+    out.(!k) <- ins;
+    incr k
+  in
   Array.iteri
-    (fun s (v : Ir.var) ->
-      match v.Ir.vkind with
-      | Ir.Formal _ | Ir.Global ->
-          evars.(!k) <- s;
-          incr k
-      | Ir.Local | Ir.Temp -> ())
-    vars;
+    (fun i ins ->
+      let o = iord rn.u b i in
+      match ins with
+      | Ir.Assign (v, rhs) ->
+          let rhs =
+            match rhs with
+            | Ir.Copy x -> Copy (rename_operand rn x)
+            | Ir.Unop (op, x) -> Unop (op, rename_operand rn x)
+            | Ir.Binop (op, x, y) ->
+                Binop (op, rename_operand rn x, rename_operand rn y)
+          in
+          emit (Assign (define rn (vidx rn.u v), rhs));
+          let ks = rn.u.kill_at.(o) in
+          if Array.length ks > 0 then
+            emit (Kill (Array.map (fun w -> (w, define rn (vidx rn.u w))) ks))
+      | Ir.Print x -> emit (Print (rename_operand rn x))
+      | Ir.Call { cs_id; callee; args } ->
+          emit (Call (rename_call rn o cs_id callee args)))
+    instrs;
+  assert (!k = !n);
+  out
 
-  let rename_operand (o : Ir.operand) : operand =
-    match o with
-    | Ir.Const v -> Oconst v
-    | Ir.Var v -> Oname cur.(vidx v)
-  in
-  let rename_rhs = function
-    | Ir.Copy o -> Copy (rename_operand o)
-    | Ir.Unop (op, o) -> Unop (op, rename_operand o)
-    | Ir.Binop (op, a, b) -> Binop (op, rename_operand a, rename_operand b)
-  in
-  let dummy_instr = Print (Oconst (Value.Int 0)) in
-
-  let rec rename_block b =
-    let depth0 = !undo_len in
-    (* Phis define first. *)
-    let phis =
-      Array.map
-        (fun v ->
-          let n = fresh v in
-          define v n;
-          { p_name = n; p_args = [||]; p_edges = [||] })
-        phi_vars.(b)
-    in
-    out_phis.(b) <- phis;
-    (* Instructions, into an exactly-sized array.  One IR instruction can
-       yield two SSA instructions (an assignment then its alias [Kill]). *)
-    let blk = cfg.Ir.blocks.(b) in
-    let ninstrs = Array.length blk.Ir.instrs in
-    let extra = ref 0 in
-    for i = 0 to ninstrs - 1 do
-      if kill_at.(iord b i) <> [] then incr extra
-    done;
-    let out = Array.make (ninstrs + !extra) dummy_instr in
-    let ko = ref 0 in
-    let emit ins =
-      out.(!ko) <- ins;
-      incr ko
-    in
-    Array.iteri
-      (fun i ins ->
-        match ins with
-        | Ir.Assign (v, rhs) ->
-            let rhs = rename_rhs rhs in
-            let n = fresh (vidx v) in
-            define (vidx v) n;
-            emit (Assign (n, rhs));
-            (match kill_at.(iord b i) with
-            | [] -> ()
-            | ks ->
-                let kills =
-                  Array.of_list
-                    (List.map
-                       (fun w ->
-                         let kn = fresh (vidx w) in
-                         define (vidx w) kn;
-                         (w, kn))
-                       ks)
-                in
-                emit (Kill kills))
-        | Ir.Print o -> emit (Print (rename_operand o))
-        | Ir.Call { cs_id; callee; args } ->
-            let c_args =
-              Array.map
-                (fun (a : Ir.arg) ->
-                  {
-                    sa_operand = rename_operand a.Ir.a_operand;
-                    sa_byref = a.Ir.a_byref;
-                  })
-                args
-            in
-            let gs = call_gs.(iord b i) in
-            let ng = List.length gs in
-            let c_global_uses =
-              if ng = 0 then [||]
-              else begin
-                let g0 = List.hd gs in
-                let arr = Array.make ng (g0, cur.(vidx g0)) in
-                let r = ref gs in
-                for j = 0 to ng - 1 do
-                  (match !r with
-                  | g :: tl ->
-                      arr.(j) <- (g, cur.(vidx g));
-                      r := tl
-                  | [] -> assert false)
-                done;
-                arr
-              end
-            in
-            let c_guse_slots = Array.make ng 0 in
-            let c_guse_ids = Array.make ng 0 in
-            for j = 0 to ng - 1 do
-              let g, n = c_global_uses.(j) in
-              c_guse_slots.(j) <- vidx g;
-              c_guse_ids.(j) <- n.id
-            done;
-            (* Parallel insertion sort by slot (ng is small). *)
-            for j = 1 to ng - 1 do
-              let s = c_guse_slots.(j) and id = c_guse_ids.(j) in
-              let m = ref (j - 1) in
-              while !m >= 0 && c_guse_slots.(!m) > s do
-                c_guse_slots.(!m + 1) <- c_guse_slots.(!m);
-                c_guse_ids.(!m + 1) <- c_guse_ids.(!m);
-                decr m
-              done;
-              c_guse_slots.(!m + 1) <- s;
-              c_guse_ids.(!m + 1) <- id
-            done;
-            let ds = call_ds.(iord b i) in
-            let nd = List.length ds in
-            let c_defs =
-              if nd = 0 then [||]
-              else begin
-                let arr = Array.make nd (List.hd ds, cur.(0)) in
-                let r = ref ds in
-                for j = 0 to nd - 1 do
-                  (match !r with
-                  | v :: tl ->
-                      let n = fresh (vidx v) in
-                      define (vidx v) n;
-                      arr.(j) <- (v, n);
-                      r := tl
-                  | [] -> assert false)
-                done;
-                arr
-              end
-            in
-            emit
-              (Call
-                 { c_cs_id = cs_id; c_callee = callee; c_args; c_global_uses;
-                   c_defs; c_guse_slots; c_guse_ids; c_def_base = -1 }))
-      blk.Ir.instrs;
-    assert (!ko = Array.length out);
-    out_instrs.(b) <- out;
-    (* Record reaching versions of formals and globals at returns. *)
-    (match blk.Ir.term with
-    | Ir.Ret ->
-        exit_names_acc :=
-          (b, Array.map (fun s -> (vars.(s), cur.(s))) evars)
-          :: !exit_names_acc
-    | Ir.Goto _ | Ir.Cond _ -> ());
-    (* Terminator. *)
-    out_terms.(b) <-
-      (match blk.Ir.term with
-      | Ir.Goto t -> Goto t
-      | Ir.Cond (c, t, f) -> Cond (rename_operand c, t, f)
-      | Ir.Ret -> Ret);
-    (* Fill phi arguments of successors, positionally. *)
-    for e = edge_base.(b) to edge_base.(b + 1) - 1 do
-      let s = edge_dst.(e) in
-      let pos = pred_pos.(e) in
-      let pv = phi_vars.(s) in
-      let store = args_store.(s) in
-      for pi = 0 to Array.length pv - 1 do
-        store.(pi).(pos) <- (b, cur.(pv.(pi)))
-      done
-    done;
-    (* Recurse over dominator-tree children. *)
-    List.iter rename_block dom.Dominance.children.(b);
-    (* Restore the reaching definitions of the enclosing block. *)
-    while !undo_len > depth0 do
-      decr undo_len;
-      cur.(!undo_slot.(!undo_len)) <- !undo_prev.(!undo_len)
+let rec rename_block rn b =
+  let depth0 = rn.undo_len in
+  rn.out_phis.(b) <- Array.map (fun s -> define rn s) rn.phi_vars.(b);
+  rn.out_instrs.(b) <- rename_instrs rn b;
+  (match rn.u.cfg.Ir.blocks.(b).Ir.term with
+  | Ir.Goto t -> rn.out_terms.(b) <- Goto t
+  | Ir.Cond (c, t, f) -> rn.out_terms.(b) <- Cond (rename_operand rn c, t, f)
+  | Ir.Ret ->
+      (* The reaching version of every formal and global: the values a
+         call observes after the procedure returns. *)
+      let tbl =
+        Array.mapi
+          (fun s (v : Ir.var) ->
+            match v.Ir.vkind with
+            | Ir.Formal _ | Ir.Global -> rn.cur.(s).id
+            | Ir.Local | Ir.Temp -> -1)
+          rn.u.vars
+      in
+      rn.exits <- (b, tbl) :: rn.exits);
+  (* Successors' φ arguments, by predecessor position. *)
+  let e = rn.e in
+  for edge = e.edge_base.(b) to e.edge_base.(b + 1) - 1 do
+    let s = e.edge_dst.(edge) in
+    let pos = e.pred_pos.(edge) in
+    let pv = rn.phi_vars.(s) in
+    for pi = 0 to Array.length pv - 1 do
+      rn.args.(s).(pi).(pos) <- (b, rn.cur.(pv.(pi)))
     done
-  in
-  rename_block cfg.Ir.entry;
+  done;
+  List.iter (rename_block rn) rn.children.(b);
+  while rn.undo_len > depth0 do
+    rn.undo_len <- rn.undo_len - 1;
+    rn.cur.(rn.undo_slot.(rn.undo_len)) <- rn.undo_prev.(rn.undo_len)
+  done
 
-  (* Attach the positional argument stores (every phi of a block shares
-     the block's predecessor-ordered edge vector).  A store slot left at
-     its dummy (an unrenamed, unreachable predecessor) is dropped. *)
+(* Version 0 of slot [s] is the entry definition, with id [s]; the walk
+   then visits the dominator tree from the entry.  Lowering leaves no
+   unreachable block, so the walk renames every predecessor and each φ
+   argument slot is written.  Returns the blocks, the number of names, the
+   entry names and the [exit_ids] table. *)
+let rename (u : universe) (e : edges) (dom : Dominance.t)
+    (phi_vars : int array array) =
+  let nblocks = Array.length u.cfg.Ir.blocks in
+  let nvars = Array.length u.vars in
+  let entry_names =
+    Array.mapi (fun s v -> (v, { base = v; ver = 0; id = s })) u.vars
+  in
+  let rn =
+    {
+      u;
+      e;
+      phi_vars;
+      children = dom.Dominance.children;
+      cur = Array.map snd entry_names;
+      next_ver = Array.make nvars 1;
+      next_id = nvars;
+      undo_slot = [||];
+      undo_prev = [||];
+      undo_len = 0;
+      args =
+        Array.init nblocks (fun s ->
+            let np = Array.length e.pred_edge.(s) in
+            Array.map
+              (fun _ -> Array.make np (-1, snd entry_names.(0)))
+              phi_vars.(s));
+      out_phis = Array.make nblocks [||];
+      out_instrs = Array.make nblocks [||];
+      out_terms = Array.make nblocks Ret;
+      exits = [];
+    }
+  in
+  rename_block rn u.cfg.Ir.entry;
   let blocks =
     Array.init nblocks (fun b ->
-        let phis =
-          Array.mapi
-            (fun pi (ph : phi) ->
-              let p_args = args_store.(b).(pi) in
-              let live = ref 0 in
-              Array.iter
-                (fun ((_, n) : int * name) -> if n.id >= 0 then incr live)
-                p_args;
-              if !live = Array.length p_args then
-                { ph with p_args; p_edges = pred_edge.(b) }
-              else begin
-                let pa = Array.make !live p_args.(0) in
-                let pe = Array.make !live 0 in
-                let j = ref 0 in
-                Array.iteri
-                  (fun k ((_, n) as a : int * name) ->
-                    if n.id >= 0 then begin
-                      pa.(!j) <- a;
-                      pe.(!j) <- pred_edge.(b).(k);
-                      incr j
-                    end)
-                  p_args;
-                { ph with p_args = pa; p_edges = pe }
-              end)
-            out_phis.(b)
-        in
-        { phis; instrs = out_instrs.(b); term = out_terms.(b) })
+        {
+          phis =
+            Array.mapi
+              (fun pi p_name ->
+                { p_name; p_args = rn.args.(b).(pi); p_edges = e.pred_edge.(b) })
+              rn.out_phis.(b);
+          instrs = rn.out_instrs.(b);
+          term = rn.out_terms.(b);
+        })
   in
+  (blocks, rn.next_id, entry_names, Array.of_list (List.rev rn.exits))
 
-  (* -- Dense site ids ------------------------------------------------ *)
+(* -- Phase 4: def–use ----------------------------------------------- *)
+
+type def_use = {
+  n_sites : int;
+  site_code : int array;
+  use_offsets : int array;
+  use_sites : int array;
+  calls : (int * int * call) array;
+  n_call_defs : int;
+}
+
+let def_use (blocks : block array) (n_names : int) : def_use =
+  let nblocks = Array.length blocks in
   let site_base = Array.make (nblocks + 1) 0 in
   for b = 0 to nblocks - 1 do
     site_base.(b + 1) <-
@@ -817,7 +790,7 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
       + 1 (* terminator *)
   done;
   let n_sites = site_base.(nblocks) in
-  let site_code = Array.make (max 1 n_sites) 0 in
+  let site_code = Array.make n_sites 0 in
   for b = 0 to nblocks - 1 do
     let base = site_base.(b) in
     let nphis = Array.length blocks.(b).phis in
@@ -832,17 +805,6 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
     site_code.(base + nphis + ninstrs) <-
       pack_site ~tag:site_tag_term ~block:b ~index:0
   done;
-  let phi_site b pi = site_base.(b) + pi in
-  let instr_site b i = site_base.(b) + Array.length blocks.(b).phis + i in
-  let term_site b =
-    site_base.(b) + Array.length blocks.(b).phis
-    + Array.length blocks.(b).instrs
-  in
-
-  (* -- Def sites and CSR def-use chains ------------------------------ *)
-  let n_names = !next_id in
-  (* Same packing as [site_code]; -1 is the entry definition. *)
-  let defs = Array.make n_names (-1) in
   (* Two passes over one closure-free traversal: count uses per name, then
      fill.  The second pass advances the offsets in place; shifting them
      back afterwards avoids a scratch cursor array. *)
@@ -850,15 +812,17 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
   let iter_uses f =
     for b = 0 to nblocks - 1 do
       let blk = blocks.(b) in
+      let phi_site = site_base.(b) in
       for pi = 0 to Array.length blk.phis - 1 do
         let pa = blk.phis.(pi).p_args in
         for j = 0 to Array.length pa - 1 do
           let _, n = pa.(j) in
-          f n (phi_site b pi)
+          f n (phi_site + pi)
         done
       done;
+      let instr_site = phi_site + Array.length blk.phis in
       for i = 0 to Array.length blk.instrs - 1 do
-        let site = instr_site b i in
+        let site = instr_site + i in
         (* Operand matches are inlined (not a local [use_operand] helper)
            so the loop allocates no closures. *)
         match blk.instrs.(i) with
@@ -872,9 +836,9 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
         | Kill _ -> ()
         | Call c ->
             for j = 0 to Array.length c.c_args - 1 do
-              (match c.c_args.(j).sa_operand with
+              match c.c_args.(j).sa_operand with
               | Oname n -> f n site
-              | Oconst _ -> ())
+              | Oconst _ -> ()
             done;
             for j = 0 to Array.length c.c_global_uses - 1 do
               let _, n = c.c_global_uses.(j) in
@@ -884,16 +848,16 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
         | Print (Oconst _) -> ()
       done;
       match blk.term with
-      | Cond (c, _, _) -> (
-          match c with Oname n -> f n (term_site b) | Oconst _ -> ())
-      | Goto _ | Ret -> ()
+      | Cond (Oname n, _, _) ->
+          f n (instr_site + Array.length blk.instrs)
+      | Cond (Oconst _, _, _) | Goto _ | Ret -> ()
     done
   in
   iter_uses (fun n _ -> use_offsets.(n.id + 1) <- use_offsets.(n.id + 1) + 1);
   for i = 0 to n_names - 1 do
     use_offsets.(i + 1) <- use_offsets.(i + 1) + use_offsets.(i)
   done;
-  let use_sites = Array.make (max 1 use_offsets.(n_names)) 0 in
+  let use_sites = Array.make use_offsets.(n_names) 0 in
   iter_uses (fun n site ->
       use_sites.(use_offsets.(n.id)) <- site;
       use_offsets.(n.id) <- use_offsets.(n.id) + 1);
@@ -901,87 +865,62 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
     use_offsets.(i) <- use_offsets.(i - 1)
   done;
   use_offsets.(0) <- 0;
-  for b = 0 to nblocks - 1 do
-    let blk = blocks.(b) in
-    for pi = 0 to Array.length blk.phis - 1 do
-      defs.(blk.phis.(pi).p_name.id) <-
-        pack_site ~tag:site_tag_phi ~block:b ~index:pi
-    done;
-    for i = 0 to Array.length blk.instrs - 1 do
-      let d = pack_site ~tag:site_tag_instr ~block:b ~index:i in
-      match blk.instrs.(i) with
-      | Assign (n, _) -> defs.(n.id) <- d
-      | Kill kills ->
-          for j = 0 to Array.length kills - 1 do
-            let _, n = kills.(j) in
-            defs.(n.id) <- d
-          done
-      | Call c ->
-          for j = 0 to Array.length c.c_defs - 1 do
-            let _, n = c.c_defs.(j) in
-            defs.(n.id) <- d
-          done
-      | Print _ -> ()
-    done
-  done;
-
-  (* -- Var slot tables, flat call list ------------------------------- *)
-  let entry_ids = Array.map (fun (_, n) -> n.id) entry_names in
-  let exit_names = List.rev !exit_names_acc in
-  let exit_ids =
-    List.map
-      (fun (b, arr) ->
-        let tbl = Array.make nvars (-1) in
-        Array.iter
-          (fun ((v : Ir.var), (n : name)) -> tbl.(vidx v) <- n.id)
-          arr;
-        (b, tbl))
-      exit_names
-    |> Array.of_list
-  in
-  let calls_acc = ref [] in
-  let n_calls = ref 0 in
-  let n_call_defs = ref 0 in
+  (* The calls, collected backwards so the list comes out in block order. *)
+  let calls = ref [] in
   for b = nblocks - 1 downto 0 do
-    let blk = blocks.(b) in
-    for i = Array.length blk.instrs - 1 downto 0 do
-      match blk.instrs.(i) with
-      | Call c ->
-          incr n_calls;
-          calls_acc := (b, i, c) :: !calls_acc
+    let instrs = blocks.(b).instrs in
+    for i = Array.length instrs - 1 downto 0 do
+      match instrs.(i) with
+      | Call c -> calls := (b, i, c) :: !calls
       | Assign _ | Kill _ | Print _ -> ()
     done
   done;
-  let calls = Array.of_list !calls_acc in
+  let calls = Array.of_list !calls in
+  let n_call_defs = ref 0 in
   Array.iter
     (fun (_, _, c) ->
       c.c_def_base <- !n_call_defs;
       n_call_defs := !n_call_defs + Array.length c.c_defs)
     calls;
+  { n_sites; site_code; use_offsets; use_sites; calls;
+    n_call_defs = !n_call_defs }
+
+(** Build SSA form for a lowered procedure. *)
+let of_proc ?(effects : call_effects option) (prog : Ast.program)
+    (p : Ir.proc) : proc =
+  let effects =
+    match effects with
+    | Some e -> e
+    | None ->
+        conservative_effects ~formals:(Array.to_list p.Ir.formals) prog
+  in
+  let cfg = p.Ir.cfg in
+  let preds = Ir.predecessors cfg in
+  let dom = Dominance.compute cfg in
+  let u = universe effects p in
+  let phi_vars = place_phis u (Dominance.frontiers cfg dom) in
+  let e = edges cfg preds in
+  let blocks, n_names, entry_names, exit_ids = rename u e dom phi_vars in
+  let d = def_use blocks n_names in
   {
     name = p.Ir.name;
-    formals = p.Ir.formals;
     blocks;
     entry = cfg.Ir.entry;
     preds;
     dom;
     entry_names;
-    exit_names;
     n_names;
-    defs;
-    use_offsets;
-    use_sites;
-    n_sites;
-    site_code;
-    n_edges;
-    edge_base;
-    edge_dst;
-    vars;
-    entry_ids;
+    use_offsets = d.use_offsets;
+    use_sites = d.use_sites;
+    n_sites = d.n_sites;
+    site_code = d.site_code;
+    n_edges = Array.length e.edge_dst;
+    edge_base = e.edge_base;
+    edge_dst = e.edge_dst;
+    vars = u.vars;
     exit_ids;
-    calls;
-    n_call_defs = !n_call_defs;
-    n_call_sites = p.Ir.n_call_sites;
+    calls = d.calls;
+    n_call_defs = d.n_call_defs;
     memo = No_memo;
   }
 
@@ -1029,49 +968,71 @@ let call_sites (p : proc) : (int * int * call) list = Array.to_list p.calls
 
 (** Structural invariants, raised upon by the test-suite:
     - every name has exactly one definition site;
-    - each phi has exactly one argument per predecessor;
-    - uses are reachable from their definitions (def dominates use for
-      instruction uses; for phi uses, def dominates the corresponding
-      predecessor block). *)
+    - each φ has exactly one argument per predecessor;
+    - each definition dominates its uses: an instruction or terminator
+      use is defined earlier in its own block or in a dominating block,
+      and a φ argument is defined in a block that dominates its incoming
+      predecessor. *)
 let validate (p : proc) : (unit, string) result =
-  let err fmt = Fmt.kstr (fun s -> Error s) fmt in
-  let seen = Array.make p.n_names false in
+  let exception Invalid of string in
+  let fail fmt = Fmt.kstr (fun s -> raise (Invalid s)) fmt in
+  (* Definition block and position: -2 for the entry names, -1 for φs,
+     the instruction index otherwise. *)
   let def_block = Array.make p.n_names (-1) in
-  let ok = ref (Ok ()) in
-  let check_def n b =
-    if seen.(n.id) then ok := err "name %a defined twice" pp_name n
-    else begin
-      seen.(n.id) <- true;
-      def_block.(n.id) <- b
-    end
+  let def_pos = Array.make p.n_names 0 in
+  let define n b pos =
+    if def_block.(n.id) >= 0 then fail "name %a defined twice" pp_name n;
+    def_block.(n.id) <- b;
+    def_pos.(n.id) <- pos
   in
-  Array.iter (fun (_, n) -> check_def n p.entry) p.entry_names;
-  Array.iteri
-    (fun b (blk : block) ->
-      Array.iter (fun (ph : phi) -> check_def ph.p_name b) blk.phis;
-      Array.iter
-        (function
-          | Assign (n, _) -> check_def n b
-          | Kill kills -> Array.iter (fun (_, n) -> check_def n b) kills
-          | Call c -> Array.iter (fun (_, n) -> check_def n b) c.c_defs
-          | Print _ -> ())
-        blk.instrs)
-    p.blocks;
-  (match !ok with
-  | Error _ -> ()
-  | Ok () ->
-      Array.iteri
-        (fun b (blk : block) ->
-          let npreds = List.length p.preds.(b) in
-          Array.iter
-            (fun (ph : phi) ->
-              if Array.length ph.p_args <> npreds then
-                ok :=
-                  err "phi %a at B%d has %d args for %d preds" pp_name
-                    ph.p_name b (Array.length ph.p_args) npreds)
-            blk.phis)
-        p.blocks);
-  !ok
+  (* A use at position [pos] of block [b]. *)
+  let use n b pos =
+    let d = def_block.(n.id) in
+    if d < 0 then fail "%a used in B%d but never defined" pp_name n b;
+    if not (if d = b then def_pos.(n.id) < pos else Dominance.dominates p.dom d b)
+    then fail "%a, defined in B%d, does not dominate its use in B%d" pp_name n d b
+  in
+  let use_op b pos = function Oconst _ -> () | Oname n -> use n b pos in
+  try
+    Array.iter (fun (_, n) -> define n p.entry (-2)) p.entry_names;
+    Array.iteri
+      (fun b (blk : block) ->
+        Array.iter (fun (ph : phi) -> define ph.p_name b (-1)) blk.phis;
+        Array.iteri
+          (fun i -> function
+            | Assign (n, _) -> define n b i
+            | Kill kills -> Array.iter (fun (_, n) -> define n b i) kills
+            | Call c -> Array.iter (fun (_, n) -> define n b i) c.c_defs
+            | Print _ -> ())
+          blk.instrs)
+      p.blocks;
+    Array.iteri
+      (fun b (blk : block) ->
+        let npreds = List.length p.preds.(b) in
+        Array.iter
+          (fun (ph : phi) ->
+            if Array.length ph.p_args <> npreds then
+              fail "phi %a at B%d has %d args for %d preds" pp_name ph.p_name b
+                (Array.length ph.p_args) npreds;
+            Array.iter (fun (pred, n) -> use n pred max_int) ph.p_args)
+          blk.phis;
+        Array.iteri
+          (fun i -> function
+            | Assign (_, (Copy o | Unop (_, o))) | Print o -> use_op b i o
+            | Assign (_, Binop (_, x, y)) ->
+                use_op b i x;
+                use_op b i y
+            | Kill _ -> ()
+            | Call c ->
+                Array.iter (fun a -> use_op b i a.sa_operand) c.c_args;
+                Array.iter (fun (_, n) -> use n b i) c.c_global_uses)
+          blk.instrs;
+        match blk.term with
+        | Cond (c, _, _) -> use_op b (Array.length blk.instrs) c
+        | Goto _ | Ret -> ())
+      p.blocks;
+    Ok ()
+  with Invalid msg -> Error msg
 
 let pp_proc ppf (p : proc) =
   Fmt.pf ppf "ssa proc %s:@\n" p.name;

@@ -1,12 +1,15 @@
-(** Static single assignment form (Cytron et al.) over the quad IR — the
-    representation the paper's intraprocedural SCC analysis runs on.
+(** Semi-pruned static single assignment form (Cytron et al.; Briggs et
+    al.) over the quad IR — the representation the paper's
+    intraprocedural SCC analysis runs on.
 
     Call instructions are definition points (by-reference actuals, modified
     globals), stores through possibly-aliased names are followed by
     {!instr.Kill} definitions, every variable has an implicit entry
     definition (version 0) whose value the interprocedural phase supplies,
     and each return block records the reaching version of every formal and
-    global (for the return-constants extension). *)
+    global (for the return-constants extension).  φs go only to non-local
+    variables: formals, globals, and locals or temporaries that some block
+    reads before it defines them. *)
 
 open Fsicp_lang
 open Fsicp_cfg
@@ -72,18 +75,12 @@ type memo += No_memo
 
 type proc = {
   name : string;
-  formals : Ir.var array;
   blocks : block array;
   entry : int;
   preds : int list array;
   dom : Dominance.t;
   entry_names : (Ir.var * name) array;  (** version-0 names, all variables *)
-  exit_names : (int * (Ir.var * name) array) list;
-      (** per return block: reaching versions of formals and globals *)
   n_names : int;
-  defs : int array;
-      (** name id -> packed (tag, block, index) def site as in [site_code],
-          or -1 for a version-0 entry definition *)
   use_offsets : int array;
       (** CSR row starts into [use_sites], length [n_names + 1] *)
   use_sites : int array;  (** CSR payload: dense site ids *)
@@ -98,13 +95,12 @@ type proc = {
   vars : Ir.var array;
       (** the variable universe, in slot order: ascending by
           [Ir.Var.compare] *)
-  entry_ids : int array;  (** var slot -> version-0 name id *)
   exit_ids : (int * int array) array;
-      (** per [Ret] block: var slot -> reaching name id, or -1 *)
+      (** per [Ret] block: var slot -> reaching name id for the formals and
+          globals, -1 for the rest *)
   calls : (int * int * call) array;
       (** every call as [(block, instr index, call)], block order *)
   n_call_defs : int;  (** total [c_defs] across [calls] *)
-  n_call_sites : int;
   mutable memo : memo;
 }
 
@@ -139,7 +135,7 @@ val uses_of : proc -> int -> use_site list
 val call_sites : proc -> (int * int * call) list
 
 (** Structural invariants: single definitions, one phi argument per
-    predecessor. *)
+    predecessor, and each definition dominating its uses. *)
 val validate : proc -> (unit, string) result
 
 val pp_proc : proc Fmt.t

@@ -1,11 +1,12 @@
-(** Generic iterative dataflow framework over {!Fsicp_cfg.Ir} CFGs.
+(** A dense, iterative dataflow framework over {!Fsicp_cfg.Ir} CFGs,
+    kept as a test reference.
 
-    The interprocedural analyses mostly need purpose-built solvers (the
-    paper's whole point is the particular PCG traversal discipline), but the
-    intraprocedural helpers — liveness and upward-exposed uses, which feed
-    the flow-sensitive USE computation of paper §3.2 — share this worklist
-    engine.  The test suite also uses it as an independent reference to
-    cross-check the sparse SCC solver. *)
+    A round-robin worklist solver over any join-semilattice, with liveness
+    and upward-exposed uses over {!Ir.VarSet} as its instances.  The
+    production analyses use sparse, purpose-built solvers instead; the
+    tests run this one beside them as an independent specification: the
+    [VarSet] USE computation ([use_reference.ml]) and the pruned-SSA
+    bound on φ placement ([test_ssa.ml]) are written on it. *)
 
 open Fsicp_cfg
 

@@ -2,7 +2,8 @@
     O(body), not O(body × globals), and printing and parsing cost a
     constant number of words per byte.  The solvers on the calibrated suite
     stay within a bound of committed word counts, an FS solve grows
-    linearly in the corpus size, an incremental edit costs a fraction of a
+    linearly in the corpus size and a deep [if] nest's build and solve
+    linearly in its depth, an incremental edit costs a fraction of a
     from-scratch solve, SPICE's edit routes analyse committed numbers of
     procedures again, and tracing adds a bounded share of words.  At
     [jobs 1] everything runs on the calling domain, so the counts are
@@ -143,11 +144,11 @@ let rows () =
     fun () -> ignore (Fsicp_verify.Verify.verify_program ctx ~solution)
   in
   [
-    ("FS on NASA7", fs_cold (spec "093.NASA7"), 63_260., 0.);
-    ("FS on WAVE5", fs_cold (spec "039.WAVE5"), 486_366., 14_515.);
+    ("FS on NASA7", fs_cold (spec "093.NASA7"), 55_031., 0.);
+    ("FS on WAVE5", fs_cold (spec "039.WAVE5"), 446_247., 10_334.);
     ("FS on SPICE", warm (Fs_icp.solve ~jobs:1), 157_556., 536.);
-    ("CC on SPICE", warm (Cc_icp.solve ~jobs:1), 260_675., 536.);
-    ("VC on SPICE", warm (Vc_icp.solve ~jobs:1), 224_592., 536.);
+    ("CC on SPICE", warm (Cc_icp.solve ~jobs:1), 260_576., 536.);
+    ("VC on SPICE", warm (Vc_icp.solve ~jobs:1), 224_187., 536.);
     ("Verify.verify_program on SPICE", verify, 5_415_166., 0.);
   ]
 
@@ -175,10 +176,10 @@ let test_solver_rows () =
     Alcotest.failf "over the 1.10x minor / 1.25x major bound:\n%s"
       (String.concat "\n" over)
 
-(* φ placement is exact: the calibrated suite's SSA holds 626 φs.  A
-   change to placement must restate the count.  One extra φ per join block
-   adds 104 of them, yet moves the row words above by under 1%: SSA
-   construction is a small share of a solve. *)
+(* φ placement is exact: the calibrated suite's semi-pruned SSA holds 264
+   φs.  A change to placement must restate the count.  One extra φ per
+   join block adds 155 of them, yet moves the row words above by under 2%:
+   SSA construction is a small share of a solve. *)
 let test_suite_phis () =
   let phis (b : Spec.benchmark) =
     let ctx = Context.create ~jobs:1 (Spec.program b) in
@@ -192,10 +193,57 @@ let test_suite_phis () =
   in
   let counts = List.map (fun b -> (b.Spec.b_name, phis b)) Spec.suite in
   let total = List.fold_left (fun n (_, c) -> n + c) 0 counts in
-  if total <> 626 then
-    Alcotest.failf "%d φs over the suite, committed 626:\n%s" total
+  if total <> 264 then
+    Alcotest.failf "%d φs over the suite, committed 264:\n%s" total
       (String.concat "\n"
          (List.map (fun (name, c) -> Printf.sprintf "%s: %d" name c) counts))
+
+(* [depth] nested one-armed [if]s around a print of [x]. *)
+let nest depth =
+  let b = Buffer.create (24 * depth) in
+  Buffer.add_string b "proc main() { x = 1; ";
+  for _ = 1 to depth do
+    Buffer.add_string b "if (x == 1) { "
+  done;
+  Buffer.add_string b "print x; ";
+  for _ = 1 to depth do
+    Buffer.add_string b "} "
+  done;
+  Buffer.add_string b "}\n";
+  Test_util.parse (Buffer.contents b)
+
+(* A deep [if] nest costs O(depth): no condition temporary gets a φ, and
+   the words of a context build plus FS solve grow at most 4.4x from
+   depth 1 000 to 4 000.  Minimal φ placement (a φ per enclosing join for
+   every temporary) and a lowering that walks its finished-block list on
+   each patch are both quadratic there. *)
+let test_deep_nesting () =
+  let run depth =
+    let prog = nest depth in
+    let ctx, minor, major =
+      words (fun () ->
+          let ctx = Context.create ~jobs:1 prog in
+          ignore (Fs_icp.solve ~jobs:1 ctx);
+          ctx)
+    in
+    let phis =
+      Array.fold_left
+        (fun n (blk : Fsicp_ssa.Ssa.block) ->
+          n + Array.length blk.Fsicp_ssa.Ssa.phis)
+        0 (Context.ssa ctx "main").Fsicp_ssa.Ssa.blocks
+    in
+    (phis, minor +. major)
+  in
+  let phis1, words1 = run 1_000 and phis4, words4 = run 4_000 in
+  if phis1 <> 0 || phis4 <> 0 then
+    Alcotest.failf "%d and %d φs at depths 1 000 and 4 000, committed 0"
+      phis1 phis4;
+  let ratio = words4 /. words1 in
+  if ratio > 4.4 then
+    Alcotest.failf
+      "depth 4 000 allocated %.0f words, %.2fx the %.0f of depth 1 000 \
+       (bound 4.4x)"
+      words4 ratio words1
 
 (* OLS slope of ln y against ln x. *)
 let exponent pts =
@@ -382,8 +430,10 @@ let suite =
       test_parse_words_per_byte;
     Alcotest.test_case "solver rows within 1.10x of committed words" `Quick
       test_solver_rows;
-    Alcotest.test_case "suite SSA holds the committed 626 φs" `Quick
+    Alcotest.test_case "suite SSA holds the committed 264 φs" `Quick
       test_suite_phis;
+    Alcotest.test_case "deep if nest: no φs, words linear in depth" `Quick
+      test_deep_nesting;
     Alcotest.test_case "FS words and block visits grow at most procs^1.15"
       `Slow test_scale_exponent;
     Alcotest.test_case "incremental edit costs at most 25% of a solve" `Quick

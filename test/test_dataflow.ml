@@ -4,7 +4,7 @@
 
 open Fsicp_lang
 open Fsicp_cfg
-open Fsicp_dataflow
+module Dataflow = Dataflow_reference
 
 let lower src name =
   let p = Test_util.parse src in

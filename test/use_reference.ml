@@ -3,7 +3,7 @@
 
     Every reachable procedure is visited in the PCG's reverse order,
     callees first.  Within a procedure a backward liveness over
-    {!Ir.VarSet} runs on {!Fsicp_dataflow.Dataflow}'s worklist engine; a
+    {!Ir.VarSet} runs on {!Dataflow_reference}'s worklist engine; a
     call site reads the callee's USE on a forward edge and its REF set on
     a back edge, bound through the argument list.  The entry block's live
     formals and globals are the procedure's USE. *)
@@ -98,7 +98,7 @@ let compute (procs : Ir.proc Prog.Proc.Tbl.t) (modref : Modref.t)
           | Ir.Call _ | Ir.Print _ -> ());
           List.iter
             (fun u -> live := Ir.VarSet.add u !live)
-            (Fsicp_dataflow.Dataflow.instr_uses ins);
+            (Dataflow_reference.instr_uses ins);
           List.iter
             (fun u -> live := Ir.VarSet.add u !live)
             call_uses.(ibase.(b) + i)
@@ -106,12 +106,12 @@ let compute (procs : Ir.proc Prog.Proc.Tbl.t) (modref : Modref.t)
         !live
       in
       let res =
-        Fsicp_dataflow.Dataflow.VarSets.solve
-          ~direction:Fsicp_dataflow.Dataflow.Backward ~init:Ir.VarSet.empty
+        Dataflow_reference.VarSets.solve
+          ~direction:Dataflow_reference.Backward ~init:Ir.VarSet.empty
           ~transfer p.Ir.cfg
       in
       let entry_live =
-        res.Fsicp_dataflow.Dataflow.VarSets.block_in.(p.Ir.cfg.Ir.entry)
+        res.Dataflow_reference.VarSets.block_in.(p.Ir.cfg.Ir.entry)
       in
       let vrefs =
         Ir.VarSet.fold
