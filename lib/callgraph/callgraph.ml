@@ -51,8 +51,6 @@ type t = {
   in_adj : edge array array;
   cs_base : int array;
   back_bits : Prog.Bits.t;
-  mutable wave : (int list array * int list array) option;
-      (** {!forward_deps}, computed on first use *)
 }
 
 let index_asts (prog : Ast.program) : (string, Ast.proc) Hashtbl.t =
@@ -183,7 +181,7 @@ let build (prog : Ast.program) : t =
         Prog.Bits.set back_bits (cs_base.((e.caller :> int)) + e.cs_index))
     edges;
   { prog; asts; scope = Sema.scope prog; db; nodes; edges; out_adj; in_adj;
-    cs_base; back_bits; wave = None }
+    cs_base; back_bits }
 
 let is_back_edge _t (e : edge) = e.back
 
@@ -211,7 +209,7 @@ let n_call_sites t (p : Prog.Proc.id) = Array.length t.out_adj.((p :> int))
 let edge_at t ~caller ~cs_index = (out_edges t caller).(cs_index)
 let has_cycles t = Prog.Bits.count t.back_bits > 0
 
-(** Downstream wavefront cone: the forward-edge closure of [seeds] —
+(** Downstream cone: the forward-edge closure of [seeds] —
     every procedure whose flow-sensitive entry environment can be reached
     by a chain of {e forward} call edges from a seed, seeds included.
     Back edges are excluded: their contribution to an entry meet comes
@@ -223,7 +221,7 @@ let has_cycles t = Prog.Bits.count t.back_bits > 0
     Runs on the dense out-adjacency with a flat byte mark per procedure
     and touches only the cone's edges; the result is in ascending id
     order, which is the reverse-postorder forward traversal order —
-    exactly the sub-wavefront the incremental re-solve drives. *)
+    exactly the sub-sweep the incremental re-solve drives. *)
 let cone t ~(seeds : Prog.Proc.id list) : Prog.Proc.id array =
   let marked = Bytes.make (n_procs t) '\000' in
   let members = ref [] and stack = ref [] in
@@ -258,44 +256,17 @@ let replace_proc t (prog : Ast.program) (p : Ast.proc) =
   Hashtbl.replace t.asts p.Ast.pname p
 
 (** The PCG of [prog], which calls exactly what [t]'s program calls: a new
-    record sharing [t]'s nodes, edges, adjacency, call-site numbering,
-    back-edge bits and wavefront lists, with its own program and its own
-    name index.  [t]'s index is never touched, so [t] keeps answering
-    {!proc_ast} with its own program's procedures.  The scope carries over
-    when the globals list is physically [t]'s. *)
+    record sharing [t]'s nodes, edges, adjacency, call-site numbering and
+    back-edge bits, with its own program and its own name index.  [t]'s
+    index is never touched, so [t] keeps answering {!proc_ast} with its
+    own program's procedures.  The scope carries over when the globals
+    list is physically [t]'s. *)
 let with_program t (prog : Ast.program) : t =
   let scope =
     if prog.Ast.globals == t.prog.Ast.globals then t.scope
     else Sema.scope prog
   in
   { t with prog; asts = index_asts prog; scope }
-
-(** The wavefront's dependency lists: per procedure id, the distinct
-    callers over forward (non-back) edges in ascending order, and per id
-    the procedures it is such a caller of, ascending.  They depend on the
-    PCG alone, so they are computed once and shared by every solve over
-    it.  Two domains racing on the first use both store equal lists. *)
-let forward_deps t : int list array * int list array =
-  match t.wave with
-  | Some w -> w
-  | None ->
-      let n = Array.length t.nodes in
-      let deps = Array.make n [] and dependents = Array.make n [] in
-      Array.iteri
-        (fun i es ->
-          let callers =
-            Array.to_list es
-            |> List.filter_map (fun e ->
-                   if e.back then None else Some (e.caller :> int))
-            |> List.sort_uniq compare
-          in
-          deps.(i) <- callers;
-          List.iter (fun c -> dependents.(c) <- i :: dependents.(c)) callers)
-        t.in_adj;
-      Array.iteri (fun i l -> dependents.(i) <- List.rev l) dependents;
-      let w = (deps, dependents) in
-      t.wave <- Some w;
-      w
 
 (** Back-edge ratio |back| / |edges| — the paper's measure of how much
     flow-insensitive information the combined FS solution uses (§3.2).

@@ -42,8 +42,6 @@ type t = {
       (** caller-major call-site numbering: call site [(p, i)] is global
           site [cs_base.(p) + i]; length [n_procs + 1] *)
   back_bits : Prog.Bits.t;  (** back-edge flags over the global numbering *)
-  mutable wave : (int list array * int list array) option;
-      (** {!forward_deps}, computed on first use *)
 }
 
 (** Build the PCG, restricted to procedures reachable from the entry.  An
@@ -87,7 +85,7 @@ val edge_at : t -> caller:Prog.Proc.id -> cs_index:int -> edge
 
 val has_cycles : t -> bool
 
-(** Downstream wavefront cone: forward-edge closure of [seeds] (seeds
+(** Downstream cone: forward-edge closure of [seeds] (seeds
     included), ascending id — i.e. forward-traversal — order.  Back edges
     do not extend the cone: their entry-meet contribution comes from the
     flow-insensitive solution, which the incremental re-solve diffs
@@ -104,16 +102,10 @@ val replace_proc : t -> Ast.program -> Ast.proc -> unit
 (** [with_program t prog] is the PCG of [prog], in contract only when
     [prog] has [t]'s entry and procedure names and every procedure makes
     the calls it makes in [t]'s program: a new record that shares [t]'s
-    nodes, edges, adjacency, call-site numbering, back-edge bits and
-    wavefront lists, with its own program and name index (and [t]'s scope
+    nodes, edges, adjacency, call-site numbering and back-edge bits,
+    with its own program and name index (and [t]'s scope
     when the globals list is physically [t]'s).  [t] is left untouched. *)
 val with_program : t -> Ast.program -> t
-
-(** The wavefront's dependency lists: per procedure id, its distinct
-    forward-edge callers, ascending; and per id, the procedures it is such
-    a caller of, ascending.  Computed on first use and then shared by every
-    solve over this PCG. *)
-val forward_deps : t -> int list array * int list array
 
 (** |back edges| / |edges| — the paper's measure of how flow-insensitive
     the combined FS solution is (§3.2): 0 means pure flow-sensitive. *)

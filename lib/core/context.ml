@@ -29,7 +29,7 @@ module Trace = Fsicp_trace.Trace
    (every reachable procedure is built exactly once, eagerly or lazily);
    [ssa.cache_hits] depends on whether {!build_ssa} pre-filled the cache.
    [Fs_icp] pre-builds only when the build fans out, so the count depends
-   on [jobs] past [Par.cutoff Init] procedures and not below it, and is
+   on [jobs] past [Par.cutoff] procedures and not below it, and is
    deterministic at a fixed count. *)
 let c_lower_procs = Trace.counter "lower.procs"
 let c_ssa_built = Trace.counter "ssa.built"
@@ -91,7 +91,7 @@ let lower_reusing ~jobs ~reuse scope (pcg : Callgraph.t) :
   Trace.add c_lower_reused (Callgraph.n_procs pcg - n);
   let procs =
     Par.parallel_init ~label:"lower:proc"
-      ~jobs:(Par.domains Par.Init ~jobs n)
+      ~jobs:(Par.domains ~jobs n)
       n
       (fun i ->
         Lower.lower_in scope (Callgraph.proc_ast pcg missing.(i)))
@@ -453,7 +453,7 @@ let build_ssa ?jobs t : unit =
   Trace.add c_ssa_built n;
   let built =
     Par.parallel_init ~label:"ssa:build"
-      ~jobs:(Par.domains Par.Init ~jobs n)
+      ~jobs:(Par.domains ~jobs n)
       n
       (fun i ->
         let pid = missing.(i) in

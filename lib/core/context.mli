@@ -55,7 +55,7 @@ type t = {
 (** Build the context for a {!Sema.check}-clean program.  [jobs] bounds the
     domains used for per-procedure lowering (default
     {!Fsicp_par.Par.default_jobs}; one domain below
-    {!Fsicp_par.Par.cutoff} [Init] procedures); the result is identical
+    {!Fsicp_par.Par.cutoff} procedures); the result is identical
     for every value.
 
     [prev], the context of an earlier version of the program, lets
@@ -80,11 +80,10 @@ val create : ?floats:bool -> ?jobs:int -> ?prev:t -> Ast.program -> t
     whole-program analyses run up front (they are compact), but lowering,
     alias-kill tables and SSA materialise per procedure on first demand and
     are released again by {!retire} as soon as the procedure's analysis is
-    done, so only the in-flight procedures' artifacts are resident — peak
-    heap scales with the wavefront frontier, not the program.  Solve-time mode only:
-    the solutions are identical to the eager path's, but consumers that
-    re-walk SSA after the solve (transformation, metrics, the returns
-    extension) should use {!create}. *)
+    done, so only the procedure in flight has its artifacts resident.
+    Solve-time mode only: the solutions are identical to the eager path's,
+    but consumers that re-walk SSA after the solve (transformation,
+    metrics, the returns extension) should use {!create}. *)
 val create_streaming : ?floats:bool -> Ast.program -> t
 
 (** [true] iff the context was built by {!create_streaming}. *)
@@ -96,8 +95,7 @@ val is_streaming : t -> bool
 val retire : t -> Prog.Proc.id -> unit
 
 (** Lower every reachable procedure on up to [jobs] domains, one below
-    {!Fsicp_par.Par.cutoff} [Init] procedures; {!Driver.run} uses
-    it, and {!create} lowers through the same code, skipping procedures
+    {!Fsicp_par.Par.cutoff} procedures; {!Driver.run} uses it, and {!create} lowers through the same code, skipping procedures
     whose IR it carries over from [prev]. *)
 val lower_all : jobs:int -> Ast.program -> Callgraph.t -> Ir.proc Prog.Proc.Tbl.t
 
@@ -122,7 +120,7 @@ val ssa : t -> string -> Ssa.proc
 val unbuilt_ssa : t -> Prog.Proc.id list
 
 (** Pre-build the SSA form of every reachable procedure not yet cached, on
-    up to [jobs] domains, one below {!Fsicp_par.Par.cutoff} [Init] missing
+    up to [jobs] domains, one below {!Fsicp_par.Par.cutoff} missing
     procedures; afterwards {!ssa} is a read-only cache hit from any
     domain. *)
 val build_ssa : ?jobs:int -> t -> unit

@@ -12,14 +12,14 @@
 
     The timings back the paper's cost claim: "The flow-sensitive method
     increases the analysis phase of the compilation by 50% over the
-    flow-insensitive method" — compare [fi_seconds] against
-    [fs_seconds].
+    flow-insensitive method" — compare the ["5a:fi-icp"] and
+    ["5b:fs-icp"] rows.
 
-    The phases run in sequence.  With [jobs > 1], lowering fans out per
-    procedure and the flow-sensitive ICP runs its PCG wavefront on the
-    same domain budget, each only on programs past its
-    {!Fsicp_par.Par.cutoff}; a smaller program never starts a worker
-    domain.  Each phase is timed individually, so the Figure-2 trace keeps
+    The phases run in sequence.  With [jobs > 1], lowering and the
+    flow-sensitive ICP's SSA pre-build fan out per procedure on the same
+    domain budget, only on programs past {!Fsicp_par.Par.cutoff}; a
+    smaller program never starts a worker domain.  The FS traversal
+    itself is one sweep on the calling domain.  Each phase is timed individually, so the Figure-2 trace keeps
     one entry per phase regardless of [jobs]. *)
 
 open Fsicp_lang
@@ -144,13 +144,6 @@ let run ?(floats = true) ?jobs ?(extended = false) (prog : Ast.program) : t =
       @ [ ("6:use", t_use) ])
   in
   { ctx; fi; fs; cc; vc; use; timings }
-
-let timing_of t phase =
-  List.find_opt (fun x -> String.equal x.t_phase phase) t.timings
-  |> Option.map (fun x -> x.t_seconds)
-
-let fi_seconds t = Option.value (timing_of t "5a:fi-icp") ~default:0.0
-let fs_seconds t = Option.value (timing_of t "5b:fs-icp") ~default:0.0
 
 let pp ppf t =
   Fmt.pf ppf "pipeline for program with %d reachable procedure(s):@\n"

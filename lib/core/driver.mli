@@ -22,9 +22,9 @@ type t = {
 }
 
 (** Run steps 1–6, in sequence, on a {!Sema.check}-clean program.
-    Per-procedure lowering and the FS wavefront run on up to [jobs]
-    domains (default {!Fsicp_par.Par.default_jobs}) once the program is
-    past their {!Fsicp_par.Par.cutoff}; results are identical for every
+    Per-procedure lowering and the FS solve's SSA pre-build run on up to
+    [jobs] domains (default {!Fsicp_par.Par.default_jobs}) once the
+    program is past {!Fsicp_par.Par.cutoff}; results are identical for every
     [jobs].  [extended] (default [false]) additionally runs the
     beyond-the-paper methods — copy-constant ({!Cc_icp}, phase
     ["5c:cc-icp"]) and value-context ({!Vc_icp}, phase ["5d:vc-icp"]) —
@@ -32,7 +32,4 @@ type t = {
     phase trace untouched. *)
 val run : ?floats:bool -> ?jobs:int -> ?extended:bool -> Ast.program -> t
 
-val timing_of : t -> string -> float option
-val fi_seconds : t -> float
-val fs_seconds : t -> float
 val pp : t Fmt.t

@@ -23,28 +23,19 @@
     and as the back-edge ratio grows the solution degrades gracefully
     toward the flow-insensitive one (the BACKEDGE experiment).
 
-    {2 Parallel execution}
+    {2 Sweep}
 
-    The traversal is a dependency {e wavefront}: a procedure is ready as
-    soon as all of its forward-edge callers have been analysed,
-    independently of its siblings, so ready procedures run concurrently on
-    up to [jobs] domains once the traversal reaches
-    {!Fsicp_par.Par.cutoff} [Wavefront] procedures
-    ({!Fsicp_par.Par.wavefront}, each domain owning the
-    procedures of the {!shard_regions} it is assigned).  Procedure [p]'s
-    entry meet is {e pulled} at dispatch time from the call records its
-    forward callers already produced — in canonical in-edge order, so the
-    result is independent of completion order — rather than pushed by the
-    callers, which keeps the per-call-site hot path free of locks: the
-    scheduler's pending counts and cross-domain handoffs are the only
-    synchronisation points.  The entry vector itself — slot layout, the
-    in-edge meet, [main]'s roots, finalisation and boxing — is
-    {!Entry_vec}'s.  Back-edge
-    contributions come from the flow-insensitive seed, which is complete
-    before the wavefront starts, so no cross-domain race exists.
-    [jobs = 1] processes the nodes sequentially in exactly the forward
-    order the original implementation used; any [jobs] yields a
-    bit-identical {!Solution.t} (verified by the test suite). *)
+    The traversal is one in-order sweep over ascending procedure ids,
+    which are the PCG's reverse postorder, on the calling domain.  When
+    procedure [p] comes up, every forward caller has already been
+    analysed, so [p]'s entry meet is {e pulled} from the call records those
+    callers produced, in canonical in-edge order.  Back-edge contributions
+    come from the flow-insensitive seed, which is complete before the
+    sweep starts.  The entry vector itself — slot layout, the in-edge
+    meet, [main]'s roots, finalisation and boxing — is {!Entry_vec}'s.
+    [jobs] only fans out the SSA pre-build ({!Context.build_ssa}); the
+    solution is identical for every [jobs] (verified by the test
+    suite). *)
 
 open Fsicp_prog
 open Fsicp_cfg
@@ -66,77 +57,12 @@ let c_resolve_dirty = Trace.counter "fs.resolve.dirty"
 let c_resolve_reused = Trace.counter "fs.resolve.reused"
 let c_resolve_cutoff = Trace.counter "fs.resolve.cutoff"
 
-(* -- Shard regions ------------------------------------------------------ *)
-
-(* A cut at position [i] splits the dense id range into [0, i) / [i, n).
-   In reverse postorder every non-back edge increases ids, so any path
-   from a higher id back to a lower one must traverse a back edge (c, k)
-   with [k <= c]; an SCC spanning the cut would need such a path crossing
-   it, i.e. a back edge with [k < i <= c].  Forbidding cuts inside every
-   back-edge interval [k+1, c] therefore keeps each SCC of the PCG
-   condensation whole within one region. *)
-let shard_regions (pcg : Callgraph.t) ~parts : int array =
-  let n = Callgraph.n_procs pcg in
-  let parts = max 1 (min parts (max 1 n)) in
-  if n = 0 then [| 0; 0 |]
-  else begin
-    (* Difference-array coverage of the forbidden intervals. *)
-    let diff = Array.make (n + 2) 0 in
-    List.iter
-      (fun (e : Callgraph.edge) ->
-        if e.Callgraph.back then begin
-          let k = (e.Callgraph.callee :> int)
-          and c = (e.Callgraph.caller :> int) in
-          (* Self-recursion (k = c) forbids nothing: the interval is empty. *)
-          if k < c then begin
-            diff.(k + 1) <- diff.(k + 1) + 1;
-            diff.(c + 1) <- diff.(c + 1) - 1
-          end
-        end)
-      pcg.Callgraph.edges;
-    let legal = ref [] and cov = ref 0 in
-    for i = 1 to n - 1 do
-      cov := !cov + diff.(i);
-      if !cov = 0 then legal := i :: !legal
-    done;
-    let legal = Array.of_list (List.rev !legal) in
-    (* For each ideal boundary, take the largest legal cut not past it;
-       strictly increasing cuts, so heavily cyclic graphs just yield fewer
-       (larger) regions. *)
-    let cuts = ref [] and last = ref 0 and li = ref 0 in
-    for p = 1 to parts - 1 do
-      let target = p * n / parts in
-      while !li < Array.length legal && legal.(!li) <= target do
-        incr li
-      done;
-      if !li > 0 && legal.(!li - 1) > !last then begin
-        cuts := legal.(!li - 1) :: !cuts;
-        last := legal.(!li - 1)
-      end
-    done;
-    Array.of_list ((0 :: List.rev (n :: !cuts)) |> List.sort_uniq compare)
-  end
-
-(* Region [r] (ids [bounds.(r), bounds.(r+1))) belongs to domain
-   [r mod jobs]: more regions than domains interleaves whole regions
-   round-robin, which balances corpora whose hard work clusters in one
-   id range without ever splitting a region. *)
-let owners_of_regions (bounds : int array) ~jobs ~n : int array =
-  let owners = Array.make n 0 in
-  for r = 0 to Array.length bounds - 2 do
-    for i = bounds.(r) to bounds.(r + 1) - 1 do
-      owners.(i) <- r mod jobs
-    done
-  done;
-  owners
-
 (** [solve ?jobs ?fi ?call_def_value ctx] computes the flow-sensitive
     solution.
 
-    [jobs] bounds the worker domains for the wavefront traversal and the
-    SSA pre-build (default {!Fsicp_par.Par.default_jobs}); the traversal
-    runs on one domain below {!Fsicp_par.Par.cutoff} [Wavefront]
-    procedures.  The solution is identical for every value.
+    [jobs] bounds the worker domains for the SSA pre-build (default
+    {!Fsicp_par.Par.default_jobs}); the sweep itself runs on the calling
+    domain.  The solution is identical for every value.
 
     [fi] overrides the flow-insensitive solution used for back edges
     (computed on demand when the PCG has cycles, matching the paper:
@@ -148,10 +74,10 @@ let owners_of_regions (bounds : int array) ~jobs ~n : int array =
     of its reverse traversal here.
 
     [prev]/[seeds] select the incremental path (see {!resolve}): only the
-    forward-edge cone of [seeds] is driven through the wavefront, and in
-    it only the seeds and the procedures whose forward in-edge records
-    changed are analysed again; every other procedure keeps [prev]'s
-    entry, call-record row and SCC result.  Returns the solution and the
+    forward-edge cone of [seeds] is swept, and in it only the seeds and
+    the procedures whose forward in-edge records changed are analysed
+    again; every other procedure keeps [prev]'s entry, call-record row
+    and SCC result.  Returns the solution and the
     number of procedures analysed. *)
 let solve_body ?jobs ?fi ?prev ?(seeds = [])
     ?(call_def_value :
@@ -167,12 +93,9 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
     | None -> if Callgraph.has_cycles pcg then Some (Fi_icp.solve ctx) else None
   in
 
-  (* The procedures to drive: every id from scratch, the seeds' cone
+  (* The procedures to sweep: every id from scratch, the seeds' cone
      (ascending ids) on the incremental path, with the seeds marked.
-     Ascending ids are the forward topological order, so the sequential
-     path is an in-order sweep.  The wavefront spreads over domains only
-     from [Par.cutoff Wavefront] procedures on; below it, and for a cone
-     that small, it runs on the calling domain alone. *)
+     Ascending ids are the forward topological order. *)
   let order, seeded =
     match prev with
     | Some _ ->
@@ -186,32 +109,26 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
           seeded )
     | None -> (Array.init n Fun.id, Bytes.empty)
   in
-  let jobs = Par.domains Par.Wavefront ~jobs:budget (Array.length order) in
 
-  (* When the SSA build would fan out ([Par.cutoff Init] procedures to
-     drive), pre-build SSA for every procedure first (embarrassingly
-     parallel, and the bulk of the flow-sensitive setup time); afterwards
-     [Context.ssa] is a read-only cache hit from any domain, which a
-     parallel wavefront needs — and the wavefront's cutoff lies above
-     [Init]'s.  Below it the solve takes the [jobs 1] path: each
-     procedure's SSA is built at its wavefront turn.  Streaming contexts
-     skip the pre-build on purpose: each procedure's SSA is built inside
-     [analyse] when its turn comes and released right after, so the peak
-     resident set follows the frontier instead of the program. *)
+  (* When the SSA build would fan out ([Par.cutoff] procedures to sweep),
+     pre-build SSA for every procedure first: it is embarrassingly
+     parallel and the bulk of the flow-sensitive setup time.  Below the
+     cutoff each procedure's SSA is built at its turn in the sweep.
+     Streaming contexts skip the pre-build on purpose: each procedure's
+     SSA is built inside [analyse] when its turn comes and released right
+     after, so the peak resident set follows the sweep instead of the
+     program. *)
   let streaming = Context.is_streaming ctx in
-  if
-    Par.domains Par.Init ~jobs:budget (Array.length order) > 1
-    && not streaming
-  then Context.build_ssa ~jobs:budget ctx;
+  if Par.domains ~jobs:budget (Array.length order) > 1 && not streaming then
+    Context.build_ssa ~jobs:budget ctx;
 
   let roots = Entry_vec.roots ctx in
 
-  (* Per-procedure outputs, written only by the domain that processes the
-     procedure and read by its dependents after the scheduler's
-     happens-before edge.  Call records are stored by (caller id,
-     cs_index): dense rows, one slot per call site, since a caller records
-     each of its sites at most once; the rows become the solution's as
-     they stand, so it is identical for every [jobs].
+  (* Per-procedure outputs, written when the sweep analyses the procedure
+     and read by its callees later in the sweep.  Call records are stored
+     by (caller id, cs_index): dense rows, one slot per call site, since a
+     caller records each of its sites at most once; the rows become the
+     solution's as they stand.
 
      Incremental path: start from copies of the previous solution's three
      per-procedure tables, so every procedure that is not analysed again
@@ -233,7 +150,7 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
 
   (* Early cutoff.  A cone member that is not a seed keeps [prev]'s outputs
      when every forward in-edge record is still [prev]'s physical record.
-     Its forward callers were processed first (the scheduler's order), and
+     Its forward callers were processed first (ascending ids), and
      an analysed caller stores each record equal to [prev]'s as [prev]'s
      own, so [==] is the whole test.  Its back-edge contributions are
      unchanged too, since the callee of every back edge whose
@@ -241,7 +158,7 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
      [prev]'s.  The same entry vector over the same SSA gives [prev]'s
      entry, SCC result and records: a from-scratch solve would recompute
      exactly them. *)
-  let cutoffs = Atomic.make 0 in
+  let cutoffs = ref 0 in
   let unchanged (pid : Prog.Proc.id) =
     match prev with
     | None -> false
@@ -258,17 +175,17 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
 
   let analyse pid =
     let proc = Callgraph.proc_name pcg pid in
-    (* Detached: the wavefront runs the procedure on whichever domain owns
-       it, so the span must not inherit that domain's stack in the
-       canonical trace.  The procedure name keys the canonical order. *)
+    (* Detached: the Logical flush lifts each [fs:proc] span to the root
+       level, sorted by procedure name, which is the shape the committed
+       [*.trace.expected] goldens pin. *)
     Trace.span ~detach:true
       ~args:(fun () -> [ ("proc", proc) ])
       "fs:proc"
     @@ fun () ->
-    (* Computed on demand, so only the frontier's shapes are live. *)
+    (* Computed on demand, so only the current procedure's shape is live. *)
     let sh = Entry_vec.shape ctx proc in
-    (* A forward caller has been processed (the scheduler guarantees it),
-       so its recorded executable call-site values are pulled; a back edge
+    (* A forward caller has a lower id, so the sweep has processed it and
+       its recorded executable call-site values are pulled; a back edge
        contributes the flow-insensitive record instead. *)
     let v =
       Entry_vec.entry roots sh pid (fun (e : Callgraph.edge) v ->
@@ -366,52 +283,13 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
       Context.retire ctx pid
     end
   in
-  let process i =
-    let pid = nodes.(i) in
-    if unchanged pid then Atomic.incr cutoffs else analyse pid
-  in
+  Array.iter
+    (fun i ->
+      let pid = nodes.(i) in
+      if unchanged pid then incr cutoffs else analyse pid)
+    order;
 
-  (* One scheduler call for both paths.  An incremental solve restricts
-     the wavefront to the cone: a cone member waits only on its forward
-     callers in the cone (the others' records are already in
-     [record_idx]), and completion must never enqueue a node outside it.
-     The frontier is sharded into contiguous SCC-whole id regions, ~4 per
-     domain, each domain owning its regions' nodes on a private stack;
-     every output is stored by procedure id, which makes the solution
-     independent of the sharding, so this is purely a scheduling choice
-     (verified by the digest-equality tests).  At one domain the scheduler
-     ignores [owners], [deps] and [dependents], so neither sharding nor
-     the cone's dependency filtering happens. *)
-  let owners, deps, dependents =
-    if jobs <= 1 then ([||], [||], [||])
-    else
-      let owners =
-        owners_of_regions (shard_regions pcg ~parts:(4 * jobs)) ~jobs ~n
-      in
-      (* Wavefront shape: procedure [i] depends on the distinct procedures
-         that call it over forward (non-back) edges; back edges contribute
-         the FI seed instead and impose no ordering.  The forward-edge
-         graph is acyclic and consistent with reverse postorder by
-         construction.  A procedure's id is its reverse-postorder index,
-         so ids double as wavefront slots.  The lists depend on the PCG
-         alone and are shared by every solve. *)
-      let deps, dependents = Callgraph.forward_deps pcg in
-      match prev with
-      | None -> (owners, deps, dependents)
-      | Some _ ->
-          let m = Array.make n false in
-          Array.iter (fun i -> m.(i) <- true) order;
-          let rdeps = Array.make n [] and rdependents = Array.make n [] in
-          Array.iter
-            (fun i ->
-              rdeps.(i) <- List.filter (fun c -> m.(c)) deps.(i);
-              rdependents.(i) <- List.filter (fun d -> m.(d)) dependents.(i))
-            order;
-          (owners, rdeps, rdependents)
-  in
-  Par.wavefront ~jobs ~owners ~order ~deps ~dependents process;
-
-  let cut = Atomic.get cutoffs in
+  let cut = !cutoffs in
   if Option.is_some prev then begin
     Trace.add c_resolve_dirty (Array.length order);
     Trace.add c_resolve_reused (n - Array.length order);
@@ -431,13 +309,12 @@ let solve ?jobs ?fi
 
 (** Incremental re-solve of an edited program over [prev]'s PCG.
 
-    [seeds] are the procedures whose inputs changed outside the wavefront:
+    [seeds] are the procedures whose inputs changed outside the sweep:
     the edited procedures, every procedure whose SSA form is not [prev]'s,
     and the callee of every back edge whose flow-insensitive record
     changed; [fi] is the {e fresh} flow-insensitive solution of the edited
     program; [prev] is the previous flow-sensitive solution.  Only the
-    seeds' forward cone ({!Callgraph.cone}) is driven through the
-    wavefront, and in it a procedure is analysed again only when it is a
+    seeds' forward cone ({!Callgraph.cone}) is swept, and in it a procedure is analysed again only when it is a
     seed or some forward in-edge record differs from [prev]'s; the others
     are cut off and keep [prev]'s entry, SCC result and row.  The result
     is identical — including [scc_runs], which counts one flow-sensitive

@@ -6,32 +6,19 @@
     included.  On acyclic PCGs the result equals the iterative
     flow-sensitive fixpoint ({!Reference}).
 
-    The traversal is executed as a dependency wavefront over the PCG's
-    forward edges: procedures whose forward callers have all been analysed
-    run concurrently on [jobs] domains, with entry meets pulled in
-    canonical in-edge order at dispatch time, so the solution is identical
-    for every [jobs]. *)
+    The traversal is one in-order sweep over ascending procedure ids (the
+    PCG's reverse postorder) on the calling domain, with each entry meet
+    pulled from its forward callers' call records in canonical in-edge
+    order; [jobs] only fans out the SSA pre-build, so the solution is
+    identical for every [jobs]. *)
 
 val method_name : string
 
-(** [shard_regions pcg ~parts] partitions the dense procedure-id range
-    [0, n) into at most [parts] contiguous regions, returned as an
-    ascending boundary array [[|0; c1; ...; n|]] (region [r] is
-    [[bounds.(r), bounds.(r+1))]).  No boundary ever falls strictly inside
-    a back-edge id interval, so every SCC of the PCG condensation lies
-    whole within one region; on heavily cyclic graphs fewer (larger)
-    regions come back.  The wavefront, from scratch and incremental alike,
-    assigns each region's nodes to domain [r mod jobs]
-    ({!Fsicp_par.Par.wavefront});
-    exposed for the region-invariant tests. *)
-val shard_regions : Fsicp_callgraph.Callgraph.t -> parts:int -> int array
-
 (** [solve ?jobs ?fi ?call_def_value ctx]:
-    [jobs] bounds the worker domains for the wavefront traversal
-    (default {!Fsicp_par.Par.default_jobs}; [1] is the sequential
-    reference path, which every program under
-    {!Fsicp_par.Par.cutoff} [Wavefront] procedures takes, and every value
-    yields the same solution);
+    [jobs] bounds the worker domains for the SSA pre-build, which runs
+    only past {!Fsicp_par.Par.cutoff} procedures (default
+    {!Fsicp_par.Par.default_jobs}; every value yields the same
+    solution);
     [fi] overrides the flow-insensitive solution used for back edges
     (computed on demand only when the PCG has cycles, as in the paper);
     [call_def_value] refines post-call values of call-defined variables —
@@ -51,13 +38,12 @@ val solve :
     the PCG).
 
     [seeds] are the procedures whose inputs changed outside the
-    wavefront: the edited procedures, every procedure whose SSA form is
+    sweep: the edited procedures, every procedure whose SSA form is
     not the one [prev] was solved over, and the callee of every back edge
     whose flow-insensitive record changed.  [fi] is the fresh
     flow-insensitive solution; [prev] the previous flow-sensitive one.
     The seeds' forward-edge cone ({!Fsicp_callgraph.Callgraph.cone}) is
-    driven through the wavefront, on one domain when the cone is under
-    {!Fsicp_par.Par.cutoff} [Wavefront].  Early cutoff: a cone member is
+    swept in ascending id order.  Early cutoff: a cone member is
     analysed again only when it is a seed or when a forward in-edge record
     differs from [prev]'s (under {!Solution.record_equal}); an analysed
     procedure stores every record equal to [prev]'s as [prev]'s own, so

@@ -19,9 +19,9 @@ type run = {
 }
 
 (** Analyse one benchmark (generate, build context, run both methods).
-    [jobs] is threaded to the context build and the FS wavefront; the
-    per-suite fan-out below parallelises across benchmarks instead and
-    pins the inner analyses to one domain. *)
+    [jobs] is threaded to the context build and the FS solve's SSA
+    pre-build; the per-suite fan-out below parallelises across benchmarks
+    instead and pins the inner analyses to one domain. *)
 let run_benchmark ?(floats = true) ?jobs (b : Spec.benchmark) : run =
   let prog = Spec.program b in
   let ctx = Context.create ~floats ?jobs prog in

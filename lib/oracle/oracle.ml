@@ -3,7 +3,7 @@
     Implementation notes: every check is expressed against the reference
     interpreter ({!Fsicp_interp.Interp}) or against another method's
     solution, never against the implementation under test, so a bug in any
-    one layer (lattice, SCC kernel, wavefront scheduler, transform) shows
+    one layer (lattice, SCC kernel, FS sweep, transform) shows
     up as a cross-check violation.  All checks return the {e first} witness
     only; the shrinker re-runs the whole oracle per candidate, so one
     witness is all it needs. *)

@@ -5,30 +5,18 @@
     returns, so no domain outlives its run and an idle process has none to
     stop at each minor collection.
     [parallel_init] hands out indices from one atomic counter, so there is
-    no work queue to balance and no per-task allocation.  The wavefront
-    scheduler keeps atomic pending counts and per-domain ready stacks,
-    taking a lock only to hand a node to another domain's inbox — never
-    inside [process] — so the hot path (the per-node analysis itself) runs
-    lock-free. *)
+    no work queue to balance and no per-task allocation. *)
 
 module Trace = Fsicp_trace.Trace
 
-(* [par.tasks] counts every work item handed to a combinator, sequential
-   fast paths included, so its total is invariant in [jobs].  Parallel
-   runs, domain spawns and idle waits are scheduling artefacts: runs and
-   spawns are deterministic at a fixed [jobs] but vary across counts (and
-   whether a run found the token free), and idle waits are inherently
-   racy, hence [~stable:false]. *)
+(* [par.tasks] counts every work item handed to [parallel_init],
+   sequential fast path included, so its total is invariant in [jobs].
+   Parallel runs and domain spawns are scheduling artefacts: deterministic
+   at a fixed [jobs] but varying across counts (and with whether a run
+   found the token free), hence [~stable:false]. *)
 let c_tasks = Trace.counter "par.tasks"
 let c_pools = Trace.counter ~stable:false "par.pools"
 let c_spawned = Trace.counter ~stable:false "par.domains_spawned"
-let c_idle = Trace.counter ~stable:false "par.idle_waits"
-
-(* Wavefront progress and traffic.  Both are scheduling artefacts (they
-   depend on which domain reached which node first), hence
-   [~stable:false]; each domain adds its share when the run ends. *)
-let c_shard_solved = Trace.counter ~stable:false "par.shard.solved"
-let c_shard_handoffs = Trace.counter ~stable:false "par.shard.handoffs"
 
 (* Strict job-count parsing, shared by the FSICP_JOBS environment variable
    and the CLI's --jobs flag.  A malformed count is an error, never a
@@ -51,17 +39,14 @@ let default_jobs () =
 
 let record_error err e = ignore (Atomic.compare_and_set err None (Some e))
 
-(* -- Size cutoffs ------------------------------------------------------- *)
+(* -- Size cutoff -------------------------------------------------------- *)
 
-type combinator = Init | Wavefront
-
-(* Below these procedure counts two domains were not reliably faster in
+(* Below this procedure count two domains were not reliably faster in
    wall time than one on the 2-core VM, and always cost more CPU
    (DESIGN.md, "Parallel execution model"). *)
-let cutoff = function Init -> 2_000 | Wavefront -> 16_000
+let cutoff = 2_000
 
-let domains combinator ~jobs n =
-  if n < cutoff combinator then 1 else max 1 (min jobs n)
+let domains ~jobs n = if n < cutoff then 1 else max 1 (min jobs n)
 
 (* -- Allocation across domains ------------------------------------------ *)
 
@@ -241,152 +226,3 @@ module Arena = struct
     s.slen <- s.slen - 1;
     s.sbuf.(s.slen)
 end
-
-(* -- Wavefront ------------------------------------------------------------ *)
-
-(* A single-consumer inbox: the owning domain drains it, any domain pushes
-   into it, both under [imutex].  Each node is handed over at most once, so
-   an inbox never holds more than the nodes its owner owns. *)
-type inbox = { items : Arena.stack; imutex : Mutex.t; inonempty : Condition.t }
-
-(* Exactly [jobs] domains, never fewer: [owners] names domains in
-   [0, jobs), and a node owned by a domain outside the run would never be
-   seeded — the run would wait forever.  A caller with fewer nodes than
-   domains lowers [jobs] (and its owners) itself. *)
-let check_owners ~jobs (owners : int array) order =
-  Array.iter
-    (fun i ->
-      let o = owners.(i) in
-      if o < 0 || o >= jobs then
-        invalid_arg
-          (Printf.sprintf "Par.wavefront: node %d owned by domain %d of %d" i
-             o jobs))
-    order
-
-let wavefront ~jobs ~(owners : int array) ~order ~deps ~dependents process =
-  let n = Array.length order in
-  Trace.add c_tasks n;
-  (* Checked before the token is tried, so a bad assignment fails the same
-     way whether or not another run holds it. *)
-  if jobs > 1 && n > 1 then check_owners ~jobs owners order;
-  if jobs <= 1 || n <= 1 || not (acquire ()) then Array.iter process order
-  else begin
-    let pending =
-      Array.map (fun ds -> Atomic.make (List.length ds)) deps
-    in
-    let remaining = Atomic.make n in
-    let err = Atomic.make None in
-    let inboxes =
-      Array.init jobs (fun _ ->
-          {
-            items = Arena.new_stack ();
-            imutex = Mutex.create ();
-            inonempty = Condition.create ();
-          })
-    in
-    (* Private per-domain ready stacks; only the owning domain touches its
-       stack, so the per-node hot path has no shared frontier lock at all. *)
-    let stacks = Array.init jobs (fun _ -> Arena.new_stack ()) in
-    let handoffs = Atomic.make 0 in
-    (* Wake every domain: run end (remaining = 0) and errors must unblock
-       workers asleep on their own inbox. *)
-    let wake_all () =
-      Array.iter
-        (fun q ->
-          Mutex.lock q.imutex;
-          Condition.broadcast q.inonempty;
-          Mutex.unlock q.imutex)
-        inboxes
-    in
-    (* Hand a ready node to its owner. *)
-    let enqueue d j =
-      let o = owners.(j) in
-      if o = d then Arena.push stacks.(d) j
-      else begin
-        Atomic.incr handoffs;
-        let q = inboxes.(o) in
-        Mutex.lock q.imutex;
-        Arena.push q.items j;
-        Condition.signal q.inonempty;
-        Mutex.unlock q.imutex
-      end
-    in
-    (* Seed: each domain claims its own roots, scanning [order] once so
-       low-index roots sit on top of no one and dispatch first.  Roots are
-       the *statically* dependency-free nodes: testing the mutable pending
-       counter instead would race with completions already running on other
-       domains (a node whose count just reached zero is enqueued by its
-       last dependency's completer AND seen as zero by its owner's scan —
-       a double enqueue that underflows [remaining]). *)
-    let seed d =
-      Array.iter
-        (fun i ->
-          if owners.(i) = d && deps.(i) = [] then Arena.push stacks.(d) i)
-        order
-    in
-    let domain_main d =
-      seed d;
-      let solved = ref 0 in
-      let continue = ref true in
-      while !continue do
-        (* Move handed-over nodes onto the private stack, in arrival order,
-           as soon as they arrive, not only once the stack runs dry: they go
-           on top and run next, since the domain that handed one over may
-           be waiting on their dependents.  The unsynchronised emptiness
-           read is a heuristic only. *)
-        let q = inboxes.(d) in
-        if not (Arena.is_empty q.items) then begin
-          Mutex.lock q.imutex;
-          for k = 0 to q.items.Arena.slen - 1 do
-            Arena.push stacks.(d) q.items.Arena.sbuf.(k)
-          done;
-          q.items.Arena.slen <- 0;
-          Mutex.unlock q.imutex
-        end;
-        if Atomic.get err <> None then continue := false
-        else if not (Arena.is_empty stacks.(d)) then begin
-          let i = Arena.pop stacks.(d) in
-          (* The whole unit — node body and completion bookkeeping — sits
-             under one handler: an exception escaping the completion would
-             otherwise kill this domain silently and leave the others
-             asleep forever. *)
-          try
-            process i;
-            incr solved;
-            List.iter
-              (fun j ->
-                if Atomic.fetch_and_add pending.(j) (-1) = 1 then enqueue d j)
-              dependents.(i);
-            if Atomic.fetch_and_add remaining (-1) = 1 then wake_all ()
-          with e ->
-            record_error err e;
-            wake_all ();
-            continue := false
-        end
-        else begin
-          (* Private stack empty: sleep on the inbox until a handoff, the
-             end of the run, or an error arrives. *)
-          let idle () =
-            Arena.is_empty q.items
-            && Atomic.get remaining > 0
-            && Atomic.get err = None
-          in
-          Mutex.lock q.imutex;
-          if idle () then
-            Trace.span ~timing:true "par:idle" (fun () ->
-                while idle () do
-                  Trace.incr c_idle;
-                  Condition.wait q.inonempty q.imutex
-                done);
-          Mutex.unlock q.imutex;
-          if Atomic.get remaining = 0 || Atomic.get err <> None then
-            continue := false
-        end
-      done;
-      Trace.add c_shard_solved !solved
-    in
-    (* Domain [d] of the run owns stack and inbox [d]. *)
-    Fun.protect
-      ~finally:(fun () -> Trace.add c_shard_handoffs (Atomic.get handoffs))
-      (fun () -> run_pool jobs err domain_main)
-  end

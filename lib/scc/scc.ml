@@ -422,8 +422,8 @@ let memo_add (p : Ssa.proc) ~entry ~cdv r =
     else entries
   in
   (* Single-word store of an immutable list: concurrent writers (two
-     domains analysing the same proc, which the wavefront never schedules)
-     could at worst drop each other's entry, never corrupt one. *)
+     domains analysing the same proc, which no solver schedules) could at
+     worst drop each other's entry, never corrupt one. *)
   p.Ssa.memo <- Scc_memo entries
 
 (** Drop every memoized entry-vector context of one procedure.  The next

@@ -50,7 +50,7 @@ type counter
 (** [counter name] returns the process-wide counter registered under
     [name], creating it on first use (subsequent calls with the same name
     return the same counter; the first [stable] wins).  [stable = false]
-    marks a counter whose value is scheduling-dependent (e.g. idle waits):
+    marks a counter whose value is scheduling-dependent (e.g. domain spawns):
     unstable counters are excluded from the deterministic {!Logical} flush
     and from {!counters_table} unless [all] is set. *)
 val counter : ?stable:bool -> string -> counter
@@ -83,7 +83,7 @@ val next_epoch : unit -> unit
 (** [span name f] evaluates [f ()] inside a [name] span on the calling
     domain; the end event is recorded even when [f] raises.  [args] is
     forced only when tracing is enabled.  [timing] marks a span that exists
-    purely for wall-clock attribution (run lifetime, idle waits): the
+    purely for wall-clock attribution (a parallel run's lifetime): the
     {!Logical} flush drops it and promotes its children.  [detach] marks a
     work item that may run on any domain: the {!Logical} flush lifts it out
     of whatever stack it was recorded under to the root level, making the

@@ -74,7 +74,7 @@ let write_global rng e =
 (* ------------------------------------------------------------------ *)
 
 (* Segment depth: long enough that the constant mutates through hundreds
-   of frames (a real wavefront critical path), short enough that no
+   of frames (a real critical path), short enough that no
    per-procedure machinery meets a 10⁶-deep anything. *)
 let chain_segment = 500
 
@@ -126,7 +126,7 @@ let build_chain rng ~base ~count : Ast.proc list * Ast.stmt list =
 let fanout_b = 8
 
 (* Heap layout over [base, base+count): the children of local index [j]
-   are [B*j + 1 .. B*j + B].  Maximal wavefront width, O(log n) depth. *)
+   are [B*j + 1 .. B*j + B].  Maximal width, O(log n) depth. *)
 let build_fanout rng ~base ~count : Ast.proc list * Ast.stmt list =
   let child j c = (fanout_b * j) + c + 1 in
   let mk j =
@@ -330,7 +330,7 @@ let generate (s : spec) : Ast.program =
     | Recursion -> [ (build_recursion, count) ]
     | Mixed ->
         (* Four consecutive sections; the PRNG jitters the split so
-           different seeds exercise different shard balances. *)
+           different seeds exercise different section sizes. *)
         let cut lo hi = lo + Prng.int rng (max 1 (hi - lo)) in
         let q = count / 4 in
         let c1 = cut (q / 2) (q + (q / 2)) in

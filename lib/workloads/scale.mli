@@ -8,13 +8,13 @@
     materialised — in O(procs) time and memory, with bounded per-procedure
     MOD/REF closures so every interprocedural phase stays near-linear.
 
-    The families stress the axes the sharded wavefront and the streaming
-    lowering care about:
+    The families stress the axes the FS sweep and the streaming lowering
+    care about:
 
     - {b Chain}: deep call chains (bounded segments fanned from main), a
       long critical path of constants that mutate at every hop — the
       flow-sensitive method tracks them, the flow-insensitive one cannot;
-    - {b Fanout}: a wide B-ary call tree — maximal wavefront parallelism;
+    - {b Fanout}: a wide B-ary call tree — many procedures per call depth;
     - {b Common}: COMMON-style global clusters initialised in block data,
       mostly read-only — global constants propagate everywhere;
     - {b Recursion}: many small mutually-recursive cliques — back edges,

@@ -263,7 +263,7 @@ let work f =
 (* Context build plus FS solve over Scale corpora from 1 000 to 8 000
    procedures, eager and streaming, at [jobs] 1 and 2: both the words and
    the SCC block visits must grow at most as procs^1.15.  At [jobs 2] the
-   corpora past [Par.cutoff Init] lower and build SSA on two domains. *)
+   corpora past [Par.cutoff] lower and build SSA on two domains. *)
 let test_scale_exponent () =
   let corpora =
     List.map

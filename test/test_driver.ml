@@ -29,9 +29,7 @@ let test_driver_times_nonnegative () =
         (t.Driver.t_phase ^ " time >= 0")
         true
         (t.Driver.t_seconds >= 0.0))
-    d.Driver.timings;
-  Alcotest.(check bool) "fi timing accessible" true (Driver.fi_seconds d >= 0.0);
-  Alcotest.(check bool) "fs timing accessible" true (Driver.fs_seconds d >= 0.0)
+    d.Driver.timings
 
 (* Every phase allocates, so every phase must report allocation: a 0 means
    the counter only moves at minor-GC boundaries.  The largest suite
@@ -57,47 +55,6 @@ let test_driver_phase_allocation () =
         true
         (t.Driver.t_minor_words > 0.0))
     d.Driver.timings
-
-(* timing_of / fi_seconds / fs_seconds on both populated and synthetic
-   timing lists: lookups must hit the exact phase name, and the accessors
-   must default to 0.0 rather than raise when a phase is absent. *)
-let test_timing_accessors () =
-  let prog = Test_util.program_of_seed 17 in
-  let d = Driver.run prog in
-  (match Driver.timing_of d "5b:fs-icp" with
-  | None -> Alcotest.fail "timing_of misses a recorded phase"
-  | Some s -> Alcotest.(check bool) "recorded time >= 0" true (s >= 0.0));
-  Alcotest.(check (option (float 0.0)))
-    "timing_of on an unknown phase" None
-    (Driver.timing_of d "9:no-such-phase");
-  Alcotest.(check bool)
-    "fi_seconds reads the 5a row" true
-    (Driver.timing_of d "5a:fi-icp" = Some (Driver.fi_seconds d));
-  Alcotest.(check bool)
-    "fs_seconds reads the 5b row" true
-    (Driver.timing_of d "5b:fs-icp" = Some (Driver.fs_seconds d));
-  let stripped = { d with Driver.timings = [] } in
-  Alcotest.(check (float 0.0))
-    "fi_seconds defaults to 0 without timings" 0.0
-    (Driver.fi_seconds stripped);
-  Alcotest.(check (float 0.0))
-    "fs_seconds defaults to 0 without timings" 0.0
-    (Driver.fs_seconds stripped);
-  let renamed =
-    {
-      d with
-      Driver.timings =
-        List.filter
-          (fun t -> t.Driver.t_phase <> "5a:fi-icp")
-          d.Driver.timings;
-    }
-  in
-  Alcotest.(check (float 0.0))
-    "fi_seconds defaults to 0 when only 5a is missing" 0.0
-    (Driver.fi_seconds renamed);
-  Alcotest.(check bool)
-    "fs_seconds still found when only 5a is missing" true
-    (Driver.fs_seconds renamed = Driver.fs_seconds d)
 
 let test_driver_floats_toggle () =
   let prog =
@@ -165,7 +122,6 @@ let suite =
     Alcotest.test_case "driver timings" `Quick test_driver_times_nonnegative;
     Alcotest.test_case "driver phase allocation counted" `Quick
       test_driver_phase_allocation;
-    Alcotest.test_case "timing accessors" `Quick test_timing_accessors;
     Alcotest.test_case "driver floats toggle" `Quick test_driver_floats_toggle;
     Alcotest.test_case "harness: candidates table" `Slow
       test_harness_candidates_table;

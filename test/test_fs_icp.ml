@@ -308,53 +308,9 @@ let test_entry_vec_layout () =
     (Entry_vec.entry roots sh_f (pid "f") (fun _ v ->
          Entry_vec.meet_site sh_f v ~word:Fun.id [| P.of_int 1 |] []))
 
-(* A re-solve whose cone (24 to 31 procedures) is smaller than the
-   32 domains requested: the wavefront must shrink its domains and its
-   owners together.  The cone is chosen so that, with owners drawn for 32
-   domains, some member would belong to a domain numbered past the cone's
-   size — one that a run cut down to the cone never spawns.  Such a cone
-   is far under [Par.cutoff Wavefront], so the re-solve now runs on one
-   domain; [Par.domains] caps a wider run at the cone's length.  The
-   re-solve must finish and give exactly the from-scratch solution. *)
-let test_resolve_cone_below_jobs () =
-  let module Cg = Fsicp_callgraph.Callgraph in
-  let module Scale = Fsicp_workloads.Scale in
-  let prog =
-    Scale.generate
-      { Scale.sp_family = Scale.Mixed; sp_procs = 1000; sp_seed = 5 }
-  in
-  let ctx = Context.create prog in
-  let fi = Fi_icp.solve ctx in
-  let prev = Fs_icp.solve ~jobs:1 ~fi ctx in
-  let pcg = ctx.Context.pcg in
-  let jobs = 32 in
-  let bounds = Fs_icp.shard_regions pcg ~parts:(4 * jobs) in
-  let owner = Array.make (Cg.n_procs pcg) 0 in
-  for r = 0 to Array.length bounds - 2 do
-    for i = bounds.(r) to bounds.(r + 1) - 1 do
-      owner.(i) <- r mod jobs
-    done
-  done;
-  let seed =
-    Array.to_seq pcg.Cg.nodes
-    |> Seq.find (fun pid ->
-           let c = Cg.cone pcg ~seeds:[ pid ] in
-           let k = Array.length c in
-           k >= 24 && k < jobs
-           && Array.exists (fun (p : Fsicp_prog.Prog.Proc.id) ->
-                  owner.((p :> int)) >= k) c)
-  in
-  match seed with
-  | None -> Alcotest.fail "no suitable 24-31 procedure cone in the corpus"
-  | Some seed ->
-      let sol, _ = Fs_icp.resolve ~jobs ~fi ~prev ~seeds:[ seed ] ctx in
-      Alcotest.(check string)
-        "cone re-solve at jobs 32 = from-scratch solve"
-        (Solution.digest prev) (Solution.digest sol)
-
-(* Under [Par.cutoff Init] procedures a solve at [jobs 2] takes the
-   [jobs 1] path: no SSA pre-build, so each procedure's SSA is built once
-   at its wavefront turn and the SSA counters read the same at both. *)
+(* Under [Par.cutoff] procedures a solve at [jobs 2] takes the [jobs 1]
+   path: no SSA pre-build, so each procedure's SSA is built once at its
+   turn in the sweep and the SSA counters read the same at both. *)
 let test_ssa_counters_below_cutoff () =
   let prog =
     Fsicp_workloads.Spec.(
@@ -401,8 +357,6 @@ let suite =
     prop_one_scc_per_proc;
     Alcotest.test_case "entry vector layout and main fallback" `Quick
       test_entry_vec_layout;
-    Alcotest.test_case "cone re-solve below the pool size" `Quick
-      test_resolve_cone_below_jobs;
     Alcotest.test_case "SPICE: SSA counters equal at jobs 1 and 2" `Quick
       test_ssa_counters_below_cutoff;
   ]

@@ -103,120 +103,6 @@ let test_exception_propagates () =
             "boom" m)
     [ 1; 4 ]
 
-(* A diamond with a tail: 0 → {1,2} → 3 → 4, plus the skew edge 0 → 4. *)
-let diamond_deps = [| []; [ 0 ]; [ 0 ]; [ 1; 2 ]; [ 3; 0 ] |]
-let diamond_dependents = [| [ 1; 2; 4 ]; [ 3 ]; [ 3 ]; [ 4 ]; [] |]
-let diamond_order = [| 0; 1; 2; 3; 4 |]
-
-(* Round-robin ownership: every dependency edge between neighbours crosses
-   domains, so completions travel through the handoff inboxes. *)
-let round_robin ~jobs n = Array.init n (fun i -> i mod jobs)
-
-let test_wavefront_sequential_order () =
-  (* jobs=1 must visit nodes in exactly the given topological order. *)
-  let visited = ref [] in
-  Par.wavefront ~jobs:1 ~owners:(round_robin ~jobs:1 5) ~order:diamond_order
-    ~deps:diamond_deps ~dependents:diamond_dependents (fun i ->
-      visited := i :: !visited);
-  Alcotest.(check (list int))
-    "sequential wavefront = order array" [ 0; 1; 2; 3; 4 ]
-    (List.rev !visited)
-
-(* Run the wavefront and require every node to be processed exactly once,
-   each only after all of its dependencies finished. *)
-let check_discipline ~what ~jobs ~owners ~order ~deps ~dependents =
-  let n = Array.length deps in
-  let m = Mutex.create () in
-  let runs = Array.make n 0 in
-  let violation = ref false in
-  Par.wavefront ~jobs ~owners ~order ~deps ~dependents (fun i ->
-      Mutex.lock m;
-      List.iter (fun d -> if runs.(d) = 0 then violation := true) deps.(i);
-      Mutex.unlock m;
-      Mutex.lock m;
-      runs.(i) <- runs.(i) + 1;
-      Mutex.unlock m);
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: dependencies complete before dispatch (jobs=%d)" what
-       jobs)
-    false !violation;
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: every node processed once (jobs=%d)" what jobs)
-    true
-    (Array.for_all (fun r -> r = 1) runs)
-
-let test_wavefront_respects_deps () =
-  List.iter
-    (fun jobs ->
-      check_discipline ~what:"diamond" ~jobs ~owners:(round_robin ~jobs 5)
-        ~order:diamond_order ~deps:diamond_deps ~dependents:diamond_dependents)
-    [ 1; 2; 4 ]
-
-(* A seeded random DAG of a few hundred nodes: the forward-edge graph of a
-   scale corpus's PCG, exactly the shape the FS traversal schedules. *)
-let random_dag () =
-  let prog =
-    Scale.generate
-      { Scale.sp_family = Scale.Mixed; sp_procs = 300; sp_seed = 11 }
-  in
-  let pcg = Fsicp_callgraph.Callgraph.build prog in
-  let n = Fsicp_callgraph.Callgraph.n_procs pcg in
-  let deps = Array.make n [] and dependents = Array.make n [] in
-  List.iter
-    (fun (e : Fsicp_callgraph.Callgraph.edge) ->
-      let c = (e.Fsicp_callgraph.Callgraph.caller :> int)
-      and k = (e.Fsicp_callgraph.Callgraph.callee :> int) in
-      if (not e.Fsicp_callgraph.Callgraph.back) && not (List.mem c deps.(k))
-      then begin
-        deps.(k) <- c :: deps.(k);
-        dependents.(c) <- k :: dependents.(c)
-      end)
-    pcg.Fsicp_callgraph.Callgraph.edges;
-  (pcg, n, deps, dependents)
-
-let test_wavefront_random_dag () =
-  let pcg, n, deps, dependents = random_dag () in
-  let order = Array.init n Fun.id in
-  List.iter
-    (fun jobs ->
-      let regions =
-        let bounds = Fs_icp.shard_regions pcg ~parts:(4 * jobs) in
-        let owners = Array.make n 0 in
-        for r = 0 to Array.length bounds - 2 do
-          for i = bounds.(r) to bounds.(r + 1) - 1 do
-            owners.(i) <- r mod jobs
-          done
-        done;
-        owners
-      in
-      List.iter
-        (fun (what, owners) ->
-          check_discipline ~what ~jobs ~owners ~order ~deps ~dependents)
-        [
-          ("all on domain 0", Array.make n 0);
-          ("round-robin", round_robin ~jobs n);
-          ("shard regions", regions);
-        ])
-    [ 2; 4 ]
-
-(* An exception inside [process] must abort the run and be re-raised,
-   without leaving a worker asleep on its inbox. *)
-let test_wavefront_exception () =
-  let _, n, deps, dependents = random_dag () in
-  List.iter
-    (fun jobs ->
-      match
-        Par.wavefront ~jobs ~owners:(round_robin ~jobs n)
-          ~order:(Array.init n Fun.id) ~deps ~dependents (fun i ->
-            if i = n / 2 then failwith "boom")
-      with
-      | () -> Alcotest.fail "expected Failure"
-      | exception Failure m ->
-          Alcotest.(check string)
-            (Printf.sprintf "exception re-raised (jobs=%d)" jobs)
-            "boom" m)
-    [ 2; 4 ]
-
 (* -- solution equality ---------------------------------------------------- *)
 
 let globals_equal a b =
@@ -363,9 +249,9 @@ let check_parallel_site ~what f =
         base d)
     [ 2; 4 ]
 
-(* Lowering and the SSA pre-build fan out past [cutoff Init] procedures. *)
+(* Lowering and the SSA pre-build fan out past [cutoff] procedures. *)
 let test_cutoff_init_sites () =
-  let prog = scale_program (Par.cutoff Par.Init + 16) in
+  let prog = scale_program (Par.cutoff + 16) in
   let fs ctx = Solution.digest (Fs_icp.solve ~jobs:1 ctx) in
   check_parallel_site ~what:"lowering" (fun jobs ->
       fs (Context.create ~jobs prog));
@@ -374,15 +260,16 @@ let test_cutoff_init_sites () =
       Context.build_ssa ~jobs ctx;
       fs ctx)
 
-(* The wavefront fans out past [cutoff Wavefront] procedures, from scratch
-   and over a re-solved cone of that size: the cone of [main] is the whole
-   program.  Seeding [main] alone over its own solution analyses [main]
-   and cuts every other procedure off.  A real edit of [main]'s literal
-   arguments changes entries across the program; its seeded re-solve runs
-   on two domains, analyses thousands of procedures, and must equal a
-   from-scratch solve of the edited program at [jobs 2]. *)
-let test_cutoff_wavefront_sites () =
-  let prog = scale_program (Par.cutoff Par.Wavefront + 16) in
+(* Past [cutoff] procedures the FS solve pre-builds SSA on several
+   domains and gives the [jobs 1] digest.  The re-solve sweeps a cone of
+   that size on the calling domain: the cone of [main] is the whole
+   program, and seeding [main] alone over its own solution analyses
+   [main] and cuts every other procedure off.  A real edit of [main]'s
+   literal arguments changes entries across the program; its seeded
+   re-solve analyses over a thousand procedures and must equal a from-scratch
+   solve of the edited program at [jobs 2]. *)
+let test_cutoff_solve_sites () =
+  let prog = scale_program (Par.cutoff + 16) in
   let ctx = Context.create ~jobs:1 prog in
   let fi = Fi_icp.solve ctx in
   check_parallel_site ~what:"FS solve" (fun jobs ->
@@ -392,35 +279,39 @@ let test_cutoff_wavefront_sites () =
   let main = Option.get (Fsicp_callgraph.Callgraph.proc_id pcg "main") in
   Alcotest.(check bool) "the cone of main is past the cutoff" true
     (Array.length (Fsicp_callgraph.Callgraph.cone pcg ~seeds:[ main ])
-    >= Par.cutoff Par.Wavefront);
-  check_parallel_site ~what:"FS re-solve" (fun jobs ->
+    >= Par.cutoff);
+  List.iter
+    (fun jobs ->
       let sol, analysed = Fs_icp.resolve ~jobs ~fi ~prev ~seeds:[ main ] ctx in
-      Alcotest.(check int) "unchanged inputs: only main analysed" 1 analysed;
-      Solution.digest sol);
+      Alcotest.(check int)
+        (Printf.sprintf "unchanged inputs: only main analysed (jobs=%d)" jobs)
+        1 analysed;
+      Alcotest.(check string)
+        (Printf.sprintf "FS re-solve: jobs=%d digest = solve" jobs)
+        (Solution.digest prev) (Solution.digest sol))
+    [ 1; 2; 4 ];
   let e = Engine.create ~jobs:1 prog in
   let edited =
     Test_util.bump_literals
       (Option.get (Fsicp_callgraph.Callgraph.find_ast pcg "main"))
   in
-  let p0 = pools () in
   (match Engine.edit_proc ~jobs:2 e edited with
   | Engine.Incremental { dirty; _ } ->
       Alcotest.(check bool)
         (Printf.sprintf "the edit re-analyses %d procedures (>= 1000)" dirty)
         true (dirty >= 1000)
   | Engine.Rebuilt why -> Alcotest.failf "edit of main rebuilt: %s" why);
-  Alcotest.(check bool) "the seeded re-solve runs in parallel" true
-    (pools () > p0);
   let fresh = Context.create ~jobs:2 (Engine.context e).Context.prog in
   Alcotest.(check string) "seeded re-solve at jobs 2 = from-scratch solve"
     (Solution.digest (Fs_icp.solve ~jobs:2 fresh))
     (Solution.digest (Engine.solution e))
 
 (* Past the cutoff, the words a solve allocates on spawned domains count
-   too: at [jobs 2] the FS solve reads at least the [jobs 1] count (the
-   same work, plus scheduling), and within 10% of it. *)
+   too: at [jobs 2] the FS solve, whose SSA pre-build runs on two domains,
+   reads at least the [jobs 1] count (the same work, plus scheduling), and
+   within 10% of it. *)
 let test_cutoff_counts_worker_words () =
-  let prog = scale_program (Par.cutoff Par.Wavefront + 16) in
+  let prog = scale_program (Par.cutoff + 16) in
   let minor jobs =
     let ctx = Context.create ~jobs:1 prog in
     let fi = Fi_icp.solve ctx in
@@ -433,27 +324,23 @@ let test_cutoff_counts_worker_words () =
   if two < one || two > 1.1 *. one then
     Alcotest.failf "FS minor words: %.0f at jobs 2, %.0f at jobs 1" two one
 
-(* An owner naming a domain the run does not spawn is a caller error that
-   must surface at once, not a node that is never seeded and a run that
-   never ends. *)
-let test_wavefront_owner_out_of_range () =
-  match
-    Par.wavefront ~jobs:2 ~owners:[| 0; 1; 0; 1; 2 |] ~order:diamond_order
-      ~deps:diamond_deps ~dependents:diamond_dependents ignore
-  with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
 (* -- parallel runs -------------------------------------------------------- *)
 
-(* One wavefront node per domain, no edges: node [d] is owned by, and so
-   runs on, domain [d].  Returns how many distinct domains ran a node. *)
+(* [jobs] tasks, each waiting (up to 5 s) until all [jobs] have started.
+   A domain holds one task until then, so when the run spreads over
+   [jobs] domains each task runs on its own; a run on fewer domains times
+   out instead.  Returns how many distinct domains ran a task. *)
 let domains_used ~jobs =
-  let seen = Array.make jobs (-1) in
-  Par.wavefront ~jobs ~owners:(Array.init jobs Fun.id)
-    ~order:(Array.init jobs Fun.id) ~deps:(Array.make jobs [])
-    ~dependents:(Array.make jobs []) (fun d ->
-      seen.(d) <- (Domain.self () :> int));
+  let started = Atomic.make 0 in
+  let seen =
+    Par.parallel_init ~jobs jobs (fun _ ->
+        Atomic.incr started;
+        let t0 = Unix.gettimeofday () in
+        while Atomic.get started < jobs && Unix.gettimeofday () -. t0 < 5.0 do
+          Domain.cpu_relax ()
+        done;
+        (Domain.self () :> int))
+  in
   List.length (List.sort_uniq compare (Array.to_list seen))
 
 (* A [Par] call inside a task finds a run in flight and runs sequentially;
@@ -485,15 +372,6 @@ let test_pool_survives_exception () =
        with
       | _ -> Alcotest.fail "expected Failure"
       | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
-      (match
-         Par.wavefront ~jobs ~owners:(Array.init 8 (fun i -> i mod jobs))
-           ~order:(Array.init 8 Fun.id) ~deps:(Array.make 8 [])
-           ~dependents:(Array.make 8 []) (fun i ->
-             if i = 5 then failwith "wave")
-       with
-      | () -> Alcotest.fail "expected Failure"
-      | exception Failure m ->
-          Alcotest.(check string) "wavefront re-raises" "wave" m);
       Alcotest.(check int)
         (Printf.sprintf "next run uses every domain (jobs=%d)" jobs)
         jobs (domains_used ~jobs);
@@ -534,7 +412,7 @@ let test_pool_grows () =
         (Array.init 300 (fun i -> i lxor 5))
         (Par.parallel_init ~jobs 300 (fun i -> i lxor 5));
       Alcotest.(check int)
-        (Printf.sprintf "wavefront at jobs=%d uses every domain" jobs)
+        (Printf.sprintf "a run at jobs=%d uses every domain" jobs)
         jobs (domains_used ~jobs))
     [ 2; 4; 2; 4 ]
 
@@ -546,8 +424,6 @@ let test_pool_grows () =
 let test_runs_spawn_and_recycle () =
   let module Trace = Fsicp_trace.Trace in
   let spawned () = Trace.counter_total "par.domains_spawned" in
-  let _, n, deps, dependents = random_dag () in
-  let order = Array.init n Fun.id and owners = round_robin ~jobs:2 n in
   Trace.reset ();
   Trace.set_enabled true;
   let before = spawned () in
@@ -556,8 +432,8 @@ let test_runs_spawn_and_recycle () =
     (fun () ->
       for i = 1 to 200 do
         ignore (Par.parallel_init ~label:"init" ~jobs:2 16 (fun j -> i + j));
-        Par.wavefront ~jobs:2 ~owners ~order ~deps ~dependents (fun _ ->
-            Trace.span "node" ignore)
+        ignore
+          (Par.parallel_init ~jobs:2 300 (fun _ -> Trace.span "node" ignore))
       done);
   Alcotest.(check int) "one domain spawned per run" 400 (spawned () - before);
   let events =
@@ -667,20 +543,10 @@ let suite =
     Alcotest.test_case "map_list = List.map" `Quick test_map_list;
     Alcotest.test_case "worker exception re-raised" `Quick
       test_exception_propagates;
-    Alcotest.test_case "wavefront jobs=1 follows order" `Quick
-      test_wavefront_sequential_order;
-    Alcotest.test_case "wavefront dependency discipline" `Quick
-      test_wavefront_respects_deps;
-    Alcotest.test_case "wavefront random DAG under three ownerships" `Quick
-      test_wavefront_random_dag;
-    Alcotest.test_case "wavefront exception re-raised" `Quick
-      test_wavefront_exception;
     Alcotest.test_case "suite programs: jobs equivalence" `Slow
       test_suite_jobs_equivalent;
     prop_generated_jobs_equivalent;
     prop_cyclic_jobs_equivalent;
-    Alcotest.test_case "wavefront rejects an owner past jobs" `Quick
-      test_wavefront_owner_out_of_range;
     Alcotest.test_case "pool: nested call runs sequentially" `Quick
       test_pool_nested;
     Alcotest.test_case "pool: workers survive an exception" `Quick
@@ -689,16 +555,16 @@ let suite =
       test_pool_concurrent_callers;
     Alcotest.test_case "runs: one spawn each, two tracks" `Quick
       test_runs_spawn_and_recycle;
-    Alcotest.test_case "pool: grows from jobs 2 to jobs 4" `Quick
-      test_pool_grows;
     Alcotest.test_case "cutoff: lowering and SSA fan out past it" `Quick
       test_cutoff_init_sites;
-    Alcotest.test_case "cutoff: solve and re-solve fan out past it" `Quick
-      test_cutoff_wavefront_sites;
+    Alcotest.test_case "cutoff: FS solve fans out, re-solve agrees past it"
+      `Quick test_cutoff_solve_sites;
     Alcotest.test_case "cutoff: worker allocation is counted" `Quick
       test_cutoff_counts_worker_words;
     Alcotest.test_case "Var.intern from four domains" `Quick
       test_var_intern_concurrent;
     Alcotest.test_case "Valpool.intern from a worker domain" `Quick
       test_valpool_intern_concurrent;
+    Alcotest.test_case "pool: grows from jobs 2 to jobs 4" `Quick
+      test_pool_grows;
   ]

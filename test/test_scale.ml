@@ -1,7 +1,7 @@
-(** Tests for the size-parametric scale corpora and the sharded/streaming
+(** Tests for the size-parametric scale corpora and the eager/streaming
     solve paths: generator determinism, direct-AST ≡ text-path equivalence,
-    digest equality across {eager, streaming} × {jobs 1, 4}, shard-region
-    invariants, and the strict spec parsers. *)
+    digest equality across {eager, streaming} × {jobs 1, 4}, and the
+    strict spec parsers. *)
 
 open Fsicp_lang
 open Fsicp_core
@@ -98,8 +98,8 @@ let digest_of ~mode ~jobs prog =
 
 let test_digest_modes_agree () =
   (* Mixed exercises all four families (including recursive cliques, so
-     both the sharded wavefront's handoffs and the FI back-edge seed are
-     live); the four solve paths must agree byte-for-byte. *)
+     the FI back-edge seed is live); the four solve paths must agree
+     byte-for-byte. *)
   let prog = Scale.generate (spec Scale.Mixed 300 4) in
   let reference = digest_of ~mode:`Eager ~jobs:1 prog in
   List.iter
@@ -182,8 +182,9 @@ let qcheck_spec_gen =
     let* seed = int_range 0 10_000 in
     return (spec family procs seed))
 
-let qcheck_sharded_digest =
-  Test_util.qcheck ~count:12 ~name:"random spec: sharded = unsharded = streaming"
+let qcheck_jobs_streaming_digest =
+  Test_util.qcheck ~count:12
+    ~name:"random spec: digests agree across jobs and streaming"
     qcheck_spec_gen (fun s ->
       let prog = Scale.generate s in
       let d1 = digest_of ~mode:`Eager ~jobs:1 prog in
@@ -195,58 +196,6 @@ let qcheck_sharded_digest =
           (family_name s.Scale.sp_family)
           s.Scale.sp_procs s.Scale.sp_seed d1 d4 ds
       else true)
-
-(* -- shard regions -------------------------------------------------------- *)
-
-let check_regions name prog ~parts =
-  let pcg = Callgraph.build prog in
-  let n = Callgraph.n_procs pcg in
-  let bounds = Fs_icp.shard_regions pcg ~parts in
-  let k = Array.length bounds in
-  if k < 2 then Alcotest.failf "%s: bounds too short (%d)" name k;
-  Alcotest.(check int) (name ^ ": first bound") 0 bounds.(0);
-  Alcotest.(check int) (name ^ ": last bound") n bounds.(k - 1);
-  for i = 0 to k - 2 do
-    if bounds.(i) >= bounds.(i + 1) then
-      Alcotest.failf "%s: bounds not strictly ascending at %d" name i
-  done;
-  if k - 1 > parts then
-    Alcotest.failf "%s: %d regions exceeds parts=%d" name (k - 1) parts;
-  (* No boundary may fall strictly inside a back-edge id interval: a back
-     edge caller [c] → callee [k] closes the SCC spanning ids [k..c], so
-     every interior boundary [b] must avoid [k+1..c]. *)
-  List.iter
-    (fun e ->
-      if e.Callgraph.back then begin
-        let lo = (e.Callgraph.callee :> int) + 1
-        and hi = (e.Callgraph.caller :> int) in
-        for i = 1 to k - 2 do
-          if bounds.(i) >= lo && bounds.(i) <= hi then
-            Alcotest.failf "%s: boundary %d splits back-edge interval [%d,%d]"
-              name bounds.(i) lo hi
-        done
-      end)
-    pcg.Callgraph.edges
-
-let test_shard_regions_families () =
-  List.iter
-    (fun f ->
-      let prog = Scale.generate (spec f 200 9) in
-      check_regions (family_name f) prog ~parts:16)
-    Scale.all_families
-
-let qcheck_shard_regions =
-  Test_util.qcheck ~count:20 ~name:"random spec: shard_regions invariants"
-    QCheck2.Gen.(
-      let* s = qcheck_spec_gen in
-      let* parts = int_range 1 32 in
-      return (s, parts))
-    (fun (s, parts) ->
-      check_regions
-        (Printf.sprintf "%s/%d/%d" (family_name s.Scale.sp_family)
-           s.Scale.sp_procs s.Scale.sp_seed)
-        (Scale.generate s) ~parts;
-      true)
 
 (* -- spec parsing --------------------------------------------------------- *)
 
@@ -305,10 +254,7 @@ let suite =
       test_streaming_retires_ssa;
     Alcotest.test_case "streaming builds each procedure once" `Quick
       test_streaming_builds_once;
-    qcheck_sharded_digest;
-    Alcotest.test_case "shard regions: families" `Quick
-      test_shard_regions_families;
-    qcheck_shard_regions;
+    qcheck_jobs_streaming_digest;
     Alcotest.test_case "parse_procs" `Quick test_parse_procs;
     Alcotest.test_case "parse_seed" `Quick test_parse_seed;
   ]

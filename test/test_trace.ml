@@ -419,7 +419,7 @@ let test_counters_and_table () =
 
 (* Counters that must not depend on the domain count.  par.tasks and
    ssa.cache_hits qualify because generated programs sit under
-   [Par.cutoff Init]: FS pre-builds SSA only past it. *)
+   [Par.cutoff]: FS pre-builds SSA only past it. *)
 let invariant_counters =
   [
     "fi.lowerings";
