@@ -424,9 +424,11 @@ let gen family procs seed out stats_only solve_check jobs =
     let jobs = resolve_jobs jobs in
     (* Four independent solves of the same corpus — eager and streaming
        contexts, sequential and parallel — must agree to the byte on the
-       canonical solution digest.  [top_heap_words] is process-monotonic,
-       so the streaming runs go first to leave their (smaller) footprints
-       observable. *)
+       canonical solution digest, and the two eager contexts, whose SSA
+       stays built, on the SSA digest.  [top_heap_words] is
+       process-monotonic, so the streaming runs go first to leave their
+       (smaller) footprints observable, and the SSA digest is taken after
+       the heap is read. *)
     let solve_digest ~label ~jobs mk_ctx =
       Gc.compact ();
       let t = Unix.gettimeofday () in
@@ -435,7 +437,11 @@ let gen family procs seed out stats_only solve_check jobs =
       let ms = (Unix.gettimeofday () -. t) *. 1000. in
       Fmt.pr "solve %s jobs=%d: %.1f ms (top_heap=%dw)@." label jobs ms
         (Gc.stat ()).Gc.top_heap_words;
-      (label, jobs, Solution.digest sol)
+      let ssa =
+        if Context.is_streaming ctx then ""
+        else Fsicp_oracle.Oracle.ssa_digest ctx
+      in
+      (label, jobs, Solution.digest sol, ssa)
     in
     let s1 =
       solve_digest ~label:"streaming" ~jobs:1 (fun () ->
@@ -452,17 +458,22 @@ let gen family procs seed out stats_only solve_check jobs =
       solve_digest ~label:"eager" ~jobs (fun () -> Context.create ~jobs prog)
     in
     let runs = [ s1; sj; e1; ej ] in
-    let _, _, ref_digest = e1 in
+    let _, _, ref_digest, ref_ssa = e1 in
     let bad =
-      List.filter (fun (_, _, d) -> not (String.equal d ref_digest)) runs
+      List.filter (fun (_, _, d, _) -> not (String.equal d ref_digest)) runs
     in
-    if bad = [] then Fmt.pr "digests identical@."
+    let _, _, _, ssa_j = ej in
+    if bad = [] && String.equal ssa_j ref_ssa then
+      Fmt.pr "digests identical@."
     else begin
       List.iter
-        (fun (label, j, _) ->
+        (fun (label, j, _, _) ->
           Fmt.epr "fsicp: digest mismatch (%s jobs=%d vs eager jobs=1)@."
             label j)
         bad;
+      if not (String.equal ssa_j ref_ssa) then
+        Fmt.epr "fsicp: SSA digest mismatch (eager jobs=%d vs eager jobs=1)@."
+          jobs;
       exit 1
     end
   end
@@ -495,8 +506,9 @@ let gen_cmd =
              & info [ "solve-check" ]
                  ~doc:"solve the corpus flow-sensitively with eager and \
                        streaming contexts at jobs 1 and at --jobs and \
-                       require byte-identical solution digests (exit 1 on \
-                       mismatch)")
+                       require byte-identical solution digests, and \
+                       byte-identical SSA of the two eager contexts (exit \
+                       1 on mismatch)")
       $ jobs_arg)
 
 (* -- trace --------------------------------------------------------------- *)

@@ -30,8 +30,8 @@
     [fs ⊑ cc] everywhere (fuzzed by the oracle, alongside [fs ⊑ ref]).
 
     Copy words never escape: the assembled {!Solution.t} evaluates every
-    record against the final entry tables, and [scc_results] is [None]
-    (the raw kernel arrays still hold copy words, which do not box). *)
+    record against the final entry tables, and the raw kernel arrays,
+    which still hold copy words, are not kept. *)
 
 open Fsicp_prog
 open Fsicp_ssa

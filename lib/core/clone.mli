@@ -5,10 +5,6 @@
 
 open Fsicp_lang
 
-type signature = Value.t option list
-
-val signature_of : Solution.callsite_record -> signature
-
 (** Returns the cloned program and the number of clones created; the result
     is {!Sema.check}-clean whenever the input was. *)
 val clone_by_constants :

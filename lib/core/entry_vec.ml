@@ -163,4 +163,3 @@ let publish (pcg : Callgraph.t) ~method_name ~scc_runs shapes vecs site =
           (Callgraph.out_edges pcg pid))
   in
   Solution.of_rows ~method_name ~db ~entries ~call_index ~scc_runs
-    ~scc_results:(Prog.tbl db None)

@@ -101,10 +101,10 @@ val box_site :
 
 (** [publish pcg ~method_name ~scc_runs shapes vecs site] boxes a method's
     final entry vectors ([vecs.(i)] over [shapes.(i)], by procedure id)
-    and call sites into a solution with no SCC results.  For every PCG
-    out-edge, callers in id order and sites in [cs_index] order, [site e]
-    is [Some (exec, word, words)] to publish the site through
-    {!box_site}, or [None] to leave it out. *)
+    and call sites into a solution.  For every PCG out-edge, callers in id
+    order and sites in [cs_index] order, [site e] is
+    [Some (exec, word, words)] to publish the site through {!box_site}, or
+    [None] to leave it out. *)
 val publish :
   Callgraph.t ->
   method_name:string ->

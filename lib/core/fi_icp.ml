@@ -76,7 +76,6 @@ type table = {
   site_callee : Prog.Proc.id array;
   site_globals : (Prog.Var.id * Lattice.t) list array;
   pe_globals : (Prog.Var.id * Lattice.t) list array;  (** per procedure *)
-  no_scc : Scc.result option Prog.Proc.Tbl.t;  (** FI runs no SCC *)
   (* Run state: final words of the last run, a scratch vector for the
      next one, the bound flag of each pass-through op, the lowering queue
      (each bound op is queued at most once: its source slot falls to ⊥
@@ -218,7 +217,7 @@ let compile (ctx : Context.t) : table =
   {
     ctx; n_formals; fp_base; slot_proc; op_target; op_src; op_word; op_box;
     op_site; by_src_start; by_src; site_base; site_op; site_caller;
-    site_callee; site_globals; pe_globals; no_scc = Prog.tbl db None;
+    site_callee; site_globals; pe_globals;
     values = Array.make n_slots P.top;
     scratch = Array.make n_slots P.top;
     bound = Bytes.make n_ops '\000';
@@ -335,7 +334,6 @@ let finish (t : table) ~entries ~call_index : Solution.t =
   let db = t.ctx.Context.pcg.Callgraph.db in
   let sol =
     Solution.of_rows ~method_name ~db ~entries ~call_index ~scc_runs:0
-      ~scc_results:t.no_scc
   in
   t.last <- Some sol;
   sol

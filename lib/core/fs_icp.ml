@@ -76,9 +76,8 @@ let c_resolve_cutoff = Trace.counter "fs.resolve.cutoff"
     [prev]/[seeds] select the incremental path (see {!resolve}): only the
     forward-edge cone of [seeds] is swept, and in it only the seeds and
     the procedures whose forward in-edge records changed are analysed
-    again; every other procedure keeps [prev]'s entry, call-record row
-    and SCC result.  Returns the solution and the
-    number of procedures analysed. *)
+    again; every other procedure keeps [prev]'s entry and call-record
+    row.  Returns the solution and the number of procedures analysed. *)
 let solve_body ?jobs ?fi ?prev ?(seeds = [])
     ?(call_def_value :
        (caller:string -> Ssa.call -> Ir.var -> int) option)
@@ -130,22 +129,18 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
      caller records each of its sites at most once; the rows become the
      solution's as they stand.
 
-     Incremental path: start from copies of the previous solution's three
+     Incremental path: start from copies of the previous solution's two
      per-procedure tables, so every procedure that is not analysed again
-     keeps its entry, SCC result and call-record row (shared, never
-     written).  Each analysed procedure gets a fresh row. *)
+     keeps its entry and call-record row (shared, never written).  Each
+     analysed procedure gets a fresh row. *)
   let db = pcg.Callgraph.db in
   let fresh_row pid = Array.make (Callgraph.n_call_sites pcg pid) None in
-  let entries, results, record_idx =
+  let entries, record_idx =
     match prev with
     | Some (prev : Solution.t) ->
         ( Prog.Proc.Tbl.copy prev.Solution.entries,
-          Prog.Proc.Tbl.copy prev.Solution.scc_results,
           Prog.Proc.Tbl.copy prev.Solution.call_index )
-    | None ->
-        ( Prog.tbl db Solution.empty_entry,
-          Prog.tbl db None,
-          Prog.tbl_init db fresh_row )
+    | None -> (Prog.tbl db Solution.empty_entry, Prog.tbl_init db fresh_row)
   in
 
   (* Early cutoff.  A cone member that is not a seed keeps [prev]'s outputs
@@ -156,8 +151,8 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
      unchanged too, since the callee of every back edge whose
      flow-insensitive record changed is a seed, and a non-seed's SSA is
      [prev]'s.  The same entry vector over the same SSA gives [prev]'s
-     entry, SCC result and records: a from-scratch solve would recompute
-     exactly them. *)
+     entry and records: a from-scratch solve would recompute exactly
+     them. *)
   let cutoffs = ref 0 in
   let unchanged (pid : Prog.Proc.id) =
     match prev with
@@ -238,7 +233,6 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
     in
     let config = { Scc.entry_env; call_def_value = cdv } in
     let res = Scc.run ~config ssa in
-    Prog.Proc.Tbl.set results pid (Some res);
     (* Record call-site values for the callees' later meets.  Reading the
        words and boxing them are two passes; a fused reader saved 4% of
        this layer's minor words on the 20 000-procedure corpus (7 675 vs
@@ -273,15 +267,9 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
           | Some old as kept when Solution.record_equal old cr -> kept
           | Some _ | None -> Some cr))
       call_sites;
-    (* Streaming solves must not retain each procedure's SSA through the
-       retained [Scc.result]: once the records are extracted the result
-       keeps every per-name array (the canonical digest reads those) but
-       its SSA field is retired to [None] — any later accessor that needs
-       the structure raises instead of reading stale state. *)
-    if streaming then begin
-      Prog.Proc.Tbl.set results pid (Some { res with Scc.proc = None });
-      Context.retire ctx pid
-    end
+    (* The records are all the sweep keeps of the analysis: a streaming
+       solve releases the procedure's artifacts now. *)
+    if streaming then Context.retire ctx pid
   in
   Array.iter
     (fun i ->
@@ -296,7 +284,7 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
     Trace.add c_resolve_cutoff cut
   end;
   ( Solution.of_rows ~method_name ~db ~entries ~call_index:record_idx
-      ~scc_runs:n ~scc_results:results,
+      ~scc_runs:n,
     Array.length order - cut )
 
 let solve ?jobs ?fi
@@ -316,7 +304,7 @@ let solve ?jobs ?fi
     program; [prev] is the previous flow-sensitive solution.  Only the
     seeds' forward cone ({!Callgraph.cone}) is swept, and in it a procedure is analysed again only when it is a
     seed or some forward in-edge record differs from [prev]'s; the others
-    are cut off and keep [prev]'s entry, SCC result and row.  The result
+    are cut off and keep [prev]'s entry and row.  The result
     is identical — including [scc_runs], which counts one flow-sensitive
     analysis per procedure, the solution-shape invariant — to a
     from-scratch {!solve} at any [jobs]; the actual work shows up in the

@@ -48,7 +48,7 @@ val solve :
     differs from [prev]'s (under {!Solution.record_equal}); an analysed
     procedure stores every record equal to [prev]'s as [prev]'s own, so
     the test is a physical comparison.  Cut-off members and procedures
-    outside the cone keep [prev]'s entry, call records and SCC result.
+    outside the cone keep [prev]'s entry and call records.
 
     Returns a solution identical to a from-scratch {!solve} of the edited
     program, at any [jobs], and the number of procedures analysed.  The

@@ -6,8 +6,6 @@
 
 open Fsicp_lang
 
-val body_size : Ast.stmt list -> int
-val has_return : Ast.stmt list -> bool
 val inlinable : Context.t -> max_body:int -> Ast.proc -> bool
 
 (** Inline every eligible call site (one level); returns the new program

@@ -414,4 +414,4 @@ let solve (ctx : Context.t) (variant : variant) : Solution.t =
       sites
   in
   Solution.make ~method_name:(variant_name variant) ~db ~entries
-    ~call_records ~scc_runs ~scc_results:(Prog.tbl db None)
+    ~call_records ~scc_runs

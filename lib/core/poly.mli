@@ -11,9 +11,6 @@ type monomial = (int * int) list
 type t = (monomial * Value.t) list
 (** normalised: no zero coefficients, monomials distinct and sorted *)
 
-val max_terms : int
-val max_degree : int
-
 val zero : t
 val const : Value.t -> t
 val formal : int -> t

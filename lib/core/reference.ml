@@ -55,7 +55,6 @@ let solve (ctx : Context.t) : Solution.t =
   let entries_tbl : Solution.proc_entry option Prog.Proc.Tbl.t =
     Prog.tbl db None
   in
-  let scc_results = Prog.tbl db None in
   let scc_runs = ref 0 in
   let pass () =
     let any_change = ref false in
@@ -145,7 +144,6 @@ let solve (ctx : Context.t) : Solution.t =
         let ssa = Context.ssa_at ctx pid in
         let res = Scc.run ~config:{ Scc.default_config with entry_env } ssa in
         incr scc_runs;
-        Prog.Proc.Tbl.set scc_results pid (Some res);
         List.iter
           (fun (b, _, (c : Ssa.call)) ->
             let executable = res.Scc.block_executable.(b) in
@@ -203,5 +201,5 @@ let solve (ctx : Context.t) : Solution.t =
         entries_tbl
     in
     Solution.of_rows ~method_name ~db ~entries ~call_index:records
-      ~scc_runs:!scc_runs ~scc_results
+      ~scc_runs:!scc_runs
   end

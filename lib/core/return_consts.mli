@@ -22,18 +22,6 @@ type t = {
 
 val summary_of : t -> string -> summary option
 
-(** Post-call value of a caller-side variable for one call, given the
-    callee's summary: the meet over every channel (by-reference argument
-    positions binding it, and the global itself).  Answers in packed
-    lattice words ({!Lattice.P}); [censor] is the packed
-    {!Context.censor_w}. *)
-val call_def_value_from :
-  (string, summary) Hashtbl.t ->
-  censor:(int -> int) ->
-  Ssa.call ->
-  Ir.var ->
-  int
-
 (** Run the reverse traversal on top of a forward FS solution; exactly one
     additional SCC per procedure. *)
 val compute : Context.t -> fs:Solution.t -> t

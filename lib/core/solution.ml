@@ -58,22 +58,19 @@ type t = {
       (** number of flow-sensitive intraprocedural analyses performed — the
           paper's headline is that the FS method needs exactly one per
           procedure *)
-  scc_results : Scc.result option Prog.Proc.Tbl.t;
-      (** the per-procedure SCC runs, when the method performs them ([None]
-          everywhere for flow-insensitive methods) *)
 }
 
 (** Assemble a solution over rows the method filled: slot [k] of row
     [p] holds [None] or caller [p]'s record of site [k] (a row may be
     wider than its largest index).  The FI and FS solvers' incremental
     updates share every unchanged row with the previous solution. *)
-let of_rows ~method_name ~db ~entries ~call_index ~scc_runs ~scc_results : t =
-  { method_name; db; entries; call_index; scc_runs; scc_results }
+let of_rows ~method_name ~db ~entries ~call_index ~scc_runs : t =
+  { method_name; db; entries; call_index; scc_runs }
 
 (** Assemble a solution from call records in any order, each stored at its
     (caller, cs_index) slot; a row is as wide as its caller's largest
     index.  Two records of one site are an error. *)
-let make ~method_name ~db ~entries ~call_records ~scc_runs ~scc_results : t =
+let make ~method_name ~db ~entries ~call_records ~scc_runs : t =
   let width = Array.make (Prog.n_procs db) 0 in
   List.iter
     (fun cr ->
@@ -93,7 +90,7 @@ let make ~method_name ~db ~entries ~call_records ~scc_runs ~scc_results : t =
              cr.cr_cs_index);
       row.(cr.cr_cs_index) <- Some cr)
     call_records;
-  of_rows ~method_name ~db ~entries ~call_index ~scc_runs ~scc_results
+  of_rows ~method_name ~db ~entries ~call_index ~scc_runs
 
 (* Every record, callers in ascending id order, each caller's in
    ascending [cs_index] order. *)
@@ -175,12 +172,12 @@ let find_call_record t ~caller ~cs_index =
   if cs_index >= 0 && cs_index < Array.length row then row.(cs_index)
   else None
 
-(** Canonical full print — every field down to the per-procedure SCC
-    results — keyed by {e names}, never by the ids a particular context
-    minted, so digests of independent solves of the same program are
-    comparable.  Two solutions are byte-identical iff their digests are
-    equal: the incremental engine's correctness oracle and the serve
-    daemon's [digest] request are both this function. *)
+(** Canonical full print — [scc_runs], every entry and every call record —
+    keyed by {e names}, never by the ids a particular context minted, so
+    digests of independent solves of the same program are comparable.
+    Two solutions are byte-identical iff their digests are equal: the
+    incremental engine's correctness oracle and the serve daemon's
+    [digest] request are both this function. *)
 let digest (s : t) : string =
   let b = Buffer.create 4096 in
   let db = s.db in
@@ -220,29 +217,6 @@ let digest (s : t) : string =
         cr.cr_globals;
       Buffer.add_char b '\n')
     s;
-  Array.iter
-    (fun pid ->
-      match Prog.Proc.Tbl.get s.scc_results pid with
-      | None -> ()
-      | Some (r : Scc.result) ->
-          Buffer.add_string b
-            (Printf.sprintf "scc %s values:" (Prog.proc_name db pid));
-          Array.iter
-            (fun w ->
-              Buffer.add_string b
-                (Printf.sprintf " %s" (Lattice.to_string (Lattice.P.to_t w))))
-            r.Scc.values;
-          Buffer.add_string b " blocks:";
-          Array.iter
-            (fun x -> Buffer.add_char b (if x then '1' else '0'))
-            r.Scc.block_executable;
-          Buffer.add_string b " edges:";
-          Bytes.iter
-            (fun c ->
-              Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
-            r.Scc.edge_exec;
-          Buffer.add_char b '\n')
-    (Prog.procs db);
   Buffer.contents b
 
 let pp ppf t =

@@ -40,9 +40,6 @@ type t = {
   scc_runs : int;
       (** flow-sensitive intraprocedural analyses performed — the paper's
           headline is exactly one per procedure for the FS method *)
-  scc_results : Scc.result option Prog.Proc.Tbl.t;
-      (** per-procedure SCC runs, when the method performs them ([None]
-          everywhere for flow-insensitive methods) *)
 }
 
 (** Assemble a solution over rows the method filled: slot [k] of row [p]
@@ -55,7 +52,6 @@ val of_rows :
   entries:proc_entry Prog.Proc.Tbl.t ->
   call_index:callsite_record option array Prog.Proc.Tbl.t ->
   scc_runs:int ->
-  scc_results:Scc.result option Prog.Proc.Tbl.t ->
   t
 
 (** Assemble a solution from call records in any order, storing each at
@@ -67,7 +63,6 @@ val make :
   entries:proc_entry Prog.Proc.Tbl.t ->
   call_records:callsite_record list ->
   scc_runs:int ->
-  scc_results:Scc.result option Prog.Proc.Tbl.t ->
   t
 
 (** Every call record: callers in ascending id order, each caller's
@@ -104,11 +99,13 @@ val record_equal : callsite_record -> callsite_record -> bool
 val find_call_record :
   t -> caller:Prog.Proc.id -> cs_index:int -> callsite_record option
 
-(** Canonical full print — entries, call records, per-procedure SCC
-    results, [scc_runs] — keyed by names, never by context-minted ids, so
-    digests of independent solves of the same program are comparable.
-    Byte-equality of digests is the definition of "identical solutions"
-    used by the incremental-engine oracle and the serve daemon. *)
+(** Canonical full print — [scc_runs], entries and call records, the
+    solution's whole content — keyed by names, never by context-minted
+    ids, so digests of independent solves of the same program are
+    comparable.  Byte-equality of digests is the definition of "identical
+    solutions" used by the incremental-engine oracle and the serve daemon.
+    The SSA the solution was computed over is not part of it; checks that
+    SSA agrees compare [Oracle.ssa_digest] of the contexts instead. *)
 val digest : t -> string
 
 val pp : t Fmt.t

@@ -7,7 +7,6 @@ type proc_aliases
 
 type t
 
-val empty_aliases : proc_aliases
 val find : t -> string -> proc_aliases
 val formals_may_alias : t -> string -> int -> int -> bool
 val formal_global_may_alias : t -> string -> int -> string -> bool

@@ -8,8 +8,6 @@ type error = {
   pos : Ast.pos;
 }
 
-val pp_error : error Fmt.t
-
 exception Illformed of error list
 
 (** Variable classification shared with lowering: formals shadow globals;

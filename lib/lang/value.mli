@@ -9,7 +9,8 @@ type t =
   | Real of float
 
 (** Structural equality: [Int 1] and [Real 1.0] differ (the lattice needs
-    this); the language's [==] operator uses {!equal_numeric} instead. *)
+    this); the language's [==] operator compares with int→real promotion
+    instead. *)
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
@@ -20,12 +21,6 @@ val truthy : t -> bool
 
 val of_bool : bool -> t
 val to_float : t -> float
-
-(** Numeric equality/comparison with int→real promotion (the semantics of
-    [==], [<], …). *)
-val equal_numeric : t -> t -> bool
-
-val compare_numeric : t -> t -> int
 
 (** Shortest decimal form that parses back to exactly the same float
     (always keeping a decimal point or exponent), with explicit [nan] /

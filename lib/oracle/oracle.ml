@@ -445,9 +445,14 @@ let check_transform_vc ?fuel (prog : Ast.program) : (unit, failure) result =
 let c_edit_checks_ok = Trace.counter "oracle.edit_checks_ok"
 let c_edit_checks_failed = Trace.counter "oracle.edit_checks_failed"
 
-(* The canonical name-keyed print (shared with the serve daemon): two
-   solutions are byte-identical iff their digests are equal. *)
-let solution_digest = Solution.digest
+let ssa_digest (ctx : Context.t) : string =
+  let b = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer b in
+  Array.iter
+    (fun pid -> Fsicp_ssa.Ssa.pp_proc ppf (Context.ssa_at ctx pid))
+    ctx.Context.pcg.Fsicp_callgraph.Callgraph.nodes;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Statement/expression rebuilding for the edit mutators. *)
 let rec map_stmts fe body =
@@ -558,9 +563,9 @@ let describe_outcome = function
 (** Drive the same random edit sequence through two live engines
     ([jobs = 1] and [jobs = N]) and, after {e every} edit, demand both
     engines' flow-sensitive and flow-insensitive solutions be
-    byte-identical — via {!solution_digest} — to a from-scratch solve of
-    the current program.  This is the incremental engine's whole
-    correctness contract in one check. *)
+    byte-identical — via {!Solution.digest} — to a from-scratch solve of
+    the current program, over the same SSA ({!ssa_digest}).  This is the
+    incremental engine's whole correctness contract in one check. *)
 let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
   let jobs =
     match jobs with
@@ -581,16 +586,23 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
       let ctx = Context.create ~jobs:1 cur in
       let fi = Fi_icp.solve ctx in
       let fs = Fs_icp.solve ~jobs:1 ~fi ctx in
-      let d_ref = solution_digest fs in
-      let d1 = solution_digest (Engine.solution e1) in
-      let dn = solution_digest (Engine.solution en) in
-      (* The engines patch their FI solution rather than re-solving it. *)
-      let fi_ref = solution_digest fi in
-      let fi_diverged =
-        List.find_opt
-          (fun (_, e) ->
-            not (String.equal fi_ref (solution_digest (Engine.fi_solution e))))
+      let d_ref = Solution.digest fs in
+      let d1 = Solution.digest (Engine.solution e1) in
+      let dn = Solution.digest (Engine.solution en) in
+      (* The [jobs] of the first engine whose [digest] differs from [want]. *)
+      let diverged want digest =
+        List.find_map
+          (fun (j, e) -> if String.equal want (digest e) then None else Some j)
           [ (1, e1); (jobs, en) ]
+      in
+      (* The engines patch their FI solution rather than re-solving it, and
+         carry SSA over an edit rather than rebuilding it. *)
+      let fi_diverged =
+        diverged (Solution.digest fi) (fun e ->
+            Solution.digest (Engine.fi_solution e))
+      in
+      let ssa_diverged =
+        diverged (ssa_digest ctx) (fun e -> ssa_digest (Engine.context e))
       in
       if
         not
@@ -607,7 +619,7 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
              "edit %d of %d (proc %s, %s): jobs=%d FI solution diverged from \
               from-scratch"
              i edits p.Ast.pname (describe_outcome o1)
-             (fst (Option.get fi_diverged)))
+             (Option.get fi_diverged))
       else if not (String.equal d1 d_ref) then
         Error
           (fail_check "incremental:jobs1"
@@ -619,6 +631,13 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
              "edit %d of %d (proc %s, %s): jobs=%d solution diverged from \
               from-scratch"
              i edits p.Ast.pname (describe_outcome on) jobs)
+      else if Option.is_some ssa_diverged then
+        Error
+          (fail_check "incremental:ssa"
+             "edit %d of %d (proc %s, %s): jobs=%d SSA diverged from \
+              from-scratch"
+             i edits p.Ast.pname (describe_outcome o1)
+             (Option.get ssa_diverged))
       else go (i + 1)
     end
   in

@@ -101,12 +101,13 @@ val check_seed : ?fuel:int -> ?jobs:int -> int -> (unit, failure) result
     (default 20_000 steps per VC). *)
 val check_transform_vc : ?fuel:int -> Ast.program -> (unit, failure) result
 
-(** Canonical full print of a solution — entries, call records, SCC
-    results, [scc_runs] — keyed by names, never by context-minted ids, so
-    digests of independent solves of the same program are comparable.
-    Byte-equality of digests is the oracle's definition of "identical
-    solutions". *)
-val solution_digest : Solution.t -> string
+(** MD5 (hex) of every reachable procedure's SSA form
+    ({!Fsicp_ssa.Ssa.pp_proc}), in procedure id order, building the forms
+    the context lacks.  Two contexts of one program hold the same SSA iff
+    their digests are equal: the checks that SSA agrees across [jobs],
+    intern orders and edit routes compare this, since {!Solution.digest}
+    covers only the solution. *)
+val ssa_digest : Context.t -> string
 
 (** One random procedure edit of [prog]: mostly shape-preserving literal
     tweaks / appended statements / no-ops, with an occasional
@@ -120,8 +121,9 @@ val random_edit : Random.State.t -> Ast.program -> Ast.proc
     sequence (default 5 edits) through two live incremental engines
     ([jobs = 1] and [jobs = N, N ≥ 2]) and, after every edit, checks both
     engines' flow-sensitive and flow-insensitive solutions are
-    byte-identical ({!solution_digest}) to a from-scratch solve of the
-    current program, and that both engines chose
+    byte-identical ({!Solution.digest}) to a from-scratch solve of the
+    current program, that both engines' contexts hold its SSA
+    ({!ssa_digest}), and that both engines chose
     the same incremental-vs-rebuild route.  After the last edit the
     beyond-the-paper methods are checked on the final program too: cc and
     vc must be interpreter-sound and satisfy [fs ⊑ cc] / [fs ⊑ vc]. *)

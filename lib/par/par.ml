@@ -156,73 +156,3 @@ let parallel_init ?label ~jobs n f =
 let map_list ~jobs f l =
   let a = Array.of_list l in
   Array.to_list (parallel_init ~jobs (Array.length a) (fun i -> f a.(i)))
-
-module Arena = struct
-  type stack = { mutable sbuf : int array; mutable slen : int }
-
-  type t = {
-    mutable epoch : int;
-    mutable stamps : int array;
-    mutable reserved : int;
-    sa : stack;
-    sb : stack;
-  }
-
-  let new_stack () = { sbuf = Array.make 256 0; slen = 0 }
-
-  let create () =
-    {
-      epoch = 0;
-      stamps = Array.make 1024 0;
-      reserved = 0;
-      sa = new_stack ();
-      sb = new_stack ();
-    }
-
-  let key = Domain.DLS.new_key create
-  let get () = Domain.DLS.get key
-
-  (* O(1): slots marked under earlier epochs become unmarked because their
-     stamp no longer equals [epoch].  Stamps start at 0 and [epoch] starts
-     at 1 after the first reset, so a fresh (or freshly grown) stamp array
-     reads as all-clear. *)
-  let reset t =
-    t.epoch <- t.epoch + 1;
-    t.reserved <- 0;
-    t.sa.slen <- 0;
-    t.sb.slen <- 0
-
-  let reserve_marks t n =
-    let base = t.reserved in
-    t.reserved <- base + n;
-    let cap = Array.length t.stamps in
-    if t.reserved > cap then begin
-      let stamps = Array.make (max t.reserved (2 * cap)) 0 in
-      (* Preserve marks already set this epoch in earlier regions. *)
-      Array.blit t.stamps 0 stamps 0 cap;
-      t.stamps <- stamps
-    end;
-    base
-
-  let[@inline] mark t i = t.stamps.(i) <- t.epoch
-  let[@inline] unmark t i = t.stamps.(i) <- 0
-  let[@inline] marked t i = t.stamps.(i) = t.epoch
-  let stack_a t = t.sa
-  let stack_b t = t.sb
-
-  let[@inline] push s x =
-    let cap = Array.length s.sbuf in
-    if s.slen = cap then begin
-      let buf = Array.make (2 * cap) 0 in
-      Array.blit s.sbuf 0 buf 0 cap;
-      s.sbuf <- buf
-    end;
-    s.sbuf.(s.slen) <- x;
-    s.slen <- s.slen + 1
-
-  let[@inline] is_empty s = s.slen = 0
-
-  let[@inline] pop s =
-    s.slen <- s.slen - 1;
-    s.sbuf.(s.slen)
-end

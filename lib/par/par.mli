@@ -53,53 +53,3 @@ val domains : jobs:int -> int -> int
     plus those every spawned domain allocated in its run, so a difference of
     two readings counts a phase on every domain it ran on. *)
 val allocated_words : unit -> float * float
-
-(** Per-domain epoch-stamped scratch arena for flat analysis kernels.
-
-    One arena lives in each domain's local storage ({!Domain.DLS}), so a
-    kernel running on any domain gets private scratch with no locking
-    and near-zero allocation once the arena has grown to the largest
-    procedure it has seen.  A spawned domain starts with a fresh arena,
-    which grows within its run.  The arena hands out two
-    kinds of scratch:
-
-    - {b mark regions} — ranges of an int-stamp array used as bitsets.  A
-      slot is "set" iff its stamp equals the arena's current epoch, so
-      {!reset} clears every region of every size in O(1) by bumping the
-      epoch instead of zeroing memory.
-    - {b int stacks} — two growable LIFO worklists ([stack_a]/[stack_b])
-      whose backing arrays persist across runs.
-
-    Protocol: call [reset], then [reserve_marks] for every region the run
-    needs {e before} marking anything (growth re-zeroes the stamp array but
-    preserves marks already set this epoch), then run the kernel.  Arenas
-    are single-kernel scratch: results that outlive the run must be copied
-    out (or allocated normally). *)
-module Arena : sig
-  type t
-  type stack
-
-  val get : unit -> t
-  (** The calling domain's arena. *)
-
-  val reset : t -> unit
-  (** O(1) wipe: bumps the epoch and releases all mark regions and stacks. *)
-
-  val reserve_marks : t -> int -> int
-  (** [reserve_marks t n] returns the base index of a fresh all-clear region
-      of [n] mark slots; address slot [i] of the region as [base + i]. *)
-
-  val mark : t -> int -> unit
-  val unmark : t -> int -> unit
-  val marked : t -> int -> bool
-
-  val stack_a : t -> stack
-  val stack_b : t -> stack
-  (** Two independent reusable worklists, emptied by {!reset}. *)
-
-  val push : stack -> int -> unit
-  val is_empty : stack -> bool
-
-  val pop : stack -> int
-  (** Undefined on an empty stack; guard with {!is_empty}. *)
-end

@@ -28,7 +28,7 @@
     through the CSR arrays of {!Ssa.proc}, edge executability one bit per
     dense edge id, both worklists int stacks of dense edge/site ids with
     on-worklist dedup marks, and all scratch from the calling domain's
-    epoch-stamped {!Fsicp_par.Par.Arena} — the steady-state loop allocates
+    epoch-stamped {!scratch} record — the steady-state loop allocates
     nothing, and lattice meets/compares are single integer operations.
     Transfer evaluation is closure-free: the per-run state lives in one
     {!kstate} record threaded through top-level visit functions, dispatch
@@ -46,7 +46,6 @@
 open Fsicp_lang
 open Fsicp_cfg
 open Fsicp_ssa
-module Par = Fsicp_par.Par
 module Trace = Fsicp_trace.Trace
 module P = Lattice.P
 
@@ -96,22 +95,11 @@ let env_of_list (l : (Ir.var * Value.t) list) : Ir.var -> int =
     | None -> P.bot
 
 type result = {
-  proc : Ssa.proc option;
-      (* [None] once a streaming solve has retired the SSA: the packed
-         arrays stay valid, but SSA-dependent accessors must raise rather
-         than silently read another procedure's structure *)
+  proc : Ssa.proc;  (** the analysed SSA *)
   values : int array;  (** packed lattice word per SSA name id *)
   block_executable : bool array;
   edge_exec : Bytes.t;  (** bitset over dense edge ids *)
 }
-
-let proc_exn (r : result) : Ssa.proc =
-  match r.proc with
-  | Some p -> p
-  | None ->
-      invalid_arg
-        "Scc.result: SSA retired by the streaming solve; only the packed \
-         value/executability arrays survive retirement"
 
 let[@inline] bit_get bytes i =
   Char.code (Bytes.unsafe_get bytes (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -139,21 +127,79 @@ let operand_value (r : result) (o : Ssa.operand) : Lattice.t =
 (** Is dense edge [e] executable? *)
 let edge_bit (r : result) (e : int) : bool = bit_get r.edge_exec e
 
-(* -- Oracle resolution ----------------------------------------------- *)
+(* -- Per-domain scratch ---------------------------------------------- *)
 
-(* Per-domain scratch vectors for oracle resolution and memo probing.
-   They are written fresh at the top of every [run] and only copied into
-   exact-length arrays on a memo miss (the copies escape into the memo),
-   so a warm run resolves and probes without allocating. *)
-type scratch = { mutable s_entry : int array; mutable s_cdv : int array }
+(* A growable int stack whose backing array persists across runs. *)
+type stack = { mutable sbuf : int array; mutable slen : int }
 
-let scratch_key =
+(* Everything a run needs that does not outlive it, one record per domain
+   in [Domain.DLS], so a run on any domain gets private scratch with no
+   locking and no allocation once the record has grown to the largest
+   procedure it has seen:
+
+   - [s_entry]/[s_cdv], the resolved oracle vectors, written fresh at the
+     top of every [run] and only copied into exact-length arrays on a memo
+     miss (the copies escape into the memo), so a warm run resolves and
+     probes without allocating;
+   - [stamps], the kernel's on-worklist dedup marks: edge [e] at slot [e],
+     site [s] at slot [n_edges + s].  A slot is marked iff its stamp equals
+     [epoch], so bumping [epoch] at the start of a kernel run clears every
+     mark in O(1).  Stamps start at 0 and the first run's epoch is 1, so a
+     fresh (or freshly grown) stamp array reads as all-clear;
+   - [flow]/[ssa], the flow worklist of dense edge ids and the SSA
+     worklist of dense site ids, emptied at the start of a run. *)
+type scratch = {
+  mutable s_entry : int array;
+  mutable s_cdv : int array;
+  mutable epoch : int;
+  mutable stamps : int array;
+  flow : stack;
+  ssa : stack;
+}
+
+let scratch =
   Domain.DLS.new_key (fun () ->
-      { s_entry = Array.make 64 0; s_cdv = Array.make 64 0 })
+      {
+        s_entry = Array.make 64 0;
+        s_cdv = Array.make 64 0;
+        epoch = 0;
+        stamps = Array.make 1024 0;
+        flow = { sbuf = Array.make 256 0; slen = 0 };
+        ssa = { sbuf = Array.make 256 0; slen = 0 };
+      })
 
 let ensure arr n =
   if Array.length arr >= n then arr
   else Array.make (max n (2 * Array.length arr)) 0
+
+let[@inline] push s x =
+  let cap = Array.length s.sbuf in
+  if s.slen = cap then begin
+    let buf = Array.make (2 * cap) 0 in
+    Array.blit s.sbuf 0 buf 0 cap;
+    s.sbuf <- buf
+  end;
+  s.sbuf.(s.slen) <- x;
+  s.slen <- s.slen + 1
+
+(* Undefined on an empty stack; the kernel checks [slen] first. *)
+let[@inline] pop s =
+  s.slen <- s.slen - 1;
+  s.sbuf.(s.slen)
+
+let[@inline] mark sc i = sc.stamps.(i) <- sc.epoch
+let[@inline] unmark sc i = sc.stamps.(i) <- 0
+let[@inline] marked sc i = sc.stamps.(i) = sc.epoch
+
+(* Start a kernel run over [n] mark slots: clear every mark and both
+   worklists. *)
+let start_run sc n =
+  sc.epoch <- sc.epoch + 1;
+  sc.stamps <- ensure sc.stamps n;
+  sc.flow.slen <- 0;
+  sc.ssa.slen <- 0
+
+(* -- Oracle resolution ----------------------------------------------- *)
 
 (* The entry vector: one packed word per [entry_names] position.
    Version-0 temps are never read before being written, so their entry
@@ -197,11 +243,8 @@ type kstate = {
   kv : int array;  (* packed lattice word per SSA name *)
   kee : Bytes.t;  (* edge-exec bitset *)
   kcdv : int array;  (* packed call-def vector *)
-  ka : Par.Arena.t;
-  kem : int;  (* edge dedup-mark region base *)
-  ksm : int;  (* site dedup-mark region base *)
-  kflow : Par.Arena.stack;  (* flow worklist: dense edge ids *)
-  kssa : Par.Arena.stack;  (* SSA worklist: dense site ids *)
+  ksc : scratch;  (* dedup marks and both worklists *)
+  ksm : int;  (* site dedup-mark base: edges mark slots [0, ksm) *)
   mutable kvisits : int;
   mutable ksites : int;
   mutable kmarks : int;
@@ -218,9 +261,9 @@ let lower st (n : Ssa.name) (w : int) =
     for k = p.Ssa.use_offsets.(id) to p.Ssa.use_offsets.(id + 1) - 1 do
       let s = p.Ssa.use_sites.(k) in
       (* A site queued twice is visited once per drain. *)
-      if not (Par.Arena.marked st.ka (st.ksm + s)) then begin
-        Par.Arena.mark st.ka (st.ksm + s);
-        Par.Arena.push st.kssa s
+      if not (marked st.ksc (st.ksm + s)) then begin
+        mark st.ksc (st.ksm + s);
+        push st.ksc.ssa s
       end
     done
   end
@@ -263,11 +306,10 @@ let visit_instr st b i =
   | Ssa.Print _ -> ()
 
 let mark_edge st e =
-  if (not (bit_get st.kee e)) && not (Par.Arena.marked st.ka (st.kem + e))
-  then begin
+  if (not (bit_get st.kee e)) && not (marked st.ksc e) then begin
     st.kmarks <- st.kmarks + 1;
-    Par.Arena.mark st.ka (st.kem + e);
-    Par.Arena.push st.kflow e
+    mark st.ksc e;
+    push st.ksc.flow e
   end
 
 let visit_term st b =
@@ -299,29 +341,23 @@ let visit_block st b =
   done;
   visit_term st b
 
-let run_kernel (p : Ssa.proc) ~(entry : int array) ~(cdv : int array) : result
-    =
+let run_kernel sc (p : Ssa.proc) ~(entry : int array) ~(cdv : int array) :
+    result =
   let nblocks = Array.length p.Ssa.blocks in
   (* The result arrays escape into solutions and the memo, so they are
-     freshly allocated; only kernel-private scratch comes from the arena. *)
+     freshly allocated; only kernel-private scratch comes from [sc]. *)
   let values = Array.make (max 1 p.Ssa.n_names) P.top in
   let block_executable = Array.make nblocks false in
   let edge_exec = Bytes.make ((p.Ssa.n_edges + 8) / 8) '\000' in
-  let a = Par.Arena.get () in
-  Par.Arena.reset a;
-  let kem = Par.Arena.reserve_marks a p.Ssa.n_edges in
-  let ksm = Par.Arena.reserve_marks a p.Ssa.n_sites in
+  start_run sc (p.Ssa.n_edges + p.Ssa.n_sites);
   let st =
     {
       kp = p;
       kv = values;
       kee = edge_exec;
       kcdv = cdv;
-      ka = a;
-      kem;
-      ksm;
-      kflow = Par.Arena.stack_a a;
-      kssa = Par.Arena.stack_b a;
+      ksc = sc;
+      ksm = p.Ssa.n_edges;
       kvisits = 0;
       ksites = 0;
       kmarks = 0;
@@ -340,9 +376,9 @@ let run_kernel (p : Ssa.proc) ~(entry : int array) ~(cdv : int array) : result
 
   let continue = ref true in
   while !continue do
-    if not (Par.Arena.is_empty st.kflow) then begin
-      let e = Par.Arena.pop st.kflow in
-      Par.Arena.unmark a (kem + e);
+    if sc.flow.slen > 0 then begin
+      let e = pop sc.flow in
+      unmark sc e;
       if not (bit_get edge_exec e) then begin
         bit_set edge_exec e;
         let d = p.Ssa.edge_dst.(e) in
@@ -358,10 +394,10 @@ let run_kernel (p : Ssa.proc) ~(entry : int array) ~(cdv : int array) : result
         end
       end
     end
-    else if not (Par.Arena.is_empty st.kssa) then begin
-      let s = Par.Arena.pop st.kssa in
+    else if sc.ssa.slen > 0 then begin
+      let s = pop sc.ssa in
       st.ksites <- st.ksites + 1;
-      Par.Arena.unmark a (ksm + s);
+      unmark sc (st.ksm + s);
       let code = p.Ssa.site_code.(s) in
       let b = (code lsr 2) land 0xffffffff in
       if block_executable.(b) then begin
@@ -377,7 +413,7 @@ let run_kernel (p : Ssa.proc) ~(entry : int array) ~(cdv : int array) : result
   Trace.add c_block_visits st.kvisits;
   Trace.add c_site_visits st.ksites;
   Trace.add c_edge_marks st.kmarks;
-  { proc = Some p; values; block_executable; edge_exec }
+  { proc = p; values; block_executable; edge_exec }
 
 (* -- Entry-vector memoization ------------------------------------------ *)
 
@@ -445,7 +481,7 @@ let run ?(config = default_config) (p : Ssa.proc) : result =
     "scc:solve"
     (fun () ->
       Trace.incr c_runs;
-      let sc = Domain.DLS.get scratch_key in
+      let sc = Domain.DLS.get scratch in
       let n_entry = Array.length p.Ssa.entry_names in
       let n_cdv = p.Ssa.n_call_defs in
       sc.s_entry <- ensure sc.s_entry n_entry;
@@ -459,7 +495,7 @@ let run ?(config = default_config) (p : Ssa.proc) : result =
       | None ->
           let entry = Array.sub sc.s_entry 0 n_entry in
           let cdv = Array.sub sc.s_cdv 0 n_cdv in
-          let r = run_kernel p ~entry ~cdv in
+          let r = run_kernel sc p ~entry ~cdv in
           memo_add p ~entry ~cdv r;
           r)
 
@@ -479,7 +515,7 @@ let arg_value_w (r : result) (c : Ssa.call) j : int =
    closure).  Two binary searches: var slot, then the call's compact slot
    table. *)
 let global_id_at_call (r : result) (c : Ssa.call) (g : Ir.var) : int =
-  let s = Ssa.slot_of (proc_exn r) g in
+  let s = Ssa.slot_of r.proc g in
   if s < 0 then -1
   else begin
     let slots = c.Ssa.c_guse_slots in
@@ -510,7 +546,7 @@ let global_at_call (r : result) (c : Ssa.call) (g : Ir.var) : Lattice.t option
     Table 5 compares against.  Each textual use site counts once; phi
     arguments are not uses (they have no textual counterpart). *)
 let substitution_count (r : result) : int =
-  let p = proc_exn r in
+  let p = r.proc in
   let count = ref 0 in
   let count_op o =
     match o with
@@ -551,7 +587,7 @@ let substitution_count (r : result) : int =
     vacuous).  Drives the return-constants extension (paper §3.2).  O(1)
     per return block via the [exit_ids] slot tables. *)
 let exit_value_w (r : result) (v : Ir.var) : int =
-  let p = proc_exn r in
+  let p = r.proc in
   let s = Ssa.slot_of p v in
   let exits = p.Ssa.exit_ids in
   let acc = ref P.top in

@@ -36,26 +36,17 @@ val default_config : config
 val env_of_list : (Ir.var * Fsicp_lang.Value.t) list -> Ir.var -> int
 
 type result = {
-  proc : Ssa.proc option;
-      (** the analysed SSA, or [None] once a streaming solve has retired
-          it — the values/executability arrays remain valid (and feed the
-          canonical digest), but every accessor that needs the SSA raises
-          on a retired result instead of reading another procedure's
-          structure *)
+  proc : Ssa.proc;  (** the analysed SSA *)
   values : int array;  (** packed lattice word per SSA name id *)
   block_executable : bool array;
   edge_exec : Bytes.t;  (** bitset over the proc's dense edge ids *)
 }
 
-(** The result's SSA procedure.
-    @raise Invalid_argument on a retired (streaming-mode) result. *)
-val proc_exn : result -> Ssa.proc
-
 (** Run the analysis.  Terminates in O(names × height + edges).
 
     Flat kernel over packed words: CSR def–use walks, int-stack worklists
-    with on-worklist dedup, one bit per dense edge id, scratch from the
-    calling domain's epoch-stamped {!Fsicp_par.Par.Arena}, closure-free
+    with on-worklist dedup, one bit per dense edge id, scratch from a
+    private epoch-stamped record per domain, closure-free
     transfer evaluation — no allocation in the steady state.  Both
     {!config} hooks are resolved once per run into dense packed vectors
     held in per-domain scratch, which also key a per-procedure memo:
@@ -103,5 +94,3 @@ val substitution_count : result -> int
     return blocks of the reaching version's value; [Top] when the procedure
     cannot return.  Drives the return-constants extension. *)
 val exit_value : result -> Ir.var -> Lattice.t
-
-val exit_value_w : result -> Ir.var -> int

@@ -26,7 +26,6 @@ val of_string : string -> (t, string) result
 (** Object member lookup; [None] on non-objects and missing keys. *)
 val member : string -> t -> t option
 
-val to_str : t -> string option
 val to_int : t -> int option
 
 (** [str_member k v] = [member k v] when it is a string. *)

@@ -32,12 +32,6 @@ type state = {
 
 val make_state : ?jobs:int -> version:string -> unit -> state
 
-(** The request vocabulary, as reported by the [version] command. *)
-val commands : string list
-
 (** Dispatch one request document (or batch).  Total: protocol-level
     problems come back as [{"ok":false,...}] responses. *)
 val handle : state -> Json.t -> Json.t
-
-(** Dispatch a single (non-batch) request object. *)
-val handle_one : state -> Json.t -> Json.t

@@ -18,8 +18,6 @@ open Fsicp_cfg
     lookup. *)
 type name = { base : Ir.var; ver : int; id : int }
 
-val pp_name : name Fmt.t
-
 type operand = Oconst of Value.t | Oname of name
 
 val pp_operand : operand Fmt.t
@@ -105,28 +103,23 @@ type proc = {
 }
 
 (** Oracle for interprocedural side effects (the precision comes from
-    plugging in {!Fsicp_ipa} results; see [conservative_effects]). *)
+    plugging in {!Fsicp_ipa} results). *)
 type call_effects = {
   defs_of_call : callee:string -> byref_args:Ir.var option array -> Ir.var list;
   globals_used_by : callee:string -> Ir.var list;
   assign_aliases : Ir.var -> Ir.var list;
 }
 
-(** Sound default when no IPA information is available: calls clobber every
-    by-reference actual and every global; stores to formals/globals clobber
-    all other formals and globals. *)
-val conservative_effects : ?formals:Ir.var list -> Ast.program -> call_effects
-
 val byref_array : Ir.arg array -> Ir.var option array
 
-(** Build SSA for a lowered procedure. *)
+(** Build SSA for a lowered procedure.  Without [effects], the sound
+    default when no IPA information is available: calls clobber every
+    by-reference actual and every global; stores to formals/globals clobber
+    all other formals and globals. *)
 val of_proc : ?effects:call_effects -> Ast.program -> Ir.proc -> proc
 
 (** The variable's dense slot in this procedure's universe, or -1. *)
 val slot_of : proc -> Ir.var -> int
-
-(** Decode a dense site id back to its structured form. *)
-val decode_site : proc -> int -> use_site
 
 (** The use sites of a name id, decoded from its CSR row. *)
 val uses_of : proc -> int -> use_site list

@@ -22,12 +22,6 @@ type ty = TInt | TReal | TUnknown
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** Conservative type of a term under the interpreter's promotion rules:
-    comparisons and logical operators always produce [Int 0]/[Int 1];
-    arithmetic promotes to real if either operand is real; symbols are
-    unknown. *)
-val type_of : t -> ty
-
 (** Normalising constructors.  [un]/[bin] fold constant operands with
     {!Fsicp_lang.Value.eval_unop}/[eval_binop] (faulting combinations are
     left symbolic — fault detection is the engine's guard discipline, not the

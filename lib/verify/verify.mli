@@ -108,7 +108,6 @@ val concrete_check :
     transform, procedure, encoding, verdict and path count). *)
 val render : vc -> string
 
-val verdict_name : verdict -> string
 val pp_verdict : verdict Fmt.t
 
 (** One summary line: transform, proc, verdict, paths, obligations. *)

@@ -1,5 +1,6 @@
-(** Regression: [Solution.digest] must not depend on the order in which
-    the process interned variable names ([Prog.Var]).
+(** Regression: [Solution.digest] and [Oracle.ssa_digest] must not depend
+    on the order in which the process interned variable names
+    ([Prog.Var]).
 
     Interning is process-global and one-shot, so each order needs a fresh
     process.  The parent forks one child per order — nothing interned
@@ -7,8 +8,9 @@
     seeded shuffle — before it does anything else (OCaml 5 refuses
     [Unix.fork] once a domain was spawned).  Each child solves every
     program with the FI, FS, CC and VC methods at [jobs] 1 and 4 and
-    reports one MD5 per digest over a pipe; all three children must
-    report the same digests.
+    reports one MD5 per solution digest, and the SSA digest of the
+    context, over a pipe; all three children must report the same
+    digests.
 
     Programs: the calibrated suite, DISPATCH, and [testdata/*.mf]. *)
 
@@ -90,8 +92,8 @@ let shuffle seed l =
   done;
   Array.to_list a
 
-(* One line per program and method: the MD5s of its digests at [jobs] 1
-   and 4. *)
+(* One line per program and method, and one for its SSA: the MD5s of its
+   digests at [jobs] 1 and 4. *)
 let digests progs =
   let b = Buffer.create 4096 in
   let solve prog jobs =
@@ -105,12 +107,13 @@ let digests progs =
         Cc_icp.solve ~jobs ctx;
         Vc_icp.solve ~jobs ctx;
       ]
+    @ [ Fsicp_oracle.Oracle.ssa_digest ctx ]
   in
   List.iter
     (fun (name, prog) ->
       List.iter2
         (fun m (d1, d4) -> Printf.bprintf b "%s %s %s %s\n" name m d1 d4)
-        [ "fi"; "fs"; "cc"; "vc" ]
+        [ "fi"; "fs"; "cc"; "vc"; "ssa" ]
         (List.combine (solve prog 1) (solve prog 4)))
     progs;
   Buffer.contents b
@@ -189,6 +192,6 @@ let () =
     runs;
   if !failed then exit 1;
   Printf.printf
-    "%d programs x 4 methods: digests equal across three intern orders and \
-     jobs 1/4: OK\n"
-    (List.length (lines base) / 4)
+    "%d programs x 4 methods and SSA: digests equal across three intern \
+     orders and jobs 1/4: OK\n"
+    (List.length (lines base) / 5)

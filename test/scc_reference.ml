@@ -124,7 +124,7 @@ let run ?(config = Scc.default_config) (p : Ssa.proc) : Scc.result =
      this bijective on the reachable lattice elements, so comparing packed
      results word-for-word is exactly comparing boxed values. *)
   {
-    Scc.proc = Some p;
+    Scc.proc = p;
     values = Array.map P.of_t values;
     block_executable;
     edge_exec;

@@ -103,7 +103,6 @@ let empty_solution (ctx : Context.t) name : Solution.t =
     ~db
     ~entries:(Fsicp_prog.Prog.tbl db Solution.empty_entry)
     ~call_records:[] ~scc_runs:0
-    ~scc_results:(Fsicp_prog.Prog.tbl db None)
 
 let prop_insertion_makes_constants_local =
   Test_util.qcheck ~count:30

@@ -202,7 +202,7 @@ let test_wide_expression () =
               | _ -> ())
           | _ -> ())
         b.Fsicp_ssa.Ssa.instrs)
-    (Fsicp_scc.Scc.proc_exn res).Fsicp_ssa.Ssa.blocks;
+    res.Fsicp_scc.Scc.proc.Fsicp_ssa.Ssa.blocks;
   Alcotest.(check bool) "300-term expression folds" true !ok
 
 let suite =

@@ -19,7 +19,6 @@ let map_entries f (sol : Solution.t) =
   Solution.make ~method_name:sol.Solution.method_name ~db:sol.Solution.db
     ~entries:(Prog.Proc.Tbl.map f sol.Solution.entries)
     ~call_records:(Solution.call_records sol) ~scc_runs:sol.Solution.scc_runs
-    ~scc_results:sol.Solution.scc_results
 
 (* ------------------------------------------------------------------ *)
 (* solution_le must see globals                                        *)

@@ -8,6 +8,7 @@ open Fsicp_core
 open Fsicp_workloads
 open Fsicp_par
 module L = Fsicp_scc.Lattice
+module Oracle = Fsicp_oracle.Oracle
 
 (* -- job-count parsing ---------------------------------------------------- *)
 
@@ -252,7 +253,10 @@ let check_parallel_site ~what f =
 (* Lowering and the SSA pre-build fan out past [cutoff] procedures. *)
 let test_cutoff_init_sites () =
   let prog = scale_program (Par.cutoff + 16) in
-  let fs ctx = Solution.digest (Fs_icp.solve ~jobs:1 ctx) in
+  let fs ctx =
+    let sol = Fs_icp.solve ~jobs:1 ctx in
+    Solution.digest sol ^ Oracle.ssa_digest ctx
+  in
   check_parallel_site ~what:"lowering" (fun jobs ->
       fs (Context.create ~jobs prog));
   check_parallel_site ~what:"SSA pre-build" (fun jobs ->
@@ -273,7 +277,9 @@ let test_cutoff_solve_sites () =
   let ctx = Context.create ~jobs:1 prog in
   let fi = Fi_icp.solve ctx in
   check_parallel_site ~what:"FS solve" (fun jobs ->
-      Solution.digest (Fs_icp.solve ~jobs ~fi (Context.create ~jobs:1 prog)));
+      let ctx = Context.create ~jobs:1 prog in
+      let sol = Fs_icp.solve ~jobs ~fi ctx in
+      Solution.digest sol ^ Oracle.ssa_digest ctx);
   let prev = Fs_icp.solve ~jobs:1 ~fi ctx in
   let pcg = ctx.Context.pcg in
   let main = Option.get (Fsicp_callgraph.Callgraph.proc_id pcg "main") in
@@ -304,7 +310,10 @@ let test_cutoff_solve_sites () =
   let fresh = Context.create ~jobs:2 (Engine.context e).Context.prog in
   Alcotest.(check string) "seeded re-solve at jobs 2 = from-scratch solve"
     (Solution.digest (Fs_icp.solve ~jobs:2 fresh))
-    (Solution.digest (Engine.solution e))
+    (Solution.digest (Engine.solution e));
+  Alcotest.(check string) "the edit's SSA = from-scratch SSA"
+    (Oracle.ssa_digest fresh)
+    (Oracle.ssa_digest (Engine.context e))
 
 (* Past the cutoff, the words a solve allocates on spawned domains count
    too: at [jobs 2] the FS solve, whose SSA pre-build runs on two domains,

@@ -115,44 +115,20 @@ let test_digest_modes_agree () =
     ]
 
 let test_streaming_retires_ssa () =
-  (* A streaming solve retires each procedure's SSA once its records are
-     extracted: every retained [Scc.result] must carry [proc = None] (not
-     some other procedure's SSA as a placeholder), the packed arrays must
-     still be present (the digest above depends on them), and the
-     SSA-dependent accessors must raise rather than answer from stale
-     structure. *)
+  (* A streaming solve keeps nothing of a procedure once its records are
+     extracted: afterwards the context holds no SSA for any reachable
+     procedure.  An eager solve of the same program keeps every SSA. *)
   let prog = Scale.generate (spec Scale.Mixed 100 7) in
   let ctx = Context.create_streaming prog in
-  let fs = Fs_icp.solve ~jobs:1 ctx in
+  ignore (Fs_icp.solve ~jobs:1 ctx : Solution.t);
   let n = Callgraph.n_procs ctx.Context.pcg in
   Alcotest.(check bool) "program has procedures" true (n > 0);
-  Array.iter
-    (fun pid ->
-      match Prog.Proc.Tbl.get fs.Solution.scc_results pid with
-      | None -> Alcotest.fail "streaming solve dropped an SCC result"
-      | Some (r : Scc.result) ->
-          Alcotest.(check bool) "SSA retired" true (r.Scc.proc = None);
-          Alcotest.(check bool) "values survive retirement" true
-            (Array.length r.Scc.values > 0);
-          (match Scc.proc_exn r with
-          | _ -> Alcotest.fail "proc_exn answered on a retired result"
-          | exception Invalid_argument _ -> ());
-          (match Scc.substitution_count r with
-          | _ ->
-              Alcotest.fail
-                "substitution_count answered on a retired result"
-          | exception Invalid_argument _ -> ()))
-    ctx.Context.pcg.Callgraph.nodes;
-  (* An eager solve of the same program keeps every SSA. *)
+  Alcotest.(check int) "streaming: no SSA left" n
+    (List.length (Context.unbuilt_ssa ctx));
   let eager = Context.create ~jobs:1 prog in
-  let fs_eager = Fs_icp.solve ~jobs:1 eager in
-  Array.iter
-    (fun pid ->
-      match Prog.Proc.Tbl.get fs_eager.Solution.scc_results pid with
-      | Some r ->
-          Alcotest.(check bool) "eager keeps SSA" true (r.Scc.proc <> None)
-      | None -> Alcotest.fail "eager solve dropped an SCC result")
-    eager.Context.pcg.Callgraph.nodes
+  ignore (Fs_icp.solve ~jobs:1 eager : Solution.t);
+  Alcotest.(check int) "eager keeps every SSA" 0
+    (List.length (Context.unbuilt_ssa eager))
 
 let test_streaming_builds_once () =
   (* Retirement drops a procedure's IR, alias kills and SSA as soon as its
@@ -250,7 +226,7 @@ let suite =
       test_proc_count_and_reachability;
     Alcotest.test_case "digest: modes and jobs agree" `Slow
       test_digest_modes_agree;
-    Alcotest.test_case "streaming retires SSA from Scc.result" `Quick
+    Alcotest.test_case "streaming retires SSA from the context" `Quick
       test_streaming_retires_ssa;
     Alcotest.test_case "streaming builds each procedure once" `Quick
       test_streaming_builds_once;

@@ -72,7 +72,7 @@ let printed_values (res : Scc.result) : L.t list =
             | Fsicp_ssa.Ssa.Print o -> acc := Scc.operand_value res o :: !acc
             | _ -> ())
           blk.Fsicp_ssa.Ssa.instrs)
-    (Scc.proc_exn res).Fsicp_ssa.Ssa.blocks;
+    res.Scc.proc.Fsicp_ssa.Ssa.blocks;
   List.rev !acc
 
 let test_straight_line_folding () =
