@@ -9,25 +9,27 @@
 
     The packed lattice gains a fourth word class ({!Lattice.P.copy}):
     "equal to entry slot [k] of this procedure".  Each intraprocedural
-    analysis — the same flat SCC kernel, arena scratch and entry-vector
-    memo as {!Fs_icp}; never the retained reference path — runs with an
-    entry environment that binds every non-constant formal and
-    REF-closure global to its own copy word, so direct copies survive
-    assignments and φ-meets while any arithmetic over them collapses to ⊥
-    (only genuine copies propagate).  Call-site records then hold
-    constants {e or} unevaluated copy bindings; the interprocedural meet
-    evaluates a copy record against the caller's current entry table, so
-    a constant discovered at pass [n] flows through every chain of copies
-    by pass [n+1].
+    analysis is the kernel step {!Fs_icp} takes ({!Entry_vec.run}), with
+    CC's slot policy: a constant slot binds its constant and every other
+    formal and REF-closure global binds its own copy word, so direct
+    copies survive assignments and φ-meets while any arithmetic over them
+    collapses to ⊥ (only genuine copies propagate).  Call-site records
+    then hold constants {e or} unevaluated copy bindings; the
+    interprocedural meet evaluates a copy record against the caller's
+    current entry table, so a constant discovered at pass [n] flows
+    through every chain of copies by pass [n+1].
 
     The driver is a Gauss–Seidel fixpoint in PCG forward order, exactly
     the {!Reference} schedule: within a pass, forward edges see records
     of the same pass and back edges see the previous pass's (nothing on
     the first — the optimistic ⊤ start), iterating until no entry
     changes.  On an acyclic PCG the first pass already agrees with
-    {!Fs_icp}; with cycles the optimistic iteration is at least as
-    precise as FS's pessimistic flow-insensitive back-edge seed, so
-    [fs ⊑ cc] everywhere (fuzzed by the oracle, alongside [fs ⊑ ref]).
+    {!Fs_icp} on every entry and call record: copy propagation subsumes
+    constant propagation (Sreekala and Paleri), and a copy word read as ⊥
+    is FS's step (tested on generated acyclic programs and the suite).
+    With cycles the optimistic iteration is at least as precise as FS's
+    pessimistic flow-insensitive back-edge seed, so [fs ⊑ cc] everywhere
+    (fuzzed by the oracle, alongside [fs ⊑ ref]).
 
     Copy words never escape: the assembled {!Solution.t} evaluates every
     record against the final entry tables, and the raw kernel arrays,
@@ -126,14 +128,11 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
            every other formal/closure-global to its own copy word.  The
            entry vector repeats between converging passes, so reruns are
            memo hits. *)
-        let entry_env =
-          Entry_vec.env roots sh pid (fun s ->
+        let res, call_sites =
+          Entry_vec.run ctx roots sh pid (fun s ->
               let w = acc.(s) in
               if P.is_const w then w else P.copy s)
         in
-        let ssa = Context.ssa_at ctx pid in
-        let config = { Scc.default_config with Scc.entry_env } in
-        let res = Scc.run ~config ssa in
         incr scc_runs;
         let keep w = if P.is_copy w then w else Context.censor_w ctx w in
         List.iter
@@ -144,7 +143,7 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
                   rec_exec = res.Scc.block_executable.(b);
                   rec_words = Entry_vec.read_site ~word:keep res c;
                 })
-          (Ssa.call_sites ssa))
+          call_sites)
       forward;
     !any_change
   in

@@ -1,10 +1,11 @@
-(** Copy-constant interprocedural propagation: the flat SCC kernel run
-    with packed {e copy words} ({!Fsicp_scc.Lattice.P.copy}) binding each
-    unknown formal and REF-closure global to its own entry slot, inside a
-    Gauss–Seidel fixpoint over the PCG.  Copies [x := y] thereby carry
-    constants through call sites that the one-pass flow-sensitive method
-    reaches too early; [fs ⊑ cc] in the oracle's precision order.  See
-    the implementation header for the full story. *)
+(** Copy-constant interprocedural propagation: FS's kernel step
+    ({!Entry_vec.run}) with packed {e copy words}
+    ({!Fsicp_scc.Lattice.P.copy}) binding each unknown formal and
+    REF-closure global to its own entry slot, inside a Gauss–Seidel
+    fixpoint over the PCG.  Copies [x := y] thereby carry constants
+    through call sites that the one-pass flow-sensitive method reaches too
+    early; [fs ⊑ cc] in the oracle's precision order, and [cc = fs] on an
+    acyclic PCG.  See the implementation header for the full story. *)
 
 val method_name : string
 

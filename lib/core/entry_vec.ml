@@ -112,6 +112,50 @@ let env r sh (pid : Prog.Proc.id) slot (v : Ir.var) : int =
       else P.bot
   | Ir.Local | Ir.Temp -> P.bot
 
+(* A formal the entry does not list reads ⊥; a closure global it does not
+   list reads what [env] gives a versioned global outside the closure: its
+   block-data seed in [main], ⊥ elsewhere. *)
+let of_entry r sh pid (e : Solution.proc_entry) =
+  let v = Array.make (size sh) P.bot in
+  Array.iteri
+    (fun j x -> if j < sh.nf then v.(j) <- P.of_t x)
+    e.Solution.pe_formals;
+  if is_main r pid then set_main_globals r sh v;
+  List.iter
+    (fun (g, x) ->
+      let s = global_slot sh g in
+      if s >= 0 then v.(s) <- P.of_t x)
+    e.Solution.pe_globals;
+  v
+
+(* The kernel asks for a call's effect by callee name, so the calls to one
+   callee that define the same variable meet their values (conservative
+   and rare).  The calls are indexed by callee once, so each query folds
+   only that callee's sites. *)
+let by_callee call_sites f =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (_, _, (c : Ssa.call)) -> Hashtbl.add tbl c.Ssa.c_callee c)
+    call_sites;
+  fun ~callee v ->
+    let w =
+      List.fold_left
+        (fun acc c -> P.meet acc (f c v))
+        P.top (Hashtbl.find_all tbl callee)
+    in
+    if w = P.top then P.bot else w
+
+let run (ctx : Context.t) r sh pid ?call_def_value slot =
+  let ssa = Context.ssa_at ctx pid in
+  let call_sites = Ssa.call_sites ssa in
+  let call_def_value =
+    match call_def_value with
+    | None -> Scc.default_config.Scc.call_def_value
+    | Some f -> by_callee call_sites f
+  in
+  let config = { Scc.entry_env = env r sh pid slot; call_def_value } in
+  (Scc.run ~config ssa, call_sites)
+
 let read_site ~word (res : Scc.result) (c : Ssa.call) =
   ( Array.mapi (fun j _ -> word (Scc.arg_value_w res c j)) c.Ssa.c_args,
     Array.fold_right

@@ -73,6 +73,30 @@ val entry :
     temporaries and out-of-range formals read ⊥. *)
 val env : roots -> shape -> Prog.Proc.id -> (int -> int) -> Ir.var -> int
 
+(** [of_entry r sh pid e] reads procedure [pid]'s boxed entry [e] as a
+    vector over [sh].  A formal [e] does not list reads ⊥; a closure
+    global it does not list reads its block-data seed in [main] and ⊥
+    elsewhere, as {!env} reads a global outside the closure. *)
+val of_entry :
+  roots -> shape -> Prog.Proc.id -> Solution.proc_entry -> int array
+
+(** [run ctx r sh pid ?call_def_value slot] is the one kernel step of
+    every entry-seeded method: [pid]'s SCC run over {!Context.ssa_at}
+    with entry environment [env r sh pid slot], and [pid]'s call sites.
+    Each method passes its slot policy: FS its met vector, CC a constant
+    or the slot's copy word, VC the context, and the passes over a
+    finished solution {!of_entry}.  [call_def_value c v] is the packed
+    value of [v] after call [c] (default ⊥); the kernel asks by callee
+    name, so the answers for the calls to one callee meet. *)
+val run :
+  Context.t ->
+  roots ->
+  shape ->
+  Prog.Proc.id ->
+  ?call_def_value:(Ssa.call -> Ir.var -> int) ->
+  (int -> int) ->
+  Scc.result * (int * int * Ssa.call) list
+
 (** [read_site ~word res c] reads call [c]'s argument words and REF-global
     words (in [c]'s own global order) off [res], each through [word]. *)
 val read_site :

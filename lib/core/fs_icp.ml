@@ -32,10 +32,13 @@
     callers produced, in canonical in-edge order.  Back-edge contributions
     come from the flow-insensitive seed, which is complete before the
     sweep starts.  The entry vector itself — slot layout, the in-edge
-    meet, [main]'s roots, finalisation and boxing — is {!Entry_vec}'s.
-    [jobs] only fans out the SSA pre-build ({!Context.build_ssa}); the
-    solution is identical for every [jobs] (verified by the test
-    suite). *)
+    meet, [main]'s roots, finalisation and boxing — and the kernel step
+    are {!Entry_vec}'s: FS's policy is the met vector itself
+    ({!Entry_vec.run}), as CC's is its copy words and VC's its context.
+    FS keeps the sweep, the incremental path with its early cutoff, and
+    the streaming retirement.  [jobs] only fans out the SSA pre-build
+    ({!Context.build_ssa}); the solution is identical for every [jobs]
+    (verified by the test suite). *)
 
 open Fsicp_prog
 open Fsicp_cfg
@@ -69,9 +72,9 @@ let c_resolve_cutoff = Trace.counter "fs.resolve.cutoff"
     "performing a flow-insensitive analysis prior to the flow-sensitive
     analysis, only if there are cycles in the PCG").
 
-    [call_def_value] refines the post-call value of call-defined variables;
-    the return-constants extension ({!Return_consts}) passes the summaries
-    of its reverse traversal here.
+    [call_def_value c v] refines the post-call value of variable [v]
+    after call [c]; the return-constants extension ({!Return_consts})
+    passes the summaries of its reverse traversal here.
 
     [prev]/[seeds] select the incremental path (see {!resolve}): only the
     forward-edge cone of [seeds] is swept, and in it only the seeds and
@@ -79,8 +82,7 @@ let c_resolve_cutoff = Trace.counter "fs.resolve.cutoff"
     again; every other procedure keeps [prev]'s entry and call-record
     row.  Returns the solution and the number of procedures analysed. *)
 let solve_body ?jobs ?fi ?prev ?(seeds = [])
-    ?(call_def_value :
-       (caller:string -> Ssa.call -> Ir.var -> int) option)
+    ?(call_def_value : (Ssa.call -> Ir.var -> int) option)
     (ctx : Context.t) : Solution.t * int =
   let pcg = ctx.Context.pcg in
   let nodes = pcg.Callgraph.nodes in
@@ -202,37 +204,9 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
     in
     Prog.Proc.Tbl.set entries pid (Entry_vec.box_entry sh v);
     (* One flow-sensitive intraprocedural analysis of [proc]. *)
-    let entry_env = Entry_vec.env roots sh pid (Array.get v) in
-    let ssa = Context.ssa_at ctx pid in
-    let call_sites = Ssa.call_sites ssa in
-    let cdv =
-      match call_def_value with
-      | None -> Scc.default_config.Scc.call_def_value
-      | Some f ->
-          (* The SCC core keys call effects by callee name; when several
-             calls to the same callee define the same variable, meet their
-             summaries (conservative and rare).  The calls are indexed by
-             callee once, so each query folds only that callee's sites. *)
-          let by_callee : (string, Ssa.call list) Hashtbl.t =
-            Hashtbl.create 8
-          in
-          List.iter
-            (fun (_, _, (c : Ssa.call)) ->
-              Hashtbl.replace by_callee c.Ssa.c_callee
-                (c
-                :: Option.value
-                     (Hashtbl.find_opt by_callee c.Ssa.c_callee)
-                     ~default:[]))
-            (List.rev call_sites);
-          fun ~callee v ->
-            List.fold_left
-              (fun acc (c : Ssa.call) -> P.meet acc (f ~caller:proc c v))
-              P.top
-              (Option.value (Hashtbl.find_opt by_callee callee) ~default:[])
-            |> fun r -> if r = P.top then P.bot else r
+    let res, call_sites =
+      Entry_vec.run ctx roots sh pid ?call_def_value (Array.get v)
     in
-    let config = { Scc.entry_env; call_def_value = cdv } in
-    let res = Scc.run ~config ssa in
     (* Record call-site values for the callees' later meets.  Reading the
        words and boxing them are two passes; a fused reader saved 4% of
        this layer's minor words on the 20 000-procedure corpus (7 675 vs
@@ -288,8 +262,7 @@ let solve_body ?jobs ?fi ?prev ?(seeds = [])
     Array.length order - cut )
 
 let solve ?jobs ?fi
-    ?(call_def_value :
-       (caller:string -> Ssa.call -> Ir.var -> int) option)
+    ?(call_def_value : (Ssa.call -> Ir.var -> int) option)
     (ctx : Context.t) : Solution.t =
   Trace.next_epoch ();
   Trace.span "fs:solve" (fun () ->

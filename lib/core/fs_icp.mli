@@ -9,8 +9,9 @@
     The traversal is one in-order sweep over ascending procedure ids (the
     PCG's reverse postorder) on the calling domain, with each entry meet
     pulled from its forward callers' call records in canonical in-edge
-    order; [jobs] only fans out the SSA pre-build, so the solution is
-    identical for every [jobs]. *)
+    order; each procedure's analysis is the shared kernel step
+    {!Entry_vec.run} seeded with that met vector.  [jobs] only fans out
+    the SSA pre-build, so the solution is identical for every [jobs]. *)
 
 val method_name : string
 
@@ -21,14 +22,13 @@ val method_name : string
     solution);
     [fi] overrides the flow-insensitive solution used for back edges
     (computed on demand only when the PCG has cycles, as in the paper);
-    [call_def_value] refines post-call values of call-defined variables —
-    the hook the return-constants extension uses; it answers in packed
-    lattice words ({!Fsicp_scc.Lattice.P}). *)
+    [call_def_value c v] refines the post-call value of variable [v]
+    after call [c] — the hook the return-constants extension uses; it
+    answers in packed lattice words ({!Fsicp_scc.Lattice.P}). *)
 val solve :
   ?jobs:int ->
   ?fi:Solution.t ->
-  ?call_def_value:
-    (caller:string -> Fsicp_ssa.Ssa.call -> Fsicp_cfg.Ir.var -> int) ->
+  ?call_def_value:(Fsicp_ssa.Ssa.call -> Fsicp_cfg.Ir.var -> int) ->
   Context.t ->
   Solution.t
 

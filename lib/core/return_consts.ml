@@ -17,7 +17,10 @@
     The reverse traversal visits callees before callers, so when a caller
     is re-analysed the summaries of its (forward-edge) callees are already
     available and its call instructions define constants instead of ⊥.
-    Back-edge callees conservatively summarise to ⊥.
+    Back-edge callees conservatively summarise to ⊥.  Each re-analysis is
+    the kernel step FS takes ({!Entry_vec.run}), seeded with the FS entry
+    ({!Entry_vec.of_entry}) and given the summaries as its call effects;
+    only the exit summaries and the summed substitution count are kept.
 
     Matching the paper's measurements ("these results do not include the
     propagation of return constants, since the implementation of this
@@ -41,10 +44,9 @@ type summary = {
 
 type t = {
   summaries : (string, summary) Hashtbl.t;
-  refined : (string, Scc.result) Hashtbl.t;
-      (** the second (reverse-traversal) SCC result per procedure, with
-          call-defined variables refined by callee summaries *)
-  extra_scc_runs : int;
+  substitutions : int;
+      (** Table 5's substitution count summed over the reverse traversal's
+          runs, whose call effects the callee summaries refine *)
 }
 
 let summary_of t proc = Hashtbl.find_opt t.summaries proc
@@ -84,54 +86,26 @@ let call_def_value_from (summaries : (string, summary) Hashtbl.t)
         P.bot
       else censor !acc
 
-(** Run the reverse traversal on top of a forward flow-sensitive solution.
-    One additional SCC per procedure. *)
+(** Run the reverse traversal on top of a forward flow-sensitive solution:
+    one more {!Entry_vec.run} per procedure, seeded with its FS entry and
+    with call effects from the summaries of the callees already visited. *)
 let compute (ctx : Context.t) ~(fs : Solution.t) : t =
   let pcg = ctx.Context.pcg in
-  let blockdata = Context.blockdata_env ctx in
+  let roots = Entry_vec.roots ctx in
+  let censor = Context.censor_w ctx in
   let summaries : (string, summary) Hashtbl.t = Hashtbl.create 16 in
-  let refined = Hashtbl.create 16 in
-  let runs = ref 0 in
+  let substitutions = ref 0 in
   Array.iter
     (fun pid ->
       let proc = Callgraph.proc_name pcg pid in
-      let entry = Solution.entry_at fs pid in
-      let entry_env (v : Ir.var) : int =
-        P.of_t
-          (match v.Ir.vkind with
-          | Ir.Formal i ->
-              if i < Array.length entry.Solution.pe_formals then
-                entry.Solution.pe_formals.(i)
-              else Lattice.Bot
-          | Ir.Global -> (
-              match List.assoc_opt v.Ir.vid entry.Solution.pe_globals with
-              | Some value -> value
-              | None ->
-                  if String.equal proc ctx.Context.prog.Ast.main then
-                    match List.assoc_opt v.Ir.vid blockdata with
-                    | Some value -> value
-                    | None -> Lattice.Bot
-                  else Lattice.Bot)
-          | Ir.Local | Ir.Temp -> Lattice.Bot)
+      let sh = Entry_vec.shape ctx proc in
+      let entry = Entry_vec.of_entry roots sh pid (Solution.entry_at fs pid) in
+      let res, _ =
+        Entry_vec.run ctx roots sh pid
+          ~call_def_value:(call_def_value_from summaries ~censor)
+          (Array.get entry)
       in
-      let ssa = Context.ssa_at ctx pid in
-      let cdv ~callee v =
-        (* Locate the calls to [callee] and meet their summary effects. *)
-        List.fold_left
-          (fun acc (_, _, (c : Ssa.call)) ->
-            if String.equal c.Ssa.c_callee callee then
-              P.meet acc
-                (call_def_value_from summaries ~censor:(Context.censor_w ctx)
-                   c v)
-            else acc)
-          P.top (Ssa.call_sites ssa)
-        |> fun r -> if r = P.top then P.bot else r
-      in
-      let res =
-        Scc.run ~config:{ Scc.entry_env; call_def_value = cdv } ssa
-      in
-      incr runs;
-      Hashtbl.replace refined proc res;
+      substitutions := !substitutions + Scc.substitution_count res;
       (* Exit summary of this procedure. *)
       let s = Summary.find ctx.Context.summaries proc in
       let formals = s.Summary.ps_formals in
@@ -151,10 +125,9 @@ let compute (ctx : Context.t) ~(fs : Solution.t) : t =
       in
       Hashtbl.replace summaries proc { rs_formals; rs_globals })
     (Callgraph.reverse_order pcg);
-  { summaries; refined; extra_scc_runs = !runs }
+  { summaries; substitutions = !substitutions }
 
 (** Exit summaries mapped onto a [Fs_icp.solve ~call_def_value] oracle, for
     running a refined forward pass on top of the reverse traversal. *)
-let as_oracle (t : t) ~(censor : int -> int) :
-    caller:string -> Ssa.call -> Ir.var -> int =
- fun ~caller:_ c v -> call_def_value_from t.summaries ~censor c v
+let as_oracle (t : t) ~(censor : int -> int) : Ssa.call -> Ir.var -> int =
+  call_def_value_from t.summaries ~censor

@@ -2,7 +2,8 @@
     topological traversal with a second flow-sensitive analysis per
     procedure computes each procedure's exit summary — the constants it
     leaves in by-reference parameters and globals — which callers' call
-    instructions then define instead of ⊥. *)
+    instructions then define instead of ⊥.  The second analysis is the
+    kernel step {!Entry_vec.run}, seeded with the procedure's FS entry. *)
 
 open Fsicp_cfg
 open Fsicp_ssa
@@ -15,22 +16,17 @@ type summary = {
 
 type t = {
   summaries : (string, summary) Hashtbl.t;
-  refined : (string, Scc.result) Hashtbl.t;
-      (** the reverse-traversal SCC results, with call effects refined *)
-  extra_scc_runs : int;
+  substitutions : int;
+      (** Table 5's substitution count over the reverse traversal's runs,
+          whose call effects the callee summaries refine *)
 }
 
 val summary_of : t -> string -> summary option
 
 (** Run the reverse traversal on top of a forward FS solution; exactly one
-    additional SCC per procedure. *)
+    additional {!Entry_vec.run} per procedure, seeded with
+    {!Entry_vec.of_entry} of its FS entry. *)
 val compute : Context.t -> fs:Solution.t -> t
 
 (** The summaries as a [Fs_icp.solve ~call_def_value] oracle (packed). *)
-val as_oracle :
-  t ->
-  censor:(int -> int) ->
-  caller:string ->
-  Ssa.call ->
-  Ir.var ->
-  int
+val as_oracle : t -> censor:(int -> int) -> Ssa.call -> Ir.var -> int

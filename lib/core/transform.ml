@@ -17,7 +17,7 @@
 
 open Fsicp_lang
 open Fsicp_prog
-open Fsicp_cfg
+open Fsicp_callgraph
 open Fsicp_scc
 
 (** [insert_entry_constants ctx solution] returns a copy of the program in
@@ -67,43 +67,23 @@ let insert_entry_constants (ctx : Context.t) (solution : Solution.t) :
   { prog with Ast.procs }
 
 (** Per-procedure and total substitution counts for a method's solution:
-    one final SCC per reachable procedure, seeded with the method's entry
-    constants.  (For the flow-sensitive method this re-derives exactly the
-    interleaved runs' results; re-running keeps the metric uniform across
-    methods.) *)
+    one final {!Entry_vec.run} per reachable procedure, seeded with
+    {!Entry_vec.of_entry} of the method's entry.  (For the flow-sensitive
+    method this re-derives exactly the interleaved runs' results;
+    re-running keeps the metric uniform across methods.) *)
 let substitutions (ctx : Context.t) (solution : Solution.t) :
     (string * int) list * int =
-  let blockdata = Context.blockdata_env ctx in
+  let roots = Entry_vec.roots ctx in
   let pcg = ctx.Context.pcg in
   let per_proc =
-    Array.to_list (Fsicp_callgraph.Callgraph.forward_order pcg)
+    Array.to_list (Callgraph.forward_order pcg)
     |> List.map (fun pid ->
-           let proc = Fsicp_callgraph.Callgraph.proc_name pcg pid in
-           let entry = Solution.entry_at solution pid in
-           let entry_env (v : Ir.var) =
-             Lattice.P.of_t
-             @@
-             match v.Ir.vkind with
-             | Ir.Formal i ->
-                 if i < Array.length entry.Solution.pe_formals then
-                   entry.Solution.pe_formals.(i)
-                 else Lattice.Bot
-             | Ir.Global -> (
-                 match List.assoc_opt v.Ir.vid entry.Solution.pe_globals with
-                 | Some value -> value
-                 | None ->
-                     if String.equal proc ctx.Context.prog.Ast.main then
-                       match List.assoc_opt v.Ir.vid blockdata with
-                       | Some value -> value
-                       | None -> Lattice.Bot
-                     else Lattice.Bot)
-             | Ir.Local | Ir.Temp -> Lattice.Bot
+           let proc = Callgraph.proc_name pcg pid in
+           let sh = Entry_vec.shape ctx proc in
+           let entry =
+             Entry_vec.of_entry roots sh pid (Solution.entry_at solution pid)
            in
-           let res =
-             Scc.run
-               ~config:{ Scc.default_config with entry_env }
-               (Context.ssa_at ctx pid)
-           in
+           let res, _ = Entry_vec.run ctx roots sh pid (Array.get entry) in
            (proc, Scc.substitution_count res))
   in
   (per_proc, List.fold_left (fun acc (_, n) -> acc + n) 0 per_proc)

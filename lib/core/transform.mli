@@ -11,5 +11,6 @@ open Fsicp_lang
 val insert_entry_constants : Context.t -> Solution.t -> Ast.program
 
 (** Per-procedure and total constant-use substitution counts under the
-    solution's entry environment (one SCC per reachable procedure). *)
+    solution's entry environment: one {!Entry_vec.run} per reachable
+    procedure, seeded with {!Entry_vec.of_entry} of its entry. *)
 val substitutions : Context.t -> Solution.t -> (string * int) list * int

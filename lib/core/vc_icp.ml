@@ -4,9 +4,9 @@
     {e meet} of every arriving environment — so a procedure called with
     [f(1)] here and [f(2)] there sees ⊥ even though each call site on its
     own passes a constant.  This method analyses a procedure once per
-    {e distinct packed entry vector} instead: the entry-vector memo the
-    SCC kernel already keys its cache by ({!Fsicp_scc.Scc.run}) is
-    promoted from an optimisation to the method's semantics.
+    {e distinct packed entry vector} instead: the entry vector the SCC
+    kernel already keys its memo by is promoted from an optimisation to
+    the method's semantics.  Each context is one {!Entry_vec.run}.
 
     Top-down worklist over (procedure, context) pairs, starting from
     [main] under its block-data environment.  Analysing a context runs
@@ -139,10 +139,9 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
   let process i (v : int array) =
     let pid = nodes.(i) in
     incr contexts;
-    let entry_env = Entry_vec.env roots shapes.(i) pid (Array.get v) in
-    let ssa = Context.ssa_at ctx pid in
-    let config = { Scc.default_config with Scc.entry_env } in
-    let res = Scc.run ~config ssa in
+    let res, call_sites =
+      Entry_vec.run ctx roots shapes.(i) pid (Array.get v)
+    in
     incr scc_runs;
     (* The kernel never leaves an executable value at ⊤ once its block
        runs, but finalize defensively: an arrival vector must hold
@@ -176,7 +175,7 @@ let solve_body ?jobs (ctx : Context.t) : Solution.t =
           Entry_vec.finalize arrival;
           arrive callee_i arrival
         end)
-      (Ssa.call_sites ssa)
+      call_sites
   in
 
   (* Root: [main]'s entry with no contributions — formals ⊥, globals from

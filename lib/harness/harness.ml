@@ -468,12 +468,6 @@ let returns_table () : Report.t =
         let _, subs_base = Transform.substitutions ctx fs in
         let n sol = List.length (Solution.constant_formals sol) in
         let ng sol = List.length (Solution.constant_globals sol) in
-        (* Substitutions from the refined (second-pass) SCC results. *)
-        let subs_rc =
-          Hashtbl.fold
-            (fun _ res acc -> acc + Fsicp_scc.Scc.substitution_count res)
-            rc.Return_consts.refined 0
-        in
         [
           b.Spec.b_name;
           string_of_int (n fs);
@@ -481,7 +475,7 @@ let returns_table () : Report.t =
           string_of_int (ng fs);
           string_of_int (ng fs2);
           string_of_int subs_base;
-          string_of_int subs_rc;
+          string_of_int rc.Return_consts.substitutions;
         ])
       Spec.suite
   in

@@ -144,11 +144,11 @@ let rows () =
     fun () -> ignore (Fsicp_verify.Verify.verify_program ctx ~solution)
   in
   [
-    ("FS on NASA7", fs_cold (spec "093.NASA7"), 54_821., 0.);
-    ("FS on WAVE5", fs_cold (spec "039.WAVE5"), 445_533., 10_334.);
-    ("FS on SPICE", warm (Fs_icp.solve ~jobs:1), 156_754., 536.);
-    ("CC on SPICE", warm (Cc_icp.solve ~jobs:1), 259_854., 536.);
-    ("VC on SPICE", warm (Vc_icp.solve ~jobs:1), 222_415., 536.);
+    ("FS on NASA7", fs_cold (spec "093.NASA7"), 54_545., 0.);
+    ("FS on WAVE5", fs_cold (spec "039.WAVE5"), 444_585., 10_334.);
+    ("FS on SPICE", warm (Fs_icp.solve ~jobs:1), 155_314., 536.);
+    ("CC on SPICE", warm (Cc_icp.solve ~jobs:1), 256_974., 536.);
+    ("VC on SPICE", warm (Vc_icp.solve ~jobs:1), 218_455., 536.);
     ("Verify.verify_program on SPICE", verify, 5_415_166., 0.);
   ]
 

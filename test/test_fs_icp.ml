@@ -261,7 +261,8 @@ let prop_one_scc_per_proc =
 (* The entry-vector layout and [main]'s block-data fallback.  [g] is only
    written (by [f]), so it is outside every REF closure yet versioned in
    [main]: its entry value is block data there and ⊥ in any other
-   procedure.  No solver output shows the fallback, so check it directly. *)
+   procedure.  No solver output shows the fallback, so check it directly,
+   and the same rule in [Entry_vec.of_entry]. *)
 let test_entry_vec_layout () =
   let ctx =
     Context.create
@@ -306,7 +307,24 @@ let test_entry_vec_layout () =
   Alcotest.(check (array int)) "f: a contribution meets into its slot"
     [| P.of_int 1; P.bot |]
     (Entry_vec.entry roots sh_f (pid "f") (fun _ v ->
-         Entry_vec.meet_site sh_f v ~word:Fun.id [| P.of_int 1 |] []))
+         Entry_vec.meet_site sh_f v ~word:Fun.id [| P.of_int 1 |] []));
+  (* A boxed entry read back as slots: what it lists is encoded, and an
+     unlisted slot reads what [env] gives a global outside the closure. *)
+  let listed =
+    {
+      Solution.pe_formals = [| L.Const (Value.Int 1) |];
+      pe_globals = [ (k, L.Const (Value.Int 5)) ];
+    }
+  in
+  Alcotest.(check (array int)) "f: a listed entry is encoded"
+    [| P.of_int 1; P.of_int 5 |]
+    (Entry_vec.of_entry roots sh_f (pid "f") listed);
+  Alcotest.(check (array int)) "f: unlisted slots read bottom"
+    [| P.bot; P.bot |]
+    (Entry_vec.of_entry roots sh_f (pid "f") Solution.empty_entry);
+  Alcotest.(check (array int)) "main: an unlisted global reads block data"
+    [| P.of_int 7 |]
+    (Entry_vec.of_entry roots sh_main (pid "main") Solution.empty_entry)
 
 (* Under [Par.cutoff] procedures a solve at [jobs 2] takes the [jobs 1]
    path: no SSA pre-build, so each procedure's SSA is built once at its
@@ -326,6 +344,45 @@ let test_ssa_counters_below_cutoff () =
   let b1, h1 = counts 1 and b2, h2 = counts 2 in
   Alcotest.(check (pair int int)) "ssa.built, ssa.cache_hits: jobs 2 = jobs 1"
     (b1, h1) (b2, h2)
+
+(* Copy propagation subsumes constant propagation (Sreekala and Paleri):
+   without back edges CC's first pass meets exactly the records FS meets,
+   and reading a copy word as ⊥ is FS's kernel run, so the two agree on
+   every entry and every call record. *)
+let cc_equals_fs ctx =
+  let fs = Fs_icp.solve ctx and cc = Cc_icp.solve ctx in
+  let procs =
+    Array.to_list ctx.Context.pcg.Fsicp_callgraph.Callgraph.nodes
+    |> List.map (Solution.proc_name fs)
+  in
+  entries_equal fs cc procs
+  && List.equal
+       (fun (a : Solution.callsite_record) (b : Solution.callsite_record) ->
+         a.Solution.cr_caller = b.Solution.cr_caller
+         && a.Solution.cr_cs_index = b.Solution.cr_cs_index
+         && Solution.record_equal a b)
+       (Solution.call_records fs) (Solution.call_records cc)
+
+let prop_acyclic_cc_equals_fs =
+  Test_util.qcheck ~count:40 ~name:"acyclic PCG: CC = FS" Test_util.seed_gen
+    (fun seed ->
+      let profile =
+        {
+          (Fsicp_workloads.Generator.small_profile seed) with
+          Fsicp_workloads.Generator.g_back_edge_prob = 0.0;
+        }
+      in
+      let ctx = Context.create (Fsicp_workloads.Generator.generate profile) in
+      Fsicp_callgraph.Callgraph.has_cycles ctx.Context.pcg || cc_equals_fs ctx)
+
+let test_suite_cc_equals_fs () =
+  List.iter
+    (fun (b : Fsicp_workloads.Spec.benchmark) ->
+      let ctx = Context.create (Fsicp_workloads.Spec.program b) in
+      Alcotest.(check bool)
+        (b.Fsicp_workloads.Spec.b_name ^ ": CC = FS")
+        true (cc_equals_fs ctx))
+    Fsicp_workloads.Spec.suite
 
 let suite =
   [
@@ -359,4 +416,6 @@ let suite =
       test_entry_vec_layout;
     Alcotest.test_case "SPICE: SSA counters equal at jobs 1 and 2" `Quick
       test_ssa_counters_below_cutoff;
+    prop_acyclic_cc_equals_fs;
+    Alcotest.test_case "suite: CC = FS" `Quick test_suite_cc_equals_fs;
   ]
