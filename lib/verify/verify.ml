@@ -88,7 +88,10 @@ type callev = {
   c_greads : (string * Term.t) list;  (* globals the callee may read *)
 }
 
-type event = EPrint of Term.t | ECall of callev | EFault | EDone
+(* [EDone]: the statements ran out, which ends the procedure, or the body
+   of a loop under the induction rule; [EReturn] always ends the
+   procedure. *)
+type event = EPrint of Term.t | ECall of callev | EFault | EDone | EReturn
 
 type sidest = {
   store : Term.t Smap.t;
@@ -197,7 +200,7 @@ let step_side ~expandable ~scope ~modref ~fresh side =
         | Ast.Print e ->
             let t = eval_expr side.store guards e in
             SSide { side with kont = k; guards = !guards; ev = Some (EPrint t) }
-        | Ast.Return -> SSide { side with kont = [] }
+        | Ast.Return -> SSide { side with kont = []; ev = Some EReturn }
         | Ast.If (c, tb, fb) -> (
             let ct = Term.truthiness (eval_expr side.store guards c) in
             let side = { side with guards = !guards } in
@@ -257,23 +260,20 @@ let step_side ~expandable ~scope ~modref ~fresh side =
       | exception Definite_fault ->
           SSide { side with guards = !guards; ev = Some EFault })
 
-(* Cell classes of the by-reference positions of a call event. *)
+(* Cell classes of the by-reference positions of a call event: a local's
+   class is the first position that passes it. *)
 let classes_of ~scope (c : callev) =
-  let seen = Hashtbl.create 8 in
-  List.mapi
-    (fun i a ->
-      match a with
+  let rec first x j = function
+    | AByref y :: _ when String.equal x y -> j
+    | _ :: rest -> first x (j + 1) rest
+    | [] -> j
+  in
+  List.map
+    (function
       | AVal -> None
       | AByref x ->
           if Sema.is_global scope x then Some (CGlobal x)
-          else
-            Some
-              (CSlot
-                 (match Hashtbl.find_opt seen x with
-                 | Some j -> j
-                 | None ->
-                     Hashtbl.add seen x i;
-                     i)))
+          else Some (CSlot (first x 0 c.c_args)))
     c.c_args
 
 (* Variables a residual computation can still observe: everything mentioned
@@ -311,6 +311,110 @@ and equal_stmt_base a b =
   | Ast.While (c, b1), Ast.While (c', b2) ->
       Ast.equal_expr c c' && equal_kont b1 b2
   | _ -> Ast.equal_stmt a b
+
+(* Variables a loop body may write: assignment targets, variable actuals of
+   calls, and every global in a callee's MOD (transitive, so it covers
+   callees the inline VC expands transparently). *)
+let written ~modref body =
+  let w = ref Sset.empty in
+  Ast.iter_stmts
+    (fun s ->
+      match s.Ast.sdesc with
+      | Ast.Assign (x, _) -> w := Sset.add x !w
+      | Ast.Call (q, args) ->
+          List.iter
+            (function Ast.Var x -> w := Sset.add x !w | _ -> ())
+            args;
+          Modref.iter_mod_globals modref (base_name q) (fun g ->
+              w := Sset.add g !w)
+      | _ -> ())
+    body;
+  !w
+
+exception No_match
+
+(* The loop-carried (left, right) pairs for the induction rule at two loops
+   with entry stores [lstore] and [rstore], or [None] when the rule does
+   not apply.  The conditions and bodies must have the same shape
+   (statements, operators, callee base names, equal literals), which
+   relates the variables they name by a bijection: the inliner renames,
+   e.g. [prev] against [prev__in3].  Every related pair must agree at
+   entry, and a literal may face a variable that the store binds to it and
+   no body writes.  The carried pairs are the ones either body may write;
+   a written global the loops never name pairs with itself. *)
+let carried_pairs ~modref ~lstore ~rstore (cl, bl) (cr, br) =
+  let l2r = Hashtbl.create 16 and r2l = Hashtbl.create 16 in
+  let lits = ref [] in
+  let bind x y =
+    match (Hashtbl.find_opt l2r x, Hashtbl.find_opt r2l y) with
+    | None, None ->
+        Hashtbl.add l2r x y;
+        Hashtbl.add r2l y x
+    | Some y', Some _ when String.equal y y' -> ()
+    | _ -> raise No_match
+  in
+  let rec expr a b =
+    match (a, b) with
+    | Ast.Const v, Ast.Const w -> if not (Value.equal v w) then raise No_match
+    | Ast.Var x, Ast.Var y -> bind x y
+    | Ast.Var x, Ast.Const c -> lits := (lstore, x, c) :: !lits
+    | Ast.Const c, Ast.Var y -> lits := (rstore, y, c) :: !lits
+    | Ast.Unary (o, a), Ast.Unary (o', b) when Ops.equal_unop o o' -> expr a b
+    | Ast.Binary (o, a1, a2), Ast.Binary (o', b1, b2) when Ops.equal_binop o o'
+      ->
+        expr a1 b1;
+        expr a2 b2
+    | _ -> raise No_match
+  and stmt a b =
+    match (a.Ast.sdesc, b.Ast.sdesc) with
+    | Ast.Assign (x, e), Ast.Assign (y, f) ->
+        bind x y;
+        expr e f
+    | Ast.If (c, t, f), Ast.If (c', t', f') ->
+        expr c c';
+        block t t';
+        block f f'
+    | Ast.While (c, t), Ast.While (c', t') ->
+        expr c c';
+        block t t'
+    | Ast.Call (p, xs), Ast.Call (q, ys)
+      when String.equal (base_name p) (base_name q)
+           && List.compare_lengths xs ys = 0 ->
+        List.iter2 expr xs ys
+    | Ast.Return, Ast.Return -> ()
+    | Ast.Print e, Ast.Print f -> expr e f
+    | _ -> raise No_match
+  and block xs ys =
+    if List.compare_lengths xs ys <> 0 then raise No_match
+    else List.iter2 stmt xs ys
+  in
+  match
+    expr cl cr;
+    block bl br;
+    let wl = written ~modref bl and wr = written ~modref br in
+    Sset.iter (fun x -> if not (Hashtbl.mem l2r x) then bind x x) wl;
+    Sset.iter (fun y -> if not (Hashtbl.mem r2l y) then bind y y) wr;
+    (wl, wr)
+  with
+  | exception No_match -> None
+  | wl, wr ->
+      let pairs =
+        List.sort compare (Hashtbl.fold (fun x y acc -> (x, y) :: acc) l2r [])
+      in
+      let carried =
+        List.filter (fun (x, y) -> Sset.mem x wl || Sset.mem y wr) pairs
+      in
+      let holds (store, x, c) =
+        (not (Sset.mem x wl || Sset.mem x wr))
+        && Term.equal (lookup store x) (Term.Cst c)
+      in
+      if
+        List.for_all
+          (fun (x, y) -> Term.equal (lookup lstore x) (lookup rstore y))
+          pairs
+        && List.for_all holds !lits
+      then Some carried
+      else None
 
 type product = {
   pr_paths : int;
@@ -367,7 +471,7 @@ let run_product ~expandable ~scope ~formals ~modref ~seed_store ~lbody ~rbody
   let work = ref [] in
   let seed = { store = seed_store; kont = []; guards = []; ev = None } in
   work :=
-    [ ([], { seed with kont = lbody }, { seed with kont = rbody }) ];
+    [ ([], None, { seed with kont = lbody }, { seed with kont = rbody }) ];
   let fresh_sym name =
     let g = !fresh in
     incr fresh;
@@ -421,28 +525,42 @@ let run_product ~expandable ~scope ~formals ~modref ~seed_store ~lbody ~rbody
     end
   in
   let finish_path () = incr paths in
-  (* Main loop: one (pc, left, right) state at a time; splits push the
-     false branch.  All loops are bounded by [fuel]. *)
-  let rec drive pc l r =
+  (* Main loop: one (pc, frame, left, right) state at a time; splits push
+     the false branch.  [fr] is [Some carried] inside a loop body under the
+     induction rule, whose end must bring the loop-carried (left, right)
+     pairs to agreement again.  All loops are bounded by [fuel]. *)
+  let rec drive pc fr l r =
     if !stuck <> None then ()
     else if !fuel <= 0 then stuck := Some "fuel"
     else begin
       decr fuel;
       match (l.ev, r.ev) with
-      | Some EDone, Some EDone ->
+      | Some ((EDone | EReturn) as a), Some ((EDone | EReturn) as b) -> (
           reconcile ~pc l.guards r.guards;
-          List.iteri
-            (fun i f ->
-              obligate ~pc
-                ~what:(Printf.sprintf "final formal %d (%s)" i f)
-                (lookup l.store f) (lookup r.store f))
-            formals;
-          List.iter
-            (fun g ->
-              obligate ~pc ~what:(Printf.sprintf "final global %s" g)
-                (lookup l.store g) (lookup r.store g))
-            globals;
-          finish_path ()
+          match (fr, a, b) with
+          | Some carried, EDone, EDone ->
+              (* The inductive step. *)
+              List.iter
+                (fun (x, y) ->
+                  obligate ~pc
+                    ~what:(Printf.sprintf "loop invariant %s/%s" x y)
+                    (lookup l.store x) (lookup r.store y))
+                carried;
+              finish_path ()
+          | None, _, _ | Some _, EReturn, EReturn ->
+              List.iteri
+                (fun i f ->
+                  obligate ~pc
+                    ~what:(Printf.sprintf "final formal %d (%s)" i f)
+                    (lookup l.store f) (lookup r.store f))
+                formals;
+              List.iter
+                (fun g ->
+                  obligate ~pc ~what:(Printf.sprintf "final global %s" g)
+                    (lookup l.store g) (lookup r.store g))
+                globals;
+              finish_path ()
+          | Some _, _, _ -> stuck := Some "event-mismatch")
       | Some EFault, Some EFault ->
           (* Both sides definitely fault: the print prefixes were already
              matched event by event, and an abort is an abort regardless of
@@ -451,22 +569,25 @@ let run_product ~expandable ~scope ~formals ~modref ~seed_store ~lbody ~rbody
       | Some (EPrint a), Some (EPrint b) ->
           reconcile ~pc l.guards r.guards;
           obligate ~pc ~what:"print" a b;
-          drive pc
+          drive pc fr
             { l with guards = []; ev = None }
             { r with guards = []; ev = None }
       | Some (ECall ca), Some (ECall cb) -> (
           reconcile ~pc l.guards r.guards;
           match havoc_call ~pc l r ca cb with
-          | Ok (l, r) -> drive pc l r
+          | Ok (l, r) -> drive pc fr l r
           | Error reason -> stuck := Some reason)
       | Some _, Some _ -> stuck := Some "event-mismatch"
-      | None, Some _ -> step_one pc l r `L
-      | Some _, None -> step_one pc l r `R
+      | None, Some _ -> step_one pc fr l r `L
+      | Some _, None -> step_one pc fr l r `R
       | None, None ->
           (* Synchronisation shortcut: identical residual computation from
-             identical state proves the path without unrolling loops. *)
+             identical state proves the path without unrolling loops.  Not
+             inside an induction body, whose end must still check the
+             loop-carried pairs. *)
           if
-            equal_kont l.kont r.kont
+            Option.is_none fr
+            && equal_kont l.kont r.kont
             && List.equal Term.equal
                  (List.sort Term.compare l.guards)
                  (List.sort Term.compare r.guards)
@@ -476,45 +597,109 @@ let run_product ~expandable ~scope ~formals ~modref ~seed_store ~lbody ~rbody
               (fun x -> Term.equal (lookup l.store x) (lookup r.store x))
               rel
           then finish_path ()
-          else if List.length l.kont >= List.length r.kont then
-            step_one pc l r `L
-          else step_one pc l r `R
+          else
+            match (l.kont, r.kont) with
+            | { Ast.sdesc = Ast.While _; _ } :: _,
+              { Ast.sdesc = Ast.While _; _ } :: _ ->
+                step_one ~loops:true pc fr l r `L
+            (* A side at a loop head waits for the other to reach one. *)
+            | { Ast.sdesc = Ast.While _; _ } :: _, _ -> step_one pc fr l r `R
+            | _, { Ast.sdesc = Ast.While _; _ } :: _ -> step_one pc fr l r `L
+            | _ ->
+                if List.length l.kont >= List.length r.kont then
+                  step_one pc fr l r `L
+                else step_one pc fr l r `R
     end
-  and step_one pc l r which =
+  (* The loop-induction rule at two loop heads (DESIGN.md "Loop
+     induction"), tried where the left condition would split the path:
+     havoc the loop-carried pairs with shared fresh symbols, oblige the two
+     conditions to agree, then run both bodies in frame [Some carried] and
+     both continuations.  A loop whose condition the state decides unrolls
+     instead, as that step splits no path.  Returns [false], having done
+     nothing, when the rule does not apply. *)
+  and induct pc fr l r =
+    match (l.kont, r.kont) with
+    | { Ast.sdesc = Ast.While (cl, bl); _ } :: kl,
+      { Ast.sdesc = Ast.While (cr, br); _ } :: kr -> (
+        let right_decided =
+          match Term.truthiness (eval_expr r.store (ref []) cr) with
+          | t ->
+              Term.decide t <> None
+              || List.exists (fun (t', _) -> Term.equal t t') pc
+          | exception Definite_fault -> true
+        in
+        match
+          if right_decided then None
+          else
+            carried_pairs ~modref ~lstore:l.store ~rstore:r.store (cl, bl)
+              (cr, br)
+        with
+        | None -> false
+        | Some carried -> (
+            let ls, rs =
+              List.fold_left
+                (fun (ls, rs) (x, y) ->
+                  let s = fresh_sym x in
+                  (Smap.add x s ls, Smap.add y s rs))
+                (l.store, r.store) carried
+            in
+            let gl = ref [] and gr = ref [] in
+            match (eval_expr ls gl cl, eval_expr rs gr cr) with
+            | exception Definite_fault -> false
+            | tl, tr ->
+                reconcile ~pc l.guards r.guards;
+                let ct = Term.truthiness tl in
+                obligate ~pc ~what:"loop condition" ct (Term.truthiness tr);
+                let at store kont guards = { store; kont; guards; ev = None } in
+                let body pc =
+                  drive pc (Some carried) (at ls bl !gl) (at rs br !gr)
+                and exit_l = at ls kl !gl
+                and exit_r = at rs kr !gr in
+                (match Term.decide ct with
+                | Some true -> body pc
+                | Some false -> drive pc fr exit_l exit_r
+                | None ->
+                    incr splits;
+                    if !splits > max_splits then stuck := Some "splits"
+                    else begin
+                      work := ((ct, false) :: pc, fr, exit_l, exit_r) :: !work;
+                      body ((ct, true) :: pc)
+                    end);
+                true))
+    | _ -> false
+  and step_one ?(loops = false) pc fr l r which =
     let side = match which with `L -> l | `R -> r in
     match step_side ~expandable ~scope ~modref ~fresh side with
     | SStuck reason -> stuck := Some reason
-    | SSide side' -> (
-        match which with
-        | `L -> drive pc side' r
-        | `R -> drive pc l side')
+    | SSide side' -> step_done pc fr side' l r which
     | SBranch (ct, strue, sfalse) -> (
         match
           List.find_map
             (fun (t, b) -> if Term.equal t ct then Some b else None)
             pc
         with
-        | Some true -> step_done pc strue l r which
-        | Some false -> step_done pc sfalse l r which
+        | Some true -> step_done pc fr strue l r which
+        | Some false -> step_done pc fr sfalse l r which
+        | None when loops && induct pc fr l r -> ()
         | None ->
             incr splits;
             if !splits > max_splits then stuck := Some "splits"
             else begin
               (match which with
-              | `L -> work := ((ct, false) :: pc, sfalse, r) :: !work
-              | `R -> work := ((ct, false) :: pc, l, sfalse) :: !work);
-              step_done ((ct, true) :: pc) strue l r which
+              | `L -> work := ((ct, false) :: pc, fr, sfalse, r) :: !work
+              | `R -> work := ((ct, false) :: pc, fr, l, sfalse) :: !work);
+              step_done ((ct, true) :: pc) fr strue l r which
             end)
-  and step_done pc side l r which =
-    match which with `L -> drive pc side r | `R -> drive pc l side
+  and step_done pc fr side l r which =
+    match which with `L -> drive pc fr side r | `R -> drive pc fr l side
   in
   let rec loop () =
     match !work with
     | [] -> ()
-    | (pc, l, r) :: rest ->
+    | (pc, fr, l, r) :: rest ->
         work := rest;
         if !stuck = None then begin
-          drive pc l r;
+          drive pc fr l r;
           loop ()
         end
   in
@@ -594,20 +779,22 @@ let concrete_check ?(samples = 24) ?(fuel = 200_000) ~orig ~trans ~proc
         in
         let ho = build_harness orig counterpart formal_vals global_vals in
         let ht = build_harness trans proc formal_vals global_vals in
-        match (I.run_opt ~fuel ~trace:false ho, I.run_opt ~fuel ~trace:false ht)
-        with
-        | Some ro, Some rt ->
-            if not (List.equal Value.equal ro.I.prints rt.I.prints) then
-              raise
-                (Found
-                   { cx_proc = proc; cx_formals = formal_vals;
-                     cx_globals = global_vals; cx_orig_prints = ro.I.prints;
-                     cx_trans_prints = rt.I.prints })
-        | _ ->
-            (* A fault or timeout on either side: discard the sample rather
-               than risk blaming a harness artefact — [Refuted] must be a
-               reproducible print divergence. *)
-            ()
+        (* A fault or timeout on either side discards the sample rather
+           than risk blaming a harness artefact — [Refuted] must be a
+           reproducible print divergence — so the transformed side runs
+           only when the original completed. *)
+        match I.run_opt ~fuel ~trace:false ho with
+        | None -> ()
+        | Some ro -> (
+            match I.run_opt ~fuel ~trace:false ht with
+            | Some rt when not (List.equal Value.equal ro.I.prints rt.I.prints)
+              ->
+                raise
+                  (Found
+                     { cx_proc = proc; cx_formals = formal_vals;
+                       cx_globals = global_vals; cx_orig_prints = ro.I.prints;
+                       cx_trans_prints = rt.I.prints })
+            | _ -> ())
       in
       try
         for _ = 1 to samples do
@@ -729,6 +916,12 @@ let build_vc ~fuel ~max_splits ~backend ~mode ctx ~solution ~transform
   in
   if not (List.equal String.equal q.Ast.formals cp.Ast.formals) then
     finish (Inconclusive "formals-mismatch") 0 []
+  else if
+    not (Fsicp_callgraph.Callgraph.is_reachable ctx.Context.pcg cp.Ast.pname)
+  then
+    (* MOD/REF are empty for a procedure the PCG does not reach, so a call
+       there would havoc nothing. *)
+    finish (Inconclusive "unreached") 0 []
   else if List.exists (Sema.is_global scope) formals then
     (* A formal shadowing a global would fold two cells into one flat-store
        slot; bail out rather than risk an unsound identification. *)

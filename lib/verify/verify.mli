@@ -9,8 +9,10 @@
     constant; everything else is symbolic).
 
     The symbolic backend runs both bodies in lock-step over {!Term}s,
-    splitting on undecided branches (bounded by [fuel]/[max_splits]) and
-    treating calls as uninterpreted functions: matching call events on the
+    splitting on undecided branches (bounded by [fuel]/[max_splits]),
+    proving two loops of the same shape by induction instead of unrolling
+    them (DESIGN.md "Loop induction"), and treating calls as uninterpreted
+    functions: matching call events on the
     two sides must agree on callee (clone names match their base), argument
     shape and by-reference alias pattern; their argument values and
     referenced globals become proof obligations; the locations the callee
@@ -92,7 +94,8 @@ val verify_program :
     argument, calls the procedure, then prints arguments and globals, and
     runs it under the reference interpreter against both programs.  Returns
     a counterexample only when both runs complete with different print
-    sequences (fault/timeout differences are discarded — conservative). *)
+    sequences (fault/timeout differences are discarded — conservative —
+    and the transformed program runs only when the original completed). *)
 val concrete_check :
   ?samples:int ->
   ?fuel:int ->

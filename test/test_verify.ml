@@ -358,6 +358,160 @@ let test_eval_order_pinned () =
       | _ -> ())
     (V.vcs ctx ~solution:fs ~transform:"fold" ~trans:folded)
 
+(* ------------------------------------------------------------------ *)
+(* Loop induction (DESIGN.md "Loop induction")                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The VC of [proc] for a hand-built transform of [orig] into [trans]. *)
+let loop_vc ?(transform = "fold") ~orig ~trans proc =
+  let prog = parse orig in
+  let ctx = Context.create prog in
+  let fs = Fs_icp.solve ctx in
+  match
+    List.find_opt
+      (fun vc -> String.equal vc.V.vc_proc proc)
+      (V.vcs ctx ~solution:fs ~transform ~trans:(parse trans))
+  with
+  | Some vc -> vc
+  | None -> Alcotest.failf "no VC generated for %s" proc
+
+(* Refuted, with a counterexample whose print sequences really differ. *)
+let check_refuted what vc =
+  match vc.V.vc_verdict with
+  | V.Refuted cx ->
+      Alcotest.(check bool)
+        (what ^ ": counterexample prints differ") false
+        (List.equal Value.equal cx.V.cx_orig_prints cx.V.cx_trans_prints)
+  | v -> Alcotest.failf "%s: expected refuted, got %a" what V.pp_verdict v
+
+(* Both loop VCs of newton.mf: fold's [tol] against the literal [1], and
+   the inliner's renamed [prev__in3]/[tol__in3] against the expanded
+   callee's locals. *)
+let test_loop_newton_proved () =
+  let prog = load "newton" in
+  let ctx = Context.create prog in
+  let fs = Fs_icp.solve ctx in
+  let reports = V.verify_program ctx ~solution:fs in
+  List.iter
+    (fun (transform, proc) ->
+      let r =
+        List.find (fun r -> String.equal r.V.r_transform transform) reports
+      in
+      match
+        List.find_opt (fun vc -> String.equal vc.V.vc_proc proc) r.V.r_vcs
+      with
+      | Some { V.vc_verdict = V.Proved; _ } -> ()
+      | Some vc ->
+          Alcotest.failf "newton %s/%s: %a" transform proc V.pp_verdict
+            vc.V.vc_verdict
+      | None -> Alcotest.failf "newton %s/%s: no VC" transform proc)
+    [ ("fold", "refine"); ("inline", "isqrt") ]
+
+(* [n] is 3 at entry, so the literal 4 does not match it and the loop
+   unrolls. *)
+let test_loop_condition_constant () =
+  let orig =
+    {|
+      proc main() { call count(0, 3); call count(1, 3); }
+      proc count(i, n) { while (i < n) { i = i + 1; print i; } }
+    |}
+  in
+  let trans =
+    {|
+      proc main() { call count(0, 3); call count(1, 3); }
+      proc count(i, n) { while (i < 4) { i = i + 1; print i; } }
+    |}
+  in
+  check_refuted "loop condition constant" (loop_vc ~orig ~trans "count")
+
+(* [bump] writes [g], which the condition reads: [g] is loop-carried
+   through bump's MOD set, so the literal 0 facing [g] in the changed
+   argument does not match, and the VC is never Proved. *)
+let test_loop_callee_mod () =
+  let orig =
+    {|
+      global g;
+      proc main() { call run(3); call run(5); }
+      proc run(n) { g = 0; while (g < n) { call bump(g + g); print g; } }
+      proc bump(d) { g = g + 1 + d; }
+    |}
+  in
+  let trans =
+    {|
+      global g;
+      proc main() { call run(3); call run(5); }
+      proc run(n) { g = 0; while (g < n) { call bump(g + 0); print g; } }
+      proc bump(d) { g = g + 1 + d; }
+    |}
+  in
+  check_refuted "callee writes the condition's global"
+    (loop_vc ~orig ~trans "run")
+
+(* [i] starts at 0 against 1: the rule does not apply, and unrolling finds
+   the difference. *)
+let test_loop_entry_differs () =
+  let orig =
+    {|
+      proc main() { call f(1); call f(2); }
+      proc f(n) { i = 0; while (i < n) { i = i + 1; print i; } }
+    |}
+  in
+  let trans =
+    {|
+      proc main() { call f(1); call f(2); }
+      proc f(n) { i = 1; while (i < n) { i = i + 1; print i; } }
+    |}
+  in
+  check_refuted "entry values differ" (loop_vc ~orig ~trans "f")
+
+(* Under the inline VC, [q] expands on both sides and reads [h], which the
+   loop never names, so the entry check does not see that [h] differs: only
+   the inductive step's obligation on the carried [g] does. *)
+let test_loop_inductive_step () =
+  let orig =
+    {|
+      global g;
+      global h;
+      proc main() { call p(2); call p(3); }
+      proc p(n) { h = 1; i = 0; while (i < n) { call q(); i = i + 1; } h = 0; print g; }
+      proc q() { g = h; }
+    |}
+  in
+  let trans =
+    {|
+      global g;
+      global h;
+      proc main() { call p(2); call p(3); }
+      proc p(n) { h = 2; i = 0; while (i < n) { call q(); i = i + 1; } h = 0; print g; }
+      proc q() { g = h; }
+    |}
+  in
+  check_refuted "value read by an expanded callee"
+    (loop_vc ~transform:"inline" ~orig ~trans "p")
+
+(* MOD/REF are empty for a procedure the call graph does not reach, so
+   its VC would see a call havoc nothing: [dead] prints 1, not 0. *)
+let test_unreached_not_proved () =
+  let orig =
+    {|
+      global g;
+      proc main() { g = 0; print g; }
+      proc dead() { g = 0; call bump(); print g; }
+      proc bump() { g = g + 1; }
+    |}
+  in
+  let trans =
+    {|
+      global g;
+      proc main() { g = 0; print g; }
+      proc dead() { g = 0; call bump(); print 0; }
+      proc bump() { g = g + 1; }
+    |}
+  in
+  match (loop_vc ~orig ~trans "dead").V.vc_verdict with
+  | V.Proved -> Alcotest.fail "an unreached procedure's VC was proved"
+  | V.Refuted _ | V.Inconclusive _ -> ()
+
 let suite =
   [
     Alcotest.test_case "term normalisation" `Quick test_term_norm;
@@ -383,3 +537,17 @@ let suite =
             (test_never_refuted base);
         ])
       corpus
+  @ [
+      Alcotest.test_case "loop induction: newton proved" `Quick
+        test_loop_newton_proved;
+      Alcotest.test_case "loop induction: condition constant refuted" `Quick
+        test_loop_condition_constant;
+      Alcotest.test_case "loop induction: callee MOD global carried" `Quick
+        test_loop_callee_mod;
+      Alcotest.test_case "loop induction: entry values differ" `Quick
+        test_loop_entry_differs;
+      Alcotest.test_case "loop induction: inductive step checked" `Quick
+        test_loop_inductive_step;
+      Alcotest.test_case "unreached procedure never proved" `Quick
+        test_unreached_not_proved;
+    ]
