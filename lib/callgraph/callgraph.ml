@@ -51,6 +51,7 @@ type t = {
   in_adj : edge array array;
   cs_base : int array;
   back_bits : Prog.Bits.t;
+  acyclic : bool;
 }
 
 let index_asts (prog : Ast.program) : (string, Ast.proc) Hashtbl.t =
@@ -181,7 +182,7 @@ let build (prog : Ast.program) : t =
         Prog.Bits.set back_bits (cs_base.((e.caller :> int)) + e.cs_index))
     edges;
   { prog; asts; scope = Sema.scope prog; db; nodes; edges; out_adj; in_adj;
-    cs_base; back_bits }
+    cs_base; back_bits; acyclic = Prog.Bits.count back_bits = 0 }
 
 let is_back_edge _t (e : edge) = e.back
 
@@ -207,7 +208,7 @@ let out_edges t (caller : Prog.Proc.id) = t.out_adj.((caller :> int))
 
 let n_call_sites t (p : Prog.Proc.id) = Array.length t.out_adj.((p :> int))
 let edge_at t ~caller ~cs_index = (out_edges t caller).(cs_index)
-let has_cycles t = Prog.Bits.count t.back_bits > 0
+let has_cycles t = not t.acyclic
 
 (** Downstream cone: the forward-edge closure of [seeds] —
     every procedure whose flow-sensitive entry environment can be reached
@@ -256,8 +257,8 @@ let replace_proc t (prog : Ast.program) (p : Ast.proc) =
   Hashtbl.replace t.asts p.Ast.pname p
 
 (** The PCG of [prog], which calls exactly what [t]'s program calls: a new
-    record sharing [t]'s nodes, edges, adjacency, call-site numbering and
-    back-edge bits, with its own program and its own name index.  [t]'s
+    record sharing [t]'s nodes, edges, adjacency, call-site numbering,
+    back-edge bits and acyclicity, with its own program and its own name index.  [t]'s
     index is never touched, so [t] keeps answering {!proc_ast} with its
     own program's procedures.  The scope carries over when the globals
     list is physically [t]'s. *)

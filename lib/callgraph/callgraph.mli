@@ -42,6 +42,9 @@ type t = {
       (** caller-major call-site numbering: call site [(p, i)] is global
           site [cs_base.(p) + i]; length [n_procs + 1] *)
   back_bits : Prog.Bits.t;  (** back-edge flags over the global numbering *)
+  acyclic : bool;
+      (** no back edge: counted once by {!build}, shared by
+          {!with_program} *)
 }
 
 (** Build the PCG, restricted to procedures reachable from the entry.  An
@@ -83,6 +86,7 @@ val n_call_sites : t -> Prog.Proc.id -> int
 
 val edge_at : t -> caller:Prog.Proc.id -> cs_index:int -> edge
 
+(** [not acyclic]; O(1). *)
 val has_cycles : t -> bool
 
 (** Downstream cone: forward-edge closure of [seeds] (seeds
@@ -102,8 +106,8 @@ val replace_proc : t -> Ast.program -> Ast.proc -> unit
 (** [with_program t prog] is the PCG of [prog], in contract only when
     [prog] has [t]'s entry and procedure names and every procedure makes
     the calls it makes in [t]'s program: a new record that shares [t]'s
-    nodes, edges, adjacency, call-site numbering and back-edge bits,
-    with its own program and name index (and [t]'s scope
+    nodes, edges, adjacency, call-site numbering, back-edge bits and
+    acyclicity, with its own program and name index (and [t]'s scope
     when the globals list is physically [t]'s).  [t] is left untouched. *)
 val with_program : t -> Ast.program -> t
 

@@ -26,7 +26,10 @@
     changes.  On an acyclic PCG the first pass already agrees with
     {!Fs_icp} on every entry and call record: copy propagation subsumes
     constant propagation (Sreekala and Paleri), and a copy word read as ⊥
-    is FS's step (tested on generated acyclic programs and the suite).
+    is FS's step (tested on generated acyclic programs and the suite, and
+    after every edit of the edit-sequence oracle).  The serve engine
+    relies on it: on an acyclic PCG its CC read is its FS solution under
+    this method's name ({!Engine.cc_solution}), and no solve runs.
     With cycles the optimistic iteration is at least as precise as FS's
     pessimistic flow-insensitive back-edge seed, so [fs ⊑ cc] everywhere
     (fuzzed by the oracle, alongside [fs ⊑ ref]).

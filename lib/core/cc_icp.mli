@@ -5,7 +5,10 @@
     fixpoint over the PCG.  Copies [x := y] thereby carry constants
     through call sites that the one-pass flow-sensitive method reaches too
     early; [fs ⊑ cc] in the oracle's precision order, and [cc = fs] on an
-    acyclic PCG.  See the implementation header for the full story. *)
+    acyclic PCG, on every entry and call record — which is why the serve
+    engine answers a CC read there from its FS solution
+    ({!Engine.cc_solution}) and calls {!solve} only with a back edge.  See
+    the implementation header for the full story. *)
 
 val method_name : string
 

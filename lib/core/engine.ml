@@ -27,7 +27,7 @@
     - {b rebuild} — when the shape changes (procedure added, call site
       added/removed/retargeted, formals or immediate MOD/REF changed): a
       fresh context is built and both solutions are re-established over
-      it.  MOD/REF and FI run as on a cold start, but the new context is
+      it.  MOD/REF runs as on a cold start, but the new context is
       built with the old one as [~prev] ({!Context.create}), so whatever
       provably did not change carries over instead of being rebuilt: the
       PCG and the alias pairs when no call changed (same procedures, and
@@ -37,18 +37,29 @@
       physically the old ones, and the SSA form (with its SCC entry-vector
       memo) of every such procedure whose own MOD/REF closures, callees'
       closures and alias-kill table are also unchanged.  When the PCG
-      carried over, FS is re-solved like an incremental edit, seeded with
-      every procedure whose SSA did not carry over and the callee of
-      every back edge whose FI record differs from the old FI solution's;
-      otherwise ids change and FS is solved from scratch.  A store added
-      at one procedure's head keeps the PCG and aliases, leaves all but
-      its ancestors' SSA in place, and analyses again only those
-      ancestors and the procedures whose call records they changed.
+      carried over, the compiled FI table does too: it moves to the new
+      context and re-derives only what MOD/REF decides — which formal
+      pass-throughs may pass, the program constants, the REF-closure
+      global lists — before the one pass re-runs ({!Fi_icp.update} with
+      [~ctx], the same re-solve as the incremental route).  FS is then
+      re-solved like an incremental edit, seeded with every procedure
+      whose SSA did not carry over and the callee of every back edge
+      whose FI record {!Fi_icp.update} reports changed.  Otherwise ids
+      change, and FI and FS are solved from scratch.  A store added at
+      one procedure's head keeps the PCG and aliases, leaves all but its
+      ancestors' SSA in place, and analyses again only those ancestors
+      and the procedures whose call records they changed.
 
     Either way the resulting {!solution} is identical to a from-scratch
     solve of the edited program at any [jobs] — the differential oracle
     ({!Fsicp_oracle.Oracle}) checks this byte-for-byte over random edit
-    sequences. *)
+    sequences.
+
+    The engine also answers copy-constant reads ({!cc_solution}).  On a
+    PCG without a back edge, FS is one forward sweep whose in-edge records
+    are final when read, and CC's first pass agrees with it on every
+    entry and call record, so the read is the FS solution under CC's
+    method name; only a cyclic PCG runs {!Cc_icp.solve}. *)
 
 open Fsicp_lang
 open Fsicp_ipa
@@ -60,7 +71,8 @@ type t = {
   floats : bool;
   mutable ctx : Context.t;
   mutable fi_table : Fi_icp.table;
-      (** the FI pass compiled for [ctx]; every rebuild recompiles it *)
+      (** the FI pass compiled for [ctx]'s PCG; a rebuild that keeps the
+          PCG moves it to the new context, any other recompiles it *)
   mutable fi : Solution.t;
   mutable fs : Solution.t;
   mutable edits : int;
@@ -85,6 +97,16 @@ let create ?(floats = true) ?jobs (prog : Ast.program) : t =
 let context t = t.ctx
 let solution t = t.fs
 let fi_solution t = t.fi
+
+(* Without a back edge FS is one forward sweep that reads every in-edge
+   record final, so CC's optimistic copy iteration finds nothing more:
+   copy propagation subsumes constant propagation (Sreekala and Paleri),
+   and CC's first pass agrees with FS on every entry and call record.
+   Only [scc_runs] differs, so the relabelled solution is an answer, never
+   a digest. *)
+let cc_solution ?jobs t =
+  if Callgraph.has_cycles t.ctx.Context.pcg then Cc_icp.solve ?jobs t.ctx
+  else { t.fs with Solution.method_name = Cc_icp.method_name }
 
 let stats t : (string * int) list =
   [
@@ -117,26 +139,16 @@ let with_back_edge_callees seeds (edges : Callgraph.edge list) =
       if e.Callgraph.back then e.Callgraph.callee :: seeds else seeds)
     seeds edges
 
-(* The back edges of [pcg] whose flow-insensitive records differ between
-   [fi] and [fi'], two solutions over its ids. *)
-let changed_back_edges (pcg : Callgraph.t) fi fi' =
-  List.filter
-    (fun (e : Callgraph.edge) ->
-      let find s =
-        Solution.find_call_record s ~caller:e.Callgraph.caller
-          ~cs_index:e.Callgraph.cs_index
-      in
-      e.Callgraph.back
-      && not (Option.equal Solution.record_equal (find fi) (find fi')))
-    pcg.Callgraph.edges
-
 (* A fresh context with the old one as [~prev], then both solutions.  When
    the context kept the PCG (same nodes, so the same ids) and the
-   block-data roots, the FS solution is re-solved incrementally from the
-   old one: the seeds are the procedures whose SSA did not carry over
-   (read before the SSA build fills the cache) and the callees of the back
-   edges whose FI records changed.  Otherwise FS is solved from scratch. *)
-let rebuild ?jobs t prog reason : outcome =
+   block-data roots, the FI table moves to the new context
+   ({!Fi_icp.update} with [~ctx]) and FS is re-solved incrementally from
+   the old solution: the seeds are the procedures whose SSA did not carry
+   over (read before the SSA build fills the cache) and the callees of
+   the back edges whose FI records changed.  Otherwise FI is compiled
+   afresh and FS is solved from scratch.  [edited] are the procedures
+   whose text changed. *)
+let rebuild ?jobs t prog (edited : Ast.proc list) reason : outcome =
   let old = t.ctx in
   let ctx = Context.create ~floats:t.floats ?jobs ~prev:old prog in
   let keeps_pcg =
@@ -145,19 +157,28 @@ let rebuild ?jobs t prog reason : outcome =
   in
   let unbuilt = if keeps_pcg then Context.unbuilt_ssa ctx else [] in
   Trace.span "engine:ssa" (fun () -> Context.build_ssa ?jobs ctx);
-  let fi_table, fi = Fi_icp.solve_table ctx in
-  let fs =
-    if keeps_pcg then
-      let seeds =
-        Trace.span "engine:seeds" @@ fun () ->
-        with_back_edge_callees unbuilt
-          (changed_back_edges ctx.Context.pcg t.fi fi)
+  let fi, fs =
+    if keeps_pcg then begin
+      let fi, changed =
+        Fi_icp.update ~ctx t.fi_table
+          (List.filter_map
+             (fun (p : Ast.proc) ->
+               Callgraph.proc_id ctx.Context.pcg p.Ast.pname)
+             edited)
       in
-      fst (Fs_icp.resolve ?jobs ~fi ~prev:t.fs ~seeds ctx)
-    else Fs_icp.solve ?jobs ~fi ctx
+      let seeds =
+        Trace.span "engine:seeds" (fun () ->
+            with_back_edge_callees unbuilt changed)
+      in
+      (fi, fst (Fs_icp.resolve ?jobs ~fi ~prev:t.fs ~seeds ctx))
+    end
+    else begin
+      let fi_table, fi = Fi_icp.solve_table ctx in
+      t.fi_table <- fi_table;
+      (fi, Fs_icp.solve ?jobs ~fi ctx)
+    end
   in
   t.ctx <- ctx;
-  t.fi_table <- fi_table;
   t.fi <- fi;
   t.fs <- fs;
   t.rebuilds <- t.rebuilds + 1;
@@ -211,7 +232,7 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
   match old with
   | None ->
       (* A new procedure changes the program shape outright. *)
-      rebuild ?jobs t prog "new procedure"
+      rebuild ?jobs t prog [ p ] "new procedure"
   | Some _ -> (
       (* Only the edited procedure's summary can change — summaries are
          per-body and the globals list is untouched by a procedure edit —
@@ -231,7 +252,7 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
       | Some pid ->
           let old_s = Summary.find ctx.Context.summaries p.Ast.pname in
           if not (summary_shape_equal old_s new_s) then
-            rebuild ?jobs t prog "summary shape changed"
+            rebuild ?jobs t prog [ p ] "summary shape changed"
           else begin
             (* Shape preserved: swap the procedure and its summary in
                place, invalidate only the edited procedure's artifacts. *)
@@ -241,7 +262,7 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
             (* The FI pass re-runs in full over its compiled table, with
                the edited procedure's literal words patched; it reports
                the call records whose values changed. *)
-            let fi', changed = Fi_icp.update t.fi_table pid in
+            let fi', changed = Fi_icp.update t.fi_table [ pid ] in
             (* Seeds: the edited procedure, plus the callee of every back
                edge whose flow-insensitive record changed. *)
             let seeds =
@@ -279,7 +300,7 @@ let edit_procs ?jobs t (ps : Ast.proc list) : outcome list =
                 let o =
                   rebuild ?jobs t
                     (List.fold_left substitute t.ctx.Context.prog todo)
-                    "batch"
+                    todo "batch"
                 in
                 List.map (fun _ -> o) todo)
       in

@@ -11,8 +11,10 @@
     call-site inputs changed ({!Fs_icp.resolve}); a shape-changing edit
     rebuilds the context, carrying over the PCG and alias pairs when no
     call changed, and every procedure's summary, lowering, alias kills and
-    SSA whose inputs did not change ({!Context.create}'s [prev]), and
-    re-solves FS the same way when the PCG carried over.
+    SSA whose inputs did not change ({!Context.create}'s [prev]); when the
+    PCG carried over, the compiled FI table carries over too and
+    re-derives only what MOD/REF decides ({!Fi_icp.update}), and FS is
+    re-solved from seeds the same way.
     In both cases {!solution} is identical to a from-scratch solve of the
     edited program, at any [jobs] — the differential oracle checks this
     byte-for-byte over random edit sequences. *)
@@ -38,6 +40,15 @@ val solution : t -> Solution.t
 (** The current flow-insensitive solution (the back-edge seed of the
     flow-sensitive one). *)
 val fi_solution : t -> Solution.t
+
+(** The copy-constant solution of the current program, for a serve read.
+    On an acyclic PCG it is {!solution} under {!Cc_icp.method_name}: the
+    two methods agree on every entry and call record there, and no solve
+    runs.  Its [scc_runs] is then FS's, not CC's, so compare its entries
+    and call records ({!Solution.values_digest}), never its
+    {!Solution.digest}.  With a back edge it is {!Cc_icp.solve} of the
+    current context. *)
+val cc_solution : ?jobs:int -> t -> Solution.t
 
 (** Session counters: [procs], [edits], [incremental_edits], [rebuilds],
     [edit_epoch]. *)

@@ -22,7 +22,15 @@
     before propagation — the method sees only argument {e shapes} — so it
     finds fewer candidates (paper §5 calls its results "clearly inferior to
     the no-return polynomial jump function results"); its role is to be the
-    cheap sound fallback the flow-sensitive method uses on back edges. *)
+    cheap sound fallback the flow-sensitive method uses on back edges.
+
+    {b Incremental}: the pass is compiled once per PCG into a flat op
+    table, and {!update} keeps it current across every edit that keeps the
+    PCG — a shape-preserving body edit patches the edited procedure's
+    literal words, and a rebuilt context (new MOD/REF over the same PCG)
+    also re-derives the pass-through, program-constant and REF-closure
+    parts.  Both then re-run the one pass and rebuild only the entries and
+    call records whose values moved. *)
 
 open Fsicp_lang
 open Fsicp_prog
@@ -42,29 +50,34 @@ let c_lowerings = Trace.counter "fi.lowerings"
 
 (* -- Compiled op table --------------------------------------------------
 
-   Everything the pass reads that a shape-preserving edit cannot change is
-   computed once per context: the formal slot numbering, the program
-   constants, every entry's and every call record's global list, and one
-   op per call-site argument in forward traversal order.  An op either
-   meets its target slot with a fixed word (a literal, a program-constant
-   global, or ⊥ for anything else — including a pass-through of a formal
-   the caller may modify), or passes a caller slot through.  Only literal
-   words depend on procedure bodies; {!update} patches them. *)
+   The pass is compiled once per PCG: the formal slot numbering, one op
+   per call-site argument in forward traversal order, and every site's
+   caller and callee.  An op either meets its target slot with a fixed
+   word (a literal, a program-constant global, or ⊥ for anything else —
+   including a pass-through of a formal the caller may modify), or passes
+   a caller slot through.  The layout reads only the PCG, the formals and
+   the call shapes.  What else the ops and the solution read comes from
+   two sources, and {!update} re-derives each in place: literal words from
+   procedure bodies, and from MOD/REF whether a pass-through may pass, the
+   program constants (with the [Aglobal] words) and the REF-closure global
+   lists of entries and call records. *)
 
 type table = {
-  ctx : Context.t;
+  mutable ctx : Context.t;
   n_formals : int array;  (** per procedure id *)
   fp_base : int array;
       (** formal [i] of procedure [p] is slot [fp_base.(p) + i];
           length [n + 1] *)
   slot_proc : int array;  (** owning procedure id of each slot *)
   op_target : int array;  (** slot each op meets *)
-  op_src : int array;  (** caller slot of a pass-through op, [-1] if fixed *)
+  op_src : int array;
+      (** caller slot of a pass-through op, [-1] for a fixed op (an
+          [Aformal] argument the caller may modify is fixed at ⊥) *)
   op_word : int array;  (** packed word of a fixed op *)
   op_box : Lattice.t array;  (** boxed record value of a fixed op *)
   op_site : int array;  (** call site of each op *)
-  by_src_start : int array;
-  by_src : int array;
+  mutable by_src_start : int array;
+  mutable by_src : int array;
       (** pass-through ops by source slot, ascending: slot [k]'s are
           [by_src.(by_src_start.(k) .. by_src_start.(k+1) - 1)] *)
   site_base : int array;
@@ -74,8 +87,13 @@ type table = {
   site_op : int array;  (** site [s]'s argument ops start at [site_op.(s)] *)
   site_caller : Prog.Proc.id array;
   site_callee : Prog.Proc.id array;
-  site_globals : (Prog.Var.id * Lattice.t) list array;
-  pe_globals : (Prog.Var.id * Lattice.t) list array;  (** per procedure *)
+  mutable consts : (Prog.Var.id * Lattice.t) list;
+      (** the program constants: block-data globals nothing modifies *)
+  refs : (Prog.Var.id * Lattice.t) list array;
+      (** per procedure, its REF-closure globals (descending by name) at
+          their program-wide values: the [cr_globals] of every call to it *)
+  pe_globals : (Prog.Var.id * Lattice.t) list array;
+      (** per procedure, [refs] ascending: its entry's globals *)
   (* Run state: final words of the last run, a scratch vector for the
      next one, the bound flag of each pass-through op, the lowering queue
      (each bound op is queued at most once: its source slot falls to ⊥
@@ -84,10 +102,61 @@ type table = {
   mutable values : int array;
   mutable scratch : int array;
   bound : Bytes.t;
-  queue : int array;
+  mutable queue : int array;
   site_mark : Bytes.t;
   mutable last : Solution.t option;
 }
+
+(* Block-data globals that nothing reachable from main modifies. *)
+let program_constants (ctx : Context.t) =
+  let modified =
+    Modref.globals_modified_anywhere ctx.Context.modref
+      ~main:ctx.Context.prog.Ast.main
+  in
+  Context.blockdata_env ctx
+  |> List.filter (fun ((g : Prog.Var.id), v) ->
+         Lattice.is_const v && not (List.mem (Prog.Var.name g) modified))
+
+(* Program-wide global constants hold at every entry and every call site;
+   [vars] are the globals the callee may reference. *)
+let render consts (vars : Fsicp_cfg.Ir.var list) =
+  List.map
+    (fun (gv : Fsicp_cfg.Ir.var) ->
+      ( gv.Fsicp_cfg.Ir.vid,
+        match List.assoc_opt gv.Fsicp_cfg.Ir.vid consts with
+        | Some v -> v
+        | None -> Lattice.Bot ))
+    vars
+
+(* Word and record value of an [Aglobal] op over global [g]. *)
+let global_op consts g =
+  match List.assoc_opt (Prog.Var.intern g) consts with
+  | Some v -> (P.of_t v, v)
+  | None -> (P.bot, Lattice.Bot)
+
+(* Group the pass-through ops by source slot (counting sort, stable) and
+   size the lowering queue to them. *)
+let index_by_src (t : table) =
+  let n_slots = Array.length t.slot_proc in
+  let by_src_start = Array.make (n_slots + 1) 0 in
+  Array.iter
+    (fun k -> if k >= 0 then by_src_start.(k + 1) <- by_src_start.(k + 1) + 1)
+    t.op_src;
+  for k = 0 to n_slots - 1 do
+    by_src_start.(k + 1) <- by_src_start.(k + 1) + by_src_start.(k)
+  done;
+  let fill = Array.sub by_src_start 0 (max 1 n_slots) in
+  let by_src = Array.make by_src_start.(n_slots) 0 in
+  Array.iteri
+    (fun o k ->
+      if k >= 0 then begin
+        by_src.(fill.(k)) <- o;
+        fill.(k) <- fill.(k) + 1
+      end)
+    t.op_src;
+  t.by_src_start <- by_src_start;
+  t.by_src <- by_src;
+  t.queue <- Array.make (Array.length by_src) 0
 
 let compile (ctx : Context.t) : table =
   let pcg = ctx.Context.pcg in
@@ -109,27 +178,12 @@ let compile (ctx : Context.t) : table =
   done;
 
   (* -- Globals -------------------------------------------------------- *)
-  let modified =
-    Modref.globals_modified_anywhere ctx.Context.modref
-      ~main:ctx.Context.prog.Ast.main
-  in
-  let program_constants =
-    Context.blockdata_env ctx
-    |> List.filter (fun ((g : Prog.Var.id), v) ->
-           Lattice.is_const v && not (List.mem (Prog.Var.name g) modified))
-  in
-  let global_const (g : Prog.Var.id) = List.assoc_opt g program_constants in
-  (* Program-wide global constants hold at every entry and every call
-     site; restrict to the globals the callee may reference. *)
+  let consts = program_constants ctx in
   let refs =
-    Array.init n (fun i ->
-        Modref.call_global_refs ctx.Context.modref
-          ~callee:(Prog.proc_name db pcg.Callgraph.nodes.(i))
-        |> List.map (fun (gv : Fsicp_cfg.Ir.var) ->
-               ( gv.Fsicp_cfg.Ir.vid,
-                 match global_const gv.Fsicp_cfg.Ir.vid with
-                 | Some v -> v
-                 | None -> Lattice.Bot )))
+    Array.map
+      (fun pid ->
+        render consts (Modref.call_global_refs_at ctx.Context.modref pid))
+      pcg.Callgraph.nodes
   in
   (* [refs] is descending by name; entries list it ascending. *)
   let pe_globals = Array.map List.rev refs in
@@ -154,7 +208,6 @@ let compile (ctx : Context.t) : table =
     if n_sites = 0 then [||] else Array.make n_sites pcg.Callgraph.nodes.(0)
   in
   let site_caller = site_ids () and site_callee = site_ids () in
-  let site_globals = Array.make n_sites [] in
   let op = ref 0 and site = ref 0 in
   Array.iteri
     (fun caller cs ->
@@ -167,28 +220,24 @@ let compile (ctx : Context.t) : table =
           site_op.(s) <- !op;
           site_caller.(s) <- caller_id;
           site_callee.(s) <- callee_id;
-          site_globals.(s) <- refs.(callee);
           Array.iteri
             (fun j arg ->
               let o = !op in
               op_target.(o) <- fp_base.(callee) + j;
               op_site.(o) <- s;
-              let fixed w v =
-                op_word.(o) <- w;
-                op_box.(o) <- v
-              in
               (match arg with
               | Summary.Alit v ->
-                  fixed
-                    (Context.censor_w ctx (P.of_value v))
-                    (Context.censor ctx (Lattice.Const v))
-              | Summary.Aglobal g -> (
-                  match global_const (Prog.Var.intern g) with
-                  | Some v -> fixed (P.of_t v) v
-                  | None -> ())
+                  op_word.(o) <- Context.censor_w ctx (P.of_value v);
+                  op_box.(o) <- Context.censor ctx (Lattice.Const v)
+              | Summary.Aglobal g ->
+                  let w, v = global_op consts g in
+                  op_word.(o) <- w;
+                  op_box.(o) <- v
               | Summary.Aformal i ->
-                  if not (Modref.formal_modified ctx.Context.modref
-                            (Prog.proc_name db caller_id) i)
+                  if
+                    not
+                      (Modref.formal_modified_at ctx.Context.modref caller_id
+                         i)
                   then op_src.(o) <- fp_base.(caller) + i
               | Summary.Alocal _ | Summary.Aexpr -> ());
               incr op)
@@ -197,34 +246,21 @@ let compile (ctx : Context.t) : table =
         cs)
     calls;
   site_op.(n_sites) <- n_ops;
-  (* Pass-through ops grouped by source slot (counting sort, stable). *)
-  let by_src_start = Array.make (n_slots + 1) 0 in
-  Array.iter
-    (fun k -> if k >= 0 then by_src_start.(k + 1) <- by_src_start.(k + 1) + 1)
-    op_src;
-  for k = 0 to n_slots - 1 do
-    by_src_start.(k + 1) <- by_src_start.(k + 1) + by_src_start.(k)
-  done;
-  let fill = Array.sub by_src_start 0 (max 1 n_slots) in
-  let by_src = Array.make by_src_start.(n_slots) 0 in
-  Array.iteri
-    (fun o k ->
-      if k >= 0 then begin
-        by_src.(fill.(k)) <- o;
-        fill.(k) <- fill.(k) + 1
-      end)
-    op_src;
-  {
-    ctx; n_formals; fp_base; slot_proc; op_target; op_src; op_word; op_box;
-    op_site; by_src_start; by_src; site_base; site_op; site_caller;
-    site_callee; site_globals; pe_globals;
-    values = Array.make n_slots P.top;
-    scratch = Array.make n_slots P.top;
-    bound = Bytes.make n_ops '\000';
-    queue = Array.make (Array.length by_src) 0;
-    site_mark = Bytes.make n_sites '\000';
-    last = None;
-  }
+  let t =
+    {
+      ctx; n_formals; fp_base; slot_proc; op_target; op_src; op_word; op_box;
+      op_site; by_src_start = [||]; by_src = [||]; site_base; site_op;
+      site_caller; site_callee; consts; refs; pe_globals;
+      values = Array.make n_slots P.top;
+      scratch = Array.make n_slots P.top;
+      bound = Bytes.make n_ops '\000';
+      queue = [||];
+      site_mark = Bytes.make n_sites '\000';
+      last = None;
+    }
+  in
+  index_by_src t;
+  t
 
 (* -- The pass ----------------------------------------------------------- *)
 
@@ -327,7 +363,7 @@ let record (t : table) values s : Solution.callsite_record =
           let o = o0 + j in
           let src = t.op_src.(o) in
           if src < 0 then t.op_box.(o) else P.to_t (arg_word_of values.(src)));
-    cr_globals = t.site_globals.(s);
+    cr_globals = t.refs.((t.site_callee.(s) :> int));
   }
 
 let finish (t : table) ~entries ~call_index : Solution.t =
@@ -353,7 +389,7 @@ let assemble (t : table) : Solution.t =
     ~call_index
 
 (** Compile [ctx] and solve it; the table stays valid for {!update} as long
-    as every later edit of [ctx] is shape-preserving. *)
+    as every later edit keeps the PCG. *)
 let solve_table (ctx : Context.t) : table * Solution.t =
   Trace.next_epoch ();
   Trace.span "fi:solve" @@ fun () ->
@@ -363,66 +399,137 @@ let solve_table (ctx : Context.t) : table * Solution.t =
 
 let solve (ctx : Context.t) : Solution.t = snd (solve_table ctx)
 
-(** Re-solve after a shape-preserving edit of procedure [pid], whose new
-    summary [t]'s context already holds: patch the literal words of its
-    call sites, re-run the pass in full, and rebuild only the entries and
-    call records whose words (or literal spellings) changed — every other
-    entry and call-record row is shared with the previous solution.  Also
-    returns the PCG edge of every call record whose value changed. *)
-let update (t : table) (pid : Prog.Proc.id) : Solution.t * Callgraph.edge list
-    =
-  Trace.next_epoch ();
-  Trace.span "fi:update" @@ fun () ->
-  let ctx = t.ctx in
-  let pcg = ctx.Context.pcg in
+(* -- Re-solving after edits --------------------------------------------- *)
+
+(* Queue site [s] for a fresh record, once. *)
+let mark (t : table) marked s =
+  if Bytes.get t.site_mark s = '\000' then begin
+    Bytes.set t.site_mark s '\001';
+    marked := s :: !marked
+  end
+
+(* [f s o arg] for every argument [arg] of procedure [p]'s call sites, by
+   site [s] and op [o], read from its current summary. *)
+let iter_args (t : table) p f =
+  let pcg = t.ctx.Context.pcg in
+  let rec go s = function
+    | [] -> ()
+    | (c : Summary.call_summary) :: calls ->
+        let args = c.Summary.cs_args in
+        for j = 0 to Array.length args - 1 do
+          f s (t.site_op.(s) + j) args.(j)
+        done;
+        go (s + 1) calls
+  in
+  go t.site_base.(p)
+    (Summary.find t.ctx.Context.summaries
+       (Callgraph.proc_name pcg pcg.Callgraph.nodes.(p)))
+      .Summary.ps_calls
+
+(* Patch procedure [pid]'s literal words.  A record is rebuilt when a word
+   moved, and also when only a literal's spelling did: equal words can box
+   different literals (-0.0 and 0.0). *)
+let patch_literals (t : table) marked (pid : Prog.Proc.id) =
+  iter_args t (pid :> int) (fun s o -> function
+    | Summary.Alit v ->
+        let w = Context.censor_w t.ctx (P.of_value v) in
+        let box = Context.censor t.ctx (Lattice.Const v) in
+        if w <> t.op_word.(o) || not (same_literal box t.op_box.(o)) then begin
+          t.op_word.(o) <- w;
+          t.op_box.(o) <- box;
+          mark t marked s
+        end
+    | Summary.Aglobal _ | Summary.Aformal _ | Summary.Alocal _ | Summary.Aexpr
+      ->
+        ())
+
+let same_globals =
+  List.equal (fun (g, v) (h, w) -> Prog.Var.equal g h && Lattice.equal v w)
+
+(* Does the rendered list [old] name exactly the globals [vars]? *)
+let rec same_vars (vars : Fsicp_cfg.Ir.var list) old =
+  match (vars, old) with
+  | [], [] -> true
+  | gv :: vars, (g, _) :: old ->
+      Prog.Var.equal gv.Fsicp_cfg.Ir.vid g && same_vars vars old
+  | _ :: _, [] | [], _ :: _ -> false
+
+(* Re-derive, under [t.ctx]'s MOD/REF, every part of the table MOD/REF
+   decides; queue the sites whose records it touches and return the
+   procedures whose entry globals changed. *)
+let rederive_modref (t : table) marked =
+  let modref = t.ctx.Context.modref in
+  let consts = program_constants t.ctx in
+  let consts_moved = not (same_globals consts t.consts) in
+  t.consts <- consts;
+  (* The [Aglobal] words over the program constants, and whether each
+     [Aformal] op may pass: the caller may not modify that formal. *)
+  let moved = ref false in
+  Array.iteri
+    (fun p pid ->
+      iter_args t p (fun s o -> function
+        | Summary.Aglobal g when consts_moved ->
+            let w, v = global_op consts g in
+            if w <> t.op_word.(o) then begin
+              t.op_word.(o) <- w;
+              t.op_box.(o) <- v;
+              mark t marked s
+            end
+        | Summary.Aformal i ->
+            let src =
+              if Modref.formal_modified_at modref pid i then -1
+              else t.fp_base.(p) + i
+            in
+            if src <> t.op_src.(o) then begin
+              t.op_src.(o) <- src;
+              moved := true;
+              mark t marked s
+            end
+        | Summary.Alit _ | Summary.Aglobal _ | Summary.Alocal _
+        | Summary.Aexpr ->
+            ()))
+    t.ctx.Context.pcg.Callgraph.nodes;
+  if !moved then index_by_src t;
+  (* REF-closure globals: an entry's, and those of every call to it. *)
+  let dirty = ref [] in
+  Array.iteri
+    (fun p pid ->
+      let vars = Modref.call_global_refs_at modref pid in
+      let old = t.refs.(p) in
+      if consts_moved || not (same_vars vars old) then begin
+        let refs = render consts vars in
+        if not (same_globals refs old) then begin
+          t.refs.(p) <- refs;
+          t.pe_globals.(p) <- List.rev refs;
+          dirty := p :: !dirty;
+          Array.iter
+            (fun (e : Callgraph.edge) ->
+              mark t marked
+                (t.site_base.((e.Callgraph.caller :> int)) + e.Callgraph.cs_index))
+            (Callgraph.in_edges t.ctx.Context.pcg pid)
+        end
+      end)
+    t.ctx.Context.pcg.Callgraph.nodes;
+  !dirty
+
+(* Run the pass again and publish against the last solution: rebuild the
+   entries of [dirty] and of every procedure a slot of which moved, and
+   the records of the [marked] sites and of every pass-through of a slot
+   whose record word moved; share every other entry and call-record row.
+   Also returns the PCG edge of every rebuilt record whose value differs
+   from the previous one. *)
+let republish (t : table) marked dirty : Solution.t * Callgraph.edge list =
+  let pcg = t.ctx.Context.pcg in
   let prev =
     match t.last with
     | Some sol -> sol
     | None -> invalid_arg "Fi_icp.update: table never solved"
   in
-  (* Sites to rebuild, marked '\001', or '\002' when the record's value
-     changed. *)
-  let marked = ref [] in
-  let mark s c =
-    let m = Bytes.get t.site_mark s in
-    if m = '\000' then marked := s :: !marked;
-    if m <> '\002' then Bytes.set t.site_mark s (if c then '\002' else '\001')
-  in
-  (* Patch the edited procedure's literal words.  A record is rebuilt when
-     a word moved, and also when only a literal's spelling did: equal
-     words can box different literals (-0.0 and 0.0). *)
-  let p = (pid :> int) in
-  let calls =
-    (Summary.find ctx.Context.summaries (Callgraph.proc_name pcg pid))
-      .Summary.ps_calls
-  in
-  List.iteri
-    (fun k (c : Summary.call_summary) ->
-      let s = t.site_base.(p) + k in
-      let moved = ref false and respelled = ref false in
-      Array.iteri
-        (fun j arg ->
-          match arg with
-          | Summary.Alit v ->
-              let o = t.site_op.(s) + j in
-              let w = Context.censor_w ctx (P.of_value v) in
-              let box = Context.censor ctx (Lattice.Const v) in
-              if w <> t.op_word.(o) then moved := true
-              else if not (same_literal box t.op_box.(o)) then
-                respelled := true;
-              t.op_word.(o) <- w;
-              t.op_box.(o) <- box
-          | Summary.Aglobal _ | Summary.Aformal _ | Summary.Alocal _
-          | Summary.Aexpr ->
-              ())
-        c.Summary.cs_args;
-      if !moved || !respelled then mark s !moved)
-    calls;
   let old = t.values in
   let values = pass t in
   (* Slots whose word moved: their entries, and the records of every
      pass-through of them whose record word moved. *)
-  let dirty_procs = ref [] in
+  let dirty_procs = ref dirty in
   for k = 0 to Array.length values - 1 do
     if values.(k) <> old.(k) then begin
       (* A procedure's slots are contiguous, so one check dedups. *)
@@ -432,7 +539,7 @@ let update (t : table) (pid : Prog.Proc.id) : Solution.t * Callgraph.edge list
       | _ -> dirty_procs := q :: !dirty_procs);
       if arg_word_of values.(k) <> arg_word_of old.(k) then
         for x = t.by_src_start.(k) to t.by_src_start.(k + 1) - 1 do
-          mark t.op_site.(t.by_src.(x)) true
+          mark t marked t.op_site.(t.by_src.(x))
         done
     end
   done;
@@ -456,18 +563,50 @@ let update (t : table) (pid : Prog.Proc.id) : Solution.t * Callgraph.edge list
   List.iter
     (fun s ->
       let caller = t.site_caller.(s) in
+      let cs_index = cs_of t s in
+      let old_row = Prog.Proc.Tbl.get prev.Solution.call_index caller in
       let row = Prog.Proc.Tbl.get call_index caller in
       let row =
-        if row != Prog.Proc.Tbl.get prev.Solution.call_index caller then row
+        if row != old_row then row
         else begin
           let row = Array.copy row in
           Prog.Proc.Tbl.set call_index caller row;
           row
         end
       in
-      row.(cs_of t s) <- Some (record t values s);
-      if Bytes.get t.site_mark s = '\002' then
-        edges := Callgraph.edge_at pcg ~caller ~cs_index:(cs_of t s) :: !edges;
+      let r = record t values s in
+      row.(cs_index) <- Some r;
+      (match old_row.(cs_index) with
+      | Some r0 when Solution.record_equal r0 r -> ()
+      | Some _ | None ->
+          edges := Callgraph.edge_at pcg ~caller ~cs_index :: !edges);
       Bytes.set t.site_mark s '\000')
     !marked;
   (finish t ~entries ~call_index, !edges)
+
+(** Re-solve after edits of the procedures [edited] that keep the PCG.
+    Without [ctx], the edits were shape-preserving and [t]'s context
+    already holds their summaries ({!Context.replace_proc}).  With [ctx],
+    a context rebuilt over [t]'s PCG, [t] moves to it and re-derives what
+    MOD/REF decides there: which pass-throughs may pass, the program
+    constants and the REF-closure global lists.  Either way the edited
+    procedures' literal words are patched and the pass re-runs in full,
+    which keeps the paper's order-dependent pass-through rule exact.  Only
+    the entries and call records whose values (or literal spellings)
+    changed are rebuilt; everything else is shared with the previous
+    solution.  Also returns the PCG edge of every call record whose value
+    changed. *)
+let update ?ctx (t : table) (edited : Prog.Proc.id list) :
+    Solution.t * Callgraph.edge list =
+  Trace.next_epoch ();
+  Trace.span "fi:update" @@ fun () ->
+  let marked = ref [] in
+  let dirty =
+    match ctx with
+    | None -> []
+    | Some ctx ->
+        t.ctx <- ctx;
+        rederive_modref t marked
+  in
+  List.iter (patch_literals t marked) edited;
+  republish t marked dirty

@@ -177,12 +177,14 @@ let find_call_record t ~caller ~cs_index =
     digests of independent solves of the same program are comparable.
     Two solutions are byte-identical iff their digests are equal: the
     incremental engine's correctness oracle and the serve daemon's
-    [digest] request are both this function. *)
-let digest (s : t) : string =
+    [digest] request are both {!digest}. *)
+let print ~runs (s : t) : string =
   let b = Buffer.create 4096 in
   let db = s.db in
   Buffer.add_string b
-    (Printf.sprintf "method %s scc_runs %d\n" s.method_name s.scc_runs);
+    (if runs then
+       Printf.sprintf "method %s scc_runs %d\n" s.method_name s.scc_runs
+     else Printf.sprintf "method %s\n" s.method_name);
   Array.iter
     (fun pid ->
       let e = entry_at s pid in
@@ -218,6 +220,13 @@ let digest (s : t) : string =
       Buffer.add_char b '\n')
     s;
   Buffer.contents b
+
+let digest = print ~runs:true
+
+(** {!digest} without [scc_runs]: the method, every entry and every call
+    record.  It compares a solution whose run count is not its method's
+    own, such as {!Engine.cc_solution}'s on an acyclic PCG. *)
+let values_digest = print ~runs:false
 
 let pp ppf t =
   Fmt.pf ppf "method %s (%d SCC runs):@\n" t.method_name t.scc_runs;

@@ -108,4 +108,9 @@ val find_call_record :
     SSA agrees compare [Oracle.ssa_digest] of the contexts instead. *)
 val digest : t -> string
 
+(** {!digest} without the [scc_runs] count: the method name, entries and
+    call records.  The comparison for a solution whose run count is not
+    its method's own ({!Engine.cc_solution} on an acyclic PCG). *)
+val values_digest : t -> string
+
 val pp : t Fmt.t

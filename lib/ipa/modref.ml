@@ -299,9 +299,16 @@ let gref_word t (pid : Fsicp_prog.Prog.Proc.id) w =
 
 let global_bit t g = Option.value (Hashtbl.find_opt t.gbit g) ~default:(-1)
 
+(** {!formal_modified} of a reachable procedure by id. *)
+let formal_modified_at t (pid : Fsicp_prog.Prog.Proc.id) i =
+  let b = Array.length t.gnames + i in
+  i >= 0 && b < t.width * word_bits && mem t.gmod ((pid :> int) * t.width) b
+
 (** May [p] (or anything it calls) modify its [i]-th formal's location? *)
 let formal_modified t p i =
-  i >= 0 && mem_in t t.gmod p (Array.length t.gnames + i)
+  match Callgraph.proc_id t.pcg p with
+  | Some pid -> formal_modified_at t pid i
+  | None -> false
 
 (** May [p] (or anything it calls) modify global [g]? *)
 let global_modified_in t p g = mem_in t t.gmod p (global_bit t g)
@@ -376,11 +383,16 @@ let call_defs t ~callee ~(byref_args : Ir.var option array) : Ir.var list =
         merge_uniq (List.sort_uniq Ir.Var.compare bs) t.defs_globals.(p)
   end
 
+(** {!call_global_refs} of a reachable procedure by id. *)
+let call_global_refs_at t (pid : Fsicp_prog.Prog.Proc.id) : Ir.var list =
+  t.ref_globals.((pid :> int))
+
 (** Globals a call to [callee] may reference (transitively); the FS ICP
     records the lattice value of each of these at the call site. *)
 let call_global_refs t ~callee : Ir.var list =
-  let p = id_of t callee in
-  if p < 0 then [] else t.ref_globals.(p)
+  match Callgraph.proc_id t.pcg callee with
+  | Some pid -> call_global_refs_at t pid
+  | None -> []
 
 let pp ppf t =
   let pp_set ppf s =

@@ -51,6 +51,9 @@ val closures_equal : t -> t -> string -> bool
     location? *)
 val formal_modified : t -> string -> int -> bool
 
+(** {!formal_modified} of a procedure the PCG reaches, by id. *)
+val formal_modified_at : t -> Fsicp_prog.Prog.Proc.id -> int -> bool
+
 val global_modified_in : t -> string -> string -> bool
 val global_referenced_in : t -> string -> string -> bool
 
@@ -68,5 +71,8 @@ val call_defs :
 (** Globals whose value at a call to [callee] the FS method records,
     descending by name. *)
 val call_global_refs : t -> callee:string -> Fsicp_cfg.Ir.var list
+
+(** {!call_global_refs} of a procedure the PCG reaches, by id. *)
+val call_global_refs_at : t -> Fsicp_prog.Prog.Proc.id -> Fsicp_cfg.Ir.var list
 
 val pp : t Fmt.t

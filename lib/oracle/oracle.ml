@@ -564,8 +564,9 @@ let describe_outcome = function
     ([jobs = 1] and [jobs = N]) and, after {e every} edit, demand both
     engines' flow-sensitive and flow-insensitive solutions be
     byte-identical — via {!Solution.digest} — to a from-scratch solve of
-    the current program, over the same SSA ({!ssa_digest}).  This is the
-    incremental engine's whole correctness contract in one check. *)
+    the current program, over the same SSA ({!ssa_digest}), and their CC
+    answers ({!Engine.cc_solution}) equal to a fresh CC solve.  This is
+    the incremental engine's whole correctness contract in one check. *)
 let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
   let jobs =
     match jobs with
@@ -604,6 +605,19 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
       let ssa_diverged =
         diverged (ssa_digest ctx) (fun e -> ssa_digest (Engine.context e))
       in
+      (* A CC read is answered from the engine's FS solution when the PCG
+         has no back edge: its entries and call records must be a fresh
+         CC solve's.  With a back edge it must be CC's own solve, run
+         count included. *)
+      let cc_digest =
+        if Fsicp_callgraph.Callgraph.has_cycles ctx.Context.pcg then
+          Solution.digest
+        else Solution.values_digest
+      in
+      let cc_diverged =
+        diverged (cc_digest (Cc_icp.solve ~jobs:1 ctx)) (fun e ->
+            cc_digest (Engine.cc_solution e))
+      in
       if
         not
           (String.equal (describe_outcome o1) (describe_outcome on))
@@ -638,6 +652,13 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
               from-scratch"
              i edits p.Ast.pname (describe_outcome o1)
              (Option.get ssa_diverged))
+      else if Option.is_some cc_diverged then
+        Error
+          (fail_check "incremental:cc"
+             "edit %d of %d (proc %s, %s): jobs=%d CC answer diverged from \
+              a fresh CC solve"
+             i edits p.Ast.pname (describe_outcome o1)
+             (Option.get cc_diverged))
       else go (i + 1)
     end
   in

@@ -123,7 +123,11 @@ val random_edit : Random.State.t -> Ast.program -> Ast.proc
     engines' flow-sensitive and flow-insensitive solutions are
     byte-identical ({!Solution.digest}) to a from-scratch solve of the
     current program, that both engines' contexts hold its SSA
-    ({!ssa_digest}), and that both engines chose
+    ({!ssa_digest}), that both engines' copy-constant answers
+    ({!Engine.cc_solution}) equal a fresh {!Cc_icp.solve} — entries and
+    call records ({!Solution.values_digest}) on an acyclic program, the
+    whole {!Solution.digest} on a cyclic one, where the answer must be
+    CC's own solve — and that both engines chose
     the same incremental-vs-rebuild route.  After the last edit the
     beyond-the-paper methods are checked on the final program too: cc and
     vc must be interpreter-sound and satisfy [fs ⊑ cc] / [fs ⊑ vc]. *)

@@ -21,8 +21,10 @@
     - [{"cmd":"query-entry","proc":<name>,"method":<m>}] — entry lattice
       values of a procedure's formals and referenced globals; the optional
       ["method"] member selects the solution: ["fs"] (default), ["fi"],
-      ["cc"] (copy-constant) or ["vc"] (value-context — the last two
-      solved on demand against the engine's current context);
+      ["cc"] (copy-constant: the engine's FS solution on an acyclic call
+      graph, where the two agree, and otherwise solved on demand) or
+      ["vc"] (value-context, solved on demand against the engine's current
+      context);
     - [{"cmd":"query-call-site","caller":<name>,"cs":<int>}] — the
       recorded lattice values at one call site;
     - [{"cmd":"edit-proc","source":<text>}] — [<text>] parses as one or
@@ -42,6 +44,11 @@
     - [{"cmd":"digest"}] — {!Fsicp_core.Solution.digest} of the current
       flow-sensitive solution (byte-comparable across daemons);
     - [{"cmd":"shutdown"}] — acknowledge and stop the daemon.
+
+    Both queries answer a procedure that is defined but not reachable
+    from the entry with an error of its own ([procedure "p" is not
+    reachable from main]), distinct from the one for a name the program
+    does not define.
 
     Responses are objects: [{"ok":true, ...}] on success,
     [{"ok":false,"error":<message>}] on failure.  Errors never kill the
@@ -148,6 +155,21 @@ let with_engine st f =
   | None -> error "no program loaded (send {\"cmd\":\"load\",...} first)"
   | Some e -> f e
 
+(* The id of a procedure the engine's PCG reaches, or the request's
+   error: an unreachable procedure has no analysis facts, and one the
+   program does not define is unknown. *)
+let reachable e what name =
+  let pcg = (Engine.context e).Context.pcg in
+  match Fsicp_callgraph.Callgraph.proc_id pcg name with
+  | Some pid -> Ok pid
+  | None -> (
+      match Fsicp_callgraph.Callgraph.find_ast pcg name with
+      | Some _ ->
+          Error
+            (error "%s: procedure %S is not reachable from %s" what name
+               (Engine.context e).Context.prog.Ast.main)
+      | None -> Error (error "%s: unknown procedure %S" what name))
+
 let outcome_json = function
   | Engine.Incremental { dirty; total } ->
       [
@@ -209,14 +231,16 @@ let handle_one (st : state) (req : Json.t) : Json.t =
           match Json.str_member "proc" req with
           | None -> error "query-entry: missing \"proc\""
           | Some proc -> (
-              (* The FS/FI pair is maintained by the engine; the
-                 beyond-the-paper methods are solved on demand against the
-                 engine's current (incrementally maintained) context. *)
+              (* FS and FI are maintained by the engine, and so is CC's
+                 answer on an acyclic PCG ({!Engine.cc_solution}); VC is
+                 solved on demand against the engine's current
+                 (incrementally maintained) context. *)
               let solution_of = function
-                | "fs" -> Ok (Engine.solution e)
-                | "fi" -> Ok (Engine.fi_solution e)
-                | "cc" -> Ok (Cc_icp.solve ?jobs:st.jobs (Engine.context e))
-                | "vc" -> Ok (Vc_icp.solve ?jobs:st.jobs (Engine.context e))
+                | "fs" -> Ok (fun () -> Engine.solution e)
+                | "fi" -> Ok (fun () -> Engine.fi_solution e)
+                | "cc" -> Ok (fun () -> Engine.cc_solution ?jobs:st.jobs e)
+                | "vc" ->
+                    Ok (fun () -> Vc_icp.solve ?jobs:st.jobs (Engine.context e))
                 | m ->
                     Error
                       (error
@@ -228,13 +252,14 @@ let handle_one (st : state) (req : Json.t) : Json.t =
                   (Option.value (Json.str_member "method" req) ~default:"fs")
               with
               | Error e -> e
-              | Ok sol -> (
-                  match Solution.entry_opt sol proc with
-                  | None -> error "query-entry: unknown procedure %S" proc
-                  | Some entry ->
+              | Ok solve -> (
+                  match reachable e "query-entry" proc with
+                  | Error e -> e
+                  | Ok pid ->
+                      let sol = solve () in
                       ok
                         (("method", Json.Str sol.Solution.method_name)
-                        :: entry_json entry))))
+                        :: entry_json (Solution.entry_at sol pid)))))
   | Some "query-call-site" ->
       with_engine st (fun e ->
           match
@@ -243,11 +268,9 @@ let handle_one (st : state) (req : Json.t) : Json.t =
           | None, _ | _, None ->
               error "query-call-site: need \"caller\" (string) and \"cs\" (int)"
           | Some caller, Some cs -> (
-              let ctx = Engine.context e in
-              let pcg = ctx.Context.pcg in
-              match Fsicp_callgraph.Callgraph.proc_id pcg caller with
-              | None -> error "query-call-site: unknown procedure %S" caller
-              | Some pid -> (
+              match reachable e "query-call-site" caller with
+              | Error e -> e
+              | Ok pid -> (
                   match
                     Solution.find_call_record (Engine.solution e) ~caller:pid
                       ~cs_index:cs

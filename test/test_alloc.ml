@@ -122,8 +122,9 @@ let spec name =
 let spice = lazy (spec "013.SPICE2G6")
 
 (* Each row is a setup that returns one run.  FS on NASA7 and WAVE5
-   rebuilds SSA per run; the SPICE rows keep SSA warm and drop the SCC
-   memos, so every kernel run propagates. *)
+   rebuilds SSA per run; the SPICE solver rows keep SSA warm and drop the
+   SCC memos, so every kernel run propagates.  The last two rows drive a
+   serve engine on SPICE: a store-toggle rebuild and a CC read. *)
 let rows () =
   let fs_cold prog () =
     let ctx = Context.create ~jobs:1 prog in
@@ -143,6 +144,31 @@ let rows () =
     let solution = Fs_icp.solve ~jobs:1 ctx in
     fun () -> ignore (Fsicp_verify.Verify.verify_program ctx ~solution)
   in
+  (* The serve benchmark's store toggle: each run adds the store or takes
+     it out again, and each is a rebuild that keeps the PCG. *)
+  let toggle () =
+    let prog = Lazy.force spice in
+    let engine = Engine.create ~jobs:1 prog in
+    let on = Test_util.toggle_edit prog in
+    let off =
+      List.find
+        (fun (p : Fsicp_lang.Ast.proc) ->
+          String.equal p.Fsicp_lang.Ast.pname on.Fsicp_lang.Ast.pname)
+        prog.Fsicp_lang.Ast.procs
+    in
+    let next = ref on in
+    fun () ->
+      let p = !next in
+      next := if p == on then off else on;
+      ignore (Engine.edit_proc ~jobs:1 engine p)
+  in
+  (* SPICE's PCG has no back edge, so a CC read is the engine's FS
+     solution relabelled: a record, where a CC solve allocates about
+     236 000 words. *)
+  let cc_read () =
+    let engine = Engine.create ~jobs:1 (Lazy.force spice) in
+    fun () -> ignore (Engine.cc_solution ~jobs:1 engine)
+  in
   [
     ("FS on NASA7", fs_cold (spec "093.NASA7"), 54_545., 0.);
     ("FS on WAVE5", fs_cold (spec "039.WAVE5"), 444_585., 10_334.);
@@ -150,6 +176,8 @@ let rows () =
     ("CC on SPICE", warm (Cc_icp.solve ~jobs:1), 256_974., 536.);
     ("VC on SPICE", warm (Vc_icp.solve ~jobs:1), 218_455., 536.);
     ("Verify.verify_program on SPICE", verify, 5_415_166., 0.);
+    ("SPICE store-toggle rebuild", toggle, 114_579., 0.);
+    ("engine CC read on SPICE", cc_read, 30., 0.);
   ]
 
 (* A row may allocate 10% more minor words than its committed count, and

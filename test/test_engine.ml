@@ -388,9 +388,10 @@ let check_spans ~present ~absent =
   List.iter (check false) absent
 
 (* A traced rebuild records one span per step.  The leaf store keeps the
-   PCG, so FS is re-solved ([fs:resolve]) from the seeds ([engine:seeds]);
-   a new call builds a new PCG, and FS is solved from scratch
-   ([fs:solve]). *)
+   PCG, so the FI table moves to the new context ([fi:update]) and FS is
+   re-solved ([fs:resolve]) from the seeds ([engine:seeds]); a new call
+   builds a new PCG, and FI and FS are solved from scratch ([fi:solve],
+   [fs:solve]). *)
 let test_rebuild_spans () =
   with_trace (fun () ->
       let e = Engine.create ~jobs:1 (parse carry_src) in
@@ -398,17 +399,18 @@ let test_rebuild_spans () =
         [
           "engine:edit"; "context:ipa"; "ipa:summary"; "ipa:callgraph";
           "ipa:alias"; "ipa:modref"; "context:lower"; "engine:ssa";
-          "fi:solve";
         ]
       in
       Trace.reset ();
       expect_rebuilt e (proc_of leaf_store);
       check_spans
-        ~present:(steps @ [ "engine:seeds"; "fs:resolve" ])
-        ~absent:[ "fs:solve" ];
+        ~present:(steps @ [ "fi:update"; "engine:seeds"; "fs:resolve" ])
+        ~absent:[ "fi:solve"; "fs:solve" ];
       Trace.reset ();
       expect_rebuilt e (proc_of "proc b(y) { k = k; g = g + y; call c(); }");
-      check_spans ~present:(steps @ [ "fs:solve" ]) ~absent:[ "fs:resolve" ])
+      check_spans
+        ~present:(steps @ [ "fi:solve"; "fs:solve" ])
+        ~absent:[ "fi:update"; "fs:resolve" ])
 
 (* -- incremental FI, procedure-local Sema, step spans ----------------------- *)
 
@@ -544,6 +546,80 @@ let test_batch_with_illformed_prefix () =
   check_matches_scratch "batch = from-scratch" e;
   Alcotest.(check (option int)) "both edits counted" (Some 2)
     (List.assoc_opt "edits" (Engine.stats e))
+
+(* -- FI carried across rebuilds that keep the PCG ----------------------------- *)
+
+(* [f] passes its formal [a] through to [h] and by reference to [m], and
+   the program constant [c] to [h]'s [z]. *)
+let carry_fi_src =
+  {|
+blockdata { c = 3; }
+global g;
+proc main() { call f(1, c); }
+proc f(a, b) { call m(a); call h(a, b); print c; }
+proc m(x) { print x; }
+proc h(y, z) { print y; print z; }
+|}
+
+(* Each store toggle changes MOD/REF but no call, so the rebuild keeps the
+   PCG and moves the FI table to the new context ([fi:update], never
+   [fi:solve]).  After each, FI and FS equal a fresh solve's, and the
+   formal the toggle targets moved as the MOD/REF change says it must:
+   [m]'s store of its formal makes [f]'s pass-through of [a] to [h] meet
+   ⊥; [h]'s store of [c] removes it from the program constants, so the
+   [Aglobal] argument [b] falls to ⊥; [main]'s store, made together with a
+   literal change, patches the literal word. *)
+let test_rebuild_carries_fi () =
+  let e = Engine.create ~jobs:1 (parse carry_fi_src) in
+  let formal p i = Solution.formal_value (Engine.fi_solution e) p i in
+  let lat = Alcotest.testable Fsicp_scc.Lattice.pp Fsicp_scc.Lattice.equal in
+  let const n = Fsicp_scc.Lattice.Const (Value.Int n) in
+  Alcotest.(check lat) "h.y passed through" (const 1) (formal "h" 0);
+  Alcotest.(check lat) "f.b program constant" (const 3) (formal "f" 1);
+  List.iter
+    (fun (src, (p, i), want) ->
+      with_trace (fun () ->
+          expect_rebuilt e (proc_of src);
+          check_spans ~present:[ "fi:update" ] ~absent:[ "fi:solve" ]);
+      Alcotest.(check string)
+        ("FI after " ^ src)
+        (fi_digest_of_fresh (Engine.context e).Context.prog)
+        (Solution.digest (Engine.fi_solution e));
+      check_matches_scratch ("FS after " ^ src) e;
+      Alcotest.(check lat) (Printf.sprintf "%s.%d after %s" p i src) want
+        (formal p i))
+    [
+      ("proc m(x) { x = x; print x; }", ("h", 0), Fsicp_scc.Lattice.Bot);
+      ( "proc h(y, z) { c = c; print y; print z; }",
+        ("f", 1),
+        Fsicp_scc.Lattice.Bot );
+      ("proc main() { g = g; call f(2, c); }", ("f", 0), const 2);
+      ("proc m(x) { print x; }", ("h", 0), const 2);
+      ("proc h(y, z) { print y; print z; }", ("f", 1), const 3);
+    ]
+
+(* A CC read is FS's solution relabelled on an acyclic PCG, with no kernel
+   run, and CC's own solve with a back edge. *)
+let test_cc_read () =
+  let runs f =
+    with_trace (fun () ->
+        let r = f () in
+        (r, Trace.counter_total "scc.runs"))
+  in
+  let e = Engine.create ~jobs:1 (parse carry_fi_src) in
+  let cc, kernel_runs = runs (fun () -> Engine.cc_solution e) in
+  Alcotest.(check int) "acyclic: no kernel run" 0 kernel_runs;
+  Alcotest.(check string) "acyclic: CC's method name" Cc_icp.method_name
+    cc.Solution.method_name;
+  Alcotest.(check string) "acyclic: a fresh CC solve's values"
+    (Solution.values_digest (Cc_icp.solve (Engine.context e)))
+    (Solution.values_digest cc);
+  let e = Engine.create ~jobs:1 (parse pass_src) in
+  let cc, kernel_runs = runs (fun () -> Engine.cc_solution e) in
+  Alcotest.(check bool) "cyclic: CC's kernel runs" true (kernel_runs > 0);
+  Alcotest.(check string) "cyclic: CC's own solve"
+    (Solution.digest (Cc_icp.solve (Engine.context e)))
+    (Solution.digest cc)
 
 (* -- call records stored once --------------------------------------------- *)
 
@@ -682,4 +758,8 @@ let suite =
       `Quick test_toggle_edit_carries_pcg;
     Alcotest.test_case "call records stored once, every method" `Quick
       test_call_records_stored_once;
+    Alcotest.test_case "rebuild keeping the PCG carries FI over" `Quick
+      test_rebuild_carries_fi;
+    Alcotest.test_case "CC read: FS when acyclic, CC's solve otherwise"
+      `Quick test_cc_read;
   ]

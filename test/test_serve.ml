@@ -363,6 +363,49 @@ let test_negative_call_site () =
   Alcotest.(check bool) "next request answered" true
     (ok_of (req st {|{"cmd":"version"}|}))
 
+(* A procedure the program defines but main never reaches has no analysis
+   facts: both queries refuse it with their own error, for every method,
+   distinct from the one for a name the program does not define. *)
+let test_unreachable_procedure () =
+  let st = Protocol.make_state ~jobs:1 ~version:"test" () in
+  Alcotest.(check bool) "load ok" true
+    (ok_of
+       (req st
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("cmd", Json.Str "load");
+                  ("source", Json.Str (prog_src ^ "proc dead(k) { call h(k); }\n"));
+                ]))));
+  let error_of s =
+    let resp = req st s in
+    Alcotest.(check bool) (s ^ " fails") false (ok_of resp);
+    Json.str_member "error" resp
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check (option string))
+        ("query-entry dead, method " ^ m)
+        (Some {|query-entry: procedure "dead" is not reachable from main|})
+        (error_of
+           (Printf.sprintf {|{"cmd":"query-entry","proc":"dead","method":"%s"}|}
+              m));
+      Alcotest.(check (option string))
+        ("query-entry nope, method " ^ m)
+        (Some {|query-entry: unknown procedure "nope"|})
+        (error_of
+           (Printf.sprintf {|{"cmd":"query-entry","proc":"nope","method":"%s"}|}
+              m)))
+    [ "fs"; "fi"; "cc"; "vc" ];
+  Alcotest.(check (option string))
+    "query-call-site dead"
+    (Some {|query-call-site: procedure "dead" is not reachable from main|})
+    (error_of {|{"cmd":"query-call-site","caller":"dead","cs":0}|});
+  Alcotest.(check (option string))
+    "query-call-site nope"
+    (Some {|query-call-site: unknown procedure "nope"|})
+    (error_of {|{"cmd":"query-call-site","caller":"nope","cs":0}|})
+
 (* -- live daemon ----------------------------------------------------------- *)
 
 (* A short socket path under /tmp: sun_path is ~104 bytes, so the build
@@ -439,4 +482,6 @@ let suite =
       test_failing_batch_is_atomic;
     Alcotest.test_case "dispatch: negative call site answered" `Quick
       test_negative_call_site;
+    Alcotest.test_case "dispatch: unreachable procedure has its own error"
+      `Quick test_unreachable_procedure;
   ]
