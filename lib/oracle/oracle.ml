@@ -552,6 +552,15 @@ let random_edit (rng : Random.State.t) (prog : Ast.program) : Ast.proc =
         | [] -> append_call ()
         | free ->
             let v = List.nth free (Random.State.int rng (List.length free)) in
+            (* Half the time the same edit also tweaks a literal, so a
+               rebuild that keeps the PCG must patch literal words too. *)
+            let n = count_literals body in
+            let body =
+              if n > 0 && Random.State.bool rng then
+                let k = Random.State.int rng n in
+                replace_literal ~k ~mk:(fun _ -> lit ()) body
+              else body
+            in
             { p with Ast.body = stmt (Ast.Assign (v, Ast.Var v)) :: body })
   else append_call ()
 

@@ -113,7 +113,8 @@ val ssa_digest : Context.t -> string
     tweaks / appended statements / no-ops, with an occasional
     shape-changing edit — an appended call site, or a [v = v;] store
     toggled at the head of the body for a global or formal outside the
-    procedure's immediate MOD.  The result always yields a [Sema]-clean
+    procedure's immediate MOD (an added store tweaks one literal of the
+    body too, half the time).  The result always yields a [Sema]-clean
     program when substituted into [prog]. *)
 val random_edit : Random.State.t -> Ast.program -> Ast.proc
 
