@@ -130,33 +130,49 @@ let eval_expr store guards e =
   in
   ev e
 
-(* Renaming-apart expansion of a transparent (inlinable) callee, mirroring
-   the interpreter's call semantics and {!Inline.expand}: by-reference
-   actuals substitute textually, compound actuals bind fresh temporaries via
-   a prologue (evaluated in argument order, like the interpreter binds
-   cells), callee locals rename apart per expansion (the fresh names start
-   at [Int 0] in the store, which is the interpreter's zeroing).  The '%'
-   in minted names cannot appear in parsed identifiers. *)
+(* The binding rules of an expansion of [callee] at a call with actuals
+   [args] (same length), shared by [expand_call] and [match_inline]: the
+   caller-frame cell a callee name denotes, per the interpreter's call
+   semantics. *)
+type binding =
+  | By_ref of string  (* formal with a variable actual: that variable *)
+  | Temp of int  (* formal with a compound actual: the temporary bound to
+                    actual [i] *)
+  | Global  (* a global: itself *)
+  | Local  (* callee local: a name minted per expansion, [Int 0] at entry *)
+
+let binding ~scope (callee : Ast.proc) args x =
+  let rec go i formals args =
+    match (formals, args) with
+    | f :: _, a :: _ when String.equal f x -> (
+        match a with Ast.Var y -> By_ref y | _ -> Temp i)
+    | _ :: formals, _ :: args -> go (i + 1) formals args
+    | _ -> if Sema.is_global scope x then Global else Local
+  in
+  go 0 callee.Ast.formals args
+
+(* Renaming-apart expansion of a transparent (inlinable) callee under
+   [binding]: compound actuals bind fresh temporaries via a prologue
+   (evaluated in argument order, like the interpreter binds cells), and
+   the fresh names of callee locals start at [Int 0] in the store, which
+   is the interpreter's zeroing.  The '%' in minted names cannot appear in
+   parsed identifiers. *)
 let expand_call ~fresh ~scope (callee : Ast.proc) args k =
   let expid = !fresh in
   incr fresh;
-  let subst = Hashtbl.create 8 in
-  let prologue = ref [] in
-  List.iteri
-    (fun i formal ->
-      match List.nth args i with
-      | Ast.Var x -> Hashtbl.replace subst formal x
-      | actual ->
-          let tmp = Printf.sprintf "%%inl%d_%d" expid i in
-          prologue := Ast.assign tmp actual :: !prologue;
-          Hashtbl.replace subst formal tmp)
-    callee.Ast.formals;
+  let temp i = Printf.sprintf "%%inl%d_%d" expid i in
+  let prologue =
+    List.concat
+      (List.mapi
+         (fun i a -> match a with Ast.Var _ -> [] | e -> [ Ast.assign (temp i) e ])
+         args)
+  in
   let rename x =
-    match Hashtbl.find_opt subst x with
-    | Some y -> y
-    | None ->
-        if Sema.is_global scope x then x
-        else Printf.sprintf "%%inl%d$%s" expid x
+    match binding ~scope callee args x with
+    | By_ref y -> y
+    | Temp i -> temp i
+    | Global -> x
+    | Local -> Printf.sprintf "%%inl%d$%s" expid x
   in
   let rec rexpr = function
     | Ast.Const _ as e -> e
@@ -176,7 +192,7 @@ let expand_call ~fresh ~scope (callee : Ast.proc) args k =
     in
     { s with Ast.sdesc }
   in
-  List.rev !prologue @ List.map rstmt callee.Ast.body @ k
+  prologue @ List.map rstmt callee.Ast.body @ k
 
 type stepped =
   | SSide of sidest
@@ -707,6 +723,163 @@ let run_product ~expandable ~scope ~formals ~modref ~seed_store ~lbody ~rbody
   { pr_paths = !paths; pr_obligations = List.rev !obls; pr_stuck = !stuck }
 
 (* ------------------------------------------------------------------ *)
+(* Inline VC by expansion match                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A callee the inline VC expands, with the names its body mentions in
+   [Ast.mentioned_vars] order, which is the order its locals are zeroed
+   in. *)
+type inlinee = { in_proc : Ast.proc; in_names : string list }
+
+let rec image x = function
+  | (y, img) :: rest -> if String.equal x y then img else image x rest
+  | [] -> raise No_match
+
+(* Does [trans] equal [orig] with every call to an inlinable callee
+   replaced by a renamed-apart expansion (DESIGN.md "Inline VC by expansion
+   match")?  One walk over both bodies; each expansion is the compound
+   actuals bound to temporaries in argument order, then the callee's
+   locals zeroed, then the callee body under that expansion's map from
+   callee names to caller names ([binding]).  Every minted name (temporary
+   or local) must be new to the caller and to every other expansion. *)
+let match_inline ~scope ~(expandable : string -> inlinee option)
+    (orig : Ast.proc) (trans : Ast.proc) =
+  let minted = ref [] in
+  let mint m = minted := m :: !minted in
+  let rec under_expr env a b =
+    match (a, b) with
+    | Ast.Const v, Ast.Const w -> if not (Value.equal v w) then raise No_match
+    | Ast.Var x, Ast.Var y ->
+        if not (String.equal (image x env) y) then raise No_match
+    | Ast.Unary (o, a), Ast.Unary (o', b) when Ops.equal_unop o o' ->
+        under_expr env a b
+    | Ast.Binary (o, a1, a2), Ast.Binary (o', b1, b2)
+      when Ops.equal_binop o o' ->
+        under_expr env a1 b1;
+        under_expr env a2 b2
+    | _ -> raise No_match
+  (* The callee statements [xs] against a prefix of [ys]; the rest of [ys]. *)
+  and under_prefix env xs ys =
+    match (xs, ys) with
+    | [], ys -> ys
+    | x :: xs, y :: ys ->
+        under_stmt env x y;
+        under_prefix env xs ys
+    | _ :: _, [] -> raise No_match
+  and under_block env xs ys =
+    if under_prefix env xs ys <> [] then raise No_match
+  and under_stmt env x y =
+    match (x.Ast.sdesc, y.Ast.sdesc) with
+    | Ast.Assign (a, e), Ast.Assign (b, f) ->
+        if not (String.equal (image a env) b) then raise No_match;
+        under_expr env e f
+    | Ast.If (c, t, e), Ast.If (c', t', e') ->
+        under_expr env c c';
+        under_block env t t';
+        under_block env e e'
+    | Ast.While (c, b), Ast.While (c', b') ->
+        under_expr env c c';
+        under_block env b b'
+    | Ast.Call (p, xs), Ast.Call (p', ys)
+      when String.equal p p' && List.compare_lengths xs ys = 0 ->
+        List.iter2 (under_expr env) xs ys
+    | Ast.Print e, Ast.Print f -> under_expr env e f
+    | _ -> raise No_match
+  in
+  (* One expansion of [callee] at actuals [args] against a prefix of [ts];
+     the rest of [ts]. *)
+  let expansion callee args ts =
+    (* The product gets stuck on a call of the wrong arity. *)
+    if List.compare_lengths callee.in_proc.Ast.formals args <> 0 then
+      raise No_match;
+    let rec temps i args ts acc =
+      match (args, ts) with
+      | [], _ -> (acc, ts)
+      | Ast.Var _ :: args, ts -> temps (i + 1) args ts acc
+      | e :: args, { Ast.sdesc = Ast.Assign (t, e'); _ } :: ts
+        when Ast.equal_expr e e' ->
+          mint t;
+          temps (i + 1) args ts ((i, t) :: acc)
+      | _ -> raise No_match
+    in
+    let tmps, ts = temps 0 args ts [] in
+    let rec map names ts env =
+      match names with
+      | [] -> (env, ts)
+      | x :: names -> (
+          match binding ~scope callee.in_proc args x with
+          | By_ref y -> map names ts ((x, y) :: env)
+          | Temp i -> map names ts ((x, List.assoc i tmps) :: env)
+          | Global ->
+              (* The caller must see the global itself, not a formal of
+                 that name. *)
+              if List.mem x orig.Ast.formals then raise No_match;
+              map names ts ((x, x) :: env)
+          | Local -> (
+              match ts with
+              | { Ast.sdesc = Ast.Assign (m, Ast.Const (Value.Int 0)); _ } :: ts
+                ->
+                  mint m;
+                  map names ts ((x, m) :: env)
+              | _ -> raise No_match))
+    in
+    let env, ts = map callee.in_names ts [] in
+    under_prefix env callee.in_proc.Ast.body ts
+  in
+  (* The caller's statements [os] against [ts], which must be used up. *)
+  let rec block os ts =
+    match os with
+    | [] -> if ts <> [] then raise No_match
+    | o :: os -> block os (stmt o ts)
+  and stmt o ts =
+    match o.Ast.sdesc with
+    | Ast.Call (q, args) -> (
+        match expandable q with
+        | Some callee -> expansion callee args ts
+        | None -> same o ts)
+    | Ast.If (c, t, e) -> (
+        match ts with
+        | { Ast.sdesc = Ast.If (c', t', e'); _ } :: ts when Ast.equal_expr c c'
+          ->
+            block t t';
+            block e e';
+            ts
+        | _ -> raise No_match)
+    | Ast.While (c, b) -> (
+        match ts with
+        | { Ast.sdesc = Ast.While (c', b'); _ } :: ts when Ast.equal_expr c c'
+          ->
+            block b b';
+            ts
+        | _ -> raise No_match)
+    | Ast.Assign _ | Ast.Print _ | Ast.Return -> same o ts
+  and same o = function
+    | t :: ts when Ast.equal_stmt o t -> ts
+    | _ -> raise No_match
+  in
+  let rec distinct = function
+    | a :: (b :: _ as rest) -> (not (String.equal a b)) && distinct rest
+    | _ -> true
+  in
+  let rec disjoint xs ys =
+    match (xs, ys) with
+    | [], _ | _, [] -> true
+    | x :: xs', y :: ys' ->
+        let c = String.compare x y in
+        c <> 0 && if c < 0 then disjoint xs' ys else disjoint xs ys'
+  in
+  match block orig.Ast.body trans.Ast.body with
+  | exception No_match -> false
+  | () ->
+      (* [Ast.mentioned_vars] is sorted by [String.compare]. *)
+      let minted = List.sort String.compare !minted in
+      distinct minted
+      && disjoint minted (Ast.mentioned_vars orig)
+      && List.for_all
+           (fun m -> not (List.mem m orig.Ast.formals || Sema.is_global scope m))
+           minted
+
+(* ------------------------------------------------------------------ *)
 (* Concrete confirmation                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -877,29 +1050,31 @@ let seed_store ~transform ~entry ~formals ~globals =
     globals;
   !store
 
-(* Transparent stepping applies only to the inline transform: both sides
-   step into callees the transform deems inlinable (decided on the original
-   program, so the two sides agree), expanding the original body — the
-   transformed side's residual calls are exactly the nested, not-yet-expanded
-   ones, so the event streams line up. *)
-let run_product_two ~ctx ~transform ~orig ~formals ~store ~fuel ~max_splits
-    (q : Ast.proc) (cp : Ast.proc) =
-  let transparent name =
-    String.equal transform "inline"
-    &&
-    match Ast.find_proc orig name with
-    | Some p0 -> Inline.inlinable ctx ~max_body:inline_max_body p0
-    | None -> false
-  in
-  run_product
-    ~expandable:(fun name ->
-      if transparent name then Ast.find_proc orig name else None)
-    ~scope:ctx.Context.pcg.Fsicp_callgraph.Callgraph.scope ~formals
-    ~modref:ctx.Context.modref ~seed_store:store
-    ~lbody:cp.Ast.body ~rbody:q.Ast.body ~fuel ~max_splits
+(* The callees the inline VC expands: both sides step transparently into
+   calls the transform deems inlinable (decided on the original program, so
+   the two sides agree), expanding the original body — the transformed
+   side's residual calls are exactly the nested, not-yet-expanded ones, so
+   the event streams line up.  Memoised per [vcs] call; other transforms
+   expand nothing. *)
+let inlinees ctx ~transform =
+  if not (String.equal transform "inline") then fun _ -> None
+  else
+    let memo = Hashtbl.create 16 in
+    fun name ->
+      match Hashtbl.find_opt memo name with
+      | Some r -> r
+      | None ->
+          let r =
+            match Ast.find_proc ctx.Context.prog name with
+            | Some p when Inline.inlinable ctx ~max_body:inline_max_body p ->
+                Some { in_proc = p; in_names = Ast.mentioned_vars p }
+            | _ -> None
+          in
+          Hashtbl.add memo name r;
+          r
 
 let build_vc ~fuel ~max_splits ~backend ~mode ctx ~solution ~transform
-    ~orig ~trans (q : Ast.proc) (cp : Ast.proc) =
+    ~expandable ~orig ~trans (q : Ast.proc) (cp : Ast.proc) =
   let scope = ctx.Context.pcg.Fsicp_callgraph.Callgraph.scope in
   let formals = cp.Ast.formals in
   let finish verdict paths obligations =
@@ -938,14 +1113,20 @@ let build_vc ~fuel ~max_splits ~backend ~mode ctx ~solution ~transform
       then aliased := true
     done;
     if !aliased then finish (Inconclusive "may-alias") 0 []
+    else if
+      String.equal transform "inline" && match_inline ~scope ~expandable cp q
+    then finish Proved 1 []
     else begin
       let entry = Solution.entry_opt solution cp.Ast.pname in
       let store =
         seed_store ~transform ~entry ~formals ~globals:(Sema.globals scope)
       in
       let product =
-        run_product_two ~ctx ~transform ~orig ~formals ~store ~fuel
-          ~max_splits q cp
+        run_product
+          ~expandable:(fun name ->
+            Option.map (fun i -> i.in_proc) (expandable name))
+          ~scope ~formals ~modref:ctx.Context.modref ~seed_store:store
+          ~lbody:cp.Ast.body ~rbody:q.Ast.body ~fuel ~max_splits
       in
       let obligations = product.pr_obligations in
       let paths = product.pr_paths in
@@ -988,6 +1169,7 @@ let vcs ?(fuel = 20_000) ?(max_splits = 64) ?(backend = Symbolic) ctx
     ~solution ~transform ~trans =
   let orig = ctx.Context.prog in
   let mode = Smt.mode_of_programs orig trans in
+  let expandable = inlinees ctx ~transform in
   List.filter_map
     (fun (q : Ast.proc) ->
       let cp =
@@ -1010,7 +1192,7 @@ let vcs ?(fuel = 20_000) ?(max_splits = 64) ?(backend = Symbolic) ctx
                    [ ("transform", transform); ("proc", q.Ast.pname) ])
                  (fun () ->
                    build_vc ~fuel ~max_splits ~backend ~mode ctx ~solution
-                     ~transform ~orig ~trans q cp)))
+                     ~transform ~expandable ~orig ~trans q cp)))
     trans.Ast.procs
 
 type report = { r_transform : string; r_vcs : vc list }

@@ -23,6 +23,12 @@
     [Inconclusive], never a false [Proved]; [Refuted] is only ever reported
     with a counterexample the concrete interpreter has confirmed.
 
+    An inline VC is first tried by one linear walk that matches the
+    transformed body against the original with each inlinable call
+    replaced by a renamed-apart expansion (DESIGN.md "Inline VC by
+    expansion match"); a match is [Proved] with 1 path, and anything else
+    runs the product.
+
     The Z3 backend additionally discharges residual obligations through
     {!Smt}: answers are trusted only in the exact integer encoding (see
     DESIGN.md "Translation validation" for the caveats). *)

@@ -175,7 +175,7 @@ let rows () =
     ("FS on SPICE", warm (Fs_icp.solve ~jobs:1), 155_314., 536.);
     ("CC on SPICE", warm (Cc_icp.solve ~jobs:1), 256_974., 536.);
     ("VC on SPICE", warm (Vc_icp.solve ~jobs:1), 218_455., 536.);
-    ("Verify.verify_program on SPICE", verify, 5_415_166., 0.);
+    ("Verify.verify_program on SPICE", verify, 2_746_170., 0.);
     ("SPICE store-toggle rebuild", toggle, 114_579., 0.);
     ("engine CC read on SPICE", cc_read, 30., 0.);
   ]

@@ -512,6 +512,307 @@ let test_unreached_not_proved () =
   | V.Proved -> Alcotest.fail "an unreached procedure's VC was proved"
   | V.Refuted _ | V.Inconclusive _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Inline VC by expansion match (DESIGN.md)                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Wrong inlinings: the expansion match must not close any of them, and
+   the product then finds an interpreter-confirmed counterexample. *)
+
+(* [q]'s local [y] renamed onto the caller's own [y]. *)
+let test_inline_capture () =
+  let orig =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(n) { y = n + 1; call q(n); print y; }
+      proc q(x) { y = x * 2; x = y; }
+    |}
+  in
+  let trans =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(n) { y = n + 1; y = 0; y = n * 2; n = y; print y; }
+      proc q(x) { y = x * 2; x = y; }
+    |}
+  in
+  check_refuted "callee local captured by a caller variable"
+    (loop_vc ~transform:"inline" ~orig ~trans "p")
+
+(* The zeroing of [acc]'s local [s] dropped inside a loop: the second
+   iteration reads the first one's [s]. *)
+let test_inline_zeroing_dropped () =
+  let orig =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(n) { i = 0; while (i < 3) { call acc(n); i = i + 1; } }
+      proc acc(x) { s = s + 1; x = x + s; }
+    |}
+  in
+  let trans =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(n) {
+        i = 0;
+        while (i < 3) { s__in1 = s__in1 + 1; n = n + s__in1; i = i + 1; }
+      }
+      proc acc(x) { s = s + 1; x = x + s; }
+    |}
+  in
+  check_refuted "zeroing dropped in a loop"
+    (loop_vc ~transform:"inline" ~orig ~trans "p")
+
+(* The compound actual [a + 1] substituted as text: [f] writes [a] (its
+   [y]) before it reads [x]. *)
+let test_inline_compound_as_text () =
+  let orig =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(a) { call f(a + 1, a); }
+      proc f(x, y) { y = 7; print x; }
+    |}
+  in
+  let trans =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(a) { a = 7; print a + 1; }
+      proc f(x, y) { y = 7; print x; }
+    |}
+  in
+  check_refuted "compound actual substituted as text"
+    (loop_vc ~transform:"inline" ~orig ~trans "p")
+
+(* The variable actual [a] copied into a temporary: [inc]'s write to its
+   by-reference formal is lost. *)
+let test_inline_byref_copied () =
+  let orig =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(a) { call inc(a); print a; }
+      proc inc(x) { x = x + 1; }
+    |}
+  in
+  let trans =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(a) { x__in1 = a; x__in1 = x__in1 + 1; print a; }
+      proc inc(x) { x = x + 1; }
+    |}
+  in
+  check_refuted "by-reference actual copied into a temporary"
+    (loop_vc ~transform:"inline" ~orig ~trans "p")
+
+(* A right side that leaves the second eligible call un-inlined is not an
+   expansion of the left, so the product decides it: Proved, pairing the
+   expanded loop with the inlined copy by induction ([i] against
+   [i__in1]) in 2 paths, where the match reports 1. *)
+let test_inline_partial_product () =
+  let orig =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(n) { call q(n); call q(n); print n; }
+      proc q(x) { i = 0; while (i < x) { i = i + 1; } x = i + 1; }
+    |}
+  in
+  let trans =
+    {|
+      proc main() { call p(1); call p(2); }
+      proc p(n) {
+        i__in1 = 0;
+        while (i__in1 < n) { i__in1 = i__in1 + 1; }
+        n = i__in1 + 1;
+        call q(n);
+        print n;
+      }
+      proc q(x) { i = 0; while (i < x) { i = i + 1; } x = i + 1; }
+    |}
+  in
+  let vc = loop_vc ~transform:"inline" ~orig ~trans "p" in
+  match vc.V.vc_verdict with
+  | V.Proved ->
+      Alcotest.(check int) "proved by the product's 2 paths" 2 vc.V.vc_paths
+  | v -> Alcotest.failf "partly inlined caller: %a" V.pp_verdict v
+
+(* The real inliner's output on a generated program, with one wrong
+   rewrite in one expanded procedure: a zeroing statement dropped, or a
+   minted name renamed onto a variable of the caller.  Minted names are
+   the ones the transformed procedure mentions and the original does
+   not. *)
+let mutate_inlining rng (orig : Ast.program) (trans : Ast.program) =
+  let minted_of (q : Ast.proc) =
+    let names = Ast.mentioned_vars (Ast.find_proc_exn orig q.Ast.pname) in
+    List.filter
+      (fun x -> not (List.mem x names || List.mem x orig.Ast.globals))
+      (Ast.mentioned_vars q)
+  in
+  let expanded =
+    List.filter (fun q -> minted_of q <> []) trans.Ast.procs |> Array.of_list
+  in
+  if Array.length expanded = 0 then trans
+  else
+    let q = expanded.(Random.State.int rng (Array.length expanded)) in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let minted = minted_of q in
+    let rec map_block f body = List.concat_map (map_stmt f) body
+    and map_stmt f (s : Ast.stmt) =
+      let s =
+        match s.Ast.sdesc with
+        | Ast.If (c, t, e) ->
+            { s with Ast.sdesc = Ast.If (c, map_block f t, map_block f e) }
+        | Ast.While (c, b) ->
+            { s with Ast.sdesc = Ast.While (c, map_block f b) }
+        | _ -> s
+      in
+      f s
+    in
+    let zeroings = ref 0 in
+    let is_zeroing (s : Ast.stmt) =
+      match s.Ast.sdesc with
+      | Ast.Assign (x, Ast.Const (Value.Int 0)) -> List.mem x minted
+      | _ -> false
+    in
+    ignore
+      (map_block (fun s -> if is_zeroing s then incr zeroings; [ s ]) q.Ast.body);
+    let body =
+      if !zeroings > 0 && Random.State.bool rng then begin
+        let victim = Random.State.int rng !zeroings in
+        let k = ref (-1) in
+        map_block
+          (fun s ->
+            if is_zeroing s then begin
+              incr k;
+              if !k = victim then [] else [ s ]
+            end
+            else [ s ])
+          q.Ast.body
+      end
+      else
+        let m = pick minted in
+        let p0 = Ast.find_proc_exn orig q.Ast.pname in
+        let callers = p0.Ast.formals @ Ast.mentioned_vars p0 in
+        if callers = [] then q.Ast.body
+        else
+          let v = pick callers in
+          let rn x = if String.equal x m then v else x in
+          let rec expr = function
+            | Ast.Var x -> Ast.Var (rn x)
+            | Ast.Const _ as e -> e
+            | Ast.Unary (o, e) -> Ast.Unary (o, expr e)
+            | Ast.Binary (o, l, r) -> Ast.Binary (o, expr l, expr r)
+          in
+          map_block
+            (fun s ->
+              let sdesc =
+                match s.Ast.sdesc with
+                | Ast.Assign (x, e) -> Ast.Assign (rn x, expr e)
+                | Ast.If (c, t, e) -> Ast.If (expr c, t, e)
+                | Ast.While (c, b) -> Ast.While (expr c, b)
+                | Ast.Call (r, args) -> Ast.Call (r, List.map expr args)
+                | Ast.Print e -> Ast.Print (expr e)
+                | Ast.Return -> Ast.Return
+              in
+              [ { s with Ast.sdesc } ])
+            q.Ast.body
+    in
+    {
+      trans with
+      Ast.procs =
+        List.map
+          (fun (p : Ast.proc) -> if p == q then { p with Ast.body } else p)
+          trans.Ast.procs;
+    }
+
+let test_inline_mutants_qcheck =
+  Test_util.qcheck ~count:60
+    ~name:
+      "every Proved VC of a mutated inlining agrees with the interpreter on \
+       100 inputs"
+    Test_util.seed_gen (fun seed ->
+      let prog = Fsicp_oracle.Oracle.program_of_seed seed in
+      let ctx = Context.create ~jobs:1 prog in
+      let fs = Fs_icp.solve ~jobs:1 ctx in
+      let rng = Random.State.make [| 0x1a1e; seed |] in
+      let trans =
+        mutate_inlining rng prog (V.apply_transform ctx ~solution:fs "inline")
+      in
+      (* A VC assumes the procedures its body calls are equivalent, and a
+         mutant breaks that for the callers of the mutated procedure, so
+         each VC is checked against the original program with only its
+         own procedure replaced. *)
+      let only name =
+        {
+          prog with
+          Ast.procs =
+            List.map
+              (fun (p : Ast.proc) ->
+                if String.equal p.Ast.pname name then
+                  Ast.find_proc_exn trans name
+                else p)
+              prog.Ast.procs;
+        }
+      in
+      List.iter
+        (fun vc ->
+          match vc.V.vc_verdict with
+          | V.Proved -> (
+              match
+                V.concrete_check ~samples:100 ~orig:prog
+                  ~trans:(only vc.V.vc_proc) ~proc:vc.V.vc_proc
+                  ~counterpart:vc.V.vc_counterpart
+                  ~entry:(Solution.entry_opt fs vc.V.vc_counterpart) ()
+              with
+              | None -> ()
+              | Some cx ->
+                  QCheck2.Test.fail_reportf
+                    "seed %d: inline/%s Proved but interpreter disagrees: \
+                     orig prints [%a], trans prints [%a]"
+                    seed vc.V.vc_proc
+                    Fmt.(list ~sep:comma Value.pp)
+                    cx.V.cx_orig_prints
+                    Fmt.(list ~sep:comma Value.pp)
+                    cx.V.cx_trans_prints)
+          | V.Refuted _ | V.Inconclusive _ -> ())
+        (V.vcs ctx ~solution:fs ~transform:"inline" ~trans);
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* The suite-wide verdict tally (EXPERIMENTS.md)                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One [verify_program] pass over Tables 1–2's 12 programs, DISPATCH and
+   every [testdata/*.mf]. *)
+let test_suite_tally () =
+  let module Spec = Fsicp_workloads.Spec in
+  let files =
+    Sys.readdir (Filename.concat root_dir "testdata")
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mf")
+    |> List.sort compare
+  in
+  let programs =
+    List.map Spec.program (Spec.suite @ Spec.addendum)
+    @ List.map (fun f -> load (Filename.chop_suffix f ".mf")) files
+  in
+  let proved = ref 0 and inconclusive = ref 0 and refuted = ref 0 in
+  List.iter
+    (fun prog ->
+      let ctx = Context.create ~jobs:1 prog in
+      let fs = Fs_icp.solve ~jobs:1 ctx in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun vc ->
+              incr
+                (match vc.V.vc_verdict with
+                | V.Proved -> proved
+                | V.Inconclusive _ -> inconclusive
+                | V.Refuted _ -> refuted))
+            r.V.r_vcs)
+        (V.verify_program ctx ~solution:fs))
+    programs;
+  Alcotest.(check (list int))
+    "proved / inconclusive / refuted" [ 1059; 33; 0 ]
+    [ !proved; !inconclusive; !refuted ]
+
 let suite =
   [
     Alcotest.test_case "term normalisation" `Quick test_term_norm;
@@ -550,4 +851,16 @@ let suite =
         test_loop_inductive_step;
       Alcotest.test_case "unreached procedure never proved" `Quick
         test_unreached_not_proved;
+      Alcotest.test_case "inline match: captured local refuted" `Quick
+        test_inline_capture;
+      Alcotest.test_case "inline match: dropped zeroing refuted" `Quick
+        test_inline_zeroing_dropped;
+      Alcotest.test_case "inline match: compound actual as text refuted"
+        `Quick test_inline_compound_as_text;
+      Alcotest.test_case "inline match: by-ref actual copied refuted" `Quick
+        test_inline_byref_copied;
+      Alcotest.test_case "inline match: un-inlined call proved by product"
+        `Quick test_inline_partial_product;
+      test_inline_mutants_qcheck;
+      Alcotest.test_case "suite verdict tally" `Quick test_suite_tally;
     ]
